@@ -20,13 +20,22 @@ import numpy as np
 from .context import QContext
 from .errors import CoverageError, DomainError
 from .qarith import _qnum
-from .qspecial import completeness_sum, p_tilde, p_tilde_table
+from .qspecial import _sqrt_any, completeness_sum, p_tilde, p_tilde_table
 from .repspace import casimir_eigenvalue, x3_block, r0_from_z0
 
 __all__ = [
     "c_coeff", "d_coeff", "check_t2", "check_x3_recursion",
     "TransformTable", "build_transform", "completeness_check",
 ]
+
+
+def _site(m, m_t, sigma, q):
+    """Lattice argument and prefactor of the chain site (m_t, sigma) in the
+    order-m columns: the coefficient there is pref * P~_l(x) with order |m|.
+    Generic over float and mpf q.
+    """
+    e = m_t - max(m, 0) - 1
+    return sigma * q**(2 * e), _sqrt_any(1 - q**-2) * q**e
 
 
 def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
@@ -39,23 +48,8 @@ def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
     am = abs(m)
     if l < am or m_t > min(0, m):
         return ctx.out(0.0)
-    q = ctx.qval()
-    norm = _sqrt(1 - q**-2)
-    if m >= 0:
-        x = sigma * q**(2 * (m_t - m - 1))
-        val = norm * q**(m_t - 1 - m) * p_tilde(l, am, x, ctx)
-    else:
-        x = sigma * q**(2 * (m_t - 1))
-        val = norm * q**(m_t - 1) * p_tilde(l, am, x, ctx)
-    return ctx.out((-1)**m_t * val)
-
-
-def _sqrt(v):
-    try:
-        return math.sqrt(v)
-    except TypeError:
-        import mpmath as mp
-        return mp.sqrt(v)
+    x, pref = _site(m, m_t, sigma, ctx.qval())
+    return ctx.out((-1)**m_t * pref * p_tilde(l, am, x, ctx))
 
 
 def d_coeff(M: int, l: int, m: int, nu: int, sigma: int, ctx: QContext):
@@ -70,15 +64,8 @@ def d_coeff(M: int, l: int, m: int, nu: int, sigma: int, ctx: QContext):
     am = abs(m)
     if l < am:
         return ctx.out(0.0)
-    q = ctx.qval()
-    norm = _sqrt(1 - q**-2)
-    if m >= 0:
-        x = sigma * q**(2 * (nu - M - 1 - m))
-        val = norm * q**(nu - M - 1 - m) * p_tilde(l, am, x, ctx)
-    else:
-        x = sigma * q**(2 * (nu - M - 1))
-        val = norm * q**(nu - M - 1) * p_tilde(l, am, x, ctx)
-    return ctx.out(val)
+    x, pref = _site(m, nu - M, sigma, ctx.qval())
+    return ctx.out(pref * p_tilde(l, am, x, ctx))
 
 
 def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
@@ -172,10 +159,20 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     """max |U^T A2 U - diag(q[l][l+1])| over a depth-cd interior window,
     entrywise normalized by the larger Casimir value involved.
 
-    The quadratic form loses ~q^(2 cd) digits to cancellation in binary64
-    (the chain entries grow like q^(-4 m_t) while the coefficients decay),
-    so the columns, the block and the form are all evaluated in extended
-    precision; the defect is then tail-limited.
+    The columns U and the chain block A are evaluated at 40 digits: the
+    chain entries grow like q^(-4 m_t) while the coefficients decay, so the
+    product A U loses ~q^(2 cd) digits to cancellation and survives only in
+    extended precision.  Two O(L n) pieces are formed there: the residual
+    R = A U - U Lam (Lam the Casimir values), one block application per
+    column, and the diagonal (U_K^T U_K)_aa - 1 over the kept rows K, where
+    a sum near 1 cancels down to the tail.  On K the deviation is then
+
+        U_K^T A U_K - Lam = (U_K^T U_K - I) Lam + U_K^T R_K,
+
+    and its remaining parts cancel nothing, so U_K and R_K are rounded to
+    binary64 and the products taken with numpy.  That moves each normalized
+    off-diagonal entry by a few binary64 roundings (~1e-16), far below the
+    tail-limited defect.
     """
     q = float(ctx.q)
     ectx = QContext(q=q, tol_rel=ctx.tol_rel, tail_eps=ctx.tail_eps,
@@ -183,27 +180,24 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     top = min(0, m)
     mts = list(range(top - cd, top + 1))
     am = abs(m)
+    n = len(mts)
+    lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
+    # the deepest margin sites of each sign block are dropped
+    margin = 2
+    keep = [blk * n + j for blk in range(2) for j in range(margin, n)]
+    U_K = np.empty((len(keep), len(l_values)))
+    R_K = np.empty_like(U_K)
+    gram_diag = np.empty(len(l_values))       # (U_K^T U_K)_aa - 1
     with mp.workdps(ectx.dps):
         qm = mp.mpf(q)
         lam = qm - 1 / qm
-        norm = mp.sqrt(1 - qm**-2)
-        colvecs = {l: [] for l in l_values}
+        cols = [[] for _ in l_values]
         for sigma in (1, -1):
             for mt in mts:
-                if mt > min(0, m):
-                    for l in l_values:
-                        colvecs[l].append(mp.mpf(0))
-                    continue
-                if m >= 0:
-                    x = sigma * qm**(2 * (mt - m - 1))
-                    pref = norm * qm**(mt - 1 - m)
-                else:
-                    x = sigma * qm**(2 * (mt - 1))
-                    pref = norm * qm**(mt - 1)
-                tab = p_tilde_table(max(l_values), am, x, ectx)
-                for l in l_values:
-                    colvecs[l].append((-1)**mt * pref * tab[l])
-        n = len(mts)
+                x, pref = _site(m, mt, sigma, qm)
+                tab = p_tilde_table(l_values[-1], am, x, ectx)
+                for col, l in zip(cols, l_values):
+                    col.append((-1)**mt * pref * tab[l])
         diag = [((qm * qm + 1) * qm**(2 * (m + 1) - 4 * mt) - (qm * qm + 1))
                 / lam**2 for mt in mts]
         # off[k] couples the ascending pair (mts[k], mts[k]+1)
@@ -224,46 +218,29 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
                     out[o + j] = v
             return out
 
-        margin = 2
-        keep = [False] * (2 * n)
-        for blk in range(2):
-            for j in range(margin, n):
-                keep[blk * n + j] = True
-        lams = {l: casimir_eigenvalue(l, ectx) for l in l_values}
-        worst = mp.mpf(0)
-        applied = {l: apply_block(colvecs[l]) for l in l_values}
-        for la in l_values:
-            for lb in l_values:
-                s = mp.mpf(0)
-                ca = colvecs[la]
-                ab = applied[lb]
-                for i in range(2 * n):
-                    if keep[i]:
-                        s += ca[i] * ab[i]
-                target = lams[la] if la == lb else mp.mpf(0)
-                dev = abs(s - target) / max(lams[la], lams[lb], mp.mpf(1))
-                worst = max(worst, dev)
-        return float(worst)
+        for c, (col, lam_c) in enumerate(zip(cols, lams.tolist())):
+            applied = apply_block(col)
+            for r, i in enumerate(keep):
+                U_K[r, c] = float(col[i])
+                R_K[r, c] = float(applied[i] - lam_c * col[i])
+            gram_diag[c] = float(mp.fsum(col[i]**2 for i in keep) - 1)
+    gram_minus_eye = U_K.T @ U_K
+    np.fill_diagonal(gram_minus_eye, gram_diag)
+    dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K
+    scale = np.maximum(np.maximum.outer(lams, lams), 1.0)
+    return float(np.abs(dev / scale).max())
 
 
 def _c_columns(m, l_values, mts, ctx):
     """Coefficient columns over the (sigma, m_t) grid, via stable tables."""
     q = float(ctx.q)
     am = abs(m)
-    norm = math.sqrt(1 - q**-2)
     l_top = max(l_values)
     n = len(mts)
     U = np.zeros((2 * n, len(l_values)))
     for blk, sigma in enumerate((1, -1)):
         for j, mt in enumerate(mts):
-            if mt > min(0, m):
-                continue
-            if m >= 0:
-                x = sigma * q**(2 * (mt - m - 1))
-                pref = norm * q**(mt - 1 - m)
-            else:
-                x = sigma * q**(2 * (mt - 1))
-                pref = norm * q**(mt - 1)
+            x, pref = _site(m, mt, sigma, q)
             tab = p_tilde_table(l_top, am, x, ctx)
             sgn = (-1)**mt
             for c, l in enumerate(l_values):
@@ -317,15 +294,9 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
     nus = list(range(nu_top - nu_depth, nu_top + 1))
     ls = list(range(am, l_max + 1))
     cols = [(s, nu) for s in (1, -1) for nu in nus]
-    norm = math.sqrt(1 - q**-2)
     U = np.zeros((len(ls), len(cols)))
     for cidx, (s, nu) in enumerate(cols):
-        if m >= 0:
-            x = s * q**(2 * (nu - M - 1 - m))
-            pref = norm * q**(nu - M - 1 - m)
-        else:
-            x = s * q**(2 * (nu - M - 1))
-            pref = norm * q**(nu - M - 1)
+        x, pref = _site(m, nu - M, s, q)
         tab = p_tilde_table(l_max, am, x, ctx)
         for ridx, l in enumerate(ls):
             U[ridx, cidx] = pref * tab[l]

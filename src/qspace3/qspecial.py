@@ -8,8 +8,10 @@ at a lattice point is exponentially small, so binary64 loses roughly
 2*l*l*log10(q) digits to cancellation.  p_lm therefore escalates to multi-
 precision transparently whenever a cancellation estimate demands it.  Whole
 columns P~_l(x), l = 0..l_max, are produced by the three-term recurrence in l:
-upward when the recurrence is contractive, otherwise by a downward
-(minimal-solution) pass with rescaling, which is stable at lattice arguments.
+at lattice arguments where it is not contractive by a downward
+(minimal-solution) pass with rescaling, otherwise upward.  The recurrence
+coefficients are computed once per (m, ctx), up to the highest degree
+needed so far.
 
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
@@ -22,7 +24,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .context import QContext
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .qarith import basic_hypergeometric, _qnum, _qbin
 
 __all__ = [
@@ -46,14 +48,16 @@ def _p_sum(l, m, x, q, dps=0):
     Returns (value, max_abs_term) so callers can judge cancellation.
     """
     base = q**-2
+    shift = q**(-2 * (m + 1))
     s = 0 * x
     worst = abs(s)
     pochx = 1 + 0 * x
     pochd = 1 + 0 * x
     for k in range(l - m + 1):
         if k > 0:
-            pochx = pochx * (1 - x * base**(k - 1))
-            pochd = pochd * (1 + q**(-2 * (m + 1)) * base**(k - 1))
+            bk = base**(k - 1)
+            pochx = pochx * (1 - x * bk)
+            pochd = pochd * (1 + shift * bk)
         t = (-1)**k * q**(-k * (m + 1)) * pochx / pochd
         t = t * _qbin(l - m, k, q, dps) * _qbin(l + m + k, k, q, dps) \
             / _qbin(m + k, k, q, dps)
@@ -126,6 +130,12 @@ def _u2_mp(l, m, q):
     return t
 
 
+@lru_cache(maxsize=4096)
+def _u2_mp_cached(l: int, m: int, qkey: float, dps: int):
+    with mp.workdps(dps):
+        return _u2_mp(l, m, mp.mpf(qkey))
+
+
 @lru_cache(maxsize=None)
 def _snorm_mp_cached(m: int, qkey: float, dps: int):
     with mp.workdps(dps):
@@ -165,7 +175,8 @@ def _ptilde_mp(l, m, x, q, dps):
     r = _rad(m, x, q)
     if r == 0:
         return mp.mpf(0)
-    return s * mp.sqrt(_u2_mp(l, m, q) * r / _snorm_mp_cached(m, float(q), dps))
+    return s * mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
+                       / _snorm_mp_cached(m, float(q), dps))
 
 
 _PT_CACHE = {}
@@ -262,7 +273,8 @@ def weight_w(l: int, m: int, x, ctx: QContext):
             r = _rad(m, mp.mpf(x), q)
             if r == 0:
                 return mp.mpf(0)
-            return mp.sqrt(_u2_mp(l, m, q) * r / _snorm_mp_cached(m, float(q), dps))
+            return mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
+                           / _snorm_mp_cached(m, float(q), dps))
     q = float(ctx.q)
     r = float(_rad(m, float(x), q))
     if r == 0.0:
@@ -334,17 +346,32 @@ def _sqrt_any(v):
 def p_tilde_table(l_max: int, m: int, x, ctx: QContext):
     """P~_l(x) for l = 0..l_max via the three-term recurrence in l.
 
-    Uses the upward recurrence while it is contractive and a downward
-    (minimal-solution) pass normalized at l = m otherwise; in binary64 the
-    downward pass rescales through an exponent ledger.
+    At lattice arguments where the upward recurrence is not contractive the
+    wanted column is the minimal solution, so it comes from a downward pass
+    normalized at l = m (Gautschi 1967); in binary64 that pass rescales
+    through an exponent ledger.  Everywhere else the recurrence runs upward:
+    off the lattice P~ is the dominant solution.  Extended tables are
+    computed at ctx.dps whatever the ambient mpmath precision.
     """
     if m < 0:
         raise DomainError(f"order m must be >= 0, got {m}")
+    if not math.isfinite(float(x)):
+        raise DomainError(f"argument must be finite, got {float(x)}")
     return list(_table_cached(l_max, m, x, ctx))
+
+
+_MAX_DELTA = 2000         # overshoot cap of the downward pass
 
 
 @lru_cache(maxsize=65536)
 def _table_cached(l_max, m, x, ctx):
+    if ctx.is_extended:
+        with mp.workdps(ctx.dps):
+            return _table(l_max, m, x, ctx)
+    return _table(l_max, m, x, ctx)
+
+
+def _table(l_max, m, x, ctx):
     vals = [ctx.out(0.0)] * (l_max + 1)
     if m > l_max or x == 0:
         return tuple(vals)
@@ -358,44 +385,71 @@ def _table_cached(l_max, m, x, ctx):
         return max(0.0, lx + (l + m + 2) * lq)
 
     log_gain = sum(step_log(l) for l in range(m, l_max))
-    if log_gain < 4.0:
+    if log_gain < 4.0 or _snap_lattice(x, m, q) is None:
         return tuple(_table_up(l_max, m, x, seed, ctx))
+    # smallest even overshoot delta >= 4 whose steps gain 26 decades
     delta = 4
-    while sum(step_log(l) for l in range(l_max, l_max + delta)) < 26.0:
+    gain = sum(step_log(l) for l in range(l_max, l_max + delta))
+    while gain < 26.0:
+        if delta >= _MAX_DELTA:
+            raise PrecisionError(
+                f"downward recurrence at x={float(x)}, m={m}, l_max={l_max} "
+                f"needs an overshoot beyond {_MAX_DELTA} degrees")
+        for l in (l_max + delta, l_max + delta + 1):
+            gain += step_log(l)
         delta += 2
-        if delta > 2000:
-            break
     return tuple(_table_down(l_max, m, x, seed, ctx, delta))
+
+
+@lru_cache(maxsize=256)
+def _coeff_lists(m, ctx):
+    """Lists of recurrence_coeff_up and recurrence_coeff_down by degree l
+    (zero below m), shared by every table of this (m, ctx).
+
+    _coeffs_through extends them in place, so they never run past the
+    highest degree a table has asked for.
+    """
+    below = [ctx.out(0.0)] * m
+    return below, list(below)
+
+
+def _coeffs_through(top, m, ctx):
+    """Coefficient lists covering at least the degrees m..top."""
+    up, down = _coeff_lists(m, ctx)
+    for l in range(len(up), top + 1):
+        cu = recurrence_coeff_up(l, m, ctx)
+        cd = recurrence_coeff_down(l, m, ctx)
+        up.append(cu)
+        down.append(cd)
+    return up, down
 
 
 def _table_up(l_max, m, x, seed, ctx):
     vals = [ctx.out(0.0)] * (l_max + 1)
     vals[m] = seed
-    q = ctx.qval()
+    up, down = _coeffs_through(l_max - 1, m, ctx)
+    xq = x * ctx.qval()**(m + 1)
     if m + 1 <= l_max:
-        vals[m + 1] = x * q**(m + 1) * seed / recurrence_coeff_up(m, m, ctx)
+        vals[m + 1] = xq * seed / up[m]
     for l in range(m + 1, l_max):
-        vals[l + 1] = (x * q**(m + 1) * vals[l]
-                       - recurrence_coeff_down(l, m, ctx) * vals[l - 1]) \
-            / recurrence_coeff_up(l, m, ctx)
+        vals[l + 1] = (xq * vals[l] - down[l] * vals[l - 1]) / up[l]
     return vals
 
 
 def _table_down(l_max, m, x, seed, ctx, delta):
     vals = [ctx.out(0.0)] * (l_max + 1)
-    q = ctx.qval()
     L = l_max + delta
+    up, down = _coeffs_through(L, m, ctx)
     v = [ctx.out(0.0)] * (L + 2)
     scale_cnt = [0] * (L + 2)
     v[L] = ctx.out(1.0)
-    xq = x * q**(m + 1)
+    xq = x * ctx.qval()**(m + 1)
     mp_mode = ctx.is_extended
     for l in range(L, m, -1):
         vl1 = v[l + 1]
         if not mp_mode and scale_cnt[l + 1] != scale_cnt[l]:
             vl1 = vl1 * 10.0**(200 * (scale_cnt[l + 1] - scale_cnt[l]))
-        nxt = (xq * v[l] - recurrence_coeff_up(l, m, ctx) * vl1) \
-            / recurrence_coeff_down(l, m, ctx)
+        nxt = (xq * v[l] - up[l] * vl1) / down[l]
         cnt = scale_cnt[l]
         if not mp_mode:
             while abs(nxt) > 1e200:

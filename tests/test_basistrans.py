@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +6,8 @@ from hypothesis import strategies as st
 
 from qspace3 import CoverageError, DomainError, QContext
 from qspace3 import basistrans as bt
+from qspace3.qspecial import p_tilde_table
+from qspace3.repspace import casimir_eigenvalue
 
 CTX = QContext(q=1.5)
 
@@ -123,6 +126,74 @@ class TestTransforms:
         assert len(rows[0]) == len(t.col_labels) + 1
         # full-precision round trip of a coefficient
         assert float(rows[1][1]) == t.matrix[0, 0]
+
+
+def reference_congruence_defect(m, l_max, q):
+    """The Casimir congruence defect as the full quadratic form
+    u_a^T K A u_b, every column, block entry and sum at 40 digits: O(L^2 n)
+    multiprecision products."""
+    ectx = QContext(q=q, precision="extended")
+    am = abs(m)
+    l_values = list(range(am, l_max + 1))
+    cd = min(60, (l_max - am + 1) // 2 + bt._congruence_depth(q))  # depth 60
+    top = min(0, m)
+    mts = list(range(top - cd, top + 1))
+    n = len(mts)
+    with mp.workdps(40):
+        qm = mp.mpf(q)
+        lam = qm - 1 / qm
+        norm = mp.sqrt(1 - qm**-2)
+        colvecs = {l: [] for l in l_values}
+        for sigma in (1, -1):
+            for mt in mts:
+                if m >= 0:
+                    x = sigma * qm**(2 * (mt - m - 1))
+                    pref = norm * qm**(mt - 1 - m)
+                else:
+                    x = sigma * qm**(2 * (mt - 1))
+                    pref = norm * qm**(mt - 1)
+                tab = p_tilde_table(l_max, am, x, ectx)
+                for l in l_values:
+                    colvecs[l].append((-1)**mt * pref * tab[l])
+        diag = [((qm * qm + 1) * qm**(2 * (m + 1) - 4 * mt) - (qm * qm + 1))
+                / lam**2 for mt in mts]
+        off = [qm**(2 * m + 1) * mp.sqrt(
+            (qm**(-4 * mt) - 1) * (qm**(-4 * mt) - qm**(-4 * m))) / lam**2
+            for mt in mts[:-1]]
+
+        def apply_block(vec):
+            out = [mp.mpf(0)] * (2 * n)
+            for o in (0, n):
+                for j in range(n):
+                    v = diag[j] * vec[o + j]
+                    if j > 0:
+                        v += off[j - 1] * vec[o + j - 1]
+                    if j + 1 < n:
+                        v += off[j] * vec[o + j + 1]
+                    out[o + j] = v
+            return out
+
+        keep = [o + j for o in (0, n) for j in range(2, n)]
+        lams = {l: casimir_eigenvalue(l, ectx) for l in l_values}
+        applied = {l: apply_block(colvecs[l]) for l in l_values}
+        worst = mp.mpf(0)
+        for la in l_values:
+            for lb in l_values:
+                s = mp.fsum(colvecs[la][i] * applied[lb][i] for i in keep)
+                target = lams[la] if la == lb else 0
+                worst = max(worst, abs(s - target)
+                            / max(lams[la], lams[lb], 1))
+        return float(worst)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0])
+@pytest.mark.parametrize("m", [0, -2, 3])
+def test_congruence_defect_matches_full_form(q, m):
+    # the residual form reproduces the full quadratic form to (at least)
+    # 3 significant digits
+    t = bt.build_transform(1, m, QContext(q=q), l_max=12)
+    ref = reference_congruence_defect(m, 12, q)
+    assert t.congruence_defect == pytest.approx(ref, rel=1e-3)
 
 
 class TestCompleteness:

@@ -1,10 +1,12 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspace3 import DomainError, QContext
+from qspace3 import DomainError, PrecisionError, QContext
 from qspace3 import qspecial as qs
 
 CTX15 = QContext(q=1.5)
@@ -180,6 +182,64 @@ class TestWeightedFunction:
         x = 2.0**-2
         v = qs.p_tilde(46, 0, x, ctx)
         assert math.isfinite(v)
+
+
+class TestTableLayer:
+    def test_off_lattice_edge_point(self):
+        # off the lattice P~ is the dominant solution, which a downward
+        # (minimal-solution) pass cannot produce
+        ctx = QContext(q=2.0)
+        tab = qs.p_tilde_table(4, 0, -0.9166, ctx)
+        assert tab[4] == pytest.approx(qs.p_tilde(4, 0, -0.9166, ctx),
+                                       rel=1e-9)
+        assert abs(tab[4]) > 1e4
+
+    def test_off_lattice_seeded_grid(self):
+        rng = random.Random(2)
+        for _ in range(8):
+            q = rng.choice((1.2, 1.5, 2.0))
+            m = rng.randint(0, 3)
+            l = rng.randint(m, 40)
+            x = rng.uniform(-1.0, 1.0) * q**(-2 * m)
+            ctx = QContext(q=q)
+            tab = qs.p_tilde_table(l, m, x, ctx)
+            assert all(math.isfinite(v) for v in tab)
+            assert tab[l] == pytest.approx(qs.p_tilde(l, m, x, ctx),
+                                           rel=1e-6, abs=0)
+
+    def test_extended_table_ignores_ambient_precision(self):
+        ctxe = QContext(q=1.5, precision="extended")
+        x = 1.5**-42
+        values = []
+        for dps in (15, 40):
+            qs._table_cached.cache_clear()
+            qs._coeff_lists.cache_clear()
+            with mp.workdps(dps):
+                values.append(qs.p_tilde_table(30, 0, x, ctxe))
+        assert values[0] == values[1]
+
+    def test_table_computes_no_coefficient_past_its_degree(self):
+        # binary64 q-numbers overflow once q**(2l+3) > 1.8e308, at l = 63
+        # for q = 250; a degree-10 table must not reach them
+        qs._coeff_lists.cache_clear()
+        ctx = QContext(q=250.0)
+        tab = qs.p_tilde_table(10, 0, 250.0**-2, ctx)
+        assert len(tab) == 11
+        assert all(math.isfinite(v) for v in tab)
+        up, down = qs._coeff_lists(0, ctx)
+        assert len(up) == len(down) < 64
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError):
+            qs.p_tilde_table(5, 0, x, CTX15)
+
+    def test_overshoot_cap_raises(self):
+        # near q = 1 the downward pass would need more than 2000 extra
+        # degrees to gain its 26 decades
+        q = 1.000002
+        with pytest.raises(PrecisionError):
+            qs.p_tilde_table(3050, 0, q**-2, QContext(q=q))
 
 
 class TestIdentities:
