@@ -414,11 +414,24 @@ def _coeff_lists(m, ctx):
 
 
 def _coeffs_through(top, m, ctx):
-    """Coefficient lists covering at least the degrees m..top."""
+    """Coefficient lists covering at least the degrees m..top.
+
+    Both tables divide by these coefficients.  In binary64 they underflow
+    to 0 (or turn NaN) once the q-number products overflow, and the q-powers
+    themselves overflow later still; either is a PrecisionError, raised here
+    as the lists grow so the recurrence loops stay unchecked.
+    """
     up, down = _coeff_lists(m, ctx)
     for l in range(len(up), top + 1):
-        cu = recurrence_coeff_up(l, m, ctx)
-        cd = recurrence_coeff_down(l, m, ctx)
+        try:
+            cu = recurrence_coeff_up(l, m, ctx)
+            cd = recurrence_coeff_down(l, m, ctx)
+        except OverflowError:
+            cu = cd = math.inf
+        if not (0 < cu < math.inf and (l <= m or 0 < cd < math.inf)):
+            raise PrecisionError(
+                f"recurrence coefficients at degree {l} (m={m}, "
+                f"q={float(ctx.q)}) leave the binary64 range")
         up.append(cu)
         down.append(cd)
     return up, down

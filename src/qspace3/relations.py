@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import scipy.sparse as sp
 
 from .context import QContext
@@ -50,7 +51,11 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r["max_residual"] for r in self.records), default=0.0)
+        """Largest residual over the records; NaN if any record is NaN."""
+        vals = [r["max_residual"] for r in self.records]
+        if any(math.isnan(v) for v in vals):
+            return math.nan
+        return max(vals, default=0.0)
 
     def to_dict(self):
         return {
@@ -68,18 +73,35 @@ class VerificationReport:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _interior_abs_max(mat, interior):
+    """max |entry| over the stored entries whose row and column are both
+    interior (NaN if any of them is NaN); None when there are none."""
+    c = mat.tocoo()
+    keep = interior[c.row] & interior[c.col]
+    return np.abs(c.data[keep]).max() if keep.any() else None
+
+
 def _interior_residual(terms, interior):
     """max interior |sum(terms)| / max(1, max interior |term|)."""
     total = None
     scale = 0.0
     for t in terms:
         total = t if total is None else total + t
-        a = abs(t.tocsr())[interior][:, interior]
-        if a.nnz:
-            scale = max(scale, a.max())
-    r = abs(total.tocsr())[interior][:, interior]
-    worst = r.max() if r.nnz else 0.0
-    return float(worst / max(1.0, scale))
+        a = _interior_abs_max(t, interior)
+        if a is not None:
+            scale = max(scale, a)
+    worst = _interior_abs_max(total, interior)
+    return float((0.0 if worst is None else worst) / max(1.0, scale))
+
+
+def _interior(fam: RepFamily, fam_name):
+    """The family's interior mask; an empty interior is a WindowError,
+    since every relation would then pass without being measured."""
+    if not fam.interior.any():
+        raise WindowError(
+            f"the {fam_name} family has no interior state in the window "
+            f"{_window_dict(fam)}; widen the window")
+    return fam.interior
 
 
 def _window_dict(fam: RepFamily):
@@ -156,9 +178,9 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
     rep = VerificationReport(q=q, tol=ctx.tol_rel)
 
     def rec(name, fam_name, fam, terms):
+        interior = _interior(fam, fam_name)
         rep.add(name, fam_name, _window_dict(fam),
-                _interior_residual(terms, fam.interior),
-                int(fam.interior.sum()))
+                _interior_residual(terms, interior), int(interior.sum()))
 
     if "x" in groups:
         J = suite.joint()
@@ -276,6 +298,5 @@ def commutator_magnitude(ctx: QContext, n_depth=25, k_width=25, M=0, z0=1.0):
     suite = default_families(ctx, n_depth=n_depth, k_width=k_width, M=M, z0=z0)
     J = suite.joint()
     Xp, Xm = J.op_csr("X+"), J.op_csr("X-")
-    C = Xm @ Xp - Xp @ Xm
-    a = abs(C.tocsr())[J.interior][:, J.interior]
-    return float(a.max()) if a.nnz else 0.0
+    worst = _interior_abs_max(Xm @ Xp - Xp @ Xm, _interior(J, "joint"))
+    return 0.0 if worst is None else float(worst)

@@ -3,6 +3,12 @@
 Ladder operators annihilate states outside the window, so every relation is
 exact on interior rows and columns.  All matrix elements are real; bases are
 orthonormal, so conjugation is matrix transposition.
+
+The builders work on label arrays: a band neighbour is an index offset under
+a boolean mask, and each operator is assembled once from (rows, cols,
+values) arrays.  Powers of q are Python float powers, one per distinct
+exponent, gathered into arrays (numpy's float ** int array can differ from
+them in the last bit), so the matrix elements are the scalar formulas'.
 """
 
 import math
@@ -13,7 +19,7 @@ import scipy.linalg as sla
 
 from .context import QContext
 from .errors import DomainError, WindowError
-from .operators import LabeledOperator, RepFamily, RepWindow
+from .operators import Coords, LabeledOperator, RepFamily, RepWindow
 from .qarith import _qnum
 
 __all__ = [
@@ -29,11 +35,49 @@ _RAD_CLAMP = -1e-14
 
 
 def _sqrt_clamped(v):
-    if v >= 0.0:
-        return math.sqrt(v)
-    if v >= _RAD_CLAMP:
-        return 0.0
-    raise WindowError(f"negative square-root radicand {v}")
+    """Elementwise square root; radicands in [_RAD_CLAMP, 0) are rounding
+    noise and give 0, anything below (or NaN) raises WindowError."""
+    v = np.asarray(v, dtype=float)
+    bad = ~(v >= _RAD_CLAMP)
+    if bad.any():
+        raise WindowError(f"negative square-root radicand {v[bad].flat[0]}")
+    return np.sqrt(np.where(v >= 0.0, v, 0.0))[()]
+
+
+def _qpow(q, e):
+    """q**e for each exponent of the array e, by Python's float pow once per
+    distinct exponent.  A power beyond binary64 is a DomainError."""
+    e = np.asarray(e)
+    uniq, inv = np.unique(e, return_inverse=True)
+    try:
+        table = np.array([q**k for k in uniq.tolist()], dtype=float)
+    except OverflowError:
+        raise DomainError(
+            f"q**e overflows binary64 for exponents in [{uniq[0]}, "
+            f"{uniq[-1]}] at q = {q}; the window is too large for this q"
+        ) from None
+    return table[inv].reshape(e.shape)
+
+
+def _op(name, basis, shift, *parts):
+    """LabeledOperator assembled from (rows, cols, values) parts."""
+    n = len(basis)
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return LabeledOperator(
+        name, basis, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), shift)
+
+
+def _diag(vals):
+    i = np.arange(len(vals))
+    return i, i, vals
+
+
+def _ladder_steps(m):
+    """Positions of the ascending labels m whose m + 1, respectively m - 1,
+    is also a label (the next, respectively previous, position)."""
+    up = np.flatnonzero(m[:-1] + 1 == m[1:])
+    dn = np.flatnonzero(m[1:] - 1 == m[:-1]) + 1
+    return up, dn
 
 
 def casimir_eigenvalue(l, ctx: QContext) -> float:
@@ -88,37 +132,30 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
         win = RepWindow.make({"m": (lo, hi)}, hard_hi=hard_hi)
 
     def ccstar(m):
-        return (q**(-2 * m) - q**(-2 * m_bar)) \
-            * (q**(2 * (m_bar + 1)) / lam - d * q**(-2 * m)) / (lam * q**4)
+        p = _qpow(q, -2 * m)
+        return (p - q**(-2 * m_bar)) * (q**(2 * (m_bar + 1)) / lam - d * p) \
+            / (lam * q**4)
 
-    idx = {m: i for i, m in enumerate(ms)}
-    T3, Tp, Tm, tau = {}, {}, {}, {}
-    for i, m in enumerate(ms):
-        T3[(i, i)] = 1.0 / lam - d * q**(-4 * m)
-        tau[(i, i)] = d * lam * q**(-4 * m)
-        c = _sqrt_clamped(ccstar(m))
-        if m + 1 in idx:
-            Tp[(idx[m + 1], i)] = c
-        if m - 1 in idx:
-            Tm[(idx[m - 1], i)] = q * q * _sqrt_clamped(ccstar(m - 1))
+    m = np.array(ms)
+    up, dn = _ladder_steps(m)
+    p4 = _qpow(q, -4 * m)
+    tau = d * lam * p4
+    c = _sqrt_clamped(ccstar(m))
     ops = {
-        "T3": LabeledOperator("T3", ms, T3, shift=({},)),
-        "T+": LabeledOperator("T+", ms, Tp, shift=({"m": 1},)),
-        "T-": LabeledOperator("T-", ms, Tm, shift=({"m": -1},)),
-        "tau": LabeledOperator("tau", ms, tau, shift=({},)),
+        "T3": _op("T3", ms, ({},), _diag(1.0 / lam - d * p4)),
+        "T+": _op("T+", ms, ({"m": 1},), (up + 1, up, c[up])),
+        "T-": _op("T-", ms, ({"m": -1},),
+                  (dn - 1, dn, q * q * _sqrt_clamped(ccstar(m[dn] - 1)))),
+        "tau": _op("tau", ms, ({},), _diag(tau)),
     }
-    if all(v > 0 for v in tau.values()):
-        ops["tau^1/2"] = LabeledOperator(
-            "tau^1/2", ms, {k: math.sqrt(v) for k, v in tau.items()},
-            shift=({},))
-        ops["tau^-1/2"] = LabeledOperator(
-            "tau^-1/2", ms, {k: 1.0 / math.sqrt(v) for k, v in tau.items()},
-            shift=({},))
+    if np.all(tau > 0):
+        ops["tau^1/2"] = _op("tau^1/2", ms, ({},), _diag(np.sqrt(tau)))
+        ops["tau^-1/2"] = _op("tau^-1/2", ms, ({},),
+                              _diag(1.0 / np.sqrt(tau)))
     params = {"d": d, "m_bar": m_bar, "m_name": "m"}
     if finite:
         params["casimir_scalar"] = casimir_eigenvalue(m_bar, ctx)
-    coords = [{"m": m} for m in ms]
-    return RepFamily("T_generic", params, ops, win, ctx, coords)
+    return RepFamily("T_generic", params, ops, win, ctx, Coords({"m": m}))
 
 
 def build_t_special(window, ctx: QContext) -> RepFamily:
@@ -129,28 +166,24 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
     lo, hi = window.range_map["m_t"]
     if hi > 0:
         raise DomainError("no state with positive m_t exists")
-    ms = list(range(int(lo), int(hi) + 1))
-    idx = {m: i for i, m in enumerate(ms)}
-    T3, Tp, Tm, tau = {}, {}, {}, {}
-    for i, m in enumerate(ms):
-        T3[(i, i)] = (1.0 + q * q * q**(-4 * m)) / lam
-        tau[(i, i)] = -q * q * q**(-4 * m)
-        if m + 1 in idx:
-            Tp[(idx[m + 1], i)] = _sqrt_clamped(q**(-4 * m) - 1.0) / (lam * q)
-        if m - 1 in idx:
-            Tm[(idx[m - 1], i)] = q / lam * _sqrt_clamped(q**(-4 * (m - 1)) - 1.0)
+    m = np.arange(int(lo), int(hi) + 1)
+    ms = m.tolist()
+    up, dn = _ladder_steps(m)
+    p4 = _qpow(q, -4 * m)
     win = RepWindow.make({"m_t": (lo, hi)},
                          hard_hi=("m_t",) if hi == 0 else ())
     ops = {
-        "T3": LabeledOperator("t3", ms, T3, shift=({},)),
-        "T+": LabeledOperator("t+", ms, Tp, shift=({"m_t": 1},)),
-        "T-": LabeledOperator("t-", ms, Tm, shift=({"m_t": -1},)),
-        "tau": LabeledOperator("tau_t", ms, tau, shift=({},)),
+        "T3": _op("t3", ms, ({},), _diag((1.0 + q * q * p4) / lam)),
+        "T+": _op("t+", ms, ({"m_t": 1},),
+                  (up + 1, up, _sqrt_clamped(p4[up] - 1.0) / (lam * q))),
+        "T-": _op("t-", ms, ({"m_t": -1},),
+                  (dn - 1, dn, q / lam * _sqrt_clamped(
+                      _qpow(q, -4 * (m[dn] - 1)) - 1.0))),
+        "tau": _op("tau_t", ms, ({},), _diag(-q * q * p4)),
     }
     params = {"d": -q * q / lam, "m_bar": 0.0, "m_name": "m_t",
               "casimir_scalar": -(1 + q * q) / lam**2}
-    coords = [{"m_t": m} for m in ms]
-    return RepFamily("t_special", params, ops, win, ctx, coords)
+    return RepFamily("t_special", params, ops, win, ctx, Coords({"m_t": m}))
 
 
 def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
@@ -162,27 +195,24 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
     lo, hi = window.range_map["m_t"]
     if hi > 0:
         raise DomainError("no state with positive m_t exists")
-    ms = list(range(int(lo), int(hi) + 1))
-    idx = {m: i for i, m in enumerate(ms)}
+    m = np.arange(int(lo), int(hi) + 1)
+    ms = m.tolist()
+    up, dn = _ladder_steps(m)
     s = float(sign)
     sq = math.sqrt(1.0 + q * q)
-    X3, Xp, Xm = {}, {}, {}
-    for i, m in enumerate(ms):
-        X3[(i, i)] = s * q**(2 * m - 1)
-        if m + 1 in idx:
-            Xp[(idx[m + 1], i)] = -s * q / sq * _sqrt_clamped(1.0 - q**(4 * m))
-        if m - 1 in idx:
-            Xm[(idx[m - 1], i)] = s / sq * _sqrt_clamped(1.0 - q**(4 * (m - 1)))
     win = RepWindow.make({"m_t": (lo, hi)},
                          hard_hi=("m_t",) if hi == 0 else ())
     ops = {
-        "X3R": LabeledOperator("X3/R", ms, X3, shift=({},)),
-        "X+R": LabeledOperator("X+/R", ms, Xp, shift=({"m_t": 1},)),
-        "X-R": LabeledOperator("X-/R", ms, Xm, shift=({"m_t": -1},)),
+        "X3R": _op("X3/R", ms, ({},), _diag(s * _qpow(q, 2 * m - 1))),
+        "X+R": _op("X+/R", ms, ({"m_t": 1},),
+                   (up + 1, up, -s * q / sq * _sqrt_clamped(
+                       1.0 - _qpow(q, 4 * m[up])))),
+        "X-R": _op("X-/R", ms, ({"m_t": -1},),
+                   (dn - 1, dn, s / sq * _sqrt_clamped(
+                       1.0 - _qpow(q, 4 * (m[dn] - 1))))),
     }
-    coords = [{"m_t": m} for m in ms]
     return RepFamily("X_over_R", {"sign": sign, "m_name": "m_t"},
-                     ops, win, ctx, coords)
+                     ops, win, ctx, Coords({"m_t": m}))
 
 
 def build_K_generic(d_k: float, alpha: float, window, ctx: QContext) -> RepFamily:
@@ -191,35 +221,31 @@ def build_K_generic(d_k: float, alpha: float, window, ctx: QContext) -> RepFamil
     q = float(ctx.q)
     lam = ctx.lam
     lo, hi = window.range_map["m_k"]
-    ms = list(range(int(lo), int(hi) + 1))
-    idx = {m: i for i, m in enumerate(ms)}
+    m = np.arange(int(lo), int(hi) + 1)
+    ms = m.tolist()
+    up, dn = _ladder_steps(m)
 
     def kappa(x):
         return 1.0 / (q * q * lam * lam) - alpha * x + d_k / (lam * q**4) * x * x
 
-    K3, Kp, Km, tau = {}, {}, {}, {}
-    for i, m in enumerate(ms):
-        K3[(i, i)] = 1.0 / lam - d_k * q**(-4 * m)
-        tau[(i, i)] = d_k * lam * q**(-4 * m)
-        kv = kappa(q**(-2 * m))
-        if kv < _RAD_CLAMP:
-            raise WindowError(
-                f"kappa < 0 at m_k = {m}: window not admissible for "
-                f"(d_k={d_k}, alpha={alpha})")
-        if m + 1 in idx:
-            Kp[(idx[m + 1], i)] = _sqrt_clamped(kv)
-        if m - 1 in idx:
-            Km[(idx[m - 1], i)] = -q * q * _sqrt_clamped(kappa(q**(-2 * (m - 1))))
-    win = window
+    p4 = _qpow(q, -4 * m)
+    kv = kappa(_qpow(q, -2 * m))
+    neg = np.flatnonzero(kv < _RAD_CLAMP)
+    if neg.size:
+        raise WindowError(
+            f"kappa < 0 at m_k = {ms[neg[0]]}: window not admissible for "
+            f"(d_k={d_k}, alpha={alpha})")
     ops = {
-        "T3": LabeledOperator("K3", ms, K3, shift=({},)),
-        "T+": LabeledOperator("K+", ms, Kp, shift=({"m_k": 1},)),
-        "T-": LabeledOperator("K-", ms, Km, shift=({"m_k": -1},)),
-        "tau": LabeledOperator("tau_k", ms, tau, shift=({},)),
+        "T3": _op("K3", ms, ({},), _diag(1.0 / lam - d_k * p4)),
+        "T+": _op("K+", ms, ({"m_k": 1},),
+                  (up + 1, up, _sqrt_clamped(kv[up]))),
+        "T-": _op("K-", ms, ({"m_k": -1},),
+                  (dn - 1, dn, -q * q * _sqrt_clamped(
+                      kappa(_qpow(q, -2 * (m[dn] - 1)))))),
+        "tau": _op("tau_k", ms, ({},), _diag(d_k * lam * p4)),
     }
-    coords = [{"m_k": m} for m in ms]
     return RepFamily("K_generic", {"d": d_k, "alpha": alpha, "m_name": "m_k"},
-                     ops, win, ctx, coords)
+                     ops, window, ctx, Coords({"m_k": m}))
 
 
 def build_K_orbital(window, ctx: QContext) -> RepFamily:
@@ -257,41 +283,43 @@ def _torb_window(window):
         (int(tlo), int(thi)), (int(klo), int(khi))
 
 
+def _tensor_grid(tlo, thi, klo, khi):
+    """Labels of the tensor basis |m_t, m_k> (m_t outer), the row length nk
+    (the position offset of an m_t neighbour), and the positions whose m_t
+    or m_k neighbour above or below lies in the window."""
+    nk = khi - klo + 1
+    mt = np.repeat(np.arange(tlo, thi + 1), nk)
+    mk = np.tile(np.arange(klo, khi + 1), thi - tlo + 1)
+    steps = {"t+": np.flatnonzero(mt < thi), "k+": np.flatnonzero(mk < khi),
+             "t-": np.flatnonzero(mt > tlo), "k-": np.flatnonzero(mk > klo)}
+    return mt, mk, nk, steps
+
+
 def build_T_orb(window, ctx: QContext) -> RepFamily:
     """Orbital angular momentum on the tensor basis |m_t, m_k>."""
     q = float(ctx.q)
     lam = ctx.lam
     win, (tlo, thi), (klo, khi) = _torb_window(window)
-    basis = [(mt, mk) for mt in range(tlo, thi + 1) for mk in range(klo, khi + 1)]
-    idx = {s: i for i, s in enumerate(basis)}
-    T3, Tp, Tm, tau = {}, {}, {}, {}
-    for i, (mt, mk) in enumerate(basis):
-        m = mt + mk
-        T3[(i, i)] = (1.0 - q**(-4 * m)) / lam
-        tau[(i, i)] = q**(-4 * m)
-        if (mt + 1, mk) in idx:
-            Tp[(idx[(mt + 1, mk)], i)] = \
-                _sqrt_clamped(q**(-4 * mt) - 1.0) / (lam * q)
-        if (mt, mk + 1) in idx:
-            Tp[(idx[(mt, mk + 1)], i)] = \
-                q**(-2 * mt) * _sqrt_clamped(1.0 - q**(-4 * (mk + 1))) / lam
-        if (mt - 1, mk) in idx:
-            Tm[(idx[(mt - 1, mk)], i)] = \
-                q / lam * _sqrt_clamped(q**(-4 * (mt - 1)) - 1.0)
-        if (mt, mk - 1) in idx:
-            Tm[(idx[(mt, mk - 1)], i)] = \
-                q * q / lam * q**(-2 * mt) * _sqrt_clamped(1.0 - q**(-4 * mk))
+    mt, mk, nk, st = _tensor_grid(tlo, thi, klo, khi)
+    basis = list(zip(mt.tolist(), mk.tolist()))
+    p4 = _qpow(q, -4 * (mt + mk))
+    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
     ops = {
-        "T3": LabeledOperator("T3_orb", basis, T3, shift=({},)),
-        "T+": LabeledOperator("T+_orb", basis, Tp,
-                              shift=({"m_t": 1}, {"m_k": 1})),
-        "T-": LabeledOperator("T-_orb", basis, Tm,
-                              shift=({"m_t": -1}, {"m_k": -1})),
-        "tau": LabeledOperator("tau_orb", basis, tau, shift=({},)),
+        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
+        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
+                  (tu + nk, tu, _sqrt_clamped(
+                      _qpow(q, -4 * mt[tu]) - 1.0) / (lam * q)),
+                  (ku + 1, ku, _qpow(q, -2 * mt[ku]) * _sqrt_clamped(
+                      1.0 - _qpow(q, -4 * (mk[ku] + 1))) / lam)),
+        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
+                  (td - nk, td, q / lam * _sqrt_clamped(
+                      _qpow(q, -4 * (mt[td] - 1)) - 1.0)),
+                  (kd - 1, kd, q * q / lam * _qpow(q, -2 * mt[kd])
+                   * _sqrt_clamped(1.0 - _qpow(q, -4 * mk[kd])))),
+        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
     }
-    coords = [{"m_t": mt, "m_k": mk} for (mt, mk) in basis]
     return RepFamily("T_orb_tensor", {"d": 1.0 / lam, "m_name": None},
-                     ops, win, ctx, coords)
+                     ops, win, ctx, Coords({"m_t": mt, "m_k": mk}))
 
 
 def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
@@ -318,52 +346,40 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
     win, (tlo, thi), (klo, khi) = _torb_window(RepWindow.make(rm))
     z = sigma * abs(z0)
     sq = math.sqrt(1.0 + q * q)
-    basis = []
-    coords = []
-    for mt in range(tlo, thi + 1):
-        for mk in range(klo, khi + 1):
-            basis.append((mt + M, mt + mk))
-            coords.append({"m_t": mt, "m_k": mk})
-    idx = {s: i for i, s in enumerate(basis)}
-    X3, Xp, Xm, R2 = {}, {}, {}, {}
-    T3, Tp, Tm, tau = {}, {}, {}, {}
-    for i, (nu, m) in enumerate(basis):
-        X3[(i, i)] = z * q**(2 * nu)
-        R2[(i, i)] = q**(4 * M + 2) * z0 * z0
-        T3[(i, i)] = (1.0 - q**(-4 * m)) / lam
-        tau[(i, i)] = q**(-4 * m)
-        if (nu + 1, m + 1) in idx:
-            j = idx[(nu + 1, m + 1)]
-            Xp[(j, i)] = -q * q * z / sq * _sqrt_clamped(q**(4 * M) - q**(4 * nu))
-            Tp[(j, i)] = _sqrt_clamped(q**(4 * (M - nu)) - 1.0) / (q * lam)
-        if (nu, m + 1) in idx:
-            j = idx[(nu, m + 1)]
-            Tp[(j, i)] = Tp.get((j, i), 0.0) + \
-                _sqrt_clamped(q**(4 * (M - nu)) - q**(-4 * (m + 1))) / lam
-        if (nu - 1, m - 1) in idx:
-            j = idx[(nu - 1, m - 1)]
-            Xm[(j, i)] = q * z / sq * _sqrt_clamped(q**(4 * M) - q**(4 * (nu - 1)))
-            Tm[(j, i)] = q * q / (q * lam) * \
-                _sqrt_clamped(q**(4 * (M - nu + 1)) - 1.0)
-        if (nu, m - 1) in idx:
-            j = idx[(nu, m - 1)]
-            Tm[(j, i)] = Tm.get((j, i), 0.0) + \
-                q * q / lam * _sqrt_clamped(q**(4 * (M - nu)) - q**(-4 * m))
+    mt, mk, nk, st = _tensor_grid(tlo, thi, klo, khi)
+    nu, m = mt + M, mt + mk
+    basis = list(zip(nu.tolist(), m.tolist()))
+    p4 = _qpow(q, -4 * m)
+    pM = _qpow(q, 4 * M)
+    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
     ops = {
-        "X3": LabeledOperator("X3", basis, X3, shift=({},)),
-        "X+": LabeledOperator("X+", basis, Xp, shift=({"m_t": 1},)),
-        "X-": LabeledOperator("X-", basis, Xm, shift=({"m_t": -1},)),
-        "R2": LabeledOperator("R2", basis, R2, shift=({},)),
-        "T3": LabeledOperator("T3_orb", basis, T3, shift=({},)),
-        "T+": LabeledOperator("T+_orb", basis, Tp,
-                              shift=({"m_t": 1}, {"m_k": 1})),
-        "T-": LabeledOperator("T-_orb", basis, Tm,
-                              shift=({"m_t": -1}, {"m_k": -1})),
-        "tau": LabeledOperator("tau_orb", basis, tau, shift=({},)),
+        "X3": _op("X3", basis, ({},), _diag(z * _qpow(q, 2 * nu))),
+        "X+": _op("X+", basis, ({"m_t": 1},),
+                  (tu + nk, tu, -q * q * z / sq * _sqrt_clamped(
+                      pM - _qpow(q, 4 * nu[tu])))),
+        "X-": _op("X-", basis, ({"m_t": -1},),
+                  (td - nk, td, q * z / sq * _sqrt_clamped(
+                      pM - _qpow(q, 4 * (nu[td] - 1))))),
+        "R2": _op("R2", basis, ({},),
+                  _diag(np.full(len(basis), q**(4 * M + 2) * z0 * z0))),
+        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
+        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
+                  (tu + nk, tu, _sqrt_clamped(
+                      _qpow(q, 4 * (M - nu[tu])) - 1.0) / (q * lam)),
+                  (ku + 1, ku, _sqrt_clamped(
+                      _qpow(q, 4 * (M - nu[ku]))
+                      - _qpow(q, -4 * (m[ku] + 1))) / lam)),
+        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
+                  (td - nk, td, q * q / (q * lam) * _sqrt_clamped(
+                      _qpow(q, 4 * (M - nu[td] + 1)) - 1.0)),
+                  (kd - 1, kd, q * q / lam * _sqrt_clamped(
+                      _qpow(q, 4 * (M - nu[kd])) - p4[kd]))),
+        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
               "m_name": None}
-    return RepFamily("X_T_R_joint", params, ops, win, ctx, coords)
+    return RepFamily("X_T_R_joint", params, ops, win, ctx,
+                     Coords({"m_t": mt, "m_k": mk}))
 
 
 def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
@@ -372,49 +388,53 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
     q = float(ctx.q)
-
-    def qn(a):
-        return _qnum(a, q)
-
-    basis = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    idx = {s: i for i, s in enumerate(basis)}
-    T2, X3, Xp, Xm = {}, {}, {}, {}
-    two = qn(2)
-    for i, (l, m) in enumerate(basis):
-        T2[(i, i)] = casimir_eigenvalue(l, ctx)
-        pref = r0 * q**(2 * M + m)
-        if (l + 1, m) in idx:
-            X3[(idx[(l + 1, m)], i)] = pref * math.sqrt(
-                qn(l + m + 1) * qn(l - m + 1) / (qn(2 * l + 1) * qn(2 * l + 3)))
-        if (l - 1, m) in idx:
-            X3[(idx[(l - 1, m)], i)] = pref * math.sqrt(
-                qn(l + m) * qn(l - m) / (qn(2 * l + 1) * qn(2 * l - 1)))
-        if (l + 1, m + 1) in idx:
-            Xp[(idx[(l + 1, m + 1)], i)] = pref * q**(-l) * math.sqrt(
-                qn(l + m + 1) * qn(l + m + 2) / (two * qn(2 * l + 1) * qn(2 * l + 3)))
-        if (l - 1, m + 1) in idx and l - m - 1 >= 1:
-            Xp[(idx[(l - 1, m + 1)], i)] = -pref * q**(l + 1) * math.sqrt(
-                qn(l - m) * qn(l - m - 1) / (two * qn(2 * l + 1) * qn(2 * l - 1)))
-        if (l + 1, m - 1) in idx:
-            Xm[(idx[(l + 1, m - 1)], i)] = pref * q**l * math.sqrt(
-                qn(l - m + 1) * qn(l - m + 2) / (two * qn(2 * l + 1) * qn(2 * l + 3)))
-        if (l - 1, m - 1) in idx and l + m - 1 >= 1:
-            Xm[(idx[(l - 1, m - 1)], i)] = -pref * q**(-l - 1) * math.sqrt(
-                qn(l + m) * qn(l + m - 1) / (two * qn(2 * l + 1) * qn(2 * l - 1)))
+    a = np.arange(max(3, 2 * l_max + 2))
+    qn = (_qpow(q, a) - _qpow(q, -a)) / (q - 1 / q)      # qn[a] = [a]
+    two = qn[2]
+    # position i holds (l, m) with i = l^2 + l + m
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    i = np.arange(len(l))
+    m = i - l * l - l
+    basis = list(zip(l.tolist(), m.tolist()))
+    pref = r0 * _qpow(q, 2 * M + m)
+    up = np.flatnonzero(l < l_max)
+    lu, mu, pu = l[up], m[up], pref[up]
+    den_u = qn[2 * lu + 1] * qn[2 * lu + 3]
+    dn = np.flatnonzero((l >= 1) & (np.abs(m) <= l - 1))
+    ld, md = l[dn], m[dn]
+    # X+ towards (l-1, m+1) needs l - m - 1 >= 1, X- towards (l-1, m-1)
+    # needs l + m - 1 >= 1
+    xp = np.flatnonzero((l >= 1) & (m <= l - 2))
+    lp, mp_ = l[xp], m[xp]
+    xm = np.flatnonzero((l >= 1) & (m >= 2 - l))
+    lm, mm = l[xm], m[xm]
     win = RepWindow.make({"l": (0, l_max), "m": (-l_max, l_max)},
                          hard_lo=("m",), hard_hi=("m",))
     ops = {
-        "T2": LabeledOperator("T2_orb", basis, T2, shift=({},)),
-        "X3": LabeledOperator("X3", basis, X3,
-                              shift=({"l": 1}, {"l": -1})),
-        "X+": LabeledOperator("X+", basis, Xp,
-                              shift=({"l": 1, "m": 1}, {"l": -1, "m": 1})),
-        "X-": LabeledOperator("X-", basis, Xm,
-                              shift=({"l": 1, "m": -1}, {"l": -1, "m": -1})),
+        "T2": _op("T2_orb", basis, ({},), _diag(q * qn[l] * qn[l + 1])),
+        "X3": _op("X3", basis, ({"l": 1}, {"l": -1}),
+                  (up + 2 * lu + 2, up, pu * np.sqrt(
+                      qn[lu + mu + 1] * qn[lu - mu + 1] / den_u)),
+                  (dn - 2 * ld, dn, pref[dn] * np.sqrt(
+                      qn[ld + md] * qn[ld - md]
+                      / (qn[2 * ld + 1] * qn[2 * ld - 1])))),
+        "X+": _op("X+", basis, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
+                  (up + 2 * lu + 3, up, pu * _qpow(q, -lu) * np.sqrt(
+                      qn[lu + mu + 1] * qn[lu + mu + 2]
+                      / (two * qn[2 * lu + 1] * qn[2 * lu + 3]))),
+                  (xp - 2 * lp + 1, xp, -pref[xp] * _qpow(q, lp + 1) * np.sqrt(
+                      qn[lp - mp_] * qn[lp - mp_ - 1]
+                      / (two * qn[2 * lp + 1] * qn[2 * lp - 1])))),
+        "X-": _op("X-", basis, ({"l": 1, "m": -1}, {"l": -1, "m": -1}),
+                  (up + 2 * lu + 1, up, pu * _qpow(q, lu) * np.sqrt(
+                      qn[lu - mu + 1] * qn[lu - mu + 2]
+                      / (two * qn[2 * lu + 1] * qn[2 * lu + 3]))),
+                  (xm - 2 * lm - 1, xm, -pref[xm] * _qpow(q, -lm - 1)
+                   * np.sqrt(qn[lm + mm] * qn[lm + mm - 1]
+                             / (two * qn[2 * lm + 1] * qn[2 * lm - 1])))),
     }
-    coords = [{"l": l, "m": m} for (l, m) in basis]
     return RepFamily("L_basis", {"M": M, "r0": r0, "m_name": None},
-                     ops, win, ctx, coords)
+                     ops, win, ctx, Coords({"l": l, "m": m}))
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +459,10 @@ def casimir(family: RepFamily, ctx: QContext,
         mat = (q * q / lam**2) * th + tmh / lam**2 \
             + tmh @ family.op_csr("T+") @ family.op_csr("T-") \
             - (1 + q * q) / lam**2 * sp.identity(n)
-        ent = {(int(i), int(j)): float(v) for (i, j), v
-               in mat.todok().items()}
-        return LabeledOperator("T2", family.basis, ent, shift=None,
-                               index=family["tau"].index)
+        return LabeledOperator("T2", family.basis, mat)
     if scalar_if_negative and "casimir_scalar" in family.params:
         c = family.params["casimir_scalar"]
-        return LabeledOperator("T2", family.basis,
-                               {(i, i): c for i in range(n)}, shift=({},),
-                               index=family["tau"].index)
+        return _op("T2", family.basis, ({},), _diag(np.full(n, c)))
     raise DomainError(
         "tau has non-positive eigenvalues; the Casimir square roots are not "
         "real (request the family's scalar value with scalar_if_negative=True)")
@@ -468,15 +483,9 @@ def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
     Lp = tmh @ family.op_csr("T+") / (q * q * sq)
     Lm = -tmh @ family.op_csr("T-") / (q**3 * sq)
     L3 = (tmh - sp.identity(n) - lam**2 / (1 + q * q) * T2) / (q * q * (1 - q * q))
-
-    def wrap(name, mat, shift):
-        ent = {(int(i), int(j)): float(v) for (i, j), v in mat.todok().items()}
-        return LabeledOperator(name, family.basis, ent, shift=shift,
-                               index=family["tau"].index)
-
-    return {"L3": wrap("L3", L3, None),
-            "L+": wrap("L+", Lp, family["T+"].shift),
-            "L-": wrap("L-", Lm, family["T-"].shift)}
+    return {"L3": LabeledOperator("L3", family.basis, L3),
+            "L+": LabeledOperator("L+", family.basis, Lp, family["T+"].shift),
+            "L-": LabeledOperator("L-", family.basis, Lm, family["T-"].shift)}
 
 
 def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
@@ -506,64 +515,33 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
 
     n1, n2 = rep1.n, rep2.n
     basis = [(a, b) for a in rep1.basis for b in rep2.basis]
+    one = sp.identity(n2, format="csr")
 
-    def kron_ent(e1, diag_like, e2, mode):
-        """entries of A x I (mode 'left'), diag x B (mode 'right')."""
-        out = {}
-        if mode == "left":
-            for (i, j), v in e1.items():
-                for k in range(n2):
-                    out[(i * n2 + k, j * n2 + k)] = v
-        else:
-            for i in range(n1):
-                dv = diag_like[i]
-                if dv == 0.0:
-                    continue
-                for (k, kk), v in e2.items():
-                    out[(i * n2 + k, i * n2 + kk)] = dv * v
-        return out
-
-    def add(d1, d2):
-        for k, v in d2.items():
-            d1[k] = d1.get(k, 0.0) + v
-        return d1
-
-    ops = {}
-    t3 = kron_ent(rep1["T3"].entries, None, None, "left")
-    add(t3, kron_ent(None, tau1, rep2["T3"].entries, "right"))
-    tp = kron_ent(rep1["T+"].entries, None, None, "left")
-    add(tp, kron_ent(None, root, rep2["T+"].entries, "right"))
-    tm = kron_ent(rep1["T-"].entries, None, None, "left")
-    add(tm, kron_ent(None, sign_minus * root, rep2["T-"].entries, "right"))
-    tau2 = rep2["tau"].diagonal()
-    tau_out = {(i * n2 + k, i * n2 + k): tau1[i] * tau2[k]
-               for i in range(n1) for k in range(n2)}
+    def delta(key, diag1):
+        """op x 1 + diag1 x op"""
+        return sp.kron(rep1.op_csr(key), one, format="csr") \
+            + sp.kron(sp.diags(diag1), rep2.op_csr(key), format="csr")
 
     def merge_shift(s1, s2):
-        allowed = []
-        for s in (s1 or ()):
-            allowed.append(dict(s))
-        for s in (s2 or ()):
-            allowed.append(dict(s))
+        allowed = [dict(s) for s in (s1 or ()) + (s2 or ())]
         return tuple({tuple(sorted(d.items())): d for d in allowed}.values()) \
             or None
 
-    ops["T3"] = LabeledOperator("T3", basis, t3, shift=({},))
-    ops["T+"] = LabeledOperator("T+", basis, tp,
-                                shift=merge_shift(rep1["T+"].shift,
-                                                  rep2["T+"].shift))
-    ops["T-"] = LabeledOperator("T-", basis, tm,
-                                shift=merge_shift(rep1["T-"].shift,
-                                                  rep2["T-"].shift))
-    ops["tau"] = LabeledOperator("tau", basis, tau_out, shift=({},))
+    tau_out = np.kron(tau1, rep2["tau"].diagonal())
+    ops = {
+        "T3": LabeledOperator("T3", basis, delta("T3", tau1), shift=({},)),
+        "T+": LabeledOperator("T+", basis, delta("T+", root),
+                              shift=merge_shift(rep1["T+"].shift,
+                                                rep2["T+"].shift)),
+        "T-": LabeledOperator("T-", basis, delta("T-", sign_minus * root),
+                              shift=merge_shift(rep1["T-"].shift,
+                                                rep2["T-"].shift)),
+        "tau": _op("tau", basis, ({},), _diag(tau_out)),
+    }
 
-    coords = []
-    for c1 in rep1.coords:
-        for c2 in rep2.coords:
-            c = dict(c1)
-            for k, v in c2.items():
-                c[k if k not in c else k + "'"] = v
-            coords.append(c)
+    labels = {k: np.repeat(v, n2) for k, v in rep1.coords.arrays.items()}
+    for k, v in rep2.coords.arrays.items():
+        labels[k if k not in labels else k + "'"] = np.tile(v, n1)
     ranges = dict(rep1.window.ranges)
     hard_lo = set(rep1.window.hard_lo)
     hard_hi = set(rep1.window.hard_hi)
@@ -584,16 +562,13 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     n1_name = rep1.params.get("m_name")
     n2_name = rep2.params.get("m_name")
     if d_out is not None and n1_name and n2_name:
-        q = float(ctx.q)
-        worst = 0.0
-        for i, c1 in enumerate(rep1.coords):
-            for k, c2 in enumerate(rep2.coords):
-                m_tot = c1[n1_name] + c2[n2_name]
-                pred = ctx.lam * d_out * q**(-4 * m_tot)
-                got = tau_out[(i * n2 + k, i * n2 + k)]
-                worst = max(worst, abs(got - pred) / max(1.0, abs(pred)))
-        params["group_like_defect"] = worst
-    return RepFamily("coproduct", params, ops, win, ctx, coords)
+        m_tot = np.repeat(rep1.coords.arrays[n1_name], n2) \
+            + np.tile(rep2.coords.arrays[n2_name], n1)
+        pred = ctx.lam * d_out * _qpow(float(ctx.q), -4 * m_tot)
+        params["group_like_defect"] = float(np.max(
+            np.abs(tau_out - pred) / np.maximum(1.0, np.abs(pred)),
+            initial=0.0))
+    return RepFamily("coproduct", params, ops, win, ctx, Coords(labels))
 
 
 def add_spin(orb: RepFamily, spin: RepFamily, ctx: QContext) -> RepFamily:

@@ -96,6 +96,18 @@ class TestVerify:
                            "--depth", "8", "--kwidth", "8"])
         assert code == 3
 
+    def test_power_overflow_is_config_error(self):
+        # q**800 at q = 3 lies beyond binary64
+        code, _ = run_cli(["verify", "--q", "3", "--depth", "200",
+                           "--kwidth", "20"])
+        assert code == 3
+
+    def test_empty_interior_is_config_error(self, tmp_path):
+        code, doc = run_cli(["verify", "--depth", "1", "--kwidth", "1"],
+                            tmp_path)
+        assert code == 3
+        assert doc is None
+
 
 class TestSpectrum:
     def test_x3_lattice(self, tmp_path):
@@ -156,6 +168,11 @@ class TestOrthoComplete:
                              "--q", "1.5", "--depth", "6"], tmp_path)
         assert code == 2
         assert doc["pass"] is False
+
+    def test_complete_beyond_binary64_coefficients_is_precision_error(self):
+        code, _ = run_cli(["complete", "--m", "0", "--q", "2",
+                           "--lmax", "300"])
+        assert code == 4
 
     def test_complete_passes(self, tmp_path):
         code, doc = run_cli(["complete", "--m", "0", "--q", "1.5",

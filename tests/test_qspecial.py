@@ -234,6 +234,19 @@ class TestTableLayer:
         with pytest.raises(DomainError):
             qs.p_tilde_table(5, 0, x, CTX15)
 
+    def test_underflowing_coefficients_raise_precision_error(self):
+        # at q = 2 the q-number products of the degree-256 coefficients
+        # overflow binary64, so the coefficients would be 0 and the
+        # recurrence would divide by them
+        ctx = QContext(q=2.0)
+        with pytest.raises(PrecisionError):
+            qs.p_tilde_table(300, 0, 2.0**-2, ctx)
+        with pytest.raises(PrecisionError):
+            qs.p_tilde_table(300, 0, 0.3, ctx)
+        tab = qs.p_tilde_table(300, 0, 2.0**-2,
+                               QContext(q=2.0, precision="extended"))
+        assert all(mp.isfinite(v) for v in tab)
+
     def test_overshoot_cap_raises(self):
         # near q = 1 the downward pass would need more than 2000 extra
         # degrees to gain its 26 decades

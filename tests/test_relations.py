@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
-from qspace3 import DomainError, QContext
+from qspace3 import DomainError, QContext, WindowError
 from qspace3.relations import (commutator_magnitude, default_families,
-                               verify_relations, RELATION_GROUPS)
+                               verify_relations, RELATION_GROUPS,
+                               VerificationReport)
 
 
 def test_full_suite_passes_at_default_q():
@@ -69,3 +71,24 @@ def test_report_serialization_is_deterministic():
 def test_groups_enumeration_is_stable():
     assert RELATION_GROUPS == ("x", "t", "k", "torb", "conj",
                                "orbital-constraint")
+
+
+def test_empty_interior_refuses_to_verify():
+    ctx = QContext(q=1.5)
+    for depth, width in ((1, 1), (1, 20), (20, 1)):
+        suite = default_families(ctx, n_depth=depth, k_width=width)
+        with pytest.raises(WindowError):
+            verify_relations(suite, ("x",), ctx)
+    with pytest.raises(WindowError):
+        commutator_magnitude(ctx, n_depth=1, k_width=1)
+
+
+def test_max_residual_propagates_nan():
+    rep = VerificationReport(q=2.0, tol=1e-10)
+    rep.add("a", "joint", {}, 1e-16, 4)
+    rep.add("b", "joint", {}, math.nan, 4)
+    rep.add("c", "joint", {}, 3e-16, 4)
+    assert math.isnan(rep.max_residual)
+    assert not rep.passed
+    assert [r["pass"] for r in rep.records] == [True, False, True]
+    assert VerificationReport(q=2.0, tol=1e-10).max_residual == 0.0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from qspace3 import DomainError, QContext, WindowError
-from qspace3.operators import RepWindow
+from qspace3.operators import LabeledOperator, RepWindow
 from qspace3 import repspace as rs
 
 CTX = QContext(q=1.5)
@@ -370,3 +370,154 @@ class TestWindowPlumbing:
         assert rs._sqrt_clamped(-1e-15) == 0.0
         with pytest.raises(WindowError):
             rs._sqrt_clamped(-1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the joint family, its Casimir and its L operators built entry by
+# entry in Python dicts with scalar arithmetic, then converted to CSR
+# ---------------------------------------------------------------------------
+
+def _ref_sqrt(v):
+    if v >= 0.0:
+        return math.sqrt(v)
+    if v >= -1e-14:
+        return 0.0
+    raise WindowError(f"negative square-root radicand {v}")
+
+
+def _ref_csr(entries, n):
+    if not entries:
+        return sp.csr_matrix((n, n))
+    rows, cols, vals = zip(*((i, j, v) for (i, j), v in entries.items()))
+    return sp.csr_matrix((np.asarray(vals, dtype=float), (rows, cols)),
+                         shape=(n, n))
+
+
+def _ref_wrap(mat, n):
+    return _ref_csr({(int(i), int(j)): float(v)
+                     for (i, j), v in mat.todok().items()}, n)
+
+
+def _ref_joint(M, z0, sigma, depth, width, q):
+    lam = q - 1 / q
+    z = sigma * abs(z0)
+    sq = math.sqrt(1.0 + q * q)
+    basis = [(mt + M, mt + mk) for mt in range(-depth, 1)
+             for mk in range(0, width + 1)]
+    idx = {s: i for i, s in enumerate(basis)}
+    X3, Xp, Xm, R2 = {}, {}, {}, {}
+    T3, Tp, Tm, tau = {}, {}, {}, {}
+    for i, (nu, m) in enumerate(basis):
+        X3[(i, i)] = z * q**(2 * nu)
+        R2[(i, i)] = q**(4 * M + 2) * z0 * z0
+        T3[(i, i)] = (1.0 - q**(-4 * m)) / lam
+        tau[(i, i)] = q**(-4 * m)
+        if (nu + 1, m + 1) in idx:
+            j = idx[(nu + 1, m + 1)]
+            Xp[(j, i)] = -q * q * z / sq * _ref_sqrt(q**(4 * M) - q**(4 * nu))
+            Tp[(j, i)] = _ref_sqrt(q**(4 * (M - nu)) - 1.0) / (q * lam)
+        if (nu, m + 1) in idx:
+            j = idx[(nu, m + 1)]
+            Tp[(j, i)] = Tp.get((j, i), 0.0) + \
+                _ref_sqrt(q**(4 * (M - nu)) - q**(-4 * (m + 1))) / lam
+        if (nu - 1, m - 1) in idx:
+            j = idx[(nu - 1, m - 1)]
+            Xm[(j, i)] = q * z / sq * _ref_sqrt(q**(4 * M) - q**(4 * (nu - 1)))
+            Tm[(j, i)] = q * q / (q * lam) * \
+                _ref_sqrt(q**(4 * (M - nu + 1)) - 1.0)
+        if (nu, m - 1) in idx:
+            j = idx[(nu, m - 1)]
+            Tm[(j, i)] = Tm.get((j, i), 0.0) + \
+                q * q / lam * _ref_sqrt(q**(4 * (M - nu)) - q**(-4 * m))
+    n = len(basis)
+    return basis, {k: _ref_csr(v, n) for k, v in (
+        ("X3", X3), ("X+", Xp), ("X-", Xm), ("R2", R2),
+        ("T3", T3), ("T+", Tp), ("T-", Tm), ("tau", tau))}
+
+
+def _ref_casimir_and_L(ops, q):
+    lam = q - 1 / q
+    tau_d = ops["tau"].diagonal()
+    n = len(tau_d)
+    th = sp.diags(np.sqrt(tau_d))
+    tmh = sp.diags(1.0 / np.sqrt(tau_d))
+    T2 = _ref_wrap((q * q / lam**2) * th + tmh / lam**2
+                   + tmh @ ops["T+"] @ ops["T-"]
+                   - (1 + q * q) / lam**2 * sp.identity(n), n)
+    sq = math.sqrt(1.0 + q * q)
+    L3 = (tmh - sp.identity(n) - lam**2 / (1 + q * q) * T2) \
+        / (q * q * (1 - q * q))
+    return T2, {"L3": _ref_wrap(L3, n),
+                "L+": _ref_wrap(tmh @ ops["T+"] / (q * q * sq), n),
+                "L-": _ref_wrap(-tmh @ ops["T-"] / (q**3 * sq), n)}
+
+
+def assert_same_csr(a, b, what):
+    assert a.shape == b.shape, what
+    assert np.array_equal(a.indptr, b.indptr), what
+    assert np.array_equal(a.indices, b.indices), what
+    assert np.array_equal(a.data, b.data, equal_nan=True), what
+
+
+class TestAgainstDictReference:
+    @pytest.mark.parametrize("q", [1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("depth,width", [(6, 6), (20, 13)])
+    def test_joint_family_casimir_and_L(self, q, depth, width):
+        ctx = QContext(q=q)
+        win = RepWindow.make({"m_t": (-depth, 0), "m_k": (0, width)})
+        for M, z0, sigma in ((0, 1.0, 1), (2, 0.7, -1)):
+            fam = rs.build_X_T_R_joint(M, z0, sigma, win, ctx)
+            basis, ref = _ref_joint(M, z0, sigma, depth, width, q)
+            assert fam.basis == tuple(basis)
+            assert set(fam.operators) == set(ref)
+            for key, mat in ref.items():
+                assert_same_csr(fam.op_csr(key), mat, (key, M))
+            T2, L = _ref_casimir_and_L(ref, q)
+            assert_same_csr(rs.casimir(fam, ctx).to_csr(), T2, ("T2", M))
+            for key, op in rs.build_L_operators(fam, ctx).items():
+                assert_same_csr(op.to_csr(), L[key], (key, M))
+
+    def test_label_views(self):
+        win = RepWindow.make({"m_t": (-5, 0), "m_k": (0, 4)})
+        fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
+        _, ref = _ref_joint(0, 1.0, 1, 5, 4, Q)
+        for key, mat in ref.items():
+            op = fam[key]
+            assert len(op.entries) == mat.nnz
+            coo = mat.tocoo()
+            expect = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
+                              coo.data.tolist()))
+            assert dict(op.entries.items()) == expect
+        assert fam["T+"].index[fam.basis[7]] == 7
+        assert (0, 0) in fam["X3"].entries
+        assert (0, 1) not in fam["X3"].entries
+
+
+class TestShiftViolations:
+    def test_forbidden_entry_is_reported(self):
+        win = RepWindow.make({"m_t": (-4, 0), "m_k": (0, 4)})
+        fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
+        nk, i = 5, 6                  # state i = (m_t, m_k) = (-3, 1)
+        # a legal m_t step, a forbidden diagonal step, and a forbidden step
+        # that stores an explicit zero (not a violation)
+        rows, cols = [i + nk, i + nk + 1, i + 2], [i, i, i]
+        mat = sp.csr_matrix(([1.0, 2.0, 0.0], (rows, cols)),
+                            shape=(fam.n, fam.n))
+        op = LabeledOperator("X+?", fam.basis, mat, shift=({"m_t": 1},))
+        assert len(op.entries) == 3
+        assert op.entries[(i + 2, i)] == 0.0
+        assert op.shift_violations(fam.coords) == [
+            ((i + nk + 1, i), {"m_t": 1, "m_k": 1})]
+        assert LabeledOperator("free", fam.basis, mat).shift_violations(
+            fam.coords) == []
+
+    def test_transposed_ladder_violates(self):
+        win = RepWindow.make({"m_t": (-4, 0), "m_k": (0, 4)})
+        fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
+        Tp = fam["T+"]
+        wrong = LabeledOperator("T+^T", fam.basis, Tp.to_csr().T,
+                                shift=Tp.shift)
+        bad = wrong.shift_violations(fam.coords)
+        assert len(bad) == np.count_nonzero(Tp.to_csr().data)
+        assert {tuple(sorted(d.items())) for _, d in bad} == {
+            (("m_t", -1),), (("m_k", -1),)}
