@@ -12,7 +12,8 @@ neighbors.  All isometry statements are insensitive to it.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -20,8 +21,10 @@ import numpy as np
 from .context import QContext
 from .errors import CoverageError, DomainError
 from .qarith import _qnum
-from .qspecial import _sqrt_any, completeness_sum, p_tilde, p_tilde_table
-from .repspace import casimir_eigenvalue, x3_block, r0_from_z0
+from .qspecial import (_recurrence_coeff, _sqrt_any, completeness_sum,
+                       p_tilde, p_tilde_table)
+from .repspace import (casimir_eigenvalue, chain_entries, x3_block,
+                       r0_from_z0)
 
 __all__ = [
     "c_coeff", "d_coeff", "check_t2", "check_x3_recursion",
@@ -36,6 +39,20 @@ def _site(m, m_t, sigma, q):
     """
     e = m_t - max(m, 0) - 1
     return sigma * q**(2 * e), _sqrt_any(1 - q**-2) * q**e
+
+
+def _doubled_rows(m, mts, l_values, q, ctx, alternate):
+    """Rows pref * P~_l(x), l in l_values (ascending), one per sign-doubled
+    site (sigma, m_t), sigma = 1, -1 outer; the sites are taken in the type
+    of q, the tables in ctx's mode.  alternate adds the phase (-1)^m_t."""
+    rows = []
+    for sigma in (1, -1):
+        for mt in mts:
+            x, pref = _site(m, mt, sigma, q)
+            tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
+            sgn = (-1)**mt if alternate else 1
+            rows.append([sgn * pref * tab[l] for l in l_values])
+    return rows
 
 
 def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
@@ -72,14 +89,12 @@ def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
     """Relative residual of the Casimir three-term recursion in m_t at one
     coefficient site."""
     q = float(ctx.q)
-    lhs = (q**(2 * l + 2) + q**(-2 * l)
-           - (q * q + 1) * q**(2 * (m + 1) - 4 * m_t)) \
+    diag, up = chain_entries(m, m_t, q)
+    _, dn = chain_entries(m, m_t - 1, q)
+    lhs = (q**(2 * l + 2) + q**(-2 * l) - (q * q + 1) - diag) \
         * c_coeff(l, m, m_t, sigma, ctx)
-    up = math.sqrt(max((q**(-4 * m_t) - 1) * (q**(-4 * m_t) - q**(-4 * m)), 0.0))
-    dn = math.sqrt(max((q**(4 - 4 * m_t) - 1) * (q**(4 - 4 * m_t) - q**(-4 * m)),
-                       0.0))
-    rhs = q**(2 * m + 1) * (up * c_coeff(l, m, m_t + 1, sigma, ctx)
-                            + dn * c_coeff(l, m, m_t - 1, sigma, ctx))
+    rhs = up * c_coeff(l, m, m_t + 1, sigma, ctx) \
+        + dn * c_coeff(l, m, m_t - 1, sigma, ctx)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
@@ -90,18 +105,13 @@ def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
     q = float(ctx.q)
     r0 = r0_from_z0(z0, ctx)
     z = sigma * r0 * q**(2 * nu - 1)
-
-    def qn(a):
-        return _qnum(a, q)
-
+    qn = partial(_qnum, q=q)
     lhs = z * d_coeff(M, l, m, nu, sigma, ctx)
-    t1 = math.sqrt(qn(l - m + 1) * qn(l + m + 1) / qn(2 * l + 3)) \
-        * d_coeff(M, l + 1, m, nu, sigma, ctx)
-    t2 = 0.0
+    rhs = _recurrence_coeff(l, m, qn) * d_coeff(M, l + 1, m, nu, sigma, ctx)
     if l > abs(m):
-        t2 = math.sqrt(qn(l + m) * qn(l - m) / qn(2 * l - 1)) \
+        rhs += _recurrence_coeff(l - 1, m, qn) \
             * d_coeff(M, l - 1, m, nu, sigma, ctx)
-    rhs = r0 * q**(2 * M + m) / math.sqrt(qn(2 * l + 1)) * (t1 + t2)
+    rhs *= r0 * q**(2 * M + m)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
@@ -175,11 +185,9 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     tail-limited defect.
     """
     q = float(ctx.q)
-    ectx = QContext(q=q, tol_rel=ctx.tol_rel, tail_eps=ctx.tail_eps,
-                    max_terms=ctx.max_terms, precision="extended")
+    ectx = replace(ctx, precision="extended")
     top = min(0, m)
     mts = list(range(top - cd, top + 1))
-    am = abs(m)
     n = len(mts)
     lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
     # the deepest margin sites of each sign block are dropped
@@ -190,20 +198,12 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     gram_diag = np.empty(len(l_values))       # (U_K^T U_K)_aa - 1
     with mp.workdps(ectx.dps):
         qm = mp.mpf(q)
-        lam = qm - 1 / qm
-        cols = [[] for _ in l_values]
-        for sigma in (1, -1):
-            for mt in mts:
-                x, pref = _site(m, mt, sigma, qm)
-                tab = p_tilde_table(l_values[-1], am, x, ectx)
-                for col, l in zip(cols, l_values):
-                    col.append((-1)**mt * pref * tab[l])
-        diag = [((qm * qm + 1) * qm**(2 * (m + 1) - 4 * mt) - (qm * qm + 1))
-                / lam**2 for mt in mts]
+        cols = list(zip(*_doubled_rows(m, mts, l_values, qm, ectx, True)))
+        lam2 = (qm - 1 / qm)**2
+        entries = [chain_entries(m, mt, qm) for mt in mts]
+        diag = [d / lam2 for d, _ in entries]
         # off[k] couples the ascending pair (mts[k], mts[k]+1)
-        off = [qm**(2 * m + 1) * mp.sqrt(
-            (qm**(-4 * mt) - 1) * (qm**(-4 * mt) - qm**(-4 * m))) / lam**2
-            for mt in mts[:-1]]
+        off = [e / lam2 for _, e in entries[:-1]]
 
         def apply_block(vec):
             out = [mp.mpf(0)] * (2 * n)
@@ -229,23 +229,6 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K
     scale = np.maximum(np.maximum.outer(lams, lams), 1.0)
     return float(np.abs(dev / scale).max())
-
-
-def _c_columns(m, l_values, mts, ctx):
-    """Coefficient columns over the (sigma, m_t) grid, via stable tables."""
-    q = float(ctx.q)
-    am = abs(m)
-    l_top = max(l_values)
-    n = len(mts)
-    U = np.zeros((2 * n, len(l_values)))
-    for blk, sigma in enumerate((1, -1)):
-        for j, mt in enumerate(mts):
-            x, pref = _site(m, mt, sigma, q)
-            tab = p_tilde_table(l_top, am, x, ctx)
-            sgn = (-1)**mt
-            for c, l in enumerate(l_values):
-                U[blk * n + j, c] = sgn * pref * tab[l]
-    return U
 
 
 def build_transform(direction, m: int, ctx: QContext, M: int = 0,
@@ -275,7 +258,8 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
         l_values = list(range(am, l_max + 1))
         top = min(0, m)
         mts = list(range(top - depth, top + 1))
-        U = _c_columns(m, l_values, mts, ctx)
+        U = np.array(_doubled_rows(m, mts, l_values, q, ctx, True),
+                     dtype=float)
         G = U.T @ U
         gram = float(np.abs(G - np.eye(len(l_values))).max())
         # the degree-l eigenvector is concentrated around m_t ~ -(l-|m|)/2,
@@ -294,12 +278,10 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
     nus = list(range(nu_top - nu_depth, nu_top + 1))
     ls = list(range(am, l_max + 1))
     cols = [(s, nu) for s in (1, -1) for nu in nus]
-    U = np.zeros((len(ls), len(cols)))
-    for cidx, (s, nu) in enumerate(cols):
-        x, pref = _site(m, nu - M, s, q)
-        tab = p_tilde_table(l_max, am, x, ctx)
-        for ridx, l in enumerate(ls):
-            U[ridx, cidx] = pref * tab[l]
+    # one row per l, built in C order: a transposed view would send the
+    # products below through other BLAS kernels, which round differently
+    U = np.array(list(zip(*_doubled_rows(m, [nu - M for nu in nus], ls, q,
+                                         ctx, False))), dtype=float)
     G = U.T @ U
     gram = float(np.abs(G - np.eye(len(cols))).max())
     E, _ = x3_block(M, m, l_max, r0, ctx)

@@ -17,7 +17,7 @@ from . import qspecial
 from .qarith import _qnum
 from .basistrans import build_transform, completeness_check
 from .relations import default_families, verify_relations, RELATION_GROUPS
-from .repspace import t2_block_levels
+from .repspace import casimir_eigenvalue, t2_block_levels
 
 SCHEMA = "qspace3/1"
 
@@ -169,7 +169,10 @@ def _cmd_poly(args):
         xs = [s * q**(2 * (n - args.m - 1))
               for n in range(0, args.nmin - 1, -1) for s in (1, -1)]
     elif args.x:
-        xs = [float(t) for t in args.x.split(",")]
+        try:
+            xs = [float(t) for t in args.x.split(",")]
+        except ValueError as e:
+            raise DomainError(f"--x takes numbers: {e}") from None
     else:
         raise DomainError("poly needs --x or --lattice")
     tol = args.tol if args.tol else 1e-12
@@ -241,7 +244,6 @@ def _cmd_spectrum(args):
         for mtot in range(-args.depth, args.kwidth + 1):
             rows.append({"m": mtot, "eigenvalue": (1 - q**(-4 * mtot)) / lam})
     else:
-        from .repspace import casimir_eigenvalue
         levels = t2_block_levels(args.m, args.depth, ctx,
                                  n_levels=max(1, (args.lmax - abs(args.m)) // 2))
         for l, ev, rel in levels:
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.verb](args)
     except DomainError as e:
         sys.stderr.write(f"domain error: {e}\n")
+        return 3
+    except OSError as e:              # an unwritable --out path
+        sys.stderr.write(f"output error: {e}\n")
         return 3
     except PrecisionError as e:
         sys.stderr.write(f"precision error: {e}\n")

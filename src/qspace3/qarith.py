@@ -50,10 +50,6 @@ def _qfact_cached(n: int, qkey: float, dps: int):
     return r
 
 
-def _qfact(n, q, dps=0):
-    return _qfact_cached(n, float(q), dps)
-
-
 def qfactorial_sym(n: int, ctx: QContext):
     """Symmetric q-factorial [n]! = [1][2]...[n]; [0]! = 1."""
     if n < 0:
@@ -63,18 +59,15 @@ def qfactorial_sym(n: int, ctx: QContext):
 
 def qbinomial_sym(n: int, k: int, ctx: QContext):
     """Symmetric q-binomial [n]!/([k]![n-k]!); 0 when n < k or n < 0 or k < 0."""
-    if k < 0 or n < 0 or n < k:
-        return ctx.out(0.0)
-    d = ctx.dps
-    qk = float(ctx.q)
-    return ctx.out(_qfact_cached(n, qk, d)
-                   / (_qfact_cached(k, qk, d) * _qfact_cached(n - k, qk, d)))
+    return ctx.out(_qbin(n, k, ctx.q, ctx.dps))
 
 
 def _qbin(n, k, q, dps=0):
     if k < 0 or n < 0 or n < k:
         return 0.0
-    return _qfact(n, q, dps) / (_qfact(k, q, dps) * _qfact(n - k, q, dps))
+    qk = float(q)
+    return _qfact_cached(n, qk, dps) \
+        / (_qfact_cached(k, qk, dps) * _qfact_cached(n - k, qk, dps))
 
 
 def qpochhammer(a, base, k: int):

@@ -19,9 +19,10 @@ in closed form (elementary-symmetric expansion) and is cached per (q, m).
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
+import numpy as np
 
 from .context import QContext
 from .errors import DomainError, PrecisionError
@@ -167,16 +168,18 @@ def _ptilde_mp(l, m, x, q, dps):
     near-lattice arguments are snapped to the exact lattice point."""
     if l < m:
         return mp.mpf(0)
-    snap = _snap_lattice(x, m, q)
-    if snap is not None:
-        n, sigma = snap
-        x = sigma * q**(2 * (n - m - 1))
+    x = _lift_arg(x, m, q)
     s, _ = _p_sum(l, m, x, q, dps)
+    return s * _weight_mp(l, m, x, q, dps)
+
+
+def _weight_mp(l, m, x, q, dps):
+    """weight_w at full working precision (x, q given as mpf)."""
     r = _rad(m, x, q)
     if r == 0:
         return mp.mpf(0)
-    return s * mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
-                       / _snorm_mp_cached(m, float(q), dps))
+    return mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
+                   / _snorm_mp_cached(m, float(q), dps))
 
 
 _PT_CACHE = {}
@@ -267,14 +270,8 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     if l < m:
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
-        dps = ctx.dps
-        with mp.workdps(dps):
-            q = mp.mpf(ctx.q)
-            r = _rad(m, mp.mpf(x), q)
-            if r == 0:
-                return mp.mpf(0)
-            return mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
-                           / _snorm_mp_cached(m, float(q), dps))
+        with mp.workdps(ctx.dps):
+            return _weight_mp(l, m, mp.mpf(x), mp.mpf(ctx.q), ctx.dps)
     q = float(ctx.q)
     r = float(_rad(m, float(x), q))
     if r == 0.0:
@@ -321,26 +318,31 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
         return float(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
 
 
+def _recurrence_coeff(l, m, qn):
+    """sqrt([l-m+1][l+m+1] / ([2l+1][2l+3])), qn(a) = [a]: the coupling of
+    degrees l and l+1 in the recurrence (the up coefficient at l, the down
+    one at l+1) and, times r0 q^(2M+m), the X3 element <l+1, m|X3|l, m>.
+    Generic over float, mpf and arrays of l and m (qn indexing a table)."""
+    return _sqrt_any(qn(l - m + 1) * qn(l + m + 1)
+                     / (qn(2 * l + 1) * qn(2 * l + 3)))
+
+
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l+1) member in the three-term recurrence."""
-    q = ctx.qval()
-    return ctx.out(_sqrt_any(
-        _qnum(l - m + 1, q) * _qnum(l + m + 1, q)
-        / (_qnum(2 * l + 1, q) * _qnum(2 * l + 3, q))))
+    return ctx.out(_recurrence_coeff(l, m, partial(_qnum, q=ctx.qval())))
 
 
 def recurrence_coeff_down(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l-1) member; zero at the bottom l = m."""
     if l <= m:
         return ctx.out(0.0)
-    q = ctx.qval()
-    return ctx.out(_sqrt_any(
-        _qnum(l + m, q) * _qnum(l - m, q)
-        / (_qnum(2 * l + 1, q) * _qnum(2 * l - 1, q))))
+    return ctx.out(_recurrence_coeff(l - 1, m, partial(_qnum, q=ctx.qval())))
 
 
 def _sqrt_any(v):
-    return mp.sqrt(v) if isinstance(v, mp.mpf) else math.sqrt(v)
+    if isinstance(v, mp.mpf):
+        return mp.sqrt(v)
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def p_tilde_table(l_max: int, m: int, x, ctx: QContext):
@@ -523,13 +525,12 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
         xx = _lift_arg(x, m, q)
         pt = _ptilde_mp_cached(l, m, xx, q, dps)
         lhs = xx * q**(m + 1) * pt
-        up = mp.sqrt((_qnum(l - m + 1, q) * _qnum(l + m + 1, q))
-                     / (_qnum(2 * l + 1, q) * _qnum(2 * l + 3, q)))
-        rhs = up * _ptilde_mp_cached(l + 1, m, xx, q, dps)
+        qn = partial(_qnum, q=q)
+        rhs = _recurrence_coeff(l, m, qn) \
+            * _ptilde_mp_cached(l + 1, m, xx, q, dps)
         if l > m:
-            dn = mp.sqrt((_qnum(l + m, q) * _qnum(l - m, q))
-                         / (_qnum(2 * l + 1, q) * _qnum(2 * l - 1, q)))
-            rhs += dn * _ptilde_mp_cached(l - 1, m, xx, q, dps)
+            rhs += _recurrence_coeff(l - 1, m, qn) \
+                * _ptilde_mp_cached(l - 1, m, xx, q, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 

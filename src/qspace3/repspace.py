@@ -12,7 +12,9 @@ them in the last bit), so the matrix elements are the scalar formulas'.
 """
 
 import math
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
@@ -21,12 +23,13 @@ from .context import QContext
 from .errors import DomainError, WindowError
 from .operators import Coords, LabeledOperator, RepFamily, RepWindow
 from .qarith import _qnum
+from .qspecial import _recurrence_coeff, _sqrt_any
 
 __all__ = [
     "build_T_generic", "build_t_special", "build_X_over_R",
     "build_K_generic", "build_K_orbital", "build_T_orb",
     "build_X_T_R_joint", "build_L_basis", "build_L_operators",
-    "casimir", "coproduct", "add_spin", "r0_from_z0",
+    "casimir", "coproduct", "r0_from_z0",
     "t2_block", "t2_block_levels", "x3_block", "x3_block_levels",
     "casimir_eigenvalue",
 ]
@@ -78,6 +81,18 @@ def _ladder_steps(m):
     up = np.flatnonzero(m[:-1] + 1 == m[1:])
     dn = np.flatnonzero(m[1:] - 1 == m[:-1]) + 1
     return up, dn
+
+
+def _mt_line(window):
+    """Window, labels (array and list) and ladder steps of a family on the
+    line m_t <= 0."""
+    lo, hi = window.range_map["m_t"]
+    if hi > 0:
+        raise DomainError("no state with positive m_t exists")
+    m = np.arange(int(lo), int(hi) + 1)
+    win = RepWindow.make({"m_t": (lo, hi)},
+                         hard_hi=("m_t",) if hi == 0 else ())
+    return (win, m, m.tolist()) + _ladder_steps(m)
 
 
 def casimir_eigenvalue(l, ctx: QContext) -> float:
@@ -163,15 +178,8 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
     (d = -q^2/lam); tau has strictly negative eigenvalues."""
     q = float(ctx.q)
     lam = ctx.lam
-    lo, hi = window.range_map["m_t"]
-    if hi > 0:
-        raise DomainError("no state with positive m_t exists")
-    m = np.arange(int(lo), int(hi) + 1)
-    ms = m.tolist()
-    up, dn = _ladder_steps(m)
+    win, m, ms, up, dn = _mt_line(window)
     p4 = _qpow(q, -4 * m)
-    win = RepWindow.make({"m_t": (lo, hi)},
-                         hard_hi=("m_t",) if hi == 0 else ())
     ops = {
         "T3": _op("t3", ms, ({},), _diag((1.0 + q * q * p4) / lam)),
         "T+": _op("t+", ms, ({"m_t": 1},),
@@ -192,16 +200,9 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     q = float(ctx.q)
-    lo, hi = window.range_map["m_t"]
-    if hi > 0:
-        raise DomainError("no state with positive m_t exists")
-    m = np.arange(int(lo), int(hi) + 1)
-    ms = m.tolist()
-    up, dn = _ladder_steps(m)
+    win, m, ms, up, dn = _mt_line(window)
     s = float(sign)
     sq = math.sqrt(1.0 + q * q)
-    win = RepWindow.make({"m_t": (lo, hi)},
-                         hard_hi=("m_t",) if hi == 0 else ())
     ops = {
         "X3R": _op("X3/R", ms, ({},), _diag(s * _qpow(q, 2 * m - 1))),
         "X+R": _op("X+/R", ms, ({"m_t": 1},),
@@ -268,6 +269,10 @@ def build_K_orbital(window, ctx: QContext) -> RepFamily:
 # ---------------------------------------------------------------------------
 
 def _torb_window(window):
+    """The tensor window (m_t <= 0, m_k >= 0), the labels of its basis
+    |m_t, m_k> (m_t outer), the row length nk (the position offset of an m_t
+    neighbour), and the positions whose m_t or m_k neighbour above or below
+    lies in the window."""
     rm = window.range_map
     if "m_t" not in rm or "m_k" not in rm:
         raise WindowError("tensor window needs ranges for m_t and m_k")
@@ -276,48 +281,48 @@ def _torb_window(window):
         raise DomainError("no state with positive m_t exists")
     if klo < 0:
         raise DomainError("m_k is bounded below by 0")
-    hard_hi = ("m_t",) if thi == 0 else ()
-    hard_lo = ("m_k",) if klo == 0 else ()
-    return RepWindow.make({"m_t": (tlo, thi), "m_k": (klo, khi)},
-                          hard_lo=hard_lo, hard_hi=hard_hi), \
-        (int(tlo), int(thi)), (int(klo), int(khi))
-
-
-def _tensor_grid(tlo, thi, klo, khi):
-    """Labels of the tensor basis |m_t, m_k> (m_t outer), the row length nk
-    (the position offset of an m_t neighbour), and the positions whose m_t
-    or m_k neighbour above or below lies in the window."""
+    win = RepWindow.make({"m_t": (tlo, thi), "m_k": (klo, khi)},
+                         hard_lo=("m_k",) if klo == 0 else (),
+                         hard_hi=("m_t",) if thi == 0 else ())
+    tlo, thi, klo, khi = int(tlo), int(thi), int(klo), int(khi)
     nk = khi - klo + 1
     mt = np.repeat(np.arange(tlo, thi + 1), nk)
     mk = np.tile(np.arange(klo, khi + 1), thi - tlo + 1)
     steps = {"t+": np.flatnonzero(mt < thi), "k+": np.flatnonzero(mk < khi),
              "t-": np.flatnonzero(mt > tlo), "k-": np.flatnonzero(mk > klo)}
-    return mt, mk, nk, steps
+    return win, mt, mk, nk, steps
+
+
+def _orbital_ladder(basis, mt, mk, nk, st, q, lam):
+    """T3, T+-, tau of the orbital angular momentum on the tensor grid
+    |m_t, m_k> of _torb_window, written over q^(-4 m_t) (= q^(4(M - nu))
+    in the joint labels) and q^(-4 m), m = m_t + m_k."""
+    m = mt + mk
+    pt = _qpow(q, -4 * mt)
+    p4 = _qpow(q, -4 * m)
+    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
+    return {
+        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
+        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
+                  (tu + nk, tu, _sqrt_clamped(pt[tu] - 1.0) / (q * lam)),
+                  (ku + 1, ku, _sqrt_clamped(
+                      pt[ku] - _qpow(q, -4 * (m[ku] + 1))) / lam)),
+        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
+                  (td - nk, td, q * q / (q * lam) * _sqrt_clamped(
+                      _qpow(q, 4 - 4 * mt[td]) - 1.0)),
+                  (kd - 1, kd, q * q / lam * _sqrt_clamped(
+                      pt[kd] - p4[kd]))),
+        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
+    }
 
 
 def build_T_orb(window, ctx: QContext) -> RepFamily:
     """Orbital angular momentum on the tensor basis |m_t, m_k>."""
     q = float(ctx.q)
     lam = ctx.lam
-    win, (tlo, thi), (klo, khi) = _torb_window(window)
-    mt, mk, nk, st = _tensor_grid(tlo, thi, klo, khi)
+    win, mt, mk, nk, st = _torb_window(window)
     basis = list(zip(mt.tolist(), mk.tolist()))
-    p4 = _qpow(q, -4 * (mt + mk))
-    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
-    ops = {
-        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
-        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
-                  (tu + nk, tu, _sqrt_clamped(
-                      _qpow(q, -4 * mt[tu]) - 1.0) / (lam * q)),
-                  (ku + 1, ku, _qpow(q, -2 * mt[ku]) * _sqrt_clamped(
-                      1.0 - _qpow(q, -4 * (mk[ku] + 1))) / lam)),
-        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
-                  (td - nk, td, q / lam * _sqrt_clamped(
-                      _qpow(q, -4 * (mt[td] - 1)) - 1.0)),
-                  (kd - 1, kd, q * q / lam * _qpow(q, -2 * mt[kd])
-                   * _sqrt_clamped(1.0 - _qpow(q, -4 * mk[kd])))),
-        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
-    }
+    ops = _orbital_ladder(basis, mt, mk, nk, st, q, lam)
     return RepFamily("T_orb_tensor", {"d": 1.0 / lam, "m_name": None},
                      ops, win, ctx, Coords({"m_t": mt, "m_k": mk}))
 
@@ -343,15 +348,13 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         raise WindowError("joint window needs a range for m_t or nu")
     if "m_k" not in rm:
         rm["m_k"] = (0, -rm["m_t"][0])
-    win, (tlo, thi), (klo, khi) = _torb_window(RepWindow.make(rm))
+    win, mt, mk, nk, st = _torb_window(RepWindow.make(rm))
     z = sigma * abs(z0)
     sq = math.sqrt(1.0 + q * q)
-    mt, mk, nk, st = _tensor_grid(tlo, thi, klo, khi)
     nu, m = mt + M, mt + mk
     basis = list(zip(nu.tolist(), m.tolist()))
-    p4 = _qpow(q, -4 * m)
     pM = _qpow(q, 4 * M)
-    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
+    tu, td = st["t+"], st["t-"]
     ops = {
         "X3": _op("X3", basis, ({},), _diag(z * _qpow(q, 2 * nu))),
         "X+": _op("X+", basis, ({"m_t": 1},),
@@ -362,19 +365,7 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
                       pM - _qpow(q, 4 * (nu[td] - 1))))),
         "R2": _op("R2", basis, ({},),
                   _diag(np.full(len(basis), q**(4 * M + 2) * z0 * z0))),
-        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
-        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
-                  (tu + nk, tu, _sqrt_clamped(
-                      _qpow(q, 4 * (M - nu[tu])) - 1.0) / (q * lam)),
-                  (ku + 1, ku, _sqrt_clamped(
-                      _qpow(q, 4 * (M - nu[ku]))
-                      - _qpow(q, -4 * (m[ku] + 1))) / lam)),
-        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
-                  (td - nk, td, q * q / (q * lam) * _sqrt_clamped(
-                      _qpow(q, 4 * (M - nu[td] + 1)) - 1.0)),
-                  (kd - 1, kd, q * q / lam * _sqrt_clamped(
-                      _qpow(q, 4 * (M - nu[kd])) - p4[kd]))),
-        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
+        **_orbital_ladder(basis, mt, mk, nk, st, q, lam),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
               "m_name": None}
@@ -390,7 +381,6 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     q = float(ctx.q)
     a = np.arange(max(3, 2 * l_max + 2))
     qn = (_qpow(q, a) - _qpow(q, -a)) / (q - 1 / q)      # qn[a] = [a]
-    two = qn[2]
     # position i holds (l, m) with i = l^2 + l + m
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
     i = np.arange(len(l))
@@ -399,7 +389,6 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     pref = r0 * _qpow(q, 2 * M + m)
     up = np.flatnonzero(l < l_max)
     lu, mu, pu = l[up], m[up], pref[up]
-    den_u = qn[2 * lu + 1] * qn[2 * lu + 3]
     dn = np.flatnonzero((l >= 1) & (np.abs(m) <= l - 1))
     ld, md = l[dn], m[dn]
     # X+ towards (l-1, m+1) needs l - m - 1 >= 1, X- towards (l-1, m-1)
@@ -410,28 +399,29 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     lm, mm = l[xm], m[xm]
     win = RepWindow.make({"l": (0, l_max), "m": (-l_max, l_max)},
                          hard_lo=("m",), hard_hi=("m",))
+
+    def cg(a, b, l, s):
+        """sqrt([a][b] / ([2][2l+1][2l+1+2s])) of the X+- elements."""
+        return np.sqrt(qn[a] * qn[b]
+                       / (qn[2] * qn[2 * l + 1] * qn[2 * l + 1 + 2 * s]))
+
     ops = {
         "T2": _op("T2_orb", basis, ({},), _diag(q * qn[l] * qn[l + 1])),
         "X3": _op("X3", basis, ({"l": 1}, {"l": -1}),
-                  (up + 2 * lu + 2, up, pu * np.sqrt(
-                      qn[lu + mu + 1] * qn[lu - mu + 1] / den_u)),
-                  (dn - 2 * ld, dn, pref[dn] * np.sqrt(
-                      qn[ld + md] * qn[ld - md]
-                      / (qn[2 * ld + 1] * qn[2 * ld - 1])))),
+                  (up + 2 * lu + 2, up,
+                   pu * _recurrence_coeff(lu, mu, qn.__getitem__)),
+                  (dn - 2 * ld, dn,
+                   pref[dn] * _recurrence_coeff(ld - 1, md, qn.__getitem__))),
         "X+": _op("X+", basis, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
-                  (up + 2 * lu + 3, up, pu * _qpow(q, -lu) * np.sqrt(
-                      qn[lu + mu + 1] * qn[lu + mu + 2]
-                      / (two * qn[2 * lu + 1] * qn[2 * lu + 3]))),
-                  (xp - 2 * lp + 1, xp, -pref[xp] * _qpow(q, lp + 1) * np.sqrt(
-                      qn[lp - mp_] * qn[lp - mp_ - 1]
-                      / (two * qn[2 * lp + 1] * qn[2 * lp - 1])))),
+                  (up + 2 * lu + 3, up, pu * _qpow(q, -lu)
+                   * cg(lu + mu + 1, lu + mu + 2, lu, 1)),
+                  (xp - 2 * lp + 1, xp, -pref[xp] * _qpow(q, lp + 1)
+                   * cg(lp - mp_, lp - mp_ - 1, lp, -1))),
         "X-": _op("X-", basis, ({"l": 1, "m": -1}, {"l": -1, "m": -1}),
-                  (up + 2 * lu + 1, up, pu * _qpow(q, lu) * np.sqrt(
-                      qn[lu - mu + 1] * qn[lu - mu + 2]
-                      / (two * qn[2 * lu + 1] * qn[2 * lu + 3]))),
+                  (up + 2 * lu + 1, up, pu * _qpow(q, lu)
+                   * cg(lu - mu + 1, lu - mu + 2, lu, 1)),
                   (xm - 2 * lm - 1, xm, -pref[xm] * _qpow(q, -lm - 1)
-                   * np.sqrt(qn[lm + mm] * qn[lm + mm - 1]
-                             / (two * qn[2 * lm + 1] * qn[2 * lm - 1])))),
+                   * cg(lm + mm, lm + mm - 1, lm, -1))),
     }
     return RepFamily("L_basis", {"M": M, "r0": r0, "m_name": None},
                      ops, win, ctx, Coords({"l": l, "m": m}))
@@ -571,37 +561,46 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     return RepFamily("coproduct", params, ops, win, ctx, Coords(labels))
 
 
-def add_spin(orb: RepFamily, spin: RepFamily, ctx: QContext) -> RepFamily:
-    """Couple a finite-dimensional spin ladder to an orbital family through
-    the standard rule (orbital tau must be positive)."""
-    d_spin = spin.params.get("d")
-    if d_spin is None or abs(d_spin - 1.0 / ctx.lam) > 1e-9 / ctx.lam:
-        raise DomainError("spin factor must be a finite ladder (d = 1/lam)")
-    out = coproduct(orb, spin, "standard", ctx)
-    return RepFamily("spin_added", out.params, out.operators, out.window,
-                     ctx, out.coords)
-
-
 # ---------------------------------------------------------------------------
 # fixed-m spectral blocks
 # ---------------------------------------------------------------------------
 
+def chain_entries(m: int, m_t: int, q):
+    """lam^2 times the order-m Casimir chain's diagonal at m_t and its
+    coupling of m_t to m_t + 1 (zero from the chain top min(0, m) up), for
+    float or mpf q; a binary64 entry out of range is a DomainError."""
+    s = q * q + 1
+    try:
+        diag = s * q**(2 * (m + 1) - 4 * m_t) - s
+        off = 0 * q
+        if m_t < min(0, m):
+            p = q**(-4 * m_t)
+            off = q**(2 * m + 1) * _sqrt_any((p - 1) * (p - q**(-4 * m)))
+    except OverflowError:
+        diag = off = math.inf
+    if mp.isinf(diag) or mp.isinf(off):
+        raise DomainError(
+            f"Casimir chain entry at m = {m}, m_t = {m_t} overflows "
+            f"binary64 at q = {q}")
+    return diag, off
+
+
 def t2_block(m: int, depth: int, ctx: QContext):
     """Symmetric tridiagonal fixed-m block of the orbital Casimir in the m_t
-    chain (entries straight from the three-term structure; couplings to
-    dropped sites absent).  Returns (diag, offdiag, m_t labels descending)."""
-    q = float(ctx.q)
-    lam = ctx.lam
+    chain (couplings to dropped sites absent).  Returns (diag, offdiag, m_t
+    labels descending)."""
+    if depth < 0:
+        raise DomainError(f"chain depth must be >= 0, got {depth}")
     top = min(0, m)
     mts = list(range(top, top - depth - 1, -1))
-    n = len(mts)
-    D = np.zeros(n)
-    E = np.zeros(n - 1)
-    for j, mt in enumerate(mts):
-        D[j] = ((q * q + 1) * q**(2 * (m + 1) - 4 * mt) - (q * q + 1)) / lam**2
-        if j + 1 < n:
-            E[j] = q**(2 * m + 1) * _sqrt_clamped(
-                (q**(4 - 4 * mt) - 1.0) * (q**(4 - 4 * mt) - q**(-4 * m))) / lam**2
+    entries = [chain_entries(m, mt, float(ctx.q)) for mt in mts]
+    lam2 = ctx.lam**2
+    D = np.array([d for d, _ in entries]) / lam2
+    E = np.array([e for _, e in entries[1:]]) / lam2
+    if not (np.isfinite(D).all() and np.isfinite(E).all()):
+        raise DomainError(f"Casimir chain block at m = {m}, depth {depth} "
+                          f"overflows binary64 at q = {ctx.q} once divided "
+                          f"by lam^2")
     return D, E, mts
 
 
@@ -629,14 +628,10 @@ def x3_block(M: int, m: int, l_max: int, r0: float, ctx: QContext):
 
     Zero diagonal; returns (offdiag, l labels ascending from |m|)."""
     q = float(ctx.q)
-
-    def qn(a):
-        return _qnum(a, q)
-
+    qn = partial(_qnum, q=q)
     ls = list(range(abs(m), l_max + 1))
-    E = np.array([r0 * q**(2 * M + m) * math.sqrt(
-        qn(l + m + 1) * qn(l - m + 1) / (qn(2 * l + 1) * qn(2 * l + 3)))
-        for l in ls[:-1]])
+    E = np.array([r0 * q**(2 * M + m) * _recurrence_coeff(l, m, qn)
+                  for l in ls[:-1]])
     return E, ls
 
 

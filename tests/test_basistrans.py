@@ -128,6 +128,37 @@ class TestTransforms:
         assert float(rows[1][1]) == t.matrix[0, 0]
 
 
+def reference_rows(m, mts, l_max, ctx, alternate):
+    """The coefficient table entry by entry: binary64 sites, tables in ctx's
+    mode, each entry stored into a float64 array."""
+    q = float(ctx.q)
+    ls = list(range(abs(m), l_max + 1))
+    U = np.zeros((2 * len(mts), len(ls)))
+    for blk, sigma in enumerate((1, -1)):
+        for j, mt in enumerate(mts):
+            x, pref = bt._site(m, mt, sigma, q)
+            tab = p_tilde_table(l_max, abs(m), x, ctx)
+            sgn = (-1)**mt if alternate else 1
+            for c, l in enumerate(ls):
+                U[blk * len(mts) + j, c] = sgn * pref * tab[l]
+    return U
+
+
+@pytest.mark.parametrize("m", [0, -2, 1])
+def test_extended_context_gives_binary64_table(m, tmp_path):
+    ectx = QContext(q=1.5, precision="extended")
+    top, M = min(0, m), 1
+    t1 = bt.build_transform(1, m, ectx, l_max=8, depth=20)
+    ref1 = reference_rows(m, list(range(top - 20, top + 1)), 8, ectx, True)
+    t2 = bt.build_transform(2, m, ectx, M=M, l_max=8, nu_depth=3)
+    ref2 = reference_rows(m, list(range(top - 3, top + 1)), 8, ectx, False)
+    for t, ref in ((t1, ref1), (t2, ref2.T)):
+        assert t.matrix.dtype == np.float64
+        assert np.array_equal(t.matrix, ref)
+        with open(tmp_path / "t.csv", "w", newline="") as fh:
+            t.write_csv(fh)
+
+
 def reference_congruence_defect(m, l_max, q):
     """The Casimir congruence defect as the full quadratic form
     u_a^T K A u_b, every column, block entry and sum at 40 digits: O(L^2 n)

@@ -69,6 +69,11 @@ class TestPoly:
         code, _ = run_cli(["poly", "--l", "1", "--m", "0"])
         assert code == 3
 
+    def test_bad_point_is_config_error(self, capsys):
+        code, _ = run_cli(["poly", "--l", "2", "--m", "0", "--x", "0.3,abc"])
+        assert code == 3
+        assert "'abc'" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_relations_pass(self, tmp_path):
@@ -102,6 +107,11 @@ class TestVerify:
                            "--kwidth", "20"])
         assert code == 3
 
+    def test_unwritable_out_is_config_error(self, tmp_path):
+        code = main(["verify", "--depth", "8", "--kwidth", "8", "--out",
+                     str(tmp_path / "missing" / "x.json")])
+        assert code == 3
+
     def test_empty_interior_is_config_error(self, tmp_path):
         code, doc = run_cli(["verify", "--depth", "1", "--kwidth", "1"],
                             tmp_path)
@@ -130,6 +140,20 @@ class TestSpectrum:
         assert code == 0
         assert all(r["rel_err"] < 1e-6 for r in doc["rows"])
 
+    @pytest.mark.parametrize("args", [
+        # q**2400 at q = 2 lies beyond binary64: the power raises
+        ("--q", "2", "--depth", "600"),
+        # q**(-4 m_t) below 1.8e308, its square in the coupling above
+        ("--q", "2", "--depth", "200"),
+        # finite entries that overflow once divided by lam^2 < 1
+        ("--q", "1.1", "--m", "3700", "--depth", "3"),
+        ("--depth", "-1"),
+    ])
+    def test_t2_chain_beyond_binary64_is_config_error(self, args, capsys):
+        code, _ = run_cli(["spectrum", "t2", *args])
+        assert code == 3
+        assert "domain error" in capsys.readouterr().err
+
 
 class TestTransform:
     def test_direction1_writes_files(self, tmp_path):
@@ -149,6 +173,11 @@ class TestTransform:
         assert code == 0
         summary = json.loads((tmp_path / "t2.json").read_text())
         assert summary["congruence_defect"] < 1e-6
+
+    def test_unwritable_out_is_config_error(self, tmp_path):
+        code = main(["transform", "--direction", "1", "--m", "0",
+                     "--lmax", "5", "--out", str(tmp_path / "missing" / "t")])
+        assert code == 3
 
     def test_uncovered_m_is_config_error(self):
         code = main(["transform", "--direction", "1", "--m", "7",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -322,14 +323,14 @@ class TestAddSpin:
     def test_trivial_spin_is_identity_tensor(self):
         orb = rs.build_T_orb(win_tk(5, 5), CTX)
         spin0 = rs.build_T_generic(1 / LAM, 0.0, None, CTX)
-        out = rs.add_spin(orb, spin0, CTX)
+        out = rs.coproduct(orb, spin0, "standard", CTX)
         for key in ("T3", "T+", "T-", "tau"):
             assert abs(out.op_csr(key) - orb.op_csr(key)).max() < 1e-14, key
 
     def test_spin_half_closes_algebra(self):
         orb = rs.build_T_orb(win_tk(10, 10), CTX)
         spin = rs.build_T_generic(1 / LAM, 0.5, None, CTX)
-        out = rs.add_spin(orb, spin, CTX)
+        out = rs.coproduct(orb, spin, "standard", CTX)
         T3, Tp, Tm = (out.op_csr(k) for k in ("T3", "T+", "T-"))
         inner = out.interior
         r = (Tp @ Tm / Q - Q * Tm @ Tp - T3).toarray()
@@ -339,15 +340,9 @@ class TestAddSpin:
     def test_tau_product_structure(self):
         orb = rs.build_T_orb(win_tk(4, 4), CTX)
         spin = rs.build_T_generic(1 / LAM, 0.5, None, CTX)
-        out = rs.add_spin(orb, spin, CTX)
+        out = rs.coproduct(orb, spin, "standard", CTX)
         prod = np.kron(orb["tau"].diagonal(), spin["tau"].diagonal())
         assert np.array_equal(out["tau"].diagonal(), prod)
-
-    def test_infinite_spin_rejected(self):
-        orb = rs.build_T_orb(win_tk(4, 4), CTX)
-        t = rs.build_t_special(win_t(4), CTX)
-        with pytest.raises(DomainError):
-            rs.add_spin(orb, t, CTX)
 
 
 class TestWindowPlumbing:
@@ -521,3 +516,93 @@ class TestShiftViolations:
         assert len(bad) == np.count_nonzero(Tp.to_csr().data)
         assert {tuple(sorted(d.items())) for _, d in bad} == {
             (("m_t", -1),), (("m_k", -1),)}
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar Casimir-chain and X3 blocks, entry by entry
+# ---------------------------------------------------------------------------
+
+def _ref_t2_block(m, depth, q):
+    lam = q - 1 / q
+    top = min(0, m)
+    mts = list(range(top, top - depth - 1, -1))
+    n = len(mts)
+    D = np.zeros(n)
+    E = np.zeros(n - 1)
+    for j, mt in enumerate(mts):
+        D[j] = ((q * q + 1) * q**(2 * (m + 1) - 4 * mt) - (q * q + 1)) / lam**2
+        if j + 1 < n:
+            E[j] = q**(2 * m + 1) * _ref_sqrt(
+                (q**(4 - 4 * mt) - 1.0) * (q**(4 - 4 * mt) - q**(-4 * m))) \
+                / lam**2
+    return D, E, mts
+
+
+def _ref_chain_mp(m, mts, q):
+    """The 40-digit chain diagonal and couplings of the congruence defect."""
+    qm = mp.mpf(q)
+    lam = qm - 1 / qm
+    diag = [((qm * qm + 1) * qm**(2 * (m + 1) - 4 * mt) - (qm * qm + 1))
+            / lam**2 for mt in mts]
+    off = [qm**(2 * m + 1) * mp.sqrt(
+        (qm**(-4 * mt) - 1) * (qm**(-4 * mt) - qm**(-4 * m))) / lam**2
+        for mt in mts[:-1]]
+    return diag, off
+
+
+def _ref_x3_block(M, m, l_max, r0, q):
+    def qn(a):
+        return (q**a - q**(-a)) / (q - 1 / q)
+
+    ls = list(range(abs(m), l_max + 1))
+    E = np.array([r0 * q**(2 * M + m) * math.sqrt(
+        qn(l + m + 1) * qn(l - m + 1) / (qn(2 * l + 1) * qn(2 * l + 3)))
+        for l in ls[:-1]])
+    return E, ls
+
+
+class TestAgainstScalarBlocks:
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    def test_t2_and_x3_blocks(self, q):
+        ctx = QContext(q=q)
+        r0 = rs.r0_from_z0(1.0, ctx)
+        for m in range(-4, 5):
+            D, E, mts = rs.t2_block(m, 40, ctx)
+            rD, rE, rmts = _ref_t2_block(m, 40, q)
+            assert mts == rmts
+            assert np.array_equal(D, rD) and np.array_equal(E, rE), m
+            for M in (0, 2):
+                E, ls = rs.x3_block(M, m, 30, r0, ctx)
+                rE, rls = _ref_x3_block(M, m, 30, r0, q)
+                assert ls == rls
+                assert np.array_equal(E, rE), (m, M)
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    def test_mpf_chain(self, q):
+        with mp.workdps(40):
+            qm = mp.mpf(q)
+            lam2 = (qm - 1 / qm)**2
+            for m in range(-4, 5):
+                mts = list(range(min(0, m) - 30, min(0, m) + 1))
+                entries = [rs.chain_entries(m, mt, qm) for mt in mts]
+                diag, off = _ref_chain_mp(m, mts, q)
+                assert [d / lam2 for d, _ in entries] == diag, m
+                assert [e / lam2 for _, e in entries[:-1]] == off, m
+
+    # depth 600: the power q^2400 raises; depth 200: q^800 is finite but
+    # the coupling's radicand (~q^1600) overflows to inf
+    @pytest.mark.parametrize("depth", [200, 600])
+    def test_deep_chain_overflow_is_domain_error(self, depth):
+        with pytest.raises(DomainError):
+            rs.t2_block(0, depth, QContext(q=2.0))
+        with pytest.raises(DomainError):
+            rs.chain_entries(0, -depth, 2.0)
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    def test_orbital_ladder_shared_with_joint_family(self, q):
+        ctx = QContext(q=q)
+        win = RepWindow.make({"m_t": (-12, 0), "m_k": (0, 9)})
+        torb = rs.build_T_orb(win, ctx)
+        joint = rs.build_X_T_R_joint(0, 1.0, 1, win, ctx)
+        for key in ("T3", "T+", "T-", "tau"):
+            assert_same_csr(torb.op_csr(key), joint.op_csr(key), key)
