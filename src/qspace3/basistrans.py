@@ -101,7 +101,9 @@ def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
 def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
                        ctx: QContext, z0: float = 1.0) -> float:
     """Relative residual of the X3 three-term recursion in l at one
-    coefficient site."""
+    coefficient site (l >= |m|)."""
+    if l < abs(m):
+        raise DomainError(f"the X3 recursion needs l >= |m|, got l={l}, m={m}")
     q = float(ctx.q)
     r0 = r0_from_z0(z0, ctx)
     z = sigma * r0 * q**(2 * nu - 1)

@@ -1,5 +1,6 @@
 """Deformation-parameter context: q, derived constants, precision policy."""
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -28,8 +29,8 @@ class QContext:
     precision: str = "double"
 
     def __post_init__(self):
-        if not self.q > 1.0:
-            raise DomainError(f"q must be > 1, got {self.q}")
+        if not 1.0 < self.q < math.inf:
+            raise DomainError(f"q must be finite and > 1, got {self.q}")
         if not (0.0 < self.tail_eps < self.tol_rel < 1.0):
             raise DomainError(
                 f"require 0 < tail_eps < tol_rel < 1, got "

@@ -7,6 +7,7 @@ readers.  Values are returned as float in "double" mode and as mpmath.mpf in
 """
 
 import math
+import threading
 from functools import lru_cache
 
 import mpmath as mp
@@ -34,20 +35,35 @@ def _qnum(a, q):
     return (q**a - q**(-a)) / (q - 1 / q)
 
 
-@lru_cache(maxsize=None)
+_QFACT_LOCK = threading.Lock()     # one extender per prefix list at a time
+
+
+@lru_cache(maxsize=4096)
 def _qfact_cached(n: int, qkey: float, dps: int):
-    if dps:
-        with mp.workdps(dps):
-            q = mp.mpf(qkey)
-            r = mp.mpf(1)
-            for k in range(1, n + 1):
-                r *= (q**k - q**(-k)) / (q - 1 / q)
-            return r
-    q = qkey
-    r = 1.0
-    for k in range(1, n + 1):
+    """[n]! at q = qkey, in binary64 (dps = 0) or at dps digits."""
+    facts = _qfact_list(qkey, dps)
+    if n >= len(facts):
+        with _QFACT_LOCK:
+            if dps:
+                with mp.workdps(dps):
+                    _extend_qfacts(facts, n, mp.mpf(qkey))
+            else:
+                _extend_qfacts(facts, n, qkey)
+    return facts[n]
+
+
+@lru_cache(maxsize=256)
+def _qfact_list(qkey: float, dps: int):
+    """Prefix list [0]!, [1]!, ... of one (q, dps), extended in place by
+    _qfact_cached up to the highest n asked for so far."""
+    return [mp.mpf(1) if dps else 1.0]
+
+
+def _extend_qfacts(facts, n, q):
+    r = facts[-1]
+    for k in range(len(facts), n + 1):
         r *= _qnum(k, q)
-    return r
+        facts.append(r)
 
 
 def qfactorial_sym(n: int, ctx: QContext):

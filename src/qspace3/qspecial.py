@@ -13,6 +13,12 @@ at lattice arguments where it is not contractive by a downward
 coefficients are computed once per (m, ctx), up to the highest degree
 needed so far.
 
+Multiprecision work is shared the same way.  The q-factorials behind every
+direct sum are one prefix list per (q, dps), extended to the highest n asked
+for (qarith._qfact_cached), and the recurrence coefficients of the identity
+checks are computed once per (l, m, q, dps).  The checks still evaluate every
+P~ by the direct sum, so they test the recurrence rather than restate it.
+
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
 in closed form (elementary-symmetric expansion) and is cached per (q, m).
@@ -85,7 +91,7 @@ def _rad(m, x, q):
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _log_u2(l: int, m: int, qkey: float):
     """log10 of the positive l-dependent weight factor squared."""
     t = l * (l + 1) * math.log10(qkey) + math.log10(_qnum(2 * l + 1, qkey))
@@ -117,7 +123,7 @@ def _snorm_core(m, q):
     return 2 * (1 - q**-2) * s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _snorm_log(m: int, qkey: float):
     """log10 of the normalization constant for the degree-m member."""
     return math.log10(_snorm_core(m, qkey)) + _log_u2(m, m, qkey)
@@ -137,7 +143,7 @@ def _u2_mp_cached(l: int, m: int, qkey: float, dps: int):
         return _u2_mp(l, m, mp.mpf(qkey))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _snorm_mp_cached(m: int, qkey: float, dps: int):
     with mp.workdps(dps):
         q = mp.mpf(qkey)
@@ -227,34 +233,35 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     """
     if m < 0:
         raise DomainError(f"order m must be >= 0, got {m}")
-    if l < m:
-        return ctx.out(0.0)
-    if ctx.is_extended:
-        return _p_lm_escalated(l, m, x, ctx, start_dps=ctx.dps)
-    s, worst = _p_sum(l, m, float(x), float(ctx.q))
-    if math.isfinite(s) and math.isfinite(worst) and (
-            worst == 0 or (s != 0 and worst / abs(s) < _CANCEL_OK)):
-        return s
-    return float(_p_lm_escalated(l, m, x, ctx, start_dps=None))
-
-
-def _p_lm_escalated(l, m, x, ctx, start_dps):
+    if l < m or (x == 0 and (l - m) % 2):
+        return ctx.out(0.0)           # an odd polynomial vanishes at 0 exactly
     qkey = float(ctx.q)
-    if start_dps is None:
-        s, worst = _p_sum(l, m, float(x), qkey)
-        if math.isfinite(s) and math.isfinite(worst) and s != 0:
-            dps = 30 + int(math.log10(worst / abs(s)))
-        else:
-            dps = _cancel_dps(l, m, qkey)
+    if ctx.is_extended:
+        return _p_lm_escalated(l, m, x, qkey, ctx.dps)
+    s, worst = _p_sum(l, m, float(x), qkey)
+    finite = math.isfinite(s) and math.isfinite(worst)
+    if finite and (worst == 0 or (s != 0 and worst / abs(s) < _CANCEL_OK)):
+        return s
+    if finite and s != 0:
+        dps = 30 + int(math.log10(worst / abs(s)))
     else:
-        dps = start_dps
+        dps = _cancel_dps(l, m, qkey)
+    return float(_p_lm_escalated(l, m, x, qkey, dps))
+
+
+def _p_lm_escalated(l, m, x, qkey, dps):
+    """The direct sum at dps digits, doubled until its cancellation leaves
+    at least 18 digits; PrecisionError after 6 attempts."""
+    start = dps
     for _ in range(6):
         with mp.workdps(dps):
             s, worst = _p_sum(l, m, mp.mpf(x), mp.mpf(qkey), dps)
             if s == 0 or worst == 0 or worst / abs(s) < mp.mpf(10)**(dps - 18):
                 return s
         dps *= 2
-    return s
+    raise PrecisionError(
+        f"p_lm({l}, {m}, {float(x)}) at q={qkey} did not converge between "
+        f"{start} and {dps // 2} digits")
 
 
 def weight_w(l: int, m: int, x, ctx: QContext):
@@ -325,6 +332,13 @@ def _recurrence_coeff(l, m, qn):
     Generic over float, mpf and arrays of l and m (qn indexing a table)."""
     return _sqrt_any(qn(l - m + 1) * qn(l + m + 1)
                      / (qn(2 * l + 1) * qn(2 * l + 3)))
+
+
+@lru_cache(maxsize=4096)
+def _recurrence_coeff_mp(l: int, m: int, qkey: float, dps: int):
+    """_recurrence_coeff(l, m) at dps digits, for the identity checks."""
+    with mp.workdps(dps):
+        return _recurrence_coeff(l, m, partial(_qnum, q=mp.mpf(qkey)))
 
 
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
@@ -525,11 +539,10 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
         xx = _lift_arg(x, m, q)
         pt = _ptilde_mp_cached(l, m, xx, q, dps)
         lhs = xx * q**(m + 1) * pt
-        qn = partial(_qnum, q=q)
-        rhs = _recurrence_coeff(l, m, qn) \
+        rhs = _recurrence_coeff_mp(l, m, qkey, dps) \
             * _ptilde_mp_cached(l + 1, m, xx, q, dps)
         if l > m:
-            rhs += _recurrence_coeff(l - 1, m, qn) \
+            rhs += _recurrence_coeff_mp(l - 1, m, qkey, dps) \
                 * _ptilde_mp_cached(l - 1, m, xx, q, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 

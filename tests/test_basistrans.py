@@ -38,6 +38,11 @@ class TestCoefficients:
         assert bt.check_x3_recursion(1, 3, -1, -2, -1, QContext(q=1.3)) < 1e-10
         assert bt.check_x3_recursion(0, 4, 2, -3, 1, CTX) < 1e-10
 
+    @pytest.mark.parametrize("l,m", [(0, 3), (2, 3), (1, -2)])
+    def test_x3_recursion_below_the_chain_rejected(self, l, m):
+        with pytest.raises(DomainError):
+            bt.check_x3_recursion(0, l, m, -3, 1, CTX)
+
     def test_d_branch_continuity_at_zero_weight(self):
         # at m = 0 both branch formulas coincide
         q = 1.5

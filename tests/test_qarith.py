@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -28,6 +31,11 @@ class TestQContext:
     def test_rejects_small_max_terms(self):
         with pytest.raises(DomainError):
             QContext(q=1.5, max_terms=32)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_non_finite_q(self, q):
+        with pytest.raises(DomainError):
+            QContext(q=q)
 
     def test_lambda_matches_q(self):
         ctx = QContext(q=1.7)
@@ -69,6 +77,95 @@ class TestQFactorial:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             qa.qfactorial_sym(-1, CTX2)
+
+
+def _qfact_per_n(n, q, qnums):
+    """[n]! as a fresh product from k = 1, in the order and at the precision
+    of the prefix list but sharing none of its state."""
+    r = 1 + 0 * q
+    for k in range(1, n + 1):
+        r *= qnums[k]
+    return r
+
+
+def _per_n_reference(qkey, dps, n_max=120):
+    if not dps:
+        qnums = [None] + [qa._qnum(k, qkey) for k in range(1, n_max + 1)]
+        return [_qfact_per_n(n, qkey, qnums) for n in range(n_max + 1)]
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        qnums = [None] + [(q**k - q**(-k)) / (q - 1 / q)
+                          for k in range(1, n_max + 1)]
+        return [_qfact_per_n(n, q, qnums) for n in range(n_max + 1)]
+
+
+class TestQFactorialPrefixList:
+    """The factorials are one prefix list per (q, dps), extended in place;
+    every value must equal the per-n product exactly, whatever the order of
+    the calls and the ambient mpmath precision."""
+
+    QS = (1.1, 1.5, 2.0, 3.0)
+    DPS = (0, 50, 137, 1100)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {(q, dps): _per_n_reference(q, dps)
+                for q in self.QS for dps in self.DPS}
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled",
+                                       "ambient-300", "ambient-8"])
+    def test_exactly_the_per_n_product(self, reference, order):
+        ns = list(range(121))
+        if order == "descending":
+            ns.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(ns)
+        ambient = int(order.split("-")[1]) if "-" in order else mp.mp.dps
+        qa._qfact_cached.cache_clear()
+        qa._qfact_list.cache_clear()
+        with mp.workdps(ambient):
+            got = {(q, dps, n): qa._qfact_cached(n, q, dps)
+                   for q in self.QS for dps in self.DPS for n in ns}
+        for (q, dps, n), v in got.items():
+            assert v == reference[q, dps][n], (q, dps, n)
+            assert type(v) is (mp.mpf if dps else float)
+
+    def test_concurrent_extension(self, reference):
+        qa._qfact_cached.cache_clear()
+        qa._qfact_list.cache_clear()
+        errors = []
+
+        def worker(seed):
+            ns = list(range(121))
+            random.Random(seed).shuffle(ns)
+            for n in ns:
+                if qa._qfact_cached(n, 2.0, 137) != reference[2.0, 137][n]:
+                    errors.append(n)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert qa._qfact_list(2.0, 137) == reference[2.0, 137]
+
+    def test_public_entry_points_share_the_list(self):
+        qa._qfact_cached.cache_clear()
+        qa._qfact_list.cache_clear()
+        ctxe = QContext(q=1.5, precision="extended")
+        assert qa.qbinomial_sym(40, 7, ctxe) == qa._qfact_cached(
+            40, 1.5, 40) / (qa._qfact_cached(7, 1.5, 40)
+                            * qa._qfact_cached(33, 1.5, 40))
+        assert len(qa._qfact_list(1.5, 40)) == 41
+        assert qa._qfact_list.cache_info().currsize == 1
 
 
 class TestQBinomial:

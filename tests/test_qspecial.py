@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspace3 import DomainError, PrecisionError, QContext
+from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 
 CTX15 = QContext(q=1.5)
@@ -94,6 +96,38 @@ class TestPolynomial:
         am = 1.5**-4
         assert qs.big_q_jacobi(0, -0.6, am, am, -am, CTX15,
                                base=1.5**-2) == 1.0
+
+
+class TestEscalation:
+    def test_escalation_reuses_the_binary64_sum(self, monkeypatch):
+        kinds = []
+        p_sum = qs._p_sum
+
+        def counted(l, m, x, q, dps=0):
+            kinds.append(type(x))
+            return p_sum(l, m, x, q, dps)
+
+        monkeypatch.setattr(qs, "_p_sum", counted)
+        qs.p_lm(20, 0, 1.5**-18, CTX15)
+        # one binary64 sum, whose cancellation sets the first mpf precision,
+        # then only mpf sums (two here: at 45 and 90 digits)
+        assert kinds == [float, mp.mpf, mp.mpf]
+
+    @staticmethod
+    def _never_converges(l, m, x, q, dps=0):
+        # a sum whose largest term dwarfs it at every precision
+        return 1 + 0 * x, (mp.inf if dps else math.inf)
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_non_convergence_raises(self, monkeypatch, precision):
+        monkeypatch.setattr(qs, "_p_sum", self._never_converges)
+        with pytest.raises(PrecisionError):
+            qs.p_lm(5, 0, 0.3, QContext(q=1.5, precision=precision))
+
+    def test_non_convergence_exits_4(self, monkeypatch):
+        from qspace3.cli import main
+        monkeypatch.setattr(qs, "_p_sum", self._never_converges)
+        assert main(["poly", "--l", "5", "--m", "0", "--x", "0.3"]) == 4
 
 
 class TestWeight:
@@ -275,6 +309,39 @@ class TestIdentities:
                         x = sig * q**(2 * (n - m - 1))
                         assert qs.check_recurrence(l, m, x, ctx) < 1e-10
                         assert qs.check_difference(l, m, x, ctx) < 1e-10
+
+    def test_cached_recurrence_coefficient_is_the_inline_one(self):
+        for q in (1.1, 1.5, 2.0):
+            ctx = QContext(q=q)
+            for l in range(9):
+                for m in range(l + 1):
+                    dps = qs._check_dps(l, m, ctx)
+                    with mp.workdps(dps):
+                        inline = qs._recurrence_coeff(
+                            l, m, partial(qa._qnum, q=mp.mpf(q)))
+                    cached = qs._recurrence_coeff_mp(l, m, q, dps)
+                    assert isinstance(cached, mp.mpf) and cached == inline
+
+    def test_check_recurrence_reads_the_coefficient_cache(self):
+        qs._recurrence_coeff_mp.cache_clear()
+        qs.check_recurrence(3, 1, 1.5**-4, CTX15)
+        info = qs._recurrence_coeff_mp.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        qs.check_recurrence(4, 1, 1.5**-4, CTX15)
+        assert qs._recurrence_coeff_mp.cache_info().hits >= 1
+
+
+def test_every_cache_is_bounded():
+    caches = [qa._qfact_cached, qa._qfact_list, qs._log_u2, qs._snorm_log,
+              qs._snorm_mp_cached, qs._u2_mp_cached, qs._recurrence_coeff_mp,
+              qs._table_cached, qs._coeff_lists]
+    for mod in (qa, qs):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_info"):
+                assert v in caches, v.__name__
+    for cache in caches:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, cache.__name__
 
 
 class TestLatticeSums:
