@@ -21,8 +21,8 @@ import numpy as np
 from .context import QContext
 from .errors import CoverageError, DomainError
 from .qarith import _qnum
-from .qspecial import (_recurrence_coeff, _sqrt_any, completeness_sum,
-                       p_tilde, p_tilde_table)
+from .qspecial import (_lattice_point, _recurrence_coeff, _sqrt_any,
+                       completeness_sum, p_tilde, p_tilde_table)
 from .repspace import (casimir_eigenvalue, chain_entries, x3_block,
                        r0_from_z0)
 
@@ -34,11 +34,11 @@ __all__ = [
 
 def _site(m, m_t, sigma, q):
     """Lattice argument and prefactor of the chain site (m_t, sigma) in the
-    order-m columns: the coefficient there is pref * P~_l(x) with order |m|.
-    Generic over float and mpf q.
+    order-m columns: the coefficient there is pref * P~_l(x) with order |m|
+    at the lattice index n = m_t - min(m, 0).  Generic over float and mpf q.
     """
-    e = m_t - max(m, 0) - 1
-    return sigma * q**(2 * e), _sqrt_any(1 - q**-2) * q**e
+    return (_lattice_point(m_t - min(m, 0), abs(m), sigma, q),
+            _sqrt_any(1 - q**-2) * q**(m_t - max(m, 0) - 1))
 
 
 def _doubled_rows(m, mts, l_values, q, ctx, alternate):
@@ -239,18 +239,17 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
     """Assemble a coefficient table over the sign-doubled basis and measure
     its isometry (Gram) and eigen-reproduction (congruence) defects.
 
-    direction 1 / "mtk_to_lm": columns indexed by l = |m| .. l_max diagonalize
-    the fixed-m Casimir chain; rows run over (sigma, m_t).
-    direction 2 / "lm_to_x3": columns indexed by (sigma, nu) diagonalize the
+    direction 1 ("mtk_to_lm"): columns indexed by l = |m| .. l_max
+    diagonalize the fixed-m Casimir chain; rows run over (sigma, m_t).
+    direction 2 ("lm_to_x3"): columns indexed by (sigma, nu) diagonalize the
     fixed-(M, m) coordinate block; rows run over l.
 
     The congruence defect is evaluated on a depth-limited interior window
     (deep chain sites cancel beyond binary64 in the quadratic form).
     """
-    direction = {1: "mtk_to_lm", 2: "lm_to_x3",
-                 "mtk_to_lm": "mtk_to_lm", "lm_to_x3": "lm_to_x3"}.get(direction)
+    direction = {1: "mtk_to_lm", 2: "lm_to_x3"}.get(direction)
     if direction is None:
-        raise DomainError("direction must be 1/'mtk_to_lm' or 2/'lm_to_x3'")
+        raise DomainError("direction must be 1 or 2")
     q = float(ctx.q)
     am = abs(m)
     if l_max < am:

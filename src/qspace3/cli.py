@@ -38,20 +38,25 @@ def _golden_forms(q):
     }
 
 
-def _common(sub):
+_SHARED = {
+    "--depth": dict(type=int, default=60,
+                    help="lattice depth per truncated direction"),
+    "--lmax": dict(type=int, default=40, help="largest Casimir label"),
+    "--kwidth": dict(type=int, default=60, help="width of the m_k direction"),
+    "--format": dict(choices=("json", "csv", "text"), default="json"),
+}
+
+
+def _shared(sub, tol, *flags):
+    """--q, --tol (default tol), --out and the shared flags the verb reads."""
     sub.add_argument("--q", type=float, default=1.5,
                      help="deformation parameter (> 1)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="pass/fail tolerance (verb-specific default)")
-    sub.add_argument("--depth", type=int, default=60,
-                     help="lattice depth per truncated direction")
-    sub.add_argument("--lmax", type=int, default=40,
-                     help="largest Casimir label")
-    sub.add_argument("--kwidth", type=int, default=60,
-                     help="width of the m_k direction")
-    sub.add_argument("--format", choices=("json", "csv", "text"),
-                     default="json")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
+    sub.add_argument("--tol", type=float, default=tol,
+                     help="pass/fail tolerance (default %(default)g)")
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED[flag])
+    sub.add_argument("--out", default=None,
+                     help="output path (default stdout)")
 
 
 def _build_parser():
@@ -65,21 +70,22 @@ def _build_parser():
                                       "weighted forms")
     poly.add_argument("--l", type=int, required=True)
     poly.add_argument("--m", type=int, required=True)
-    poly.add_argument("--x", type=str, default=None,
-                      help="comma-separated evaluation points")
-    poly.add_argument("--lattice", action="store_true",
-                      help="evaluate on the support lattice instead of --x")
+    points = poly.add_mutually_exclusive_group(required=True)
+    points.add_argument("--x", type=str,
+                        help="comma-separated evaluation points")
+    points.add_argument("--lattice", action="store_true",
+                        help="evaluate on the support lattice")
     poly.add_argument("--nmin", type=int, default=-10,
                       help="deepest lattice index with --lattice")
     poly.add_argument("--golden", action="store_true",
                       help="compare degree <= 3 values against closed forms")
-    _common(poly)
+    _shared(poly, 1e-12, "--format")
 
     ver = sp.add_parser("verify", help="run the relation suite")
     ver.add_argument("--relations", default="all",
                      help="all or comma-separated groups: "
                           + ",".join(RELATION_GROUPS))
-    _common(ver)
+    _shared(ver, 1e-10, "--depth", "--kwidth", "--format")
 
     spect = sp.add_parser("spectrum", help="emit eigenvalue tables")
     spect.add_argument("observable", choices=("x3", "r2", "t3", "t2"))
@@ -88,26 +94,26 @@ def _build_parser():
     spect.add_argument("--sigma", type=int, default=1, choices=(1, -1))
     spect.add_argument("--m", type=int, default=0,
                        help="fixed total weight for the t2 block")
-    _common(spect)
+    _shared(spect, 1e-10, "--depth", "--lmax", "--kwidth", "--format")
 
     tr = sp.add_parser("transform", help="build a basis-transform table")
     tr.add_argument("--direction", type=int, required=True, choices=(1, 2))
     tr.add_argument("--m", type=int, required=True)
     tr.add_argument("--M", type=int, default=0)
     tr.add_argument("--z0", type=float, default=1.0)
-    _common(tr)
+    _shared(tr, 1e-6, "--depth", "--lmax")
 
     ortho = sp.add_parser("ortho", help="orthonormality defects of the "
                                         "weighted functions")
     ortho.add_argument("--m", type=int, required=True)
     ortho.add_argument("--lspan", type=int, default=6,
                        help="check degrees l, l' in [|m|, |m| + lspan]")
-    _common(ortho)
+    _shared(ortho, 1e-8, "--depth", "--format")
 
     comp = sp.add_parser("complete", help="completeness defects of the "
                                           "weighted functions")
     comp.add_argument("--m", type=int, required=True)
-    _common(comp)
+    _shared(comp, 1e-5, "--lmax", "--format")
     return p
 
 
@@ -116,8 +122,7 @@ def _ctx(args):
     if precision not in ("double", "extended"):
         raise DomainError(
             f"QSPACE3_PRECISION must be double or extended, got {precision!r}")
-    return QContext(q=args.q, tol_rel=args.tol if args.tol else 1e-10,
-                    precision=precision)
+    return QContext(q=args.q, tol_rel=args.tol, precision=precision)
 
 
 def _emit(args, report, rows_key="rows"):
@@ -166,16 +171,13 @@ def _cmd_poly(args):
     ctx = _ctx(args)
     q = float(ctx.q)
     if args.lattice:
-        xs = [s * q**(2 * (n - args.m - 1))
+        xs = [qspecial._lattice_point(n, args.m, s, q)
               for n in range(0, args.nmin - 1, -1) for s in (1, -1)]
-    elif args.x:
+    else:
         try:
             xs = [float(t) for t in args.x.split(",")]
         except ValueError as e:
             raise DomainError(f"--x takes numbers: {e}") from None
-    else:
-        raise DomainError("poly needs --x or --lattice")
-    tol = args.tol if args.tol else 1e-12
     golden = _golden_forms(q) if args.golden else None
     if golden is not None and (args.l, args.m) not in golden:
         raise DomainError(
@@ -202,9 +204,9 @@ def _cmd_poly(args):
               "m": args.m, "rows": rows}
     if golden is not None:
         report["max_golden_rel_err"] = worst
-        report["pass"] = bool(worst < tol)
+        report["pass"] = bool(worst < args.tol)
     _emit(args, report)
-    if golden is not None and worst >= tol:
+    if golden is not None and worst >= args.tol:
         return 2
     return 0
 
@@ -259,13 +261,12 @@ def _cmd_spectrum(args):
 
 def _cmd_transform(args):
     ctx = _ctx(args)
-    tol = args.tol if args.tol else 1e-6
     table = build_transform(args.direction, args.m, ctx, M=args.M,
                             l_max=args.lmax, depth=args.depth, z0=args.z0)
     summary = table.to_json_dict()
     summary["verb"] = "transform"
-    summary["pass"] = bool(table.gram_defect < tol
-                           and table.congruence_defect < tol)
+    summary["pass"] = bool(table.gram_defect < args.tol
+                           and table.congruence_defect < args.tol)
     if args.out:
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -283,7 +284,6 @@ def _cmd_transform(args):
 
 def _cmd_ortho(args):
     ctx = _ctx(args)
-    tol = args.tol if args.tol else 1e-8
     am = abs(args.m)
     if args.m < 0:
         raise DomainError("orthonormality tables are indexed by m >= 0")
@@ -299,17 +299,16 @@ def _cmd_ortho(args):
             rows.append({"l": l, "lp": lp, "sum": s, "defect": d})
     report = {"schema": SCHEMA, "verb": "ortho", "q": float(ctx.q),
               "m": args.m, "n_min": -args.depth, "max_defect": worst,
-              "pass": bool(worst < tol), "rows": rows}
+              "pass": bool(worst < args.tol), "rows": rows}
     _emit(args, report)
-    return 0 if worst < tol else 2
+    return 0 if worst < args.tol else 2
 
 
 def _cmd_complete(args):
     ctx = _ctx(args)
-    tol = args.tol if args.tol else 1e-5
     rep = completeness_check(args.m, ctx, l_max=args.lmax)
     rep["verb"] = "complete"
-    rep["pass"] = bool(rep["max_defect"] < tol)
+    rep["pass"] = bool(rep["max_defect"] < args.tol)
     rep["rows"] = rep.pop("samples")
     _emit(args, rep)
     return 0 if rep["pass"] else 2

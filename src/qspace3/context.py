@@ -24,19 +24,13 @@ class QContext:
 
     q: float
     tol_rel: float = 1e-10
-    tail_eps: float = 1e-14
-    max_terms: int = 4096
     precision: str = "double"
 
     def __post_init__(self):
         if not 1.0 < self.q < math.inf:
             raise DomainError(f"q must be finite and > 1, got {self.q}")
-        if not (0.0 < self.tail_eps < self.tol_rel < 1.0):
-            raise DomainError(
-                f"require 0 < tail_eps < tol_rel < 1, got "
-                f"tail_eps={self.tail_eps}, tol_rel={self.tol_rel}")
-        if self.max_terms < 64:
-            raise DomainError(f"max_terms must be >= 64, got {self.max_terms}")
+        if not 0.0 < self.tol_rel < 1.0:
+            raise DomainError(f"require 0 < tol_rel < 1, got {self.tol_rel}")
         if self.precision not in ("double", "extended"):
             raise DomainError(f"unknown precision mode {self.precision!r}")
 

@@ -13,6 +13,8 @@ from .errors import WindowError
 
 __all__ = ["RepWindow", "Coords", "LabeledOperator", "RepFamily"]
 
+_MARGIN = 2        # interior distance from every artificial window edge
+
 
 class Coords(Sequence):
     """Quantum numbers of the basis states, one array per label name.
@@ -39,32 +41,29 @@ class RepWindow:
     Edges imposed by the construction itself (a ladder that terminates, a
     constrained label) are *hard*: states there are exact and carry no
     interior margin.  All other edges are artificial truncation cuts; states
-    within `margin` of them are excluded from interior verification.
+    within _MARGIN of them are excluded from interior verification.
     """
 
     ranges: tuple          # ((name, (lo, hi)), ...)
     hard_lo: frozenset = frozenset()
     hard_hi: frozenset = frozenset()
-    margin: int = 2
 
     def __post_init__(self):
-        if self.margin < 2:
-            raise WindowError(f"interior margin must be >= 2, got {self.margin}")
         for name, (lo, hi) in self.ranges:
             if hi < lo:
                 raise WindowError(f"empty range for {name}: [{lo}, {hi}]")
 
     @staticmethod
-    def make(ranges: dict, hard_lo=(), hard_hi=(), margin: int = 2):
+    def make(ranges: dict, hard_lo=(), hard_hi=()):
         return RepWindow(tuple(sorted(ranges.items())),
-                         frozenset(hard_lo), frozenset(hard_hi), margin)
+                         frozenset(hard_lo), frozenset(hard_hi))
 
     @property
     def range_map(self) -> dict:
         return dict(self.ranges)
 
     def interior_mask(self, coords: Coords):
-        """Boolean array: which states keep `margin` from every soft edge.
+        """Boolean array: which states keep _MARGIN from every soft edge.
         Labels the window has no range for are not constrained."""
         inside = np.ones(len(coords), dtype=bool)
         for name, (lo, hi) in self.ranges:
@@ -72,9 +71,9 @@ class RepWindow:
             if v is None:
                 continue
             if name not in self.hard_lo:
-                inside &= v >= lo + self.margin
+                inside &= v >= lo + _MARGIN
             if name not in self.hard_hi:
-                inside &= v <= hi - self.margin
+                inside &= v <= hi - _MARGIN
         return inside
 
     def is_interior(self, coords: dict) -> bool:

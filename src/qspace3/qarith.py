@@ -35,6 +35,9 @@ def _qnum(a, q):
     return (q**a - q**(-a)) / (q - 1 / q)
 
 
+_TAIL_EPS = 1e-14        # binary64 truncation threshold of series and products
+_MAX_TERMS = 4096        # term budget of series and products
+
 _QFACT_LOCK = threading.Lock()     # one extender per prefix list at a time
 
 
@@ -112,7 +115,7 @@ def _is_seq(a):
 def qpochhammer_inf(a, base, ctx: QContext):
     """Infinite q-shifted factorial (a; base)_inf for |base| < 1.
 
-    Truncated once |a * base^n| < ctx.tail_eps; deterministic for fixed ctx.
+    Truncated once |a * base^n| < _TAIL_EPS; deterministic for fixed ctx.
     """
     if _is_seq(a):
         r = 1.0
@@ -123,20 +126,21 @@ def qpochhammer_inf(a, base, ctx: QContext):
         raise DomainError(f"infinite Pochhammer needs |base| < 1, got {base}")
     if ctx.is_extended:
         with mp.workdps(ctx.dps):
-            return _poch_inf(mp.mpf(a), mp.mpf(base), mp.mpf(10) ** (-ctx.dps - 5),
-                             ctx.max_terms)
-    return ctx.out(_poch_inf(a, base, ctx.tail_eps, ctx.max_terms))
+            return _poch_inf(mp.mpf(a), mp.mpf(base),
+                             mp.mpf(10) ** (-ctx.dps - 5))
+    return ctx.out(_poch_inf(a, base, _TAIL_EPS))
 
 
-def _poch_inf(a, base, tail_eps, max_terms):
+def _poch_inf(a, base, tail_eps):
     r = 1 + 0 * (a + base)
     t = a
-    for _ in range(max_terms):
+    for _ in range(_MAX_TERMS):
         if abs(t) < tail_eps:
             return r
         r = r * (1 - t)
         t = t * base
-    raise PrecisionError("infinite Pochhammer did not converge within max_terms")
+    raise PrecisionError(
+        f"infinite Pochhammer did not converge within {_MAX_TERMS} terms")
 
 
 def basic_hypergeometric(upper, lower, base, x, ctx: QContext):
@@ -153,9 +157,9 @@ def basic_hypergeometric(upper, lower, base, x, ctx: QContext):
     if ctx.is_extended:
         with mp.workdps(ctx.dps):
             return _hyper(list(map(mp.mpf, upper)), list(map(mp.mpf, lower)),
-                          mp.mpf(base), mp.mpf(x), ctx,
+                          mp.mpf(base), mp.mpf(x),
                           mp.mpf(10) ** (-ctx.dps - 5))
-    return ctx.out(_hyper(upper, lower, base, x, ctx, ctx.tail_eps))
+    return ctx.out(_hyper(upper, lower, base, x, _TAIL_EPS))
 
 
 def _terminating_index(upper, base):
@@ -171,7 +175,7 @@ def _terminating_index(upper, base):
     return k_term
 
 
-def _hyper(upper, lower, base, x, ctx, tail_eps):
+def _hyper(upper, lower, base, x, tail_eps):
     k_term = _terminating_index(upper, base)
     extra = 1 + len(lower) - len(upper)
     s = 1 + 0 * (base + x)
@@ -182,7 +186,7 @@ def _hyper(upper, lower, base, x, ctx, tail_eps):
             return s
         if k_term is None and k > 0 and abs(term) < tail_eps * abs(s):
             return s
-        if k >= ctx.max_terms:
+        if k >= _MAX_TERMS:
             raise PrecisionError("basic hypergeometric series did not converge")
         bk = base**k
         num = 1 + 0 * s
@@ -207,17 +211,18 @@ def jackson_integral(f, a, ctx: QContext):
     """Jackson integral of f over [0, a] with nodes a*q^-nu, nu = 0, 1, ...
 
     Evaluates (1 - 1/q) * sum_nu a q^-nu f(a q^-nu), truncating once the
-    running term drops below ctx.tail_eps relative to the partial sum.
+    running term drops below _TAIL_EPS relative to the partial sum.
     """
     if a == 0:
         return ctx.out(0.0)
     q = ctx.qval()
     s = 0.0 * q
     node = a + 0 * q
-    for _ in range(ctx.max_terms):
+    for _ in range(_MAX_TERMS):
         t = node * f(node)
         s = s + t
-        if abs(t) < ctx.tail_eps * max(abs(s), ctx.tail_eps):
+        if abs(t) < _TAIL_EPS * max(abs(s), _TAIL_EPS):
             return ctx.out((1 - 1 / q) * s)
         node = node / q
-    raise PrecisionError("Jackson integral did not converge within max_terms")
+    raise PrecisionError(
+        f"Jackson integral did not converge within {_MAX_TERMS} terms")

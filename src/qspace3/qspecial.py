@@ -150,6 +150,12 @@ def _snorm_mp_cached(m: int, qkey: float, dps: int):
         return _snorm_core(m, q) * _u2_mp(m, m, q)
 
 
+def _lattice_point(n, m, sigma, q):
+    """The order-m lattice node sigma q^(2(n-m-1)); n <= 0 on the support.
+    Generic over float and mpf q; _snap_lattice inverts it."""
+    return sigma * q**(2 * (n - m - 1))
+
+
 def _snap_lattice(x, m, q):
     """Lattice index (n, sigma) when |x| is within 1e-12 of q^(2(n-m-1)).
 
@@ -188,16 +194,11 @@ def _weight_mp(l, m, x, q, dps):
                    / _snorm_mp_cached(m, float(q), dps))
 
 
-_PT_CACHE = {}
-
-
+@lru_cache(maxsize=65536)
 def _ptilde_mp_cached(l, m, x, q, dps):
-    key = (l, m, x, float(q), dps)
-    if key not in _PT_CACHE:
-        if len(_PT_CACHE) > 200000:
-            _PT_CACHE.clear()
-        _PT_CACHE[key] = _ptilde_mp(l, m, x, q, dps)
-    return _PT_CACHE[key]
+    """_ptilde_mp shared by the identity checks, which revisit each
+    (l, m, x) from the neighbouring degrees and arguments."""
+    return _ptilde_mp(l, m, x, q, dps)
 
 
 def _cancel_dps(l, m, q):
@@ -251,12 +252,14 @@ def p_lm(l: int, m: int, x, ctx: QContext):
 
 def _p_lm_escalated(l, m, x, qkey, dps):
     """The direct sum at dps digits, doubled until its cancellation leaves
-    at least 18 digits; PrecisionError after 6 attempts."""
+    at least 18 digits; PrecisionError after 6 attempts.  A sum that cancels
+    to exactly 0 is not converged unless all its terms vanish."""
     start = dps
     for _ in range(6):
         with mp.workdps(dps):
             s, worst = _p_sum(l, m, mp.mpf(x), mp.mpf(qkey), dps)
-            if s == 0 or worst == 0 or worst / abs(s) < mp.mpf(10)**(dps - 18):
+            if worst == 0 or (s != 0
+                              and worst / abs(s) < mp.mpf(10)**(dps - 18)):
                 return s
         dps *= 2
     raise PrecisionError(
@@ -524,7 +527,7 @@ def _lift_arg(x, m, q):
     snap = _snap_lattice(xx, m, q)
     if snap is not None:
         n, sigma = snap
-        xx = sigma * q**(2 * (n - m - 1))
+        xx = _lattice_point(n, m, sigma, q)
     return xx
 
 
@@ -594,9 +597,9 @@ def orthonormality_sum(l: int, lp: int, m: int, ctx: QContext, n_min: int = -60)
     s = 0 * q
     for sigma in (1, -1):
         for n in range(0, n_min - 1, -1):
-            xn = sigma * q**(2 * (n - m - 1))
+            xn = _lattice_point(n, m, sigma, q)
             tab = p_tilde_table(top, m, xn, ctx)
-            s += q**(2 * (n - m - 1)) * tab[l] * tab[lp]
+            s += abs(xn) * tab[l] * tab[lp]
     return ctx.out((1 - q**-2) * s)
 
 
@@ -618,8 +621,8 @@ def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
     if l_max < am:
         raise DomainError(f"l_max must be >= |m| = {am}")
     q = ctx.qval()
-    ta = p_tilde_table(l_max, am, sigma * q**(2 * (nu - 1)), ctx)
-    tb = p_tilde_table(l_max, am, sigmap * q**(2 * (nup - 1)), ctx)
+    ta = p_tilde_table(l_max, am, _lattice_point(nu + am, am, sigma, q), ctx)
+    tb = p_tilde_table(l_max, am, _lattice_point(nup + am, am, sigmap, q), ctx)
     s = 0 * q
     for l in range(am, l_max + 1):
         s += ta[l] * tb[l]

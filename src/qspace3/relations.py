@@ -111,20 +111,17 @@ def _window_dict(fam: RepFamily):
 class _Suite:
     """Caches the verification families for one configuration."""
 
-    def __init__(self, ctx: QContext, n_depth=40, k_width=40, M=0, z0=1.0,
-                 sigma=1):
+    def __init__(self, ctx: QContext, n_depth=40, k_width=40):
         self.ctx = ctx
         self.n_depth = n_depth
         self.k_width = k_width
-        self.M, self.z0, self.sigma = M, z0, sigma
         self._cache = {}
 
     def joint(self):
         if "joint" not in self._cache:
             win = RepWindow.make({"m_t": (-self.n_depth, 0),
                                   "m_k": (0, self.k_width)})
-            self._cache["joint"] = build_X_T_R_joint(
-                self.M, self.z0, self.sigma, win, self.ctx)
+            self._cache["joint"] = build_X_T_R_joint(0, 1.0, 1, win, self.ctx)
         return self._cache["joint"]
 
     def t_special(self):
@@ -146,9 +143,9 @@ class _Suite:
         return self._cache["k"]
 
 
-def default_families(ctx: QContext, n_depth=40, k_width=40, M=0, z0=1.0,
-                     sigma=1) -> _Suite:
-    return _Suite(ctx, n_depth, k_width, M, z0, sigma)
+def default_families(ctx: QContext, n_depth=40, k_width=40) -> _Suite:
+    """The verification families at M = 0, z0 = 1, sigma = +1."""
+    return _Suite(ctx, n_depth, k_width)
 
 
 def _su2_relations(F3, Fp, Fm, q):
@@ -289,13 +286,13 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
     return rep
 
 
-def commutator_magnitude(ctx: QContext, n_depth=25, k_width=25, M=0, z0=1.0):
+def commutator_magnitude(ctx: QContext, n_depth=25, k_width=25):
     """Largest interior entry of [X-, X+] on the joint representation.
 
     Equal to lam * max interior (X3)^2, so it scales linearly in lam; used
     by the classical-limit probes.
     """
-    suite = default_families(ctx, n_depth=n_depth, k_width=k_width, M=M, z0=z0)
+    suite = default_families(ctx, n_depth=n_depth, k_width=k_width)
     J = suite.joint()
     Xp, Xm = J.op_csr("X+"), J.op_csr("X-")
     worst = _interior_abs_max(Xm @ Xp - Xp @ Xm, _interior(J, "joint"))

@@ -635,12 +635,11 @@ def x3_block(M: int, m: int, l_max: int, r0: float, ctx: QContext):
     return E, ls
 
 
-def x3_block_levels(M: int, m: int, l_max: int, r0: float, ctx: QContext,
-                    margin: int = 5):
+def x3_block_levels(M: int, m: int, l_max: int, r0: float, ctx: QContext):
     """Positive X3 eigenvalues of the truncated block matched against the
     geometric lattice r0 q^(2 nu - 1), nu <= M + min(0, m).
 
-    Only the largest levels are lattice-exact; `margin` levels nearest zero
+    Only the largest levels are lattice-exact; the 5 levels nearest zero
     are dropped as truncation-distorted.  Returns [(nu, eigenvalue, rel_err)].
     """
     E, ls = x3_block(M, m, l_max, r0, ctx)
@@ -649,7 +648,7 @@ def x3_block_levels(M: int, m: int, l_max: int, r0: float, ctx: QContext,
     q = float(ctx.q)
     nu_top = M + min(0, m)
     out = []
-    for k in range(max(0, n_pos - margin)):
+    for k in range(max(0, n_pos - 5)):
         nu = nu_top - k
         target = r0 * q**(2 * nu - 1)
         out.append((nu, float(evs[k]), abs(evs[k] - target) / target))

@@ -152,7 +152,7 @@ def test_criterion_6_spectral_reduction():
     # coordinate lattice in the diagonal-Casimir basis
     r0 = rs.r0_from_z0(1.0, ctx)
     for m in range(0, 4):
-        levels = rs.x3_block_levels(0, m, l_max, r0, ctx, margin=5)
+        levels = rs.x3_block_levels(0, m, l_max, r0, ctx)
         assert levels
         for (nu, ev, rel) in levels:
             assert rel < 1e-6, (m, nu, rel)

@@ -281,3 +281,50 @@ class TestPlumbing:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "qspace3/1"
+
+
+# a cheap valid command line per verb, and every shared flag a verb used to
+# accept without reading it
+_BASE = {
+    "poly": ["poly", "--l", "1", "--m", "0", "--x", "0.3"],
+    "verify": ["verify", "--depth", "8", "--kwidth", "8"],
+    "transform": ["transform", "--direction", "1", "--m", "0", "--lmax", "5"],
+    "ortho": ["ortho", "--m", "0", "--lspan", "1", "--depth", "20"],
+    "complete": ["complete", "--m", "0", "--lmax", "8"],
+}
+_UNREAD = [("poly", "--depth", "10"), ("poly", "--lmax", "10"),
+           ("poly", "--kwidth", "10"), ("verify", "--lmax", "10"),
+           ("transform", "--kwidth", "10"), ("transform", "--format", "csv"),
+           ("ortho", "--lmax", "10"), ("ortho", "--kwidth", "10"),
+           ("complete", "--depth", "10"), ("complete", "--kwidth", "10")]
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [_BASE[verb] + [flag, value] for verb, flag, value in _UNREAD]
+        + [_BASE["poly"] + ["--lattice"]],
+        ids=[f"{verb} {flag}" for verb, flag, _ in _UNREAD]
+        + ["poly --x --lattice"])
+    def test_unread_or_conflicting_flag_is_config_error(self, argv, capsys):
+        assert main(argv) == 3
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["poly", "transform", "ortho"])
+    def test_zero_tolerance_is_config_error(self, verb):
+        assert main(_BASE[verb] + ["--tol", "0"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "--l", "3", "--m", "1", "--lattice", "--nmin", "-6",
+         "--golden"],
+        _BASE["ortho"],
+        _BASE["transform"],
+    ], ids=["poly", "ortho", "transform"])
+    def test_tolerance_below_the_series_threshold(self, argv, tmp_path):
+        # 1e-15 lies below the 1e-14 truncation threshold of the series,
+        # which no verb's pass/fail tolerance has to exceed
+        out = tmp_path / "r"
+        code = main(argv + ["--q", "1.5", "--tol", "1e-15", "--out", str(out)])
+        doc = json.loads((tmp_path / ("r.json" if argv[0] == "transform"
+                                      else "r")).read_text())
+        assert code == (0 if doc["pass"] else 2)

@@ -110,8 +110,16 @@ class TestEscalation:
         monkeypatch.setattr(qs, "_p_sum", counted)
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         # one binary64 sum, whose cancellation sets the first mpf precision,
-        # then only mpf sums (two here: at 45 and 90 digits)
-        assert kinds == [float, mp.mpf, mp.mpf]
+        # then only mpf sums: at 45 digits, at 90, where the sum cancels to
+        # exactly 0 and is not accepted, and at 180
+        assert kinds == [float, mp.mpf, mp.mpf, mp.mpf]
+
+    def test_sum_cancelling_to_zero_is_not_accepted(self):
+        # the terms do not vanish, so the exact 0 at 90 digits is escalated
+        got = qs.p_lm(20, 0, 1.5**-18, CTX15)
+        ext = qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
+        assert got == pytest.approx(9.0057775933823e-41, rel=1e-12)
+        assert got == float(ext)
 
     @staticmethod
     def _never_converges(l, m, x, q, dps=0):
@@ -334,7 +342,7 @@ class TestIdentities:
 def test_every_cache_is_bounded():
     caches = [qa._qfact_cached, qa._qfact_list, qs._log_u2, qs._snorm_log,
               qs._snorm_mp_cached, qs._u2_mp_cached, qs._recurrence_coeff_mp,
-              qs._table_cached, qs._coeff_lists]
+              qs._table_cached, qs._coeff_lists, qs._ptilde_mp_cached]
     for mod in (qa, qs):
         for v in vars(mod).values():
             if hasattr(v, "cache_info"):

@@ -204,7 +204,7 @@ class TestLBasis:
     def test_block_levels_match_lattice(self):
         r0 = rs.r0_from_z0(1.0, CTX)
         for m in (0, 1, -2):
-            levels = rs.x3_block_levels(0, m, 40, r0, CTX, margin=5)
+            levels = rs.x3_block_levels(0, m, 40, r0, CTX)
             assert levels, m
             assert max(rel for (_, _, rel) in levels) < 1e-6
 
@@ -346,10 +346,6 @@ class TestAddSpin:
 
 
 class TestWindowPlumbing:
-    def test_margin_validation(self):
-        with pytest.raises(WindowError):
-            RepWindow.make({"m": (0, 5)}, margin=1)
-
     def test_empty_range(self):
         with pytest.raises(WindowError):
             RepWindow.make({"m": (3, 1)})
