@@ -171,6 +171,8 @@ def _cmd_poly(args):
     ctx = _ctx(args)
     q = float(ctx.q)
     if args.lattice:
+        if args.nmin > 0:
+            raise DomainError(f"--nmin must be <= 0, got {args.nmin}")
         xs = [qspecial._lattice_point(n, args.m, s, q)
               for n in range(0, args.nmin - 1, -1) for s in (1, -1)]
     else:
@@ -287,6 +289,8 @@ def _cmd_ortho(args):
     am = abs(args.m)
     if args.m < 0:
         raise DomainError("orthonormality tables are indexed by m >= 0")
+    if args.lspan < 0:
+        raise DomainError(f"--lspan must be >= 0, got {args.lspan}")
     ls = list(range(am, am + args.lspan + 1))
     worst = 0.0
     rows = []

@@ -15,9 +15,18 @@ needed so far.
 
 Multiprecision work is shared the same way.  The q-factorials behind every
 direct sum are one prefix list per (q, dps), extended to the highest n asked
-for (qarith._qfact_cached), and the recurrence coefficients of the identity
-checks are computed once per (l, m, q, dps).  The checks still evaluate every
-P~ by the direct sum, so they test the recurrence rather than restate it.
+for (qarith._qfact_cached).  The identity checks still evaluate every P~ by
+the direct sum, so they test the recurrence rather than restate it, but
+everything in it that does not depend on x is computed once per
+(l, m, q, dps), in the order the inline sum used, so the values are
+bit-identical: the q-powers, the denominator Pochhammer and the three
+q-binomials of each term (_ptilde_factors, with the radicand's q-powers),
+the q-powers of both checks (_identity_powers) and their recurrence
+coefficients (_recurrence_coeff_mp).  Only that path caches them: its dps is
+banded to multiples of 40 and the grid visits (l, m) in order, so 16 entries
+suffice.  p_lm and p_tilde pick a new dps for each point, so their sums
+compute the factors on the fly and keep none.  clear_caches() empties every
+cache of this module and of qarith; each has a constant bound.
 
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
@@ -32,13 +41,14 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, PrecisionError
-from .qarith import basic_hypergeometric, _qnum, _qbin
+from .qarith import (basic_hypergeometric, _qnum, _qbin, _qfact_cached,
+                     _qfact_list)
 
 __all__ = [
     "big_q_jacobi", "p_lm", "weight_w", "p_tilde", "p_tilde_table",
     "check_recurrence", "check_difference",
     "orthonormality_sum", "completeness_sum",
-    "recurrence_coeff_up", "recurrence_coeff_down",
+    "recurrence_coeff_up", "recurrence_coeff_down", "clear_caches",
 ]
 
 _LOG_CAP = 250.0          # |log10| beyond which binary64 products are unsafe
@@ -54,33 +64,51 @@ def _p_sum(l, m, x, q, dps=0):
 
     Returns (value, max_abs_term) so callers can judge cancellation.
     """
+    return _p_sum_at(x, _sum_factors(l, m, q, dps))
+
+
+def _sum_factors(l, m, q, dps):
+    """The x-independent factors of each term k = 0..l-m of the direct sum:
+    base**(k-1), the sign-power (-1)**k q**(-k(m+1)), the denominator
+    Pochhammer and the three q-binomials.  A generator, so a caller that
+    does not cache them never holds more than one term's factors."""
     base = q**-2
     shift = q**(-2 * (m + 1))
-    s = 0 * x
-    worst = abs(s)
-    pochx = 1 + 0 * x
-    pochd = 1 + 0 * x
+    bk = pochd = 1 + 0 * q
     for k in range(l - m + 1):
         if k > 0:
             bk = base**(k - 1)
-            pochx = pochx * (1 - x * bk)
             pochd = pochd * (1 + shift * bk)
-        t = (-1)**k * q**(-k * (m + 1)) * pochx / pochd
-        t = t * _qbin(l - m, k, q, dps) * _qbin(l + m + k, k, q, dps) \
-            / _qbin(m + k, k, q, dps)
+        yield (bk, (-1)**k * q**(-k * (m + 1)), pochd,
+               _qbin(l - m, k, q, dps), _qbin(l + m + k, k, q, dps),
+               _qbin(m + k, k, q, dps))
+
+
+def _p_sum_at(x, factors):
+    """The direct sum at x over the per-term factors of _sum_factors."""
+    s = 0 * x
+    worst = abs(s)
+    pochx = 1 + 0 * x
+    for k, (bk, sign, pochd, a, b, c) in enumerate(factors):
+        if k > 0:
+            pochx = pochx * (1 - x * bk)
+        t = sign * pochx / pochd
+        t = t * a * b / c
         s = s + t
         worst = max(worst, abs(t))
     return s, worst
 
 
-def _rad(m, x, q):
+def _rad(m, x, q, powers=None):
     """Radicand product attached to the weight; clamps rounding-level
-    negatives to zero, rejects genuinely negative values."""
+    negatives to zero, rejects genuinely negative values.  powers, when
+    given, are _rad_powers(m, q)."""
+    q4m, q4j = powers or _rad_powers(m, q)
     r = 1 + 0 * x
     scale = 1.0
-    x2q = x * x * q**(4 * m)
-    for j in range(m):
-        f = 1 - x2q * q**(-4 * j)
+    x2q = x * x * q4m
+    for qj in q4j:
+        f = 1 - x2q * qj
         r = r * f
         scale = max(scale, abs(float(f)))
     if r < 0:
@@ -89,6 +117,11 @@ def _rad(m, x, q):
         raise DomainError(
             f"argument {float(x)} outside the weight support for m={m}")
     return r
+
+
+def _rad_powers(m, q):
+    """q**(4m) and q**(-4j), j = 0..m-1: the x-independent factors of _rad."""
+    return q**(4 * m), tuple(q**(-4 * j) for j in range(m))
 
 
 @lru_cache(maxsize=4096)
@@ -175,19 +208,21 @@ def _snap_lattice(x, m, q):
     return None
 
 
-def _ptilde_mp(l, m, x, q, dps):
+def _ptilde_mp(l, m, x, q, dps, factors=None):
     """Weighted function at full working precision (x, q given as mpf);
-    near-lattice arguments are snapped to the exact lattice point."""
+    near-lattice arguments are snapped to the exact lattice point.
+    factors, when given, are _ptilde_factors(l, m, float(q), dps)."""
     if l < m:
         return mp.mpf(0)
     x = _lift_arg(x, m, q)
-    s, _ = _p_sum(l, m, x, q, dps)
-    return s * _weight_mp(l, m, x, q, dps)
+    terms, powers = factors or (_sum_factors(l, m, q, dps), None)
+    s, _ = _p_sum_at(x, terms)
+    return s * _weight_mp(l, m, x, q, dps, powers)
 
 
-def _weight_mp(l, m, x, q, dps):
+def _weight_mp(l, m, x, q, dps, powers=None):
     """weight_w at full working precision (x, q given as mpf)."""
-    r = _rad(m, x, q)
+    r = _rad(m, x, q, powers)
     if r == 0:
         return mp.mpf(0)
     return mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
@@ -195,10 +230,23 @@ def _weight_mp(l, m, x, q, dps):
 
 
 @lru_cache(maxsize=65536)
-def _ptilde_mp_cached(l, m, x, q, dps):
+def _ptilde_mp_cached(l, m, x, qkey, dps):
     """_ptilde_mp shared by the identity checks, which revisit each
     (l, m, x) from the neighbouring degrees and arguments."""
-    return _ptilde_mp(l, m, x, q, dps)
+    return _ptilde_mp(l, m, x, mp.mpf(qkey), dps,
+                      _ptilde_factors(l, m, qkey, dps))
+
+
+@lru_cache(maxsize=16)
+def _ptilde_factors(l, m, qkey, dps):
+    """The x-independent factors of _ptilde_mp at (l, m, q, dps): the terms
+    of _sum_factors and the _rad_powers.  The identity checks work at a
+    banded dps and visit the degrees in order, so a few entries serve the
+    whole grid; p_lm's escalation picks a new dps per point and does not
+    come here."""
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        return tuple(_sum_factors(l, m, q, dps)), _rad_powers(m, q)
 
 
 def _cancel_dps(l, m, q):
@@ -531,6 +579,19 @@ def _lift_arg(x, m, q):
     return xx
 
 
+@lru_cache(maxsize=16)
+def _identity_powers(l: int, m: int, qkey: float, dps: int):
+    """The x-independent q-powers of the identity checks at (l, m, q, dps):
+    q**(m+1) of check_recurrence, then the seven of check_difference."""
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        return (q**(m + 1),
+                (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
+                (q * q + 1) * q**(-2 * (m + 2)),
+                q**2, q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)),
+                q**-4)
+
+
 def check_recurrence(l: int, m: int, x, ctx: QContext):
     """Relative residual of the three-term recurrence in l at the point x."""
     if m < 0:
@@ -538,15 +599,14 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
-        q = mp.mpf(qkey)
-        xx = _lift_arg(x, m, q)
-        pt = _ptilde_mp_cached(l, m, xx, q, dps)
-        lhs = xx * q**(m + 1) * pt
+        xx = _lift_arg(x, m, mp.mpf(qkey))
+        pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
+        lhs = xx * _identity_powers(l, m, qkey, dps)[0] * pt
         rhs = _recurrence_coeff_mp(l, m, qkey, dps) \
-            * _ptilde_mp_cached(l + 1, m, xx, q, dps)
+            * _ptilde_mp_cached(l + 1, m, xx, qkey, dps)
         if l > m:
             rhs += _recurrence_coeff_mp(l - 1, m, qkey, dps) \
-                * _ptilde_mp_cached(l - 1, m, xx, q, dps)
+                * _ptilde_mp_cached(l - 1, m, xx, qkey, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -561,19 +621,19 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
-        q = mp.mpf(qkey)
-        xx = _lift_arg(x, m, q)
-        pt = _ptilde_mp_cached(l, m, xx, q, dps)
-        lhs = ((q**(2 * l + 1) + q**(-2 * l - 1)) / q * xx**2
-               - (q * q + 1) * q**(-2 * (m + 2))) * pt
+        _, shell, centre, q2, q4m, inner, outer, q4 = \
+            _identity_powers(l, m, qkey, dps)
+        xx = _lift_arg(x, m, mp.mpf(qkey))
+        pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
+        lhs = (shell * xx**2 - centre) * pt
         rhs = mp.mpf(0)
-        r_in = (1 - xx * xx) * (1 - xx * xx * q**(4 * m))
+        r_in = (1 - xx * xx) * (1 - xx * xx * q4m)
         if r_in > 0:
-            rhs -= q**(-2 * (m + 1)) * mp.sqrt(r_in) \
-                * _ptilde_mp_cached(l, m, xx / q**2, q, dps)
-        r_out = (q**(-4 * (m + 1)) - xx * xx) * (q**-4 - xx * xx)
+            rhs -= inner * mp.sqrt(r_in) \
+                * _ptilde_mp_cached(l, m, xx / q2, qkey, dps)
+        r_out = (outer - xx * xx) * (q4 - xx * xx)
         if r_out > 0:
-            rhs -= mp.sqrt(r_out) * _ptilde_mp_cached(l, m, xx * q**2, q, dps)
+            rhs -= mp.sqrt(r_out) * _ptilde_mp_cached(l, m, xx * q2, qkey, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -627,3 +687,18 @@ def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
     for l in range(am, l_max + 1):
         s += ta[l] * tb[l]
     return ctx.out((1 - q**-2) * q**(nu + nup - 2) * s)
+
+
+# ---------------------------------------------------------------------------
+# caches
+# ---------------------------------------------------------------------------
+
+def clear_caches():
+    """Empty every cache of qarith and qspecial, the q-factorial prefix
+    lists and the recurrence-coefficient lists included.  Values computed
+    afterwards are bit-identical to cached ones; only the time differs."""
+    for cache in (_qfact_cached, _qfact_list, _log_u2, _snorm_log,
+                  _u2_mp_cached, _snorm_mp_cached, _ptilde_mp_cached,
+                  _ptilde_factors, _recurrence_coeff_mp, _table_cached,
+                  _coeff_lists, _identity_powers):
+        cache.cache_clear()

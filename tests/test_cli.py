@@ -69,6 +69,20 @@ class TestPoly:
         code, _ = run_cli(["poly", "--l", "1", "--m", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("nmin", ["1", "7"])
+    def test_positive_nmin_is_config_error(self, nmin, capsys):
+        # the lattice indices run n = 0, -1, ..., nmin: no point at all
+        code, _ = run_cli(["poly", "--l", "1", "--m", "0", "--lattice",
+                           "--nmin", nmin, "--golden"])
+        assert code == 3
+        assert "--nmin" in capsys.readouterr().err
+
+    def test_zero_nmin_is_the_top_node(self, tmp_path):
+        code, doc = run_cli(["poly", "--l", "1", "--m", "0", "--lattice",
+                             "--nmin", "0", "--golden"], tmp_path)
+        assert code == 0
+        assert [r["x"] for r in doc["rows"]] == [1.5**-2, -1.5**-2]
+
     def test_bad_point_is_config_error(self, capsys):
         code, _ = run_cli(["poly", "--l", "2", "--m", "0", "--x", "0.3,abc"])
         assert code == 3
@@ -197,6 +211,18 @@ class TestOrthoComplete:
                              "--q", "1.5", "--depth", "6"], tmp_path)
         assert code == 2
         assert doc["pass"] is False
+
+    @pytest.mark.parametrize("lspan", ["-1", "-4"])
+    def test_negative_lspan_is_config_error(self, lspan, capsys):
+        # no degree pair to check
+        code, _ = run_cli(["ortho", "--m", "0", "--lspan", lspan])
+        assert code == 3
+        assert "--lspan" in capsys.readouterr().err
+
+    def test_ortho_single_degree(self, tmp_path):
+        code, doc = run_cli(["ortho", "--m", "1", "--lspan", "0"], tmp_path)
+        assert code == 0
+        assert [(r["l"], r["lp"]) for r in doc["rows"]] == [(1, 1)]
 
     def test_complete_beyond_binary64_coefficients_is_precision_error(self):
         code, _ = run_cli(["complete", "--m", "0", "--q", "2",

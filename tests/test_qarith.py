@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qspace3 import DomainError, PoleError, QContext
 from qspace3 import qarith as qa
+from qspace3 import qspecial as qs
 
 CTX2 = QContext(q=2.0)
 CTX15 = QContext(q=1.5)
@@ -119,8 +120,7 @@ class TestQFactorialPrefixList:
         elif order == "shuffled":
             random.Random(3).shuffle(ns)
         ambient = int(order.split("-")[1]) if "-" in order else mp.mp.dps
-        qa._qfact_cached.cache_clear()
-        qa._qfact_list.cache_clear()
+        qs.clear_caches()
         with mp.workdps(ambient):
             got = {(q, dps, n): qa._qfact_cached(n, q, dps)
                    for q in self.QS for dps in self.DPS for n in ns}
@@ -129,8 +129,7 @@ class TestQFactorialPrefixList:
             assert type(v) is (mp.mpf if dps else float)
 
     def test_concurrent_extension(self, reference):
-        qa._qfact_cached.cache_clear()
-        qa._qfact_list.cache_clear()
+        qs.clear_caches()
         errors = []
 
         def worker(seed):
@@ -156,8 +155,7 @@ class TestQFactorialPrefixList:
         assert qa._qfact_list(2.0, 137) == reference[2.0, 137]
 
     def test_public_entry_points_share_the_list(self):
-        qa._qfact_cached.cache_clear()
-        qa._qfact_list.cache_clear()
+        qs.clear_caches()
         ctxe = QContext(q=1.5, precision="extended")
         assert qa.qbinomial_sym(40, 7, ctxe) == qa._qfact_cached(
             40, 1.5, 40) / (qa._qfact_cached(7, 1.5, 40)

@@ -254,8 +254,7 @@ class TestTableLayer:
         x = 1.5**-42
         values = []
         for dps in (15, 40):
-            qs._table_cached.cache_clear()
-            qs._coeff_lists.cache_clear()
+            qs.clear_caches()
             with mp.workdps(dps):
                 values.append(qs.p_tilde_table(30, 0, x, ctxe))
         assert values[0] == values[1]
@@ -263,7 +262,7 @@ class TestTableLayer:
     def test_table_computes_no_coefficient_past_its_degree(self):
         # binary64 q-numbers overflow once q**(2l+3) > 1.8e308, at l = 63
         # for q = 250; a degree-10 table must not reach them
-        qs._coeff_lists.cache_clear()
+        qs.clear_caches()
         ctx = QContext(q=250.0)
         tab = qs.p_tilde_table(10, 0, 250.0**-2, ctx)
         assert len(tab) == 11
@@ -339,17 +338,195 @@ class TestIdentities:
         assert qs._recurrence_coeff_mp.cache_info().hits >= 1
 
 
+# The direct sum, radicand and identity checks as they were written inline,
+# before their x-independent factors were computed once per (l, m, q, dps);
+# kept as references for bit identity.
+
+def _ref_p_sum(l, m, x, q, dps=0):
+    base = q**-2
+    shift = q**(-2 * (m + 1))
+    s = 0 * x
+    worst = abs(s)
+    pochx = 1 + 0 * x
+    pochd = 1 + 0 * x
+    for k in range(l - m + 1):
+        if k > 0:
+            bk = base**(k - 1)
+            pochx = pochx * (1 - x * bk)
+            pochd = pochd * (1 + shift * bk)
+        t = (-1)**k * q**(-k * (m + 1)) * pochx / pochd
+        t = t * qa._qbin(l - m, k, q, dps) * qa._qbin(l + m + k, k, q, dps) \
+            / qa._qbin(m + k, k, q, dps)
+        s = s + t
+        worst = max(worst, abs(t))
+    return s, worst
+
+
+def _ref_rad(m, x, q):
+    r = 1 + 0 * x
+    scale = 1.0
+    x2q = x * x * q**(4 * m)
+    for j in range(m):
+        f = 1 - x2q * q**(-4 * j)
+        r = r * f
+        scale = max(scale, abs(float(f)))
+    if r < 0:
+        if float(r) > -1e-12 * max(scale, 1.0) ** m:
+            return 0 * x
+        raise DomainError("outside the support")
+    return r
+
+
+def _ref_ptilde(l, m, x, q, dps):
+    if l < m:
+        return mp.mpf(0)
+    x = qs._lift_arg(x, m, q)
+    s, _ = _ref_p_sum(l, m, x, q, dps)
+    r = _ref_rad(m, x, q)
+    if r == 0:
+        return s * mp.mpf(0)
+    return s * mp.sqrt(qs._u2_mp_cached(l, m, float(q), dps) * r
+                       / qs._snorm_mp_cached(m, float(q), dps))
+
+
+def _ref_check_recurrence(l, m, x, ctx):
+    qkey = float(ctx.q)
+    dps = qs._check_dps(l, m, ctx)
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        xx = qs._lift_arg(x, m, q)
+        pt = _ref_ptilde(l, m, xx, q, dps)
+        lhs = xx * q**(m + 1) * pt
+        rhs = qs._recurrence_coeff_mp(l, m, qkey, dps) \
+            * _ref_ptilde(l + 1, m, xx, q, dps)
+        if l > m:
+            rhs += qs._recurrence_coeff_mp(l - 1, m, qkey, dps) \
+                * _ref_ptilde(l - 1, m, xx, q, dps)
+        return float(abs(lhs - rhs) / max(1, abs(lhs)))
+
+
+def _ref_check_difference(l, m, x, ctx):
+    qkey = float(ctx.q)
+    dps = qs._check_dps(l, m, ctx)
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        xx = qs._lift_arg(x, m, q)
+        pt = _ref_ptilde(l, m, xx, q, dps)
+        lhs = ((q**(2 * l + 1) + q**(-2 * l - 1)) / q * xx**2
+               - (q * q + 1) * q**(-2 * (m + 2))) * pt
+        rhs = mp.mpf(0)
+        r_in = (1 - xx * xx) * (1 - xx * xx * q**(4 * m))
+        if r_in > 0:
+            rhs -= q**(-2 * (m + 1)) * mp.sqrt(r_in) \
+                * _ref_ptilde(l, m, xx / q**2, q, dps)
+        r_out = (q**(-4 * (m + 1)) - xx * xx) * (q**-4 - xx * xx)
+        if r_out > 0:
+            rhs -= mp.sqrt(r_out) * _ref_ptilde(l, m, xx * q**2, q, dps)
+        return float(abs(lhs - rhs) / max(1, abs(lhs)))
+
+
+def _bits(v):
+    """repr plus the exact binary form: (sign, mantissa, exponent, bitcount)
+    of an mpf, the hex digits of a float."""
+    return repr(v), (v._mpf_ if isinstance(v, mp.mpf) else float.hex(v))
+
+
+def _points(m, q):
+    """Two lattice nodes of each sign and two points between the nodes,
+    inside |x| < q^(-2(m+1)) so that x q^2 stays on the support."""
+    nodes = [sigma * q**(2 * (n - m - 1)) for n in (0, -3) for sigma in (1, -1)]
+    return nodes + [u * q**(-2 * (m + 1)) for u in (0.37, -0.81)]
+
+
+class TestAgainstInlineSums:
+    LM = [(0, 0), (1, 0), (4, 0), (4, 2), (9, 1), (9, 5), (17, 3), (28, 0),
+          (40, 2)]
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dps", [0, 50, 120, 400])
+    def test_direct_sum(self, q, dps):
+        for l, m in self.LM:
+            for x in _points(m, q):
+                with mp.workdps(dps or mp.mp.dps):
+                    xq = (mp.mpf(x), mp.mpf(q)) if dps else (x, q)
+                    got = [_bits(v) for v in qs._p_sum(l, m, *xq, dps)]
+                    ref = [_bits(v) for v in _ref_p_sum(l, m, *xq, dps)]
+                assert got == ref, (l, m, x)
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    def test_identity_checks(self, q):
+        ctx = QContext(q=q)
+        for l in range(11):
+            for m in {0, 1, min(3, l)}:
+                for x in _points(m, q):
+                    assert _bits(qs.check_recurrence(l, m, x, ctx)) \
+                        == _bits(_ref_check_recurrence(l, m, x, ctx)), (l, m, x)
+                    assert _bits(qs.check_difference(l, m, x, ctx)) \
+                        == _bits(_ref_check_difference(l, m, x, ctx)), (l, m, x)
+
+    def test_independent_of_ambient_precision(self):
+        ctx = QContext(q=1.5)
+        ctxe = QContext(q=1.5, precision="extended")
+        results = []
+        for ambient in (8, 15, 300):
+            qs.clear_caches()
+            with mp.workdps(ambient):
+                values = [
+                    f(l, m, x, c)
+                    for l, m in ((6, 1), (20, 0))
+                    for x in _points(m, 1.5)
+                    for f, c in ((qs.check_recurrence, ctx),
+                                 (qs.check_difference, ctx),
+                                 (qs.p_lm, ctx), (qs.p_tilde, ctx),
+                                 (qs.p_lm, ctxe), (qs.p_tilde, ctxe))]
+            results.append([_bits(v) for v in values])
+        assert results[0] == results[1] == results[2]
+
+    def test_escalation_stores_no_factors(self):
+        # p_lm and p_tilde pick a new dps per point, so their sums compute
+        # the factors on the fly; only the identity checks cache them
+        qs.clear_caches()
+        qs.p_lm(20, 0, 1.5**-18, CTX15)
+        qs.p_tilde(30, 1, 1.5**-10, CTX15)
+        qs.p_tilde(30, 1, 0.3, QContext(q=1.5, precision="extended"))
+        assert qs._ptilde_factors.cache_info().currsize == 0
+        qs.check_difference(4, 1, 1.5**-6, CTX15)
+        qs.check_difference(4, 1, 1.5**-8, CTX15)
+        info = qs._ptilde_factors.cache_info()
+        assert info.hits > 0 and info.misses == info.currsize
+
+
+def _all_caches():
+    return [v for mod in (qa, qs) for v in vars(mod).values()
+            if hasattr(v, "cache_info")]
+
+
 def test_every_cache_is_bounded():
-    caches = [qa._qfact_cached, qa._qfact_list, qs._log_u2, qs._snorm_log,
-              qs._snorm_mp_cached, qs._u2_mp_cached, qs._recurrence_coeff_mp,
-              qs._table_cached, qs._coeff_lists, qs._ptilde_mp_cached]
-    for mod in (qa, qs):
-        for v in vars(mod).values():
-            if hasattr(v, "cache_info"):
-                assert v in caches, v.__name__
+    bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
+              qs._log_u2: 4096, qs._snorm_log: 256,
+              qs._snorm_mp_cached: 256, qs._u2_mp_cached: 4096,
+              qs._recurrence_coeff_mp: 4096, qs._table_cached: 65536,
+              qs._coeff_lists: 256, qs._ptilde_mp_cached: 65536,
+              qs._ptilde_factors: 16, qs._identity_powers: 16}
+    for cache in _all_caches():
+        assert cache in bounds, cache.__name__
+    for cache, maxsize in bounds.items():
+        assert cache.cache_info().maxsize == maxsize, cache.__name__
+
+
+def test_clear_caches_empties_every_cache():
+    ctx = QContext(q=1.5)
+    qs.check_recurrence(3, 1, 1.5**-4, ctx)
+    qs.check_difference(3, 1, 1.5**-4, ctx)
+    qs.p_lm(20, 0, 1.5**-18, ctx)
+    qs.p_tilde_table(10, 1, 1.5**-6, ctx)
+    qs.weight_w(2, 1, 0.1, QContext(q=1.5, precision="extended"))
+    caches = _all_caches()
+    assert all(c.cache_info().currsize > 0 for c in caches), [
+        c.__name__ for c in caches if c.cache_info().currsize == 0]
+    qs.clear_caches()
     for cache in caches:
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0, cache.__name__
+        assert cache.cache_info().currsize == 0, cache.__name__
 
 
 class TestLatticeSums:
