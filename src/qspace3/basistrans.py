@@ -99,13 +99,13 @@ def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
 
 
 def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
-                       ctx: QContext, z0: float = 1.0) -> float:
+                       ctx: QContext) -> float:
     """Relative residual of the X3 three-term recursion in l at one
-    coefficient site (l >= |m|)."""
+    coefficient site (l >= |m|), at the coordinate scale z0 = 1."""
     if l < abs(m):
         raise DomainError(f"the X3 recursion needs l >= |m|, got l={l}, m={m}")
     q = float(ctx.q)
-    r0 = r0_from_z0(z0, ctx)
+    r0 = r0_from_z0(1.0, ctx)
     z = sigma * r0 * q**(2 * nu - 1)
     qn = partial(_qnum, q=q)
     lhs = z * d_coeff(M, l, m, nu, sigma, ctx)
@@ -296,8 +296,10 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
         gram, cong)
 
 
-def completeness_check(m: int, ctx: QContext, l_max: int = 40,
-                       mt_depth: int = 4) -> dict:
+_COMPLETE_DEPTH = 4      # chain sites completeness_check samples below the top
+
+
+def completeness_check(m: int, ctx: QContext, l_max: int = 40) -> dict:
     """Evaluate the degree-summed completeness for sampled lattice pairs.
 
     Returns the worst |sum - delta delta| over diagonal and off-diagonal
@@ -307,10 +309,10 @@ def completeness_check(m: int, ctx: QContext, l_max: int = 40,
     shift = max(m, 0)
     top = min(0, m)
     samples = []
-    for mt in range(top, top - mt_depth - 1, -1):
+    for mt in range(top, top - _COMPLETE_DEPTH - 1, -1):
         samples.append(((mt, 1), (mt, 1)))
         samples.append(((mt, -1), (mt, -1)))
-    for mt in range(top, top - mt_depth, -1):
+    for mt in range(top, top - _COMPLETE_DEPTH, -1):
         samples.append(((mt, 1), (mt - 1, 1)))
         samples.append(((mt, 1), (mt, -1)))
 

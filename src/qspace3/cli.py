@@ -75,8 +75,9 @@ def _build_parser():
                         help="comma-separated evaluation points")
     points.add_argument("--lattice", action="store_true",
                         help="evaluate on the support lattice")
-    poly.add_argument("--nmin", type=int, default=-10,
-                      help="deepest lattice index with --lattice")
+    poly.add_argument("--nmin", type=int,
+                      help="deepest lattice index, read only with --lattice "
+                           "(default -10)")
     poly.add_argument("--golden", action="store_true",
                       help="compare degree <= 3 values against closed forms")
     _shared(poly, 1e-12, "--format")
@@ -171,10 +172,13 @@ def _cmd_poly(args):
     ctx = _ctx(args)
     q = float(ctx.q)
     if args.lattice:
-        if args.nmin > 0:
-            raise DomainError(f"--nmin must be <= 0, got {args.nmin}")
+        nmin = -10 if args.nmin is None else args.nmin
+        if nmin > 0:
+            raise DomainError(f"--nmin must be <= 0, got {nmin}")
         xs = [qspecial._lattice_point(n, args.m, s, q)
-              for n in range(0, args.nmin - 1, -1) for s in (1, -1)]
+              for n in range(0, nmin - 1, -1) for s in (1, -1)]
+    elif args.nmin is not None:
+        raise DomainError("--nmin is read only with --lattice")
     else:
         try:
             xs = [float(t) for t in args.x.split(",")]

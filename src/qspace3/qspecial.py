@@ -24,8 +24,9 @@ q-binomials of each term (_ptilde_factors, with the radicand's q-powers),
 the q-powers of both checks (_identity_powers) and their recurrence
 coefficients (_recurrence_coeff_mp).  Only that path caches them: its dps is
 banded to multiples of 40 and the grid visits (l, m) in order, so 16 entries
-suffice.  p_lm and p_tilde pick a new dps for each point, so their sums
-compute the factors on the fly and keep none.  clear_caches() empties every
+suffice.  p_lm's escalation picks a new dps for each point and p_tilde's
+dps, _cancel_dps(l, m, q), follows the degree, so their sums compute the
+factors on the fly and keep none.  clear_caches() empties every
 cache of this module and of qarith; each has a constant bound.
 
 The weight normalization is fixed so the lattice orthonormality sum equals
@@ -249,6 +250,11 @@ def _ptilde_factors(l, m, qkey, dps):
         return tuple(_sum_factors(l, m, q, dps)), _rad_powers(m, q)
 
 
+def _log_weight(l, m, q, r):
+    """log10 of the binary64 weight_w at the radicand value r > 0."""
+    return 0.5 * (_log_u2(l, m, q) + math.log10(r) - _snorm_log(m, q))
+
+
 def _cancel_dps(l, m, q):
     """A priori decimal-digit estimate for the direct-sum cancellation."""
     return int(2.2 * l * l * math.log10(float(q))) + 40
@@ -321,7 +327,9 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     The l-dependent scale is q^(l(l+1)/2) sqrt([l+m]! [2l+1] / [l-m]!) and the
     constant makes the degree-m member a unit vector on the lattice (closed
     form, cached per (q, m)).  Raises DomainError off the support (negative
-    radicand beyond rounding).
+    radicand beyond rounding), and in binary64 PrecisionError where the
+    weight, or the radicand product behind it, leaves the binary64 range; a
+    weight below 1e-250 reads 0.
     """
     if m < 0:
         raise DomainError(f"order m must be >= 0, got {m}")
@@ -334,10 +342,18 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     r = float(_rad(m, float(x), q))
     if r == 0.0:
         return 0.0
-    e = 0.5 * (_log_u2(l, m, q) + math.log10(r) - _snorm_log(m, q))
-    if abs(e) < _LOG_CAP:
-        return 10.0**e
-    return 0.0 if e < 0 else math.inf
+    e = _log_weight(l, m, q, r)
+    if e <= -_LOG_CAP:
+        return 0.0
+    try:
+        w = 10.0**e
+    except OverflowError:
+        w = math.inf
+    if not math.isfinite(w):        # NaN when the radicand product overflows
+        raise PrecisionError(
+            f"weight_w({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
+            f"range (log10 = {e:.1f})")
+    return w
 
 
 def p_tilde(l: int, m: int, x, ctx: QContext):
@@ -354,26 +370,23 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
     if l < m:
         return ctx.out(0.0)
     q = float(ctx.q)
-    if ctx.is_extended:
-        dps = max(ctx.dps, _cancel_dps(l, m, q))
-        with mp.workdps(dps):
-            return _ptilde_mp(l, m, mp.mpf(x), mp.mpf(ctx.q), dps)
-    # validate support (and surface DomainError) in double first
-    r = float(_rad(m, float(x), q))
-    if r == 0.0:
-        return 0.0
-    snapped = _snap_lattice(x, m, q)
-    amplification = 2.0 * l * l * math.log10(q)
-    if snapped is None and amplification < 13.0:
-        e = 0.5 * (_log_u2(l, m, q) + math.log10(r) - _snorm_log(m, q))
-        p = p_lm(l, m, x, ctx)
-        if p == 0.0:
+    if not ctx.is_extended:
+        # validate support (and surface DomainError) in double first
+        r = float(_rad(m, float(x), q))
+        if r == 0.0:
             return 0.0
-        if abs(e) < _LOG_CAP and abs(math.log10(abs(p)) + e) < _LOG_CAP:
-            return 10.0**e * p
+        amplification = 2.0 * l * l * math.log10(q)
+        if _snap_lattice(x, m, q) is None and amplification < 13.0:
+            e = _log_weight(l, m, q, r)
+            p = p_lm(l, m, x, ctx)
+            if p == 0.0:
+                return 0.0
+            if abs(e) < _LOG_CAP and abs(math.log10(abs(p)) + e) < _LOG_CAP:
+                return 10.0**e * p
+    # _cancel_dps is at least 40, the extended mode's own dps
     dps = _cancel_dps(l, m, q)
     with mp.workdps(dps):
-        return float(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
+        return ctx.out(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
 
 
 def _recurrence_coeff(l, m, qn):
@@ -470,56 +483,55 @@ def _table(l_max, m, x, ctx):
 
 @lru_cache(maxsize=256)
 def _coeff_lists(m, ctx):
-    """Lists of recurrence_coeff_up and recurrence_coeff_down by degree l
-    (zero below m), shared by every table of this (m, ctx).
+    """The list of recurrence_coeff_up by degree l (zero below m), shared by
+    every table of this (m, ctx).  The coupling of degrees l - 1 and l is
+    both the up coefficient at l - 1 and the down coefficient at l, so the
+    tables read recurrence_coeff_down(l) as up[l - 1].
 
-    _coeffs_through extends them in place, so they never run past the
-    highest degree a table has asked for.
+    _coeffs_through extends it in place, so it never runs past the highest
+    degree a table has asked for.
     """
-    below = [ctx.out(0.0)] * m
-    return below, list(below)
+    return [ctx.out(0.0)] * m
 
 
 def _coeffs_through(top, m, ctx):
-    """Coefficient lists covering at least the degrees m..top.
+    """The coefficient list covering at least the degrees m..top.
 
     Both tables divide by these coefficients.  In binary64 they underflow
     to 0 (or turn NaN) once the q-number products overflow, and the q-powers
     themselves overflow later still; either is a PrecisionError, raised here
-    as the lists grow so the recurrence loops stay unchecked.
+    as the list grows so the recurrence loops stay unchecked.
     """
-    up, down = _coeff_lists(m, ctx)
+    up = _coeff_lists(m, ctx)
     for l in range(len(up), top + 1):
         try:
             cu = recurrence_coeff_up(l, m, ctx)
-            cd = recurrence_coeff_down(l, m, ctx)
         except OverflowError:
-            cu = cd = math.inf
-        if not (0 < cu < math.inf and (l <= m or 0 < cd < math.inf)):
+            cu = math.inf
+        if not 0 < cu < math.inf:
             raise PrecisionError(
                 f"recurrence coefficients at degree {l} (m={m}, "
                 f"q={float(ctx.q)}) leave the binary64 range")
         up.append(cu)
-        down.append(cd)
-    return up, down
+    return up
 
 
 def _table_up(l_max, m, x, seed, ctx):
     vals = [ctx.out(0.0)] * (l_max + 1)
     vals[m] = seed
-    up, down = _coeffs_through(l_max - 1, m, ctx)
+    up = _coeffs_through(l_max - 1, m, ctx)
     xq = x * ctx.qval()**(m + 1)
     if m + 1 <= l_max:
         vals[m + 1] = xq * seed / up[m]
     for l in range(m + 1, l_max):
-        vals[l + 1] = (xq * vals[l] - down[l] * vals[l - 1]) / up[l]
+        vals[l + 1] = (xq * vals[l] - up[l - 1] * vals[l - 1]) / up[l]
     return vals
 
 
 def _table_down(l_max, m, x, seed, ctx, delta):
     vals = [ctx.out(0.0)] * (l_max + 1)
     L = l_max + delta
-    up, down = _coeffs_through(L, m, ctx)
+    up = _coeffs_through(L, m, ctx)
     v = [ctx.out(0.0)] * (L + 2)
     scale_cnt = [0] * (L + 2)
     v[L] = ctx.out(1.0)
@@ -529,7 +541,7 @@ def _table_down(l_max, m, x, seed, ctx, delta):
         vl1 = v[l + 1]
         if not mp_mode and scale_cnt[l + 1] != scale_cnt[l]:
             vl1 = vl1 * 10.0**(200 * (scale_cnt[l + 1] - scale_cnt[l]))
-        nxt = (xq * v[l] - up[l] * vl1) / down[l]
+        nxt = (xq * v[l] - up[l] * vl1) / up[l - 1]
         cnt = scale_cnt[l]
         if not mp_mode:
             while abs(nxt) > 1e200:

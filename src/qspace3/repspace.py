@@ -76,11 +76,9 @@ def _diag(vals):
 
 
 def _ladder_steps(m):
-    """Positions of the ascending labels m whose m + 1, respectively m - 1,
-    is also a label (the next, respectively previous, position)."""
-    up = np.flatnonzero(m[:-1] + 1 == m[1:])
-    dn = np.flatnonzero(m[1:] - 1 == m[:-1]) + 1
-    return up, dn
+    """Positions of the ascending labels m whose m + 1 is also a label (the
+    next position): the steps m -> m + 1 of a ladder."""
+    return np.flatnonzero(m[:-1] + 1 == m[1:])
 
 
 def _mt_line(window):
@@ -92,7 +90,7 @@ def _mt_line(window):
     m = np.arange(int(lo), int(hi) + 1)
     win = RepWindow.make({"m_t": (lo, hi)},
                          hard_hi=("m_t",) if hi == 0 else ())
-    return (win, m, m.tolist()) + _ladder_steps(m)
+    return win, m, m.tolist(), _ladder_steps(m)
 
 
 def casimir_eigenvalue(l, ctx: QContext) -> float:
@@ -111,6 +109,28 @@ def r0_from_z0(z0: float, ctx: QContext) -> float:
 # ---------------------------------------------------------------------------
 # ladder families on a single lattice line
 # ---------------------------------------------------------------------------
+
+def _ladder(kind, label, m, d, rad, lower, window, ctx, params):
+    """The ladder family with parameter d on the ascending labels m (named
+    label): T3 = 1/lam - d q^(-4m), tau = lam d q^(-4m), T+ = sqrt(rad) on
+    each step m -> m + 1 and T- = lower sqrt(rad) on the same step,
+    transposed.  rad maps q^(-2m) to the radicand; it is evaluated and
+    clamped at every label.  lower is q^2 for the compact form, -q^2 for K.
+    """
+    q = float(ctx.q)
+    lam = ctx.lam
+    ms = m.tolist()
+    up = _ladder_steps(m)
+    p4 = _qpow(q, -4 * m)
+    c = _sqrt_clamped(rad(_qpow(q, -2 * m)))[up]
+    ops = {
+        "T3": _op("T3", ms, ({},), _diag(1.0 / lam - d * p4)),
+        "T+": _op("T+", ms, ({label: 1},), (up + 1, up, c)),
+        "T-": _op("T-", ms, ({label: -1},), (up, up + 1, lower * c)),
+        "tau": _op("tau", ms, ({},), _diag(d * lam * p4)),
+    }
+    return RepFamily(kind, params, ops, window, ctx, Coords({label: m}))
+
 
 def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
     """Ladder representation with highest weight m_bar and parameter d.
@@ -146,31 +166,12 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
         hard_hi = ("m",) if abs(hi - m_bar) <= 1e-12 else ()
         win = RepWindow.make({"m": (lo, hi)}, hard_hi=hard_hi)
 
-    def ccstar(m):
-        p = _qpow(q, -2 * m)
+    def ccstar(p):
         return (p - q**(-2 * m_bar)) * (q**(2 * (m_bar + 1)) / lam - d * p) \
             / (lam * q**4)
 
-    m = np.array(ms)
-    up, dn = _ladder_steps(m)
-    p4 = _qpow(q, -4 * m)
-    tau = d * lam * p4
-    c = _sqrt_clamped(ccstar(m))
-    ops = {
-        "T3": _op("T3", ms, ({},), _diag(1.0 / lam - d * p4)),
-        "T+": _op("T+", ms, ({"m": 1},), (up + 1, up, c[up])),
-        "T-": _op("T-", ms, ({"m": -1},),
-                  (dn - 1, dn, q * q * _sqrt_clamped(ccstar(m[dn] - 1)))),
-        "tau": _op("tau", ms, ({},), _diag(tau)),
-    }
-    if np.all(tau > 0):
-        ops["tau^1/2"] = _op("tau^1/2", ms, ({},), _diag(np.sqrt(tau)))
-        ops["tau^-1/2"] = _op("tau^-1/2", ms, ({},),
-                              _diag(1.0 / np.sqrt(tau)))
-    params = {"d": d, "m_bar": m_bar, "m_name": "m"}
-    if finite:
-        params["casimir_scalar"] = casimir_eigenvalue(m_bar, ctx)
-    return RepFamily("T_generic", params, ops, win, ctx, Coords({"m": m}))
+    return _ladder("T_generic", "m", np.array(ms), d, ccstar, q * q, win,
+                   ctx, {"d": d, "m_bar": m_bar, "m_name": "m"})
 
 
 def build_t_special(window, ctx: QContext) -> RepFamily:
@@ -178,19 +179,16 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
     (d = -q^2/lam); tau has strictly negative eigenvalues."""
     q = float(ctx.q)
     lam = ctx.lam
-    win, m, ms, up, dn = _mt_line(window)
+    win, m, ms, up = _mt_line(window)
     p4 = _qpow(q, -4 * m)
+    r = _sqrt_clamped(p4[up] - 1.0)
     ops = {
         "T3": _op("t3", ms, ({},), _diag((1.0 + q * q * p4) / lam)),
-        "T+": _op("t+", ms, ({"m_t": 1},),
-                  (up + 1, up, _sqrt_clamped(p4[up] - 1.0) / (lam * q))),
-        "T-": _op("t-", ms, ({"m_t": -1},),
-                  (dn - 1, dn, q / lam * _sqrt_clamped(
-                      _qpow(q, -4 * (m[dn] - 1)) - 1.0))),
+        "T+": _op("t+", ms, ({"m_t": 1},), (up + 1, up, r / (lam * q))),
+        "T-": _op("t-", ms, ({"m_t": -1},), (up, up + 1, q / lam * r)),
         "tau": _op("tau_t", ms, ({},), _diag(-q * q * p4)),
     }
-    params = {"d": -q * q / lam, "m_bar": 0.0, "m_name": "m_t",
-              "casimir_scalar": -(1 + q * q) / lam**2}
+    params = {"d": -q * q / lam, "m_bar": 0.0, "m_name": "m_t"}
     return RepFamily("t_special", params, ops, win, ctx, Coords({"m_t": m}))
 
 
@@ -200,17 +198,14 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     q = float(ctx.q)
-    win, m, ms, up, dn = _mt_line(window)
+    win, m, ms, up = _mt_line(window)
     s = float(sign)
     sq = math.sqrt(1.0 + q * q)
+    r = _sqrt_clamped(1.0 - _qpow(q, 4 * m[up]))
     ops = {
         "X3R": _op("X3/R", ms, ({},), _diag(s * _qpow(q, 2 * m - 1))),
-        "X+R": _op("X+/R", ms, ({"m_t": 1},),
-                   (up + 1, up, -s * q / sq * _sqrt_clamped(
-                       1.0 - _qpow(q, 4 * m[up])))),
-        "X-R": _op("X-/R", ms, ({"m_t": -1},),
-                   (dn - 1, dn, s / sq * _sqrt_clamped(
-                       1.0 - _qpow(q, 4 * (m[dn] - 1))))),
+        "X+R": _op("X+/R", ms, ({"m_t": 1},), (up + 1, up, -s * q / sq * r)),
+        "X-R": _op("X-/R", ms, ({"m_t": -1},), (up, up + 1, s / sq * r)),
     }
     return RepFamily("X_over_R", {"sign": sign, "m_name": "m_t"},
                      ops, win, ctx, Coords({"m_t": m}))
@@ -223,45 +218,31 @@ def build_K_generic(d_k: float, alpha: float, window, ctx: QContext) -> RepFamil
     lam = ctx.lam
     lo, hi = window.range_map["m_k"]
     m = np.arange(int(lo), int(hi) + 1)
-    ms = m.tolist()
-    up, dn = _ladder_steps(m)
 
     def kappa(x):
-        return 1.0 / (q * q * lam * lam) - alpha * x + d_k / (lam * q**4) * x * x
+        k = 1.0 / (q * q * lam * lam) - alpha * x + d_k / (lam * q**4) * x * x
+        neg = np.flatnonzero(k < _RAD_CLAMP)
+        if neg.size:
+            raise WindowError(
+                f"kappa < 0 at m_k = {m[neg[0]]}: window not admissible for "
+                f"(d_k={d_k}, alpha={alpha})")
+        return k
 
-    p4 = _qpow(q, -4 * m)
-    kv = kappa(_qpow(q, -2 * m))
-    neg = np.flatnonzero(kv < _RAD_CLAMP)
-    if neg.size:
-        raise WindowError(
-            f"kappa < 0 at m_k = {ms[neg[0]]}: window not admissible for "
-            f"(d_k={d_k}, alpha={alpha})")
-    ops = {
-        "T3": _op("K3", ms, ({},), _diag(1.0 / lam - d_k * p4)),
-        "T+": _op("K+", ms, ({"m_k": 1},),
-                  (up + 1, up, _sqrt_clamped(kv[up]))),
-        "T-": _op("K-", ms, ({"m_k": -1},),
-                  (dn - 1, dn, -q * q * _sqrt_clamped(
-                      kappa(_qpow(q, -2 * (m[dn] - 1)))))),
-        "tau": _op("tau_k", ms, ({},), _diag(d_k * lam * p4)),
-    }
-    return RepFamily("K_generic", {"d": d_k, "alpha": alpha, "m_name": "m_k"},
-                     ops, window, ctx, Coords({"m_k": m}))
+    return _ladder("K_generic", "m_k", m, d_k, kappa, -q * q, window, ctx,
+                   {"d": d_k, "alpha": alpha, "m_name": "m_k"})
 
 
 def build_K_orbital(window, ctx: QContext) -> RepFamily:
     """The unique K family entering orbital angular momentum:
     d_k = -1/(lam q^2), alpha = 0, ladder bounded below at m_k = 0."""
     q = float(ctx.q)
-    lam = ctx.lam
     lo, hi = window.range_map["m_k"]
     if lo != 0:
         raise WindowError("orbital K ladder starts at m_k = 0")
     win = RepWindow.make({"m_k": (0, hi)}, hard_lo=("m_k",))
-    fam = build_K_generic(-1.0 / (lam * q * q), 0.0, win, ctx)
-    params = dict(fam.params)
-    params.update({"m_under": -1, "casimir_scalar": -(1 + q * q) / lam**2})
-    return RepFamily("K_orbital", params, fam.operators, win, ctx, fam.coords)
+    fam = build_K_generic(-1.0 / (ctx.lam * q * q), 0.0, win, ctx)
+    return RepFamily("K_orbital", fam.params, fam.operators, win, ctx,
+                     fam.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +252,8 @@ def build_K_orbital(window, ctx: QContext) -> RepFamily:
 def _torb_window(window):
     """The tensor window (m_t <= 0, m_k >= 0), the labels of its basis
     |m_t, m_k> (m_t outer), the row length nk (the position offset of an m_t
-    neighbour), and the positions whose m_t or m_k neighbour above or below
-    lies in the window."""
+    neighbour), and the positions whose m_t, respectively m_k, neighbour
+    above lies in the window (the raising steps in m_t and in m_k)."""
     rm = window.range_map
     if "m_t" not in rm or "m_k" not in rm:
         raise WindowError("tensor window needs ranges for m_t and m_k")
@@ -288,30 +269,25 @@ def _torb_window(window):
     nk = khi - klo + 1
     mt = np.repeat(np.arange(tlo, thi + 1), nk)
     mk = np.tile(np.arange(klo, khi + 1), thi - tlo + 1)
-    steps = {"t+": np.flatnonzero(mt < thi), "k+": np.flatnonzero(mk < khi),
-             "t-": np.flatnonzero(mt > tlo), "k-": np.flatnonzero(mk > klo)}
-    return win, mt, mk, nk, steps
+    return win, mt, mk, nk, np.flatnonzero(mt < thi), np.flatnonzero(mk < khi)
 
 
-def _orbital_ladder(basis, mt, mk, nk, st, q, lam):
+def _orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam):
     """T3, T+-, tau of the orbital angular momentum on the tensor grid
     |m_t, m_k> of _torb_window, written over q^(-4 m_t) (= q^(4(M - nu))
     in the joint labels) and q^(-4 m), m = m_t + m_k."""
     m = mt + mk
     pt = _qpow(q, -4 * mt)
     p4 = _qpow(q, -4 * m)
-    tu, ku, td, kd = st["t+"], st["k+"], st["t-"], st["k-"]
+    rt = _sqrt_clamped(pt[tu] - 1.0)
+    rk = _sqrt_clamped(pt[ku] - _qpow(q, -4 * (m[ku] + 1)))
     return {
         "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
         "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
-                  (tu + nk, tu, _sqrt_clamped(pt[tu] - 1.0) / (q * lam)),
-                  (ku + 1, ku, _sqrt_clamped(
-                      pt[ku] - _qpow(q, -4 * (m[ku] + 1))) / lam)),
+                  (tu + nk, tu, rt / (q * lam)), (ku + 1, ku, rk / lam)),
         "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
-                  (td - nk, td, q * q / (q * lam) * _sqrt_clamped(
-                      _qpow(q, 4 - 4 * mt[td]) - 1.0)),
-                  (kd - 1, kd, q * q / lam * _sqrt_clamped(
-                      pt[kd] - p4[kd]))),
+                  (tu, tu + nk, q * q / (q * lam) * rt),
+                  (ku, ku + 1, q * q / lam * rk)),
         "tau": _op("tau_orb", basis, ({},), _diag(p4)),
     }
 
@@ -320,9 +296,9 @@ def build_T_orb(window, ctx: QContext) -> RepFamily:
     """Orbital angular momentum on the tensor basis |m_t, m_k>."""
     q = float(ctx.q)
     lam = ctx.lam
-    win, mt, mk, nk, st = _torb_window(window)
+    win, mt, mk, nk, tu, ku = _torb_window(window)
     basis = list(zip(mt.tolist(), mk.tolist()))
-    ops = _orbital_ladder(basis, mt, mk, nk, st, q, lam)
+    ops = _orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam)
     return RepFamily("T_orb_tensor", {"d": 1.0 / lam, "m_name": None},
                      ops, win, ctx, Coords({"m_t": mt, "m_k": mk}))
 
@@ -348,24 +324,20 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         raise WindowError("joint window needs a range for m_t or nu")
     if "m_k" not in rm:
         rm["m_k"] = (0, -rm["m_t"][0])
-    win, mt, mk, nk, st = _torb_window(RepWindow.make(rm))
+    win, mt, mk, nk, tu, ku = _torb_window(RepWindow.make(rm))
     z = sigma * abs(z0)
     sq = math.sqrt(1.0 + q * q)
     nu, m = mt + M, mt + mk
     basis = list(zip(nu.tolist(), m.tolist()))
-    pM = _qpow(q, 4 * M)
-    tu, td = st["t+"], st["t-"]
+    r = _sqrt_clamped(_qpow(q, 4 * M) - _qpow(q, 4 * nu[tu]))
     ops = {
         "X3": _op("X3", basis, ({},), _diag(z * _qpow(q, 2 * nu))),
         "X+": _op("X+", basis, ({"m_t": 1},),
-                  (tu + nk, tu, -q * q * z / sq * _sqrt_clamped(
-                      pM - _qpow(q, 4 * nu[tu])))),
-        "X-": _op("X-", basis, ({"m_t": -1},),
-                  (td - nk, td, q * z / sq * _sqrt_clamped(
-                      pM - _qpow(q, 4 * (nu[td] - 1))))),
+                  (tu + nk, tu, -q * q * z / sq * r)),
+        "X-": _op("X-", basis, ({"m_t": -1},), (tu, tu + nk, q * z / sq * r)),
         "R2": _op("R2", basis, ({},),
                   _diag(np.full(len(basis), q**(4 * M + 2) * z0 * z0))),
-        **_orbital_ladder(basis, mt, mk, nk, st, q, lam),
+        **_orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
               "m_name": None}
@@ -389,8 +361,7 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     pref = r0 * _qpow(q, 2 * M + m)
     up = np.flatnonzero(l < l_max)
     lu, mu, pu = l[up], m[up], pref[up]
-    dn = np.flatnonzero((l >= 1) & (np.abs(m) <= l - 1))
-    ld, md = l[dn], m[dn]
+    x3 = pu * _recurrence_coeff(lu, mu, qn.__getitem__)
     # X+ towards (l-1, m+1) needs l - m - 1 >= 1, X- towards (l-1, m-1)
     # needs l + m - 1 >= 1
     xp = np.flatnonzero((l >= 1) & (m <= l - 2))
@@ -408,10 +379,7 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     ops = {
         "T2": _op("T2_orb", basis, ({},), _diag(q * qn[l] * qn[l + 1])),
         "X3": _op("X3", basis, ({"l": 1}, {"l": -1}),
-                  (up + 2 * lu + 2, up,
-                   pu * _recurrence_coeff(lu, mu, qn.__getitem__)),
-                  (dn - 2 * ld, dn,
-                   pref[dn] * _recurrence_coeff(ld - 1, md, qn.__getitem__))),
+                  (up + 2 * lu + 2, up, x3), (up, up + 2 * lu + 2, x3)),
         "X+": _op("X+", basis, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
                   (up + 2 * lu + 3, up, pu * _qpow(q, -lu)
                    * cg(lu + mu + 1, lu + mu + 2, lu, 1)),
@@ -431,31 +399,26 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
 # derived operators
 # ---------------------------------------------------------------------------
 
-def casimir(family: RepFamily, ctx: QContext,
-            scalar_if_negative: bool = False) -> LabeledOperator:
+def casimir(family: RepFamily, ctx: QContext) -> LabeledOperator:
     """Quadratic Casimir matrix from tau^(1/2) and the ladder product.
 
-    Requires strictly positive tau.  Families whose tau is negative carry a
-    fixed scalar value; pass scalar_if_negative=True to receive it as a
-    multiple of the identity instead of a DomainError.
+    Requires strictly positive tau; on a family whose tau is negative (t and
+    K, where the Casimir is the scalar -(1 + q^2)/lam^2) the square roots are
+    not real, which is a DomainError.
     """
     q = float(ctx.q)
     lam = ctx.lam
     tau_d = family["tau"].diagonal()
-    n = family.n
-    if np.all(tau_d > 0):
-        th = sp.diags(np.sqrt(tau_d))
-        tmh = sp.diags(1.0 / np.sqrt(tau_d))
-        mat = (q * q / lam**2) * th + tmh / lam**2 \
-            + tmh @ family.op_csr("T+") @ family.op_csr("T-") \
-            - (1 + q * q) / lam**2 * sp.identity(n)
-        return LabeledOperator("T2", family.basis, mat)
-    if scalar_if_negative and "casimir_scalar" in family.params:
-        c = family.params["casimir_scalar"]
-        return _op("T2", family.basis, ({},), _diag(np.full(n, c)))
-    raise DomainError(
-        "tau has non-positive eigenvalues; the Casimir square roots are not "
-        "real (request the family's scalar value with scalar_if_negative=True)")
+    if not np.all(tau_d > 0):
+        raise DomainError(
+            "tau has non-positive eigenvalues; the Casimir square roots are "
+            "not real")
+    th = sp.diags(np.sqrt(tau_d))
+    tmh = sp.diags(1.0 / np.sqrt(tau_d))
+    mat = (q * q / lam**2) * th + tmh / lam**2 \
+        + tmh @ family.op_csr("T+") @ family.op_csr("T-") \
+        - (1 + q * q) / lam**2 * sp.identity(family.n)
+    return LabeledOperator("T2", family.basis, mat)
 
 
 def build_L_operators(family: RepFamily, ctx: QContext) -> dict:

@@ -6,9 +6,12 @@ crashing the traced run.  The module is loaded read-only from its file, and
 `install` runs in a subprocess because it rebinds names package-wide.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from qspace3.relations import RELATION_GROUPS
 
 _LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -20,13 +23,30 @@ layers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(layers)
 tracer = layers.Tracer()
 layers.install(tracer)
-qspace3.cli.main(["spectrum", "t2", "--depth", "4"])
+qspace3.cli.main(sys.argv[2:])
 print(sorted(tracer.summary()["calls"]))
 """
 
 
-def test_tracer_installs_and_summarizes():
-    r = subprocess.run([sys.executable, "-c", _INSTALL, str(_LAYERS)],
+def _traced_spans(argv):
+    r = subprocess.run([sys.executable, "-c", _INSTALL, str(_LAYERS), *argv],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert "cli.main" in r.stdout
+    return r.stdout
+
+
+def test_tracer_installs_and_summarizes():
+    assert "cli.main" in _traced_spans(["spectrum", "t2", "--depth", "4"])
+
+
+def test_traced_verify_sees_every_layer():
+    # the spans of the benchmark's verify workload: a renamed repspace,
+    # relations or operators name would drop its span
+    spans = _traced_spans(["verify", "--depth", "4", "--kwidth", "4",
+                           "--out", os.devnull])
+    for name in ("repspace.build_X_T_R_joint", "repspace.casimir",
+                 "repspace.build_L_operators",
+                 "operators.LabeledOperator.to_csr",
+                 "operators.RepFamily.init",
+                 *(f"relations.group.{g}" for g in RELATION_GROUPS)):
+        assert repr(name) in spans, name

@@ -329,9 +329,9 @@ class TestOptions:
     @pytest.mark.parametrize(
         "argv",
         [_BASE[verb] + [flag, value] for verb, flag, value in _UNREAD]
-        + [_BASE["poly"] + ["--lattice"]],
+        + [_BASE["poly"] + ["--lattice"], _BASE["poly"] + ["--nmin", "5"]],
         ids=[f"{verb} {flag}" for verb, flag, _ in _UNREAD]
-        + ["poly --x --lattice"])
+        + ["poly --x --lattice", "poly --x --nmin"])
     def test_unread_or_conflicting_flag_is_config_error(self, argv, capsys):
         assert main(argv) == 3
         assert "error: " in capsys.readouterr().err

@@ -175,6 +175,22 @@ class TestWeight:
         with pytest.raises(DomainError):
             qs.weight_w(1, 2, 0.1, CTX15)
 
+    def test_weight_above_1e250_is_finite(self):
+        # 10**290.7: beyond the 1e250 cap of the binary64 products, inside
+        # the binary64 range
+        w = qs.weight_w(40, 3, 2.0**-8, QContext(q=2.0))
+        ref = qs.weight_w(40, 3, 2.0**-8,
+                          QContext(q=2.0, precision="extended"))
+        assert w == pytest.approx(float(ref), rel=1e-12)
+        assert w == pytest.approx(5.2704471e290, rel=1e-7)
+
+    @pytest.mark.parametrize("l, m, x", [(200, 0, 0.5), (30, 30, 2.0**-8)],
+                             ids=["weight", "radicand"])
+    def test_weight_beyond_binary64_raises(self, l, m, x):
+        # 10**(6e3); and a radicand product that overflows to inf * 0
+        with pytest.raises(PrecisionError):
+            qs.weight_w(l, m, x, QContext(q=2.0))
+
 
 class TestWeightedFunction:
     def test_vanishes_below_order(self):
@@ -267,8 +283,7 @@ class TestTableLayer:
         tab = qs.p_tilde_table(10, 0, 250.0**-2, ctx)
         assert len(tab) == 11
         assert all(math.isfinite(v) for v in tab)
-        up, down = qs._coeff_lists(0, ctx)
-        assert len(up) == len(down) < 64
+        assert len(qs._coeff_lists(0, ctx)) < 64
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_rejected(self, x):

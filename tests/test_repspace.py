@@ -4,10 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspace3 import DomainError, QContext, WindowError
 from qspace3.operators import LabeledOperator, RepWindow
 from qspace3 import repspace as rs
+from qspace3.relations import _interior_residual, _su2_relations
 
 CTX = QContext(q=1.5)
 Q = 1.5
@@ -62,9 +65,10 @@ class TestTGeneric:
         d = 1 / LAM
         t3 = np.array([1 / LAM - d * Q**2, 1 / LAM - d * Q**-2])
         assert fam["T3"].diagonal() == pytest.approx(t3, rel=1e-14)
-        # Casimir value q [1/2][3/2] via the stored scalar
+        # Casimir value q [1/2][3/2]
         expect = Q * ((Q**0.5 - Q**-0.5) / LAM) * ((Q**1.5 - Q**-1.5) / LAM)
-        assert fam.params["casimir_scalar"] == pytest.approx(expect, rel=1e-13)
+        assert rs.casimir_eigenvalue(0.5, CTX) == pytest.approx(expect,
+                                                                rel=1e-13)
         # matrix Casimir agrees with the scalar on the 2-dim ladder
         T2 = rs.casimir(fam, CTX).to_dense()
         assert np.allclose(T2, expect * np.eye(2), rtol=1e-12)
@@ -143,6 +147,48 @@ class TestKFamilies:
             rs.build_K_generic(0.5, 3.0 * alpha0, win, CTX)
 
 
+@st.composite
+def ladder_families(draw):
+    """(family, q, lower) for a finite spin 2 m_bar <= 10, a d < 0 head, or
+    an admissible K window; T- = lower (T+)^T.  The T3 entries cancel to
+    O(1/lam), so q is kept where 1/lam leaves the residuals below 1e-13."""
+    q = draw(st.floats(1.01, 3.0))
+    ctx = QContext(q=q)
+    lam = ctx.lam
+    kind = draw(st.sampled_from(["spin", "head", "K"]))
+    if kind == "spin":
+        m_bar = draw(st.integers(0, 10)) / 2
+        return rs.build_T_generic(1 / lam, m_bar, None, ctx), q, q * q
+    if kind == "head":
+        d = -draw(st.floats(0.01, 5.0))
+        # quarters keep every label lo + k exact; an inexact head label
+        # can leave a radicand below the clamp where the ladder ends
+        m_bar = draw(st.integers(-12, 12)) / 4
+        win = RepWindow.make({"m": (m_bar - draw(st.integers(4, 20)), m_bar)})
+        return rs.build_T_generic(d, m_bar, win, ctx), q, q * q
+    d_k = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.01, 3.0))
+    alpha = draw(st.floats(-3.0, 3.0))
+    lo = draw(st.integers(-10, 5))
+    if d_k >= 0:
+        alpha = -abs(alpha)             # kappa > 0 at every label
+    else:                               # kappa >= 0 up to its positive root
+        c0, c2 = 1 / (q * q * lam * lam), d_k / (lam * q**4)
+        root = 2 * c0 / (alpha + math.sqrt(alpha * alpha - 4 * c2 * c0))
+        lo = max(lo, math.ceil(0.5 - math.log(root) / (2 * math.log(q))))
+    win = RepWindow.make({"m_k": (lo, lo + draw(st.integers(4, 20)))})
+    return rs.build_K_generic(d_k, alpha, win, ctx), q, -q * q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ladder_families())
+def test_ladder_families_close_the_algebra(case):
+    fam, q, lower = case
+    T3, Tp, Tm = (fam.op_csr(k) for k in ("T3", "T+", "T-"))
+    for name, terms in _su2_relations(T3, Tp, Tm, q):
+        assert _interior_residual(terms, fam.interior) < 1e-12, name
+    assert np.array_equal(Tm.toarray(), lower * Tp.toarray().T)
+
+
 class TestTensorFamilies:
     def test_torb_diagonals(self):
         fam = rs.build_T_orb(win_tk(8, 8), CTX)
@@ -210,15 +256,12 @@ class TestLBasis:
 
 
 class TestCasimirAndL:
-    def test_scalar_modes(self):
+    def test_negative_tau_has_no_casimir_matrix(self):
         t = rs.build_t_special(win_t(8), CTX)
         k = rs.build_K_orbital(win_k(8), CTX)
-        expect = -(1 + Q * Q) / LAM**2
         for fam in (t, k):
             with pytest.raises(DomainError):
                 rs.casimir(fam, CTX)
-            c = rs.casimir(fam, CTX, scalar_if_negative=True)
-            assert np.allclose(c.diagonal(), expect)
 
     def test_casimir_commutes_on_torb(self):
         fam = rs.build_T_orb(win_tk(14, 14), CTX)
@@ -301,13 +344,6 @@ class TestCoproduct:
         assert t.params["d"] * k.params["d"] == pytest.approx(
             1 / LAM**2, rel=1e-13)
         assert cp.params["group_like_defect"] < 1e-12
-
-    def test_positive_tau_ladder_carries_roots(self):
-        spin = rs.build_T_generic(1 / LAM, 1.0, None, CTX)
-        root = spin["tau^1/2"].diagonal()
-        inv = spin["tau^-1/2"].diagonal()
-        assert np.allclose(root * root, spin["tau"].diagonal(), rtol=1e-14)
-        assert np.allclose(root * inv, 1.0, rtol=1e-14)
 
     def test_variant_sign_preconditions(self):
         t = rs.build_t_special(win_t(6), CTX)
