@@ -13,18 +13,16 @@ neighbors.  All isometry statements are insensitive to it.
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import mpmath as mp
 import numpy as np
 
 from .context import QContext
 from .errors import CoverageError, DomainError
-from .qarith import _qnum
-from .qspecial import (_lattice_point, _recurrence_coeff, _sqrt_any,
-                       completeness_sum, p_tilde, p_tilde_table)
-from .repspace import (casimir_eigenvalue, chain_entries, x3_block,
-                       r0_from_z0)
+from .qspecial import (_lattice_point, _sqrt_any, completeness_sum, p_tilde,
+                       p_tilde_table)
+from .repspace import (_casimir_chain, casimir_eigenvalue, chain_entries,
+                       x3_block, r0_from_z0)
 
 __all__ = [
     "c_coeff", "d_coeff", "check_t2", "check_x3_recursion",
@@ -104,16 +102,14 @@ def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
     coefficient site (l >= |m|), at the coordinate scale z0 = 1."""
     if l < abs(m):
         raise DomainError(f"the X3 recursion needs l >= |m|, got l={l}, m={m}")
-    q = float(ctx.q)
     r0 = r0_from_z0(1.0, ctx)
-    z = sigma * r0 * q**(2 * nu - 1)
-    qn = partial(_qnum, q=q)
+    z = sigma * r0 * float(ctx.q)**(2 * nu - 1)
+    E, _ = x3_block(M, m, l + 1, r0, ctx)
+    k = l - abs(m)                  # E[k] couples l and l + 1
     lhs = z * d_coeff(M, l, m, nu, sigma, ctx)
-    rhs = _recurrence_coeff(l, m, qn) * d_coeff(M, l + 1, m, nu, sigma, ctx)
-    if l > abs(m):
-        rhs += _recurrence_coeff(l - 1, m, qn) \
-            * d_coeff(M, l - 1, m, nu, sigma, ctx)
-    rhs *= r0 * q**(2 * M + m)
+    rhs = E[k] * d_coeff(M, l + 1, m, nu, sigma, ctx)
+    if k > 0:
+        rhs += E[k - 1] * d_coeff(M, l - 1, m, nu, sigma, ctx)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
@@ -194,38 +190,23 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
     # the deepest margin sites of each sign block are dropped
     margin = 2
-    keep = [blk * n + j for blk in range(2) for j in range(margin, n)]
-    U_K = np.empty((len(keep), len(l_values)))
+    U_K = np.empty((2 * (n - margin), len(l_values)))
     R_K = np.empty_like(U_K)
     gram_diag = np.empty(len(l_values))       # (U_K^T U_K)_aa - 1
     with mp.workdps(ectx.dps):
         qm = mp.mpf(q)
         cols = list(zip(*_doubled_rows(m, mts, l_values, qm, ectx, True)))
-        lam2 = (qm - 1 / qm)**2
-        entries = [chain_entries(m, mt, qm) for mt in mts]
-        diag = [d / lam2 for d, _ in entries]
-        # off[k] couples the ascending pair (mts[k], mts[k]+1)
-        off = [e / lam2 for _, e in entries[:-1]]
-
-        def apply_block(vec):
-            out = [mp.mpf(0)] * (2 * n)
-            for blk in range(2):
-                o = blk * n
-                for j in range(n):
-                    v = diag[j] * vec[o + j]
-                    if j > 0:
-                        v += off[j - 1] * vec[o + j - 1]
-                    if j + 1 < n:
-                        v += off[j] * vec[o + j + 1]
-                    out[o + j] = v
-            return out
-
+        D, E = (np.array(v, dtype=object) for v in _casimir_chain(m, cd, qm))
         for c, (col, lam_c) in enumerate(zip(cols, lams.tolist())):
-            applied = apply_block(col)
-            for r, i in enumerate(keep):
-                U_K[r, c] = float(col[i])
-                R_K[r, c] = float(applied[i] - lam_c * col[i])
-            gram_diag[c] = float(mp.fsum(col[i]**2 for i in keep) - 1)
+            # A V on each sign block (row): diagonal, lower, upper neighbour
+            V = np.array(col, dtype=object).reshape(2, n)
+            AV = V * D
+            AV[:, 1:] += V[:, :-1] * E
+            AV[:, :-1] += V[:, 1:] * E
+            V_K, AV_K = V[:, margin:].ravel(), AV[:, margin:].ravel()
+            U_K[:, c] = V_K.astype(float)
+            R_K[:, c] = (AV_K - lam_c * V_K).astype(float)
+            gram_diag[c] = float(mp.fsum(v**2 for v in V_K) - 1)
     gram_minus_eye = U_K.T @ U_K
     np.fill_diagonal(gram_minus_eye, gram_diag)
     dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K

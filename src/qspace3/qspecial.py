@@ -29,6 +29,11 @@ dps, _cancel_dps(l, m, q), follows the degree, so their sums compute the
 factors on the fly and keep none.  clear_caches() empties every
 cache of this module and of qarith; each has a constant bound.
 
+The coefficient lists and the q-factorial prefix lists are extended under
+one lock, qarith._QFACT_LOCK, which re-reads the length inside it, so
+threads sharing a list never append a degree twice.  Readers take no lock:
+an entry, once appended, never changes.
+
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
 in closed form (elementary-symmetric expansion) and is cached per (q, m).
@@ -43,7 +48,7 @@ import numpy as np
 from .context import QContext
 from .errors import DomainError, PrecisionError
 from .qarith import (basic_hypergeometric, _qnum, _qbin, _qfact_cached,
-                     _qfact_list)
+                     _qfact_list, _QFACT_LOCK)
 
 __all__ = [
     "big_q_jacobi", "p_lm", "weight_w", "p_tilde", "p_tilde_table",
@@ -110,6 +115,8 @@ def _rad(m, x, q, powers=None):
     x2q = x * x * q4m
     for qj in q4j:
         f = 1 - x2q * qj
+        if f == 0:      # 0 even where the running product overflowed to inf
+            return 0 * x
         r = r * f
         scale = max(scale, abs(float(f)))
     if r < 0:
@@ -386,7 +393,12 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
     # _cancel_dps is at least 40, the extended mode's own dps
     dps = _cancel_dps(l, m, q)
     with mp.workdps(dps):
-        return ctx.out(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
+        v = ctx.out(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
+    if not (ctx.is_extended or math.isfinite(v)):
+        raise PrecisionError(
+            f"p_tilde({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
+            f"range")
+    return v
 
 
 def _recurrence_coeff(l, m, qn):
@@ -503,16 +515,19 @@ def _coeffs_through(top, m, ctx):
     as the list grows so the recurrence loops stay unchecked.
     """
     up = _coeff_lists(m, ctx)
-    for l in range(len(up), top + 1):
-        try:
-            cu = recurrence_coeff_up(l, m, ctx)
-        except OverflowError:
-            cu = math.inf
-        if not 0 < cu < math.inf:
-            raise PrecisionError(
-                f"recurrence coefficients at degree {l} (m={m}, "
-                f"q={float(ctx.q)}) leave the binary64 range")
-        up.append(cu)
+    if len(up) > top:
+        return up
+    with _QFACT_LOCK:               # a racing extender would append twice
+        for l in range(len(up), top + 1):
+            try:
+                cu = recurrence_coeff_up(l, m, ctx)
+            except OverflowError:
+                cu = math.inf
+            if not 0 < cu < math.inf:
+                raise PrecisionError(
+                    f"recurrence coefficients at degree {l} (m={m}, "
+                    f"q={float(ctx.q)}) leave the binary64 range")
+            up.append(cu)
     return up
 
 
@@ -525,6 +540,11 @@ def _table_up(l_max, m, x, seed, ctx):
         vals[m + 1] = xq * seed / up[m]
     for l in range(m + 1, l_max):
         vals[l + 1] = (xq * vals[l] - up[l - 1] * vals[l - 1]) / up[l]
+    # an inf or NaN carries upward, so the top entry shows any
+    if not (ctx.is_extended or math.isfinite(vals[l_max])):
+        raise PrecisionError(
+            f"upward recurrence at x={float(x)}, m={m} leaves the binary64 "
+            f"range below degree l_max={l_max}")
     return vals
 
 

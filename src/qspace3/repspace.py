@@ -12,7 +12,7 @@ them in the last bit), so the matrix elements are the scalar formulas'.
 """
 
 import math
-from functools import partial
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +23,7 @@ from .context import QContext
 from .errors import DomainError, WindowError
 from .operators import Coords, LabeledOperator, RepFamily, RepWindow
 from .qarith import _qnum
-from .qspecial import _recurrence_coeff, _sqrt_any
+from .qspecial import _coeffs_through, _recurrence_coeff, _sqrt_any
 
 __all__ = [
     "build_T_generic", "build_t_special", "build_X_over_R",
@@ -77,8 +77,8 @@ def _diag(vals):
 
 def _ladder_steps(m):
     """Positions of the ascending labels m whose m + 1 is also a label (the
-    next position): the steps m -> m + 1 of a ladder."""
-    return np.flatnonzero(m[:-1] + 1 == m[1:])
+    next position, up to rounding): the steps m -> m + 1 of a ladder."""
+    return np.flatnonzero(np.abs(m[:-1] + 1 - m[1:]) < 1e-9)
 
 
 def _mt_line(window):
@@ -164,6 +164,8 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
                 f"window top {hi} exceeds the ladder head m_bar = {m_bar}")
         ms = [lo + k for k in range(int(round(hi - lo)) + 1)]
         hard_hi = ("m",) if abs(hi - m_bar) <= 1e-12 else ()
+        if hard_hi:         # lo + k can miss the radicand's exact zero
+            ms[-1] = m_bar
         win = RepWindow.make({"m": (lo, hi)}, hard_hi=hard_hi)
 
     def ccstar(p):
@@ -548,23 +550,31 @@ def chain_entries(m: int, m_t: int, q):
     return diag, off
 
 
+def _casimir_chain(m: int, depth: int, q):
+    """The order-m Casimir chain on m_t = top - depth .. top, top = min(0,
+    m), ascending, in the type of q (float or mpf): the diagonal at each
+    m_t and the coupling of each m_t below the top to m_t + 1, both
+    chain_entries divided by lam^2."""
+    lam2 = (q - 1 / q)**2
+    top = min(0, m)
+    entries = [chain_entries(m, mt, q) for mt in range(top - depth, top + 1)]
+    return [d / lam2 for d, _ in entries], [e / lam2 for _, e in entries[:-1]]
+
+
 def t2_block(m: int, depth: int, ctx: QContext):
     """Symmetric tridiagonal fixed-m block of the orbital Casimir in the m_t
     chain (couplings to dropped sites absent).  Returns (diag, offdiag, m_t
     labels descending)."""
     if depth < 0:
         raise DomainError(f"chain depth must be >= 0, got {depth}")
-    top = min(0, m)
-    mts = list(range(top, top - depth - 1, -1))
-    entries = [chain_entries(m, mt, float(ctx.q)) for mt in mts]
-    lam2 = ctx.lam**2
-    D = np.array([d for d, _ in entries]) / lam2
-    E = np.array([e for _, e in entries[1:]]) / lam2
+    diag, off = _casimir_chain(m, depth, float(ctx.q))
+    D, E = np.array(diag[::-1]), np.array(off[::-1])
     if not (np.isfinite(D).all() and np.isfinite(E).all()):
         raise DomainError(f"Casimir chain block at m = {m}, depth {depth} "
                           f"overflows binary64 at q = {ctx.q} once divided "
                           f"by lam^2")
-    return D, E, mts
+    top = min(0, m)
+    return D, E, list(range(top, top - depth - 1, -1))
 
 
 def t2_block_levels(m: int, depth: int, ctx: QContext, n_levels: int = None):
@@ -587,15 +597,15 @@ def t2_block_levels(m: int, depth: int, ctx: QContext, n_levels: int = None):
 
 
 def x3_block(M: int, m: int, l_max: int, r0: float, ctx: QContext):
-    """Tridiagonal fixed-m block of X3 on the diagonal-Casimir basis.
+    """Tridiagonal fixed-m block of X3 on the diagonal-Casimir basis: the
+    binary64 recurrence coefficients of p_tilde_table (symmetric in m)
+    times r0 q^(2M+m).
 
     Zero diagonal; returns (offdiag, l labels ascending from |m|)."""
-    q = float(ctx.q)
-    qn = partial(_qnum, q=q)
-    ls = list(range(abs(m), l_max + 1))
-    E = np.array([r0 * q**(2 * M + m) * _recurrence_coeff(l, m, qn)
-                  for l in ls[:-1]])
-    return E, ls
+    am = abs(m)
+    c = _coeffs_through(l_max - 1, am, replace(ctx, precision="double"))
+    E = r0 * float(ctx.q)**(2 * M + m) * np.array(c[am:l_max])
+    return E, list(range(am, l_max + 1))
 
 
 def x3_block_levels(M: int, m: int, l_max: int, r0: float, ctx: QContext):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from qspace3 import CoverageError, DomainError, QContext
 from qspace3 import basistrans as bt
 from qspace3.qspecial import p_tilde_table
-from qspace3.repspace import casimir_eigenvalue
+from qspace3.repspace import casimir_eigenvalue, chain_entries
 
 CTX = QContext(q=1.5)
 
@@ -230,6 +232,68 @@ def test_congruence_defect_matches_full_form(q, m):
     t = bt.build_transform(1, m, QContext(q=q), l_max=12)
     ref = reference_congruence_defect(m, 12, q)
     assert t.congruence_defect == pytest.approx(ref, rel=1e-3)
+
+
+def reference_residual_form(m, l_values, cd, ctx):
+    """The residual-form congruence defect with the chain written out: the
+    40-digit chain lists and a hand-written block product, column by
+    column and entry by entry."""
+    q = float(ctx.q)
+    ectx = replace(ctx, precision="extended")
+    top = min(0, m)
+    mts = list(range(top - cd, top + 1))
+    n = len(mts)
+    lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
+    margin = 2
+    keep = [blk * n + j for blk in range(2) for j in range(margin, n)]
+    U_K = np.empty((len(keep), len(l_values)))
+    R_K = np.empty_like(U_K)
+    gram_diag = np.empty(len(l_values))
+    with mp.workdps(ectx.dps):
+        qm = mp.mpf(q)
+        cols = list(zip(*bt._doubled_rows(m, mts, l_values, qm, ectx, True)))
+        lam2 = (qm - 1 / qm)**2
+        entries = [chain_entries(m, mt, qm) for mt in mts]
+        diag = [d / lam2 for d, _ in entries]
+        off = [e / lam2 for _, e in entries[:-1]]
+
+        def apply_block(vec):
+            out = [mp.mpf(0)] * (2 * n)
+            for blk in range(2):
+                o = blk * n
+                for j in range(n):
+                    v = diag[j] * vec[o + j]
+                    if j > 0:
+                        v += off[j - 1] * vec[o + j - 1]
+                    if j + 1 < n:
+                        v += off[j] * vec[o + j + 1]
+                    out[o + j] = v
+            return out
+
+        for c, (col, lam_c) in enumerate(zip(cols, lams.tolist())):
+            applied = apply_block(col)
+            for r, i in enumerate(keep):
+                U_K[r, c] = float(col[i])
+                R_K[r, c] = float(applied[i] - lam_c * col[i])
+            gram_diag[c] = float(mp.fsum(col[i]**2 for i in keep) - 1)
+    gram_minus_eye = U_K.T @ U_K
+    np.fill_diagonal(gram_minus_eye, gram_diag)
+    dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K
+    scale = np.maximum(np.maximum.outer(lams, lams), 1.0)
+    return float(np.abs(dev / scale).max())
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("l_max", [10, 20])
+def test_congruence_defect_is_the_written_out_chain_product(q, l_max):
+    # bit-identical: the chain block and the column products keep the
+    # order of every 40-digit operation
+    ctx = QContext(q=q)
+    for m in range(-3, 4):
+        l_values = list(range(abs(m), l_max + 1))
+        cd = min(60, (l_max - abs(m) + 1) // 2 + bt._congruence_depth(q))
+        assert bt._casimir_congruence_defect(m, l_values, cd, ctx) \
+            == reference_residual_form(m, l_values, cd, ctx), m
 
 
 class TestCompleteness:

@@ -50,3 +50,15 @@ def test_traced_verify_sees_every_layer():
                  "operators.RepFamily.init",
                  *(f"relations.group.{g}" for g in RELATION_GROUPS)):
         assert repr(name) in spans, name
+
+
+def test_traced_transform_sees_the_congruence_path():
+    # the spans of the benchmark's transform workload: the congruence
+    # defect reads extended tables, the coefficient table binary64 ones
+    spans = _traced_spans(["transform", "--direction", "1", "--m", "1",
+                           "--lmax", "6", "--depth", "12",
+                           "--out", os.devnull])
+    for name in ("basistrans.build_transform",
+                 "qspecial.p_tilde_table.double",
+                 "qspecial.p_tilde_table.extended"):
+        assert repr(name) in spans, name

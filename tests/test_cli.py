@@ -88,6 +88,14 @@ class TestPoly:
         assert code == 3
         assert "'abc'" in capsys.readouterr().err
 
+    def test_value_beyond_binary64_exits_4(self, tmp_path, capsys):
+        # P~_90(0.5) at q = 1.3 is about -10**380: no -Infinity row
+        code, doc = run_cli(["poly", "--l", "90", "--m", "0", "--x", "0.5",
+                             "--q", "1.3"], tmp_path)
+        assert code == 4
+        assert doc is None
+        assert "binary64" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_relations_pass(self, tmp_path):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from functools import partial
 
 import mpmath as mp
@@ -184,12 +186,23 @@ class TestWeight:
         assert w == pytest.approx(float(ref), rel=1e-12)
         assert w == pytest.approx(5.2704471e290, rel=1e-7)
 
-    @pytest.mark.parametrize("l, m, x", [(200, 0, 0.5), (30, 30, 2.0**-8)],
+    @pytest.mark.parametrize("l, m, x", [(200, 0, 0.5),
+                                         (30, 30, 2.0**-8 * (1 - 1e-7))],
                              ids=["weight", "radicand"])
     def test_weight_beyond_binary64_raises(self, l, m, x):
-        # 10**(6e3); and a radicand product that overflows to inf * 0
+        # 10**(6e3); and a radicand product that overflows to inf
         with pytest.raises(PrecisionError):
             qs.weight_w(l, m, x, QContext(q=2.0))
+
+    def test_exact_zero_radicand_factor(self):
+        # at x = 2**-8, q = 2, m = 30 the factor j = 26 is exactly 0, after
+        # 26 factors whose running product overflows binary64
+        x = 2.0**-8
+        ctxe = QContext(q=2.0, precision="extended")
+        for ctx in (QContext(q=2.0), ctxe):
+            assert qs.weight_w(30, 30, x, ctx) == 0
+            assert qs.p_tilde(30, 30, x, ctx) == 0
+            assert set(qs.p_tilde_table(40, 30, x, ctx)) == {0}
 
 
 class TestWeightedFunction:
@@ -232,6 +245,14 @@ class TestWeightedFunction:
             a = qs.p_tilde(l, m, x, CTX15)
             b = float(qs.p_tilde(l, m, x, ctxe))
             assert b == pytest.approx(a, rel=1e-12)
+
+    def test_value_beyond_binary64_raises(self):
+        # P~_90(0.5) at q = 1.3 is about -10**380
+        ctx = QContext(q=1.3)
+        with pytest.raises(PrecisionError):
+            qs.p_tilde(90, 0, 0.5, ctx)
+        v = qs.p_tilde(90, 0, 0.5, QContext(q=1.3, precision="extended"))
+        assert mp.isfinite(v) and abs(v) > 1e308
 
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually
@@ -302,6 +323,39 @@ class TestTableLayer:
         tab = qs.p_tilde_table(300, 0, 2.0**-2,
                                QContext(q=2.0, precision="extended"))
         assert all(mp.isfinite(v) for v in tab)
+
+    def test_upward_table_beyond_binary64_raises(self):
+        # the upward column overflows from l = 75 on and is NaN above
+        ctx = QContext(q=1.3)
+        with pytest.raises(PrecisionError):
+            qs.p_tilde_table(90, 0, 0.5, ctx)
+        assert all(math.isfinite(v) for v in qs.p_tilde_table(70, 0, 0.5, ctx))
+
+    def test_concurrent_coefficient_list_extension(self):
+        # threads that start together all extend the same empty list
+        ctx = QContext(q=1.312)
+        qs.clear_caches()
+        reference = list(qs._coeffs_through(80, 0, ctx))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                qs.clear_caches()
+                start = threading.Barrier(4)
+
+                def worker():
+                    start.wait(timeout=60)
+                    qs._coeffs_through(80, 0, ctx)
+
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert qs._coeff_lists(0, ctx) == reference, trial
+        finally:
+            sys.setswitchinterval(old)
 
     def test_overshoot_cap_raises(self):
         # near q = 1 the downward pass would need more than 2000 extra

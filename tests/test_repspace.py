@@ -92,6 +92,15 @@ class TestTGeneric:
         with pytest.raises(WindowError):
             rs.build_T_generic(-1.0, 0.0, RepWindow.make({"m": (-5, 2)}), CTX)
 
+    def test_real_head_is_the_top_label(self):
+        # lo + 7 = -2.6999999999999993 misses the head, where the radicand
+        # vanishes; the head label is m_bar itself and keeps its step
+        win = RepWindow.make({"m": (-9.7, -2.7)})
+        fam = rs.build_T_generic(-2.0, -2.7, win, QContext(q=1.5))
+        m = fam.coords.arrays["m"]
+        assert m[-1] == -2.7
+        assert fam.op_csr("T+")[len(m) - 1, len(m) - 2] > 0
+
     def test_d_zero_builds_and_closes_algebra(self):
         fam = rs.build_T_generic(0.0, 0.7, RepWindow.make({"m": (-14.3, 0.7)}),
                                  CTX)
@@ -161,9 +170,7 @@ def ladder_families(draw):
         return rs.build_T_generic(1 / lam, m_bar, None, ctx), q, q * q
     if kind == "head":
         d = -draw(st.floats(0.01, 5.0))
-        # quarters keep every label lo + k exact; an inexact head label
-        # can leave a radicand below the clamp where the ladder ends
-        m_bar = draw(st.integers(-12, 12)) / 4
+        m_bar = draw(st.floats(-3.0, 3.0))
         win = RepWindow.make({"m": (m_bar - draw(st.integers(4, 20)), m_bar)})
         return rs.build_T_generic(d, m_bar, win, ctx), q, q * q
     d_k = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(0.01, 3.0))
