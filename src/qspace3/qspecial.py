@@ -13,21 +13,20 @@ at lattice arguments where it is not contractive by a downward
 coefficients are computed once per (m, ctx), up to the highest degree
 needed so far.
 
-Multiprecision work is shared the same way.  The q-factorials behind every
-direct sum are one prefix list per (q, dps), extended to the highest n asked
-for (qarith._qfact_cached).  The identity checks still evaluate every P~ by
-the direct sum, so they test the recurrence rather than restate it, but
-everything in it that does not depend on x is computed once per
-(l, m, q, dps), in the order the inline sum used, so the values are
-bit-identical: the q-powers, the denominator Pochhammer and the three
-q-binomials of each term (_ptilde_factors, with the radicand's q-powers),
-the q-powers of both checks (_identity_powers) and their recurrence
-coefficients (_recurrence_coeff_mp).  Only that path caches them: its dps is
-banded to multiples of 40 and the grid visits (l, m) in order, so 16 entries
-suffice.  p_lm's escalation picks a new dps for each point and p_tilde's
-dps, _cancel_dps(l, m, q), follows the degree, so their sums compute the
-factors on the fly and keep none.  clear_caches() empties every
-cache of this module and of qarith; each has a constant bound.
+Every evaluation reads one bounded record of its x-independent factors per
+precision mode, each value computed by the expression an inline evaluation
+uses, so values are bit-identical to one.  In binary64 it is _log_norm
+(4096 entries): log10 of u^2 and of the normalization.  In multiprecision it
+is _ptilde_factors (16 entries): the direct sum's terms, the radicand's
+q-powers, u^2, the normalization, the couplings to degrees l -+ 1 and the
+q-powers of the identity checks.  p_tilde's multiprecision route, extended
+weight_w and table seeds, and both identity checks read it.  The checks
+still sum every P~ directly, so they test the recurrence rather than restate
+it; they band their dps to multiples of 40 and visit the degrees in order,
+so 16 entries serve a whole grid.  p_lm's escalation streams the sum's
+factors instead, as its dps changes on every attempt.  The q-factorials are
+one prefix list per (q, dps).  clear_caches() empties every cache of this
+module and of qarith.
 
 The coefficient lists and the q-factorial prefix lists are extended under
 one lock, qarith._QFACT_LOCK, which re-reads the length inside it, so
@@ -36,10 +35,11 @@ an entry, once appended, never changes.
 
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
-in closed form (elementary-symmetric expansion) and is cached per (q, m).
+in closed form (elementary-symmetric expansion).
 """
 
 import math
+from collections import namedtuple
 from functools import lru_cache, partial
 
 import mpmath as mp
@@ -120,7 +120,11 @@ def _rad(m, x, q, powers=None):
         r = r * f
         scale = max(scale, abs(float(f)))
     if r < 0:
-        if float(r) > -1e-12 * max(scale, 1.0) ** m:
+        try:
+            tol = 1e-12 * scale ** m
+        except OverflowError:       # the bound is beyond binary64
+            tol = math.inf
+        if -float(r) < tol:
             return 0 * x
         raise DomainError(
             f"argument {float(x)} outside the weight support for m={m}")
@@ -132,13 +136,20 @@ def _rad_powers(m, q):
     return q**(4 * m), tuple(q**(-4 * j) for j in range(m))
 
 
-@lru_cache(maxsize=4096)
-def _log_u2(l: int, m: int, qkey: float):
+def _log_u2(l, m, q):
     """log10 of the positive l-dependent weight factor squared."""
-    t = l * (l + 1) * math.log10(qkey) + math.log10(_qnum(2 * l + 1, qkey))
+    t = l * (l + 1) * math.log10(q) + math.log10(_qnum(2 * l + 1, q))
     for k in range(l - m + 1, l + m + 1):
-        t += math.log10(_qnum(k, qkey))
+        t += math.log10(_qnum(k, q))
     return t
+
+
+@lru_cache(maxsize=4096)
+def _log_norm(l: int, m: int, qkey: float):
+    """The binary64 record of weight_w's x-independent factors: log10 of u^2
+    at (l, m) and of the normalization constant of order m."""
+    return (_log_u2(l, m, qkey),
+            math.log10(_snorm_core(m, qkey)) + _log_u2(m, m, qkey))
 
 
 def _snorm_core(m, q):
@@ -164,24 +175,12 @@ def _snorm_core(m, q):
     return 2 * (1 - q**-2) * s
 
 
-@lru_cache(maxsize=256)
-def _snorm_log(m: int, qkey: float):
-    """log10 of the normalization constant for the degree-m member."""
-    return math.log10(_snorm_core(m, qkey)) + _log_u2(m, m, qkey)
-
-
 def _u2_mp(l, m, q):
     """u^2 factor in ambient mpmath precision."""
     t = q**(l * (l + 1)) * (q**(2 * l + 1) - q**(-2 * l - 1)) / (q - 1 / q)
     for k in range(l - m + 1, l + m + 1):
         t = t * (q**k - q**(-k)) / (q - 1 / q)
     return t
-
-
-@lru_cache(maxsize=4096)
-def _u2_mp_cached(l: int, m: int, qkey: float, dps: int):
-    with mp.workdps(dps):
-        return _u2_mp(l, m, mp.mpf(qkey))
 
 
 @lru_cache(maxsize=256)
@@ -216,50 +215,69 @@ def _snap_lattice(x, m, q):
     return None
 
 
-def _ptilde_mp(l, m, x, q, dps, factors=None):
+def _ptilde_mp(l, m, x, q, dps):
     """Weighted function at full working precision (x, q given as mpf);
-    near-lattice arguments are snapped to the exact lattice point.
-    factors, when given, are _ptilde_factors(l, m, float(q), dps)."""
+    near-lattice arguments are snapped to the exact lattice point."""
     if l < m:
         return mp.mpf(0)
+    f = _ptilde_factors(l, m, float(q), dps)
     x = _lift_arg(x, m, q)
-    terms, powers = factors or (_sum_factors(l, m, q, dps), None)
-    s, _ = _p_sum_at(x, terms)
-    return s * _weight_mp(l, m, x, q, dps, powers)
+    s, _ = _p_sum_at(x, f.terms)
+    return s * _weight_mp(x, q, f)
 
 
-def _weight_mp(l, m, x, q, dps, powers=None):
-    """weight_w at full working precision (x, q given as mpf)."""
-    r = _rad(m, x, q, powers)
-    if r == 0:
-        return mp.mpf(0)
-    return mp.sqrt(_u2_mp_cached(l, m, float(q), dps) * r
-                   / _snorm_mp_cached(m, float(q), dps))
+def _weight_mp(x, q, f):
+    """weight_w at full working precision (x, q given as mpf), from the
+    record f = _ptilde_factors(l, m, float(q), dps)."""
+    return mp.sqrt(f.u2 * _rad(f.m, x, q, f.rad) / f.norm)
 
 
 @lru_cache(maxsize=65536)
 def _ptilde_mp_cached(l, m, x, qkey, dps):
     """_ptilde_mp shared by the identity checks, which revisit each
     (l, m, x) from the neighbouring degrees and arguments."""
-    return _ptilde_mp(l, m, x, mp.mpf(qkey), dps,
-                      _ptilde_factors(l, m, qkey, dps))
+    return _ptilde_mp(l, m, x, mp.mpf(qkey), dps)
+
+
+_PtildeFactors = namedtuple(
+    "_PtildeFactors", "m terms rad u2 norm c_down c_up checks")
 
 
 @lru_cache(maxsize=16)
 def _ptilde_factors(l, m, qkey, dps):
-    """The x-independent factors of _ptilde_mp at (l, m, q, dps): the terms
-    of _sum_factors and the _rad_powers.  The identity checks work at a
-    banded dps and visit the degrees in order, so a few entries serve the
-    whole grid; p_lm's escalation picks a new dps per point and does not
-    come here."""
+    """The multiprecision record of everything in P~_l and its identity
+    checks that does not depend on x, at (l, m, q, dps): the terms of
+    _sum_factors, the _rad_powers, u^2, the normalization constant, the
+    couplings to degrees l - 1 (c_down, 0 at l = m) and l + 1 (c_up), and
+    the q-powers of the checks (q**(m+1) of check_recurrence, then the
+    seven of check_difference).  Each value is the expression it replaces,
+    at dps digits."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
-        return tuple(_sum_factors(l, m, q, dps)), _rad_powers(m, q)
+        qn = partial(_qnum, q=q)
+        return _PtildeFactors(
+            m, tuple(_sum_factors(l, m, q, dps)), _rad_powers(m, q),
+            _u2_mp(l, m, q), _snorm_mp_cached(m, qkey, dps),
+            _recurrence_coeff(l - 1, m, qn) if l > m else mp.mpf(0),
+            _recurrence_coeff(l, m, qn),
+            (q**(m + 1),
+             (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
+             (q * q + 1) * q**(-2 * (m + 2)),
+             q**2, q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4))
 
 
 def _log_weight(l, m, q, r):
     """log10 of the binary64 weight_w at the radicand value r > 0."""
-    return 0.5 * (_log_u2(l, m, q) + math.log10(r) - _snorm_log(m, q))
+    log_u2, log_norm = _log_norm(l, m, q)
+    return 0.5 * (log_u2 + math.log10(r) - log_norm)
+
+
+def _check_args(m, x):
+    """DomainError unless the order m is >= 0 and the argument x finite."""
+    if m < 0:
+        raise DomainError(f"order m must be >= 0, got {m}")
+    if not math.isfinite(float(x)):
+        raise DomainError(f"argument must be finite, got {float(x)}")
 
 
 def _cancel_dps(l, m, q):
@@ -293,8 +311,7 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     Defined for m >= 0; identically 0 for l < m.  Evaluated by the explicit
     finite sum with transparent precision escalation under cancellation.
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
+    _check_args(m, x)
     if l < m or (x == 0 and (l - m) % 2):
         return ctx.out(0.0)           # an odd polynomial vanishes at 0 exactly
     qkey = float(ctx.q)
@@ -308,7 +325,12 @@ def p_lm(l: int, m: int, x, ctx: QContext):
         dps = 30 + int(math.log10(worst / abs(s)))
     else:
         dps = _cancel_dps(l, m, qkey)
-    return float(_p_lm_escalated(l, m, x, qkey, dps))
+    v = float(_p_lm_escalated(l, m, x, qkey, dps))
+    if not math.isfinite(v):
+        raise PrecisionError(
+            f"p_lm({l}, {m}, {float(x)}) at q={qkey} leaves the binary64 "
+            f"range")
+    return v
 
 
 def _p_lm_escalated(l, m, x, qkey, dps):
@@ -333,18 +355,18 @@ def weight_w(l: int, m: int, x, ctx: QContext):
 
     The l-dependent scale is q^(l(l+1)/2) sqrt([l+m]! [2l+1] / [l-m]!) and the
     constant makes the degree-m member a unit vector on the lattice (closed
-    form, cached per (q, m)).  Raises DomainError off the support (negative
+    form).  Raises DomainError off the support (negative
     radicand beyond rounding), and in binary64 PrecisionError where the
     weight, or the radicand product behind it, leaves the binary64 range; a
     weight below 1e-250 reads 0.
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
+    _check_args(m, x)
     if l < m:
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
         with mp.workdps(ctx.dps):
-            return _weight_mp(l, m, mp.mpf(x), mp.mpf(ctx.q), ctx.dps)
+            return _weight_mp(mp.mpf(x), mp.mpf(ctx.q),
+                              _ptilde_factors(l, m, float(ctx.q), ctx.dps))
     q = float(ctx.q)
     r = float(_rad(m, float(x), q))
     if r == 0.0:
@@ -372,8 +394,7 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
     argument is treated as naming the node).  Internally escalates to
     multiprecision whenever cancellation or binary64 range demands it.
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
+    _check_args(m, x)
     if l < m:
         return ctx.out(0.0)
     q = float(ctx.q)
@@ -410,13 +431,6 @@ def _recurrence_coeff(l, m, qn):
                      / (qn(2 * l + 1) * qn(2 * l + 3)))
 
 
-@lru_cache(maxsize=4096)
-def _recurrence_coeff_mp(l: int, m: int, qkey: float, dps: int):
-    """_recurrence_coeff(l, m) at dps digits, for the identity checks."""
-    with mp.workdps(dps):
-        return _recurrence_coeff(l, m, partial(_qnum, q=mp.mpf(qkey)))
-
-
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l+1) member in the three-term recurrence."""
     return ctx.out(_recurrence_coeff(l, m, partial(_qnum, q=ctx.qval())))
@@ -445,10 +459,7 @@ def p_tilde_table(l_max: int, m: int, x, ctx: QContext):
     off the lattice P~ is the dominant solution.  Extended tables are
     computed at ctx.dps whatever the ambient mpmath precision.
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
-    if not math.isfinite(float(x)):
-        raise DomainError(f"argument must be finite, got {float(x)}")
+    _check_args(m, x)
     return list(_table_cached(l_max, m, x, ctx))
 
 
@@ -611,34 +622,19 @@ def _lift_arg(x, m, q):
     return xx
 
 
-@lru_cache(maxsize=16)
-def _identity_powers(l: int, m: int, qkey: float, dps: int):
-    """The x-independent q-powers of the identity checks at (l, m, q, dps):
-    q**(m+1) of check_recurrence, then the seven of check_difference."""
-    with mp.workdps(dps):
-        q = mp.mpf(qkey)
-        return (q**(m + 1),
-                (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
-                (q * q + 1) * q**(-2 * (m + 2)),
-                q**2, q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)),
-                q**-4)
-
-
 def check_recurrence(l: int, m: int, x, ctx: QContext):
     """Relative residual of the three-term recurrence in l at the point x."""
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
+    _check_args(m, x)
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
+        f = _ptilde_factors(l, m, qkey, dps)
         xx = _lift_arg(x, m, mp.mpf(qkey))
         pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
-        lhs = xx * _identity_powers(l, m, qkey, dps)[0] * pt
-        rhs = _recurrence_coeff_mp(l, m, qkey, dps) \
-            * _ptilde_mp_cached(l + 1, m, xx, qkey, dps)
+        lhs = xx * f.checks[0] * pt
+        rhs = f.c_up * _ptilde_mp_cached(l + 1, m, xx, qkey, dps)
         if l > m:
-            rhs += _recurrence_coeff_mp(l - 1, m, qkey, dps) \
-                * _ptilde_mp_cached(l - 1, m, xx, qkey, dps)
+            rhs += f.c_down * _ptilde_mp_cached(l - 1, m, xx, qkey, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -648,13 +644,12 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     On the support both square-root coefficients carry an overall minus sign
     (each radicand is a product of two negative factors).
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
+    _check_args(m, x)
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
         _, shell, centre, q2, q4m, inner, outer, q4 = \
-            _identity_powers(l, m, qkey, dps)
+            _ptilde_factors(l, m, qkey, dps).checks
         xx = _lift_arg(x, m, mp.mpf(qkey))
         pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
         lhs = (shell * xx**2 - centre) * pt
@@ -729,8 +724,7 @@ def clear_caches():
     """Empty every cache of qarith and qspecial, the q-factorial prefix
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
-    for cache in (_qfact_cached, _qfact_list, _log_u2, _snorm_log,
-                  _u2_mp_cached, _snorm_mp_cached, _ptilde_mp_cached,
-                  _ptilde_factors, _recurrence_coeff_mp, _table_cached,
-                  _coeff_lists, _identity_powers):
+    for cache in (_qfact_cached, _qfact_list, _log_norm, _snorm_mp_cached,
+                  _ptilde_mp_cached, _ptilde_factors, _table_cached,
+                  _coeff_lists):
         cache.cache_clear()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,6 +96,69 @@ class TestPoly:
         assert code == 4
         assert doc is None
         assert "binary64" in capsys.readouterr().err
+
+    def test_non_finite_point_exits_3_at_once(self, capsys):
+        # rejected up front, not after escalating past 1000 digits
+        start = time.perf_counter()
+        code, _ = run_cli(["poly", "--l", "40", "--m", "30", "--x", "inf",
+                           "--q", "3"])
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        assert "finite" in capsys.readouterr().err
+
+    def test_polynomial_beyond_binary64_exits_4(self, tmp_path, capsys):
+        # P_31(1e300) at q = 1.1 is about 1e600: no Infinity row
+        code, doc = run_cli(["poly", "--l", "3", "--m", "1", "--x", "1e300",
+                             "--q", "1.1"], tmp_path)
+        assert code == 4
+        assert doc is None
+        assert "binary64" in capsys.readouterr().err
+
+    def test_radicand_bound_beyond_binary64_is_off_support(self, tmp_path):
+        # x = 2**-8 (1 + 1e-7) lies off the order-30 support; its clamp
+        # bound 1e-12 * scale**30 exceeds the binary64 range
+        code, doc = run_cli(["poly", "--l", "30", "--m", "30", "--x",
+                             "0.0039062503906250", "--q", "2"], tmp_path)
+        assert code == 0
+        assert doc["rows"][0]["P"] == 1.0
+        assert doc["rows"][0]["P_tilde"] is None
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_poly_exit_code_contract(capsys):
+    # every (q, l, m, x) of the grid exits 0, 2, 3 or 4 without a traceback,
+    # and an exit-0 report is strict JSON; the x run through both signs, a
+    # radicand clamp beyond binary64, a near-node point, an overflowing
+    # polynomial and the non-finite values
+    failures = []
+    start = time.perf_counter()
+    for q in (1.1, 2.0, 3.0):
+        for l, m in ((0, 0), (3, 1), (8, 3), (30, 30), (40, 30)):
+            node = q**(2 * (-1 - m - 1))
+            for x in ("0", "-1", "0.0039062503906250", "0.37",
+                      repr(node * (1 + 1e-13)), "1e300", "inf", "nan"):
+                argv = ["poly", "--l", str(l), "--m", str(m), "--x", x,
+                        "--q", str(q)]
+                try:
+                    code = main(argv)
+                except Exception as e:
+                    failures.append((argv, repr(e)))
+                    continue
+                out = capsys.readouterr().out
+                if code not in (0, 2, 3, 4):
+                    failures.append((argv, code))
+                elif code == 0:
+                    try:
+                        _strict_json(out)
+                    except ValueError as e:
+                        failures.append((argv, str(e)))
+    assert not failures
+    assert time.perf_counter() - start < 5.0
 
 
 class TestVerify:

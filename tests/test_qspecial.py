@@ -139,6 +139,15 @@ class TestEscalation:
         monkeypatch.setattr(qs, "_p_sum", self._never_converges)
         assert main(["poly", "--l", "5", "--m", "0", "--x", "0.3"]) == 4
 
+    @pytest.mark.parametrize("l, m, x, q", [(3, 1, 1e300, 1.1),
+                                            (2, 0, 1e160, 1.5)])
+    def test_polynomial_beyond_binary64_raises(self, l, m, x, q):
+        # the escalated sum converges to a value beyond binary64: no inf
+        with pytest.raises(PrecisionError):
+            qs.p_lm(l, m, x, QContext(q=q))
+        assert float(qs.p_lm(l, m, x, QContext(q=q, precision="extended"))) \
+            == math.inf
+
 
 class TestWeight:
     def test_order_zero_is_flat(self):
@@ -203,6 +212,24 @@ class TestWeight:
             assert qs.weight_w(30, 30, x, ctx) == 0
             assert qs.p_tilde(30, 30, x, ctx) == 0
             assert set(qs.p_tilde_table(40, 30, x, ctx)) == {0}
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_radicand_bound_beyond_binary64_is_off_support(self, precision):
+        # at x = 2**-8 (1 + 1e-7), q = 2, m = 30 the factor j = 26 is -2e-7
+        # and the clamp bound 1e-12 * scale**30 exceeds the binary64 range
+        ctx = QContext(q=2.0, precision=precision)
+        x = 2.0**-8 * (1 + 1e-7)
+        for f in (qs.weight_w, qs.p_tilde):
+            with pytest.raises(DomainError):
+                f(30, 30, x, ctx)
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, x, precision):
+        ctx = QContext(q=3.0, precision=precision)
+        for f in (qs.p_lm, qs.p_tilde, qs.weight_w):
+            with pytest.raises(DomainError, match="finite"):
+                f(40, 30, x, ctx)
 
 
 class TestWeightedFunction:
@@ -387,24 +414,30 @@ class TestIdentities:
                         assert qs.check_difference(l, m, x, ctx) < 1e-10
 
     def test_cached_recurrence_coefficient_is_the_inline_one(self):
+        # the record of degree l holds the couplings to l + 1 and, above
+        # the bottom l = m, to l - 1, each computed as the inline one
         for q in (1.1, 1.5, 2.0):
             ctx = QContext(q=q)
             for l in range(9):
                 for m in range(l + 1):
                     dps = qs._check_dps(l, m, ctx)
                     with mp.workdps(dps):
-                        inline = qs._recurrence_coeff(
-                            l, m, partial(qa._qnum, q=mp.mpf(q)))
-                    cached = qs._recurrence_coeff_mp(l, m, q, dps)
-                    assert isinstance(cached, mp.mpf) and cached == inline
+                        qn_mp = partial(qa._qnum, q=mp.mpf(q))
+                        up = qs._recurrence_coeff(l, m, qn_mp)
+                        down = qs._recurrence_coeff(l - 1, m, qn_mp) \
+                            if l > m else mp.mpf(0)
+                    f = qs._ptilde_factors(l, m, q, dps)
+                    assert isinstance(f.c_up, mp.mpf) and f.c_up == up
+                    assert isinstance(f.c_down, mp.mpf) and f.c_down == down
 
     def test_check_recurrence_reads_the_coefficient_cache(self):
-        qs._recurrence_coeff_mp.cache_clear()
+        # one record per degree: l, then the neighbours l + 1 and l - 1
+        qs.clear_caches()
         qs.check_recurrence(3, 1, 1.5**-4, CTX15)
-        info = qs._recurrence_coeff_mp.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        info = qs._ptilde_factors.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
         qs.check_recurrence(4, 1, 1.5**-4, CTX15)
-        assert qs._recurrence_coeff_mp.cache_info().hits >= 1
+        assert qs._ptilde_factors.cache_info().hits >= 1
 
 
 # The direct sum, radicand and identity checks as they were written inline,
@@ -454,8 +487,12 @@ def _ref_ptilde(l, m, x, q, dps):
     r = _ref_rad(m, x, q)
     if r == 0:
         return s * mp.mpf(0)
-    return s * mp.sqrt(qs._u2_mp_cached(l, m, float(q), dps) * r
-                       / qs._snorm_mp_cached(m, float(q), dps))
+    norm = qs._snorm_core(m, q) * qs._u2_mp(m, m, q)
+    return s * mp.sqrt(qs._u2_mp(l, m, q) * r / norm)
+
+
+def _ref_coupling(l, m, q):
+    return qs._recurrence_coeff(l, m, partial(qa._qnum, q=q))
 
 
 def _ref_check_recurrence(l, m, x, ctx):
@@ -466,10 +503,9 @@ def _ref_check_recurrence(l, m, x, ctx):
         xx = qs._lift_arg(x, m, q)
         pt = _ref_ptilde(l, m, xx, q, dps)
         lhs = xx * q**(m + 1) * pt
-        rhs = qs._recurrence_coeff_mp(l, m, qkey, dps) \
-            * _ref_ptilde(l + 1, m, xx, q, dps)
+        rhs = _ref_coupling(l, m, q) * _ref_ptilde(l + 1, m, xx, q, dps)
         if l > m:
-            rhs += qs._recurrence_coeff_mp(l - 1, m, qkey, dps) \
+            rhs += _ref_coupling(l - 1, m, q) \
                 * _ref_ptilde(l - 1, m, xx, q, dps)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
@@ -552,17 +588,21 @@ class TestAgainstInlineSums:
         assert results[0] == results[1] == results[2]
 
     def test_escalation_stores_no_factors(self):
-        # p_lm and p_tilde pick a new dps per point, so their sums compute
-        # the factors on the fly; only the identity checks cache them
+        # p_lm's escalation picks a new dps per point, so its sums compute
+        # the factors on the fly; p_tilde's multiprecision route, in either
+        # mode, reads the record as the identity checks do
         qs.clear_caches()
         qs.p_lm(20, 0, 1.5**-18, CTX15)
+        qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
+        assert qs._ptilde_factors.cache_info().currsize == 0
         qs.p_tilde(30, 1, 1.5**-10, CTX15)
         qs.p_tilde(30, 1, 0.3, QContext(q=1.5, precision="extended"))
-        assert qs._ptilde_factors.cache_info().currsize == 0
+        info = qs._ptilde_factors.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         qs.check_difference(4, 1, 1.5**-6, CTX15)
         qs.check_difference(4, 1, 1.5**-8, CTX15)
         info = qs._ptilde_factors.cache_info()
-        assert info.hits > 0 and info.misses == info.currsize
+        assert info.hits > 1 and info.misses == info.currsize == 2
 
 
 def _all_caches():
@@ -571,12 +611,12 @@ def _all_caches():
 
 
 def test_every_cache_is_bounded():
+    # one record of x-independent factors per precision mode: _log_norm
+    # in binary64, _ptilde_factors in multiprecision
     bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
-              qs._log_u2: 4096, qs._snorm_log: 256,
-              qs._snorm_mp_cached: 256, qs._u2_mp_cached: 4096,
-              qs._recurrence_coeff_mp: 4096, qs._table_cached: 65536,
-              qs._coeff_lists: 256, qs._ptilde_mp_cached: 65536,
-              qs._ptilde_factors: 16, qs._identity_powers: 16}
+              qs._log_norm: 4096, qs._snorm_mp_cached: 256,
+              qs._table_cached: 65536, qs._coeff_lists: 256,
+              qs._ptilde_mp_cached: 65536, qs._ptilde_factors: 16}
     for cache in _all_caches():
         assert cache in bounds, cache.__name__
     for cache, maxsize in bounds.items():
@@ -661,3 +701,21 @@ def test_parity_property(l, m, n, sig, q):
     a = qs.p_tilde(l, m, x, ctx)
     b = qs.p_tilde(l, m, -x, ctx)
     assert b == pytest.approx((-1)**(l - m) * a, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q=st.sampled_from([1.1, 1.3, 1.5, 2.0, 3.0]),
+       lm=st.integers(min_value=0, max_value=4).flatmap(
+           lambda m: st.tuples(st.integers(min_value=m, max_value=30),
+                               st.just(m))),
+       n=st.integers(min_value=-12, max_value=0),
+       sig=st.sampled_from([1, -1]))
+def test_binary64_p_tilde_against_extended_and_table(q, lm, n, sig):
+    # three routes to P~_l at a lattice node: binary64 p_tilde, the extended
+    # p_tilde rounded once, and the binary64 recurrence column
+    l, m = lm
+    x = qs._lattice_point(n, m, sig, q)
+    v = qs.p_tilde(l, m, x, QContext(q=q))
+    assert v == float(qs.p_tilde(l, m, x, QContext(q=q, precision="extended")))
+    assert qs.p_tilde_table(l, m, x, QContext(q=q))[l] \
+        == pytest.approx(v, rel=1e-8, abs=0)
