@@ -6,12 +6,12 @@ diagonalize the orbital Casimir and the coordinate X3.
 """
 
 from .context import QContext
-from .errors import (CoverageError, DomainError, PoleError, PrecisionError,
-                     QSpaceError, WindowError)
+from .errors import (CoverageError, DomainError, PrecisionError, QSpaceError,
+                     WindowError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "QContext", "QSpaceError", "DomainError", "WindowError",
-    "CoverageError", "PoleError", "PrecisionError", "__version__",
+    "CoverageError", "PrecisionError", "__version__",
 ]

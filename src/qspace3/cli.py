@@ -8,6 +8,7 @@ failure, 3 domain/configuration error, 4 precision (non-convergence) error.
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -233,8 +234,24 @@ def _cmd_verify(args):
     return 0 if rep.passed else 2
 
 
+def _check_z0(args, power):
+    """DomainError (exit 3) unless --z0 of spectrum or transform is finite,
+    and so is the largest level a verb derives from it, (|z0| q^(2M+1))^power:
+    power 1 bounds X3 (eigenvalues sigma |z0| q^(2 nu), nu <= M) and the
+    transform targets, power 2 the R2 level q^(4M+2) z0^2."""
+    try:
+        top = (abs(args.z0) * args.q**(2 * args.M + 1))**power
+    except OverflowError:
+        top = math.inf
+    if not (math.isfinite(args.z0) and math.isfinite(top)):
+        raise DomainError(
+            f"--z0 must be finite with levels inside binary64, got "
+            f"{args.z0} at --M {args.M}, --q {args.q}")
+
+
 def _cmd_spectrum(args):
     ctx = _ctx(args)
+    _check_z0(args, 2 if args.observable == "r2" else 1)
     q = float(ctx.q)
     rows = []
     if args.observable == "x3":
@@ -267,6 +284,7 @@ def _cmd_spectrum(args):
 
 def _cmd_transform(args):
     ctx = _ctx(args)
+    _check_z0(args, 1)
     table = build_transform(args.direction, args.m, ctx, M=args.M,
                             l_max=args.lmax, depth=args.depth, z0=args.z0)
     summary = table.to_json_dict()

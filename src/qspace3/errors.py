@@ -17,9 +17,5 @@ class CoverageError(WindowError):
     """A window is too small to cover the requested labels."""
 
 
-class PoleError(DomainError):
-    """A lower Pochhammer factor vanished before a series terminated."""
-
-
 class PrecisionError(QSpaceError):
-    """A series or product failed to converge within the configured budget."""
+    """A sum or recurrence failed to converge within its precision budget."""

@@ -47,11 +47,10 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, PrecisionError
-from .qarith import (basic_hypergeometric, _qnum, _qbin, _qfact_cached,
-                     _qfact_list, _QFACT_LOCK)
+from .qarith import _qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK
 
 __all__ = [
-    "big_q_jacobi", "p_lm", "weight_w", "p_tilde", "p_tilde_table",
+    "p_lm", "weight_w", "p_tilde", "p_tilde_table",
     "check_recurrence", "check_difference",
     "orthonormality_sum", "completeness_sum",
     "recurrence_coeff_up", "recurrence_coeff_down", "clear_caches",
@@ -59,6 +58,8 @@ __all__ = [
 
 _LOG_CAP = 250.0          # |log10| beyond which binary64 products are unsafe
 _CANCEL_OK = 1e2          # direct-sum cancellation accepted in binary64
+_EPS = 2.0**-52           # binary64 machine epsilon
+_RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +107,21 @@ def _p_sum_at(x, factors):
 
 
 def _rad(m, x, q, powers=None):
-    """Radicand product attached to the weight; clamps rounding-level
-    negatives to zero, rejects genuinely negative values.  powers, when
-    given, are _rad_powers(m, q)."""
+    """Radicand product attached to the weight, or DomainError where it is
+    negative (off the support).  A factor 1 - x^2 q^(4(m-j)) within
+    _RAD_ULPS machine epsilons of zero, its rounding bound, is a zero of the
+    radicand and the product is 0; every other factor, and so the product,
+    has its exact sign.  powers, when given, are _rad_powers(m, q)."""
     q4m, q4j = powers or _rad_powers(m, q)
+    bound = _RAD_ULPS * (mp.eps if isinstance(x, mp.mpf) else _EPS)
     r = 1 + 0 * x
-    scale = 1.0
     x2q = x * x * q4m
     for qj in q4j:
         f = 1 - x2q * qj
-        if f == 0:      # 0 even where the running product overflowed to inf
+        if abs(f) <= bound:     # 0, not inf * 0, where r has overflowed
             return 0 * x
         r = r * f
-        scale = max(scale, abs(float(f)))
     if r < 0:
-        try:
-            tol = 1e-12 * scale ** m
-        except OverflowError:       # the bound is beyond binary64
-            tol = math.inf
-        if -float(r) < tol:
-            return 0 * x
         raise DomainError(
             f"argument {float(x)} outside the weight support for m={m}")
     return r
@@ -289,27 +285,13 @@ def _cancel_dps(l, m, q):
 # public operations
 # ---------------------------------------------------------------------------
 
-def big_q_jacobi(l: int, x, a, b, c, ctx: QContext, base=None):
-    """Big q-Jacobi polynomial P_l(x; a, b, c) on the base |base| < 1.
-
-    The default base is 1/q.  Evaluated through the terminating basic
-    hypergeometric series; pole and precision errors propagate.
-    """
-    if l < 0:
-        raise DomainError(f"degree must be >= 0, got {l}")
-    q = ctx.qval()
-    if base is None:
-        base = 1 / q
-    upper = [base**(-l), a * b * base**(l + 1), x]
-    lower = [a * base, c * base]
-    return basic_hypergeometric(upper, lower, base, base, ctx)
-
-
 def p_lm(l: int, m: int, x, ctx: QContext):
     """Associated big q-Jacobi polynomial of degree l - m in x.
 
     Defined for m >= 0; identically 0 for l < m.  Evaluated by the explicit
-    finite sum with transparent precision escalation under cancellation.
+    finite sum with transparent precision escalation under cancellation; an
+    escalated sum at a near-lattice argument is taken at the exact node, the
+    argument p_tilde uses.
     """
     _check_args(m, x)
     if l < m or (x == 0 and (l - m) % 2):
@@ -336,11 +318,13 @@ def p_lm(l: int, m: int, x, ctx: QContext):
 def _p_lm_escalated(l, m, x, qkey, dps):
     """The direct sum at dps digits, doubled until its cancellation leaves
     at least 18 digits; PrecisionError after 6 attempts.  A sum that cancels
-    to exactly 0 is not converged unless all its terms vanish."""
+    to exactly 0 is not converged unless all its terms vanish.  A near-lattice
+    x is snapped to its node, as p_tilde does."""
     start = dps
     for _ in range(6):
         with mp.workdps(dps):
-            s, worst = _p_sum(l, m, mp.mpf(x), mp.mpf(qkey), dps)
+            q = mp.mpf(qkey)
+            s, worst = _p_sum(l, m, _lift_arg(x, m, q), q, dps)
             if worst == 0 or (s != 0
                               and worst / abs(s) < mp.mpf(10)**(dps - 18)):
                 return s

@@ -84,6 +84,19 @@ class TestPoly:
         assert code == 0
         assert [r["x"] for r in doc["rows"]] == [1.5**-2, -1.5**-2]
 
+    def test_lattice_rows_name_one_argument(self, tmp_path):
+        # both columns are taken at the exact node, so weight_w * P is
+        # P_tilde in every row; P at the float node would read -3.0e-27
+        # beside P_tilde = +3.6e-77
+        from qspace3 import QContext
+        from qspace3.qspecial import weight_w
+        code, doc = run_cli(["poly", "--l", "30", "--m", "0", "--q", "1.5",
+                             "--lattice", "--nmin", "-3"], tmp_path)
+        assert code == 0
+        for r in doc["rows"]:
+            w = weight_w(30, 0, r["x"], QContext(q=1.5))
+            assert w * r["P"] == pytest.approx(r["P_tilde"], rel=1e-12)
+
     def test_bad_point_is_config_error(self, capsys):
         code, _ = run_cli(["poly", "--l", "2", "--m", "0", "--x", "0.3,abc"])
         assert code == 3
@@ -115,8 +128,8 @@ class TestPoly:
         assert "binary64" in capsys.readouterr().err
 
     def test_radicand_bound_beyond_binary64_is_off_support(self, tmp_path):
-        # x = 2**-8 (1 + 1e-7) lies off the order-30 support; its clamp
-        # bound 1e-12 * scale**30 exceeds the binary64 range
+        # x = 2**-8 (1 + 1e-7) lies off the order-30 support: the radicand
+        # factor j = 26 is -2e-7, far beyond its rounding bound
         code, doc = run_cli(["poly", "--l", "30", "--m", "30", "--x",
                              "0.0039062503906250", "--q", "2"], tmp_path)
         assert code == 0
@@ -133,7 +146,7 @@ def _strict_json(text):
 def test_poly_exit_code_contract(capsys):
     # every (q, l, m, x) of the grid exits 0, 2, 3 or 4 without a traceback,
     # and an exit-0 report is strict JSON; the x run through both signs, a
-    # radicand clamp beyond binary64, a near-node point, an overflowing
+    # point just off the order-30 support, a near-node point, an overflowing
     # polynomial and the non-finite values
     failures = []
     start = time.perf_counter()
@@ -159,6 +172,39 @@ def test_poly_exit_code_contract(capsys):
                         failures.append((argv, str(e)))
     assert not failures
     assert time.perf_counter() - start < 5.0
+
+
+def test_spectrum_and_transform_exit_code_contract(capsys):
+    # every verb and --z0 of the grid exits 0, 2, 3 or 4 without a
+    # traceback, and every report it writes is strict JSON; a non-finite
+    # z0, and one whose levels leave binary64 (the R2 level q^2 z0^2 at
+    # z0 = 1e200), exit 3
+    verbs = [["spectrum", obs, "--q", "2", "--depth", "4"]
+             for obs in ("x3", "r2", "t3", "t2")]
+    verbs += [["transform", "--direction", d, "--m", "1", "--lmax", "6",
+               "--depth", "8"] for d in ("1", "2")]
+    failures = []
+    for argv0 in verbs:
+        for z0 in ("nan", "inf", "-inf", "1e200", "1"):
+            argv = argv0 + [f"--z0={z0}"]
+            try:
+                code = main(argv)
+            except Exception as e:
+                failures.append((argv, repr(e)))
+                continue
+            out = capsys.readouterr().out
+            if code not in (0, 2, 3, 4):
+                failures.append((argv, code))
+            off_range = argv[1] == "r2" and z0 == "1e200"
+            if z0 in ("nan", "inf", "-inf") or off_range:
+                if code != 3:
+                    failures.append((argv, code))
+            elif out:
+                try:
+                    _strict_json(out)
+                except ValueError as e:
+                    failures.append((argv, str(e)))
+    assert not failures
 
 
 class TestVerify:

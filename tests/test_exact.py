@@ -1,0 +1,196 @@
+"""The package against the exact rational oracle of exact.py.
+
+Each value is compared with the exact one at the argument it names:
+Fraction(float(x)), or the exact lattice node where the package snaps a
+near-lattice x to it.  The contracts checked are the ones README states
+under "Numerical notes".
+"""
+
+import math
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath as mp
+import pytest
+
+import exact as ex
+from qspace3 import DomainError, QContext
+from qspace3 import qarith as qa
+from qspace3 import qspecial as qs
+
+QS = (1.1, 1.5, 2.0, 3.0)
+EPS = 2.0**-52
+SUM_EPSILONS = 16         # accepted binary64 sum: |s - P| <= 16 eps max|t_k|
+
+
+def _mpf_fraction(v):
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * Fraction(2)**exp
+
+
+def _ulps(v, exact):
+    """|v - exact| in ulps of exact rounded to binary64."""
+    e = float(exact)
+    return abs(float(v) - e) / math.ulp(e)
+
+
+def test_oracle_imports_without_the_package():
+    # blocked modules raise ImportError on import, so the oracle can never
+    # come to share code with the package it checks
+    code = "\n".join([
+        "import sys",
+        "for name in ('mpmath', 'numpy', 'qspace3'):",
+        "    sys.modules[name] = None",
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})",
+        "from fractions import Fraction as F",
+        "import exact",
+        "assert exact.p_direct(3, 1, F(1, 3), F(2)) == "
+        "exact.p_3phi2(3, 1, F(1, 3), F(2))",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("q", QS)
+def test_direct_sum_is_the_3phi2(q):
+    # the paper's definition, a terminating basic hypergeometric series,
+    # equals the direct sum the package evaluates: exactly, at a lattice
+    # node and off the lattice
+    qf = Fraction(q)
+    for l in range(13):
+        for m in range(l + 1):
+            x = ex.lattice_node(-1, m, 1, qf) if (l + m) % 2 \
+                else Fraction(-0.37)
+            assert ex.p_direct(l, m, x, qf) == ex.p_3phi2(l, m, x, qf), \
+                (l, m, x)
+
+
+def _draws(n, seed=11):
+    """(q, l, m, x, exact argument): half uniform x, half float lattice
+    nodes, whose exact argument is the node itself."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        q = rng.choice(QS)
+        l = rng.randint(0, 16 if q == 1.1 else 30)
+        m = rng.randint(0, l)
+        if rng.random() < 0.5:
+            x = rng.uniform(-1, 1)
+            yield q, l, m, x, Fraction(x)
+        else:
+            nu, sigma = rng.randint(-6, 0), rng.choice((1, -1))
+            yield (q, l, m, qs._lattice_point(nu, m, sigma, q),
+                   ex.lattice_node(nu, m, sigma, Fraction(q)))
+
+
+DRAWS = list(_draws(120))
+
+
+def test_extended_p_lm_within_2_ulp():
+    # and the escalation's mpf keeps the 18 digits its stopping rule claims
+    for q, l, m, x, xe in DRAWS:
+        exact = ex.p_direct(l, m, xe, Fraction(q))
+        v = qs.p_lm(l, m, x, QContext(q=q, precision="extended"))
+        assert _ulps(v, exact) <= 2, (q, l, m, x)
+        assert abs(_mpf_fraction(v) - exact) * 10**18 <= abs(exact), \
+            (q, l, m, x)
+
+
+def test_binary64_p_lm_within_the_stated_bound():
+    bound = SUM_EPSILONS * EPS * qs._CANCEL_OK
+    accepted = 0
+    for q, l, m, x, xe in DRAWS:
+        exact = ex.p_direct(l, m, xe, Fraction(q))
+        v = qs.p_lm(l, m, x, QContext(q=q))
+        s, worst = qs._p_sum(l, m, x, q)
+        if s == v and worst:            # the binary64 sum was accepted
+            accepted += 1
+            assert abs(v - float(exact)) <= SUM_EPSILONS * EPS * worst, \
+                (q, l, m, x)
+            assert abs(v - float(exact)) <= bound * abs(float(exact)), \
+                (q, l, m, x)
+        else:
+            assert _ulps(v, exact) <= 2, (q, l, m, x)
+    assert accepted >= 20
+
+
+def _qfact_bound(n, q):
+    """Rounding bound of the binary64 [n]!, in epsilons: per factor [k] the
+    q-powers and their difference (coth(k ln q) + 1/2), the denominator
+    q - 1/q (coth(ln q) + 1/2), the division and the product (1)."""
+    lq = math.log(q)
+    return sum(1 / math.tanh(k * lq) + 1 / math.tanh(lq) + 2
+               for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_qfactorial_prefix_lists(q):
+    # in the binary64 range the multiprecision lists round to within 1 ulp
+    # of the exact [n]!; the binary64 list accumulates the rounding of its n
+    # factors (up to 160 ulp at q = 1.1, n = 86), within their bound
+    qs.clear_caches()
+    for n in range(0, 91, 3):
+        exact = ex.qfactorial(n, Fraction(q))
+        if exact > Fraction(sys.float_info.max):
+            break
+        for dps in (40, 137):
+            assert _ulps(qa._qfact_cached(n, q, dps), exact) <= 1, (n, dps)
+        e = float(exact)
+        assert abs(qa._qfact_cached(n, q, 0) - e) \
+            <= (_qfact_bound(n, q) + 1) * EPS * e, n
+
+
+def _edge_points(m, q):
+    """Arguments on and near the radicand zeros x = q^-2k, k = 1, m/2, m
+    (the sign of x does not enter)."""
+    for k in sorted({1, (m + 1) // 2, m}):
+        edge = q**(-2 * k)
+        yield from (edge, math.nextafter(edge, 0), math.nextafter(edge, 1),
+                    edge * (1 - 1e-12), edge * (1 + 1e-12),
+                    edge * (1 - 1e-7), edge * (1 + 1e-7))
+
+
+def _rad_sign(m, x, q, dps):
+    """The sign of qs._rad in binary64 (dps 0) or at dps digits: -1 for a
+    DomainError."""
+    try:
+        if not dps:
+            r = qs._rad(m, x, q)
+        else:
+            with mp.workdps(dps):
+                r = qs._rad(m, mp.mpf(x), mp.mpf(q))
+    except DomainError:
+        return -1
+    return (r > 0) - (r < 0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_rad_sign_is_exact(q):
+    # the sign is exact wherever every factor is beyond twice the rounding
+    # bound; inside it a factor may read 0, never the wrong sign
+    with mp.workdps(40):
+        bounds = {0: qs._RAD_ULPS * EPS, 40: qs._RAD_ULPS * float(mp.eps)}
+    qf = Fraction(q)
+    for m in range(1, 31):
+        for x in _edge_points(m, q):
+            factors = ex.rad_factors(m, Fraction(x), qf)
+            want = ex.sign_of_product(factors)
+            for dps, bound in bounds.items():
+                got = _rad_sign(m, x, q, dps)
+                if all(abs(f) > 2 * bound for f in factors):
+                    assert got == want, (m, x, dps)
+                else:
+                    assert got in (want, 0), (m, x, dps)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("m", [10, 18, 20, 30])
+def test_point_off_the_support_raises_whatever_m(m, precision):
+    # x = 2**-8 (1 + 1e-7) at q = 2: factor j = m - 4 is -2e-7, after an
+    # odd number of negative factors
+    with pytest.raises(DomainError):
+        qs.weight_w(m, m, 2.0**-8 * (1 + 1e-7),
+                    QContext(q=2.0, precision=precision))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qspace3 import DomainError, PoleError, QContext
+from qspace3 import DomainError, QContext
 from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 
@@ -193,111 +193,6 @@ class TestQBinomial:
                     num *= (q**(n - j) - q**(-(n - j))) / (q**(j + 1) - q**(-(j + 1)))
                 assert qa.qbinomial_sym(n, k, CTX15) == pytest.approx(
                     num, rel=5e-14)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert qa.qpochhammer(0.7, 0.3, 0) == 1.0
-
-    def test_unit_argument(self):
-        assert qa.qpochhammer(1.0, 0.3, 4) == 0.0
-
-    def test_direct_value(self):
-        # (1 - 0.5)(1 - 0.5*0.25)
-        assert qa.qpochhammer(0.5, 0.25, 2) == pytest.approx(0.4375, rel=1e-15)
-
-    def test_multi_argument(self):
-        single = qa.qpochhammer(0.5, 0.25, 3) * qa.qpochhammer(0.2, 0.25, 3)
-        assert qa.qpochhammer([0.5, 0.2], 0.25, 3) == pytest.approx(
-            single, rel=1e-15)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            qa.qpochhammer(0.5, 0.25, -1)
-
-
-class TestPochhammerInf:
-    def test_trivial(self):
-        assert qa.qpochhammer_inf(0.0, 0.3, CTX15) == 1.0
-        assert qa.qpochhammer_inf(1.0, 0.3, CTX15) == 0.0
-
-    def test_against_long_finite_product(self):
-        ctx = CTX15
-        q = ctx.q
-        a = base = q**-4
-        finite = qa.qpochhammer(a, base, qa._MAX_TERMS)
-        inf = qa.qpochhammer_inf(a, base, ctx)
-        assert abs(inf - finite) <= qa._TAIL_EPS * abs(finite) * 4
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(DomainError):
-            qa.qpochhammer_inf(0.5, 1.0, CTX15)
-        with pytest.raises(DomainError):
-            qa.qpochhammer_inf(0.5, -1.2, CTX15)
-
-    def test_slow_base_hits_term_budget(self):
-        from qspace3 import PrecisionError
-        with pytest.raises(PrecisionError):
-            qa.qpochhammer_inf(0.5, 0.9999999, CTX15)
-
-
-class TestBasicHypergeometric:
-    def test_zero_argument(self):
-        assert qa.basic_hypergeometric([0.5, 0.25], [0.125], 0.5, 0.0,
-                                       CTX15) == 1.0
-
-    def test_unit_upper_terminates_immediately(self):
-        v = qa.basic_hypergeometric([1.0, 0.25], [0.125], 0.5, 0.7, CTX15)
-        assert v == 1.0
-
-    def test_convergent_series_oracle(self):
-        # 1phi1 summed by brute force with explicit Pochhammers
-        base, a, b, x = 0.4, 0.3, 0.7, 0.2
-        total = 0.0
-        for k in range(200):
-            t = qa.qpochhammer(a, base, k) / qa.qpochhammer(b, base, k)
-            t *= (-1)**k * base**(k * (k - 1) / 2)
-            t *= x**k / qa.qpochhammer(base, base, k)
-            total += t
-        got = qa.basic_hypergeometric([a], [b], base, x, CTX15)
-        assert got == pytest.approx(total, rel=1e-13)
-
-    def test_base_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            qa.basic_hypergeometric([0.5], [0.25], 1.5, 0.1, CTX15)
-
-    def test_pole_in_lower_parameters(self):
-        # lower parameter 1/base makes (b; base)_k vanish at k = 2
-        with pytest.raises(PoleError):
-            qa.basic_hypergeometric([0.3, 0.7], [2.0], 0.5, 0.1, CTX15)
-
-
-class TestJacksonIntegral:
-    def test_constant_on_unit_interval(self):
-        assert qa.jackson_integral(lambda t: 1.0, 1.0, CTX2) == pytest.approx(
-            1.0, rel=1e-13)
-
-    def test_zero_endpoint(self):
-        assert qa.jackson_integral(lambda t: 1.0, 0.0, CTX2) == 0.0
-
-    def test_linear_q2(self):
-        # geometric series oracle: q/(q+1) = 2/3 at q = 2
-        assert qa.jackson_integral(lambda t: t, 1.0, CTX2) == pytest.approx(
-            2.0 / 3.0, rel=1e-13)
-
-    @pytest.mark.parametrize("q", [1.5, 2.0])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_monomials_closed_form(self, q, n):
-        ctx = QContext(q=q)
-        expect = (1 - q**-1) / (1 - q**(-(n + 1)))
-        got = qa.jackson_integral(lambda t: t**n, 1.0, ctx)
-        assert got == pytest.approx(expect, rel=ctx.tol_rel)
-
-    def test_non_convergence_hits_term_budget(self):
-        from qspace3 import PrecisionError
-        ctx = QContext(q=1.0 + 1e-6)
-        with pytest.raises(PrecisionError):
-            qa.jackson_integral(lambda t: 1.0, 1.0, ctx)
 
 
 class TestExtendedMode:

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact as ex
 from qspace3 import DomainError, PrecisionError, QContext
 from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
@@ -78,26 +80,28 @@ class TestPolynomial:
     @pytest.mark.parametrize("l,m", [(2, 0), (3, 1), (4, 2), (5, 0)])
     def test_matches_general_big_q_jacobi(self, l, m):
         # the order-m family is the degree-(l-m) general polynomial at the
-        # squared base with parameters (q^-2m, q^-2m, -q^-2m); compared in
-        # extended precision where the general series route is also exact
+        # squared base with parameters (q^-2m, q^-2m, -q^-2m): the exact
+        # terminating 3phi2 equals the exact direct sum, and extended p_lm
+        # rounds it to within 2 ulp
         q = 1.5
+        qf = Fraction(q)
         ctx = QContext(q=q, precision="extended")
-        am = q**(-2 * m)
         for x in (-0.4, 0.2, 0.77):
-            general = qs.big_q_jacobi(l - m, x, am, am, -am, ctx, base=q**-2)
-            assert float(qs.p_lm(l, m, x, ctx)) == pytest.approx(
-                float(general), rel=1e-11)
+            general = ex.p_3phi2(l, m, Fraction(x), qf)
+            assert general == ex.p_direct(l, m, Fraction(x), qf)
+            assert abs(float(qs.p_lm(l, m, x, ctx)) - float(general)) \
+                <= 2 * math.ulp(float(general))
 
     def test_big_q_jacobi_degree_one(self):
         # with the squared base and order 0 the degree-1 member is x itself
-        assert qs.big_q_jacobi(1, 0.37, 1.0, 1.0, -1.0, CTX15,
-                               base=1.5**-2) == pytest.approx(0.37, rel=1e-13)
+        x = Fraction(0.37)
+        assert ex.jacobi_3phi2(1, x, 1, 1, -1, Fraction(1.5)**-2) == x
 
     def test_big_q_jacobi_degree_zero(self):
         # series terminates at the constant term
-        am = 1.5**-4
-        assert qs.big_q_jacobi(0, -0.6, am, am, -am, CTX15,
-                               base=1.5**-2) == 1.0
+        am = Fraction(1.5)**-4
+        assert ex.jacobi_3phi2(0, Fraction(-0.6), am, am, -am,
+                               Fraction(1.5)**-2) == 1
 
 
 class TestEscalation:
@@ -215,8 +219,8 @@ class TestWeight:
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_radicand_bound_beyond_binary64_is_off_support(self, precision):
-        # at x = 2**-8 (1 + 1e-7), q = 2, m = 30 the factor j = 26 is -2e-7
-        # and the clamp bound 1e-12 * scale**30 exceeds the binary64 range
+        # at x = 2**-8 (1 + 1e-7), q = 2, m = 30 the factor j = 26 is -2e-7,
+        # far beyond its rounding bound
         ctx = QContext(q=2.0, precision=precision)
         x = 2.0**-8 * (1 + 1e-7)
         for f in (qs.weight_w, qs.p_tilde):
