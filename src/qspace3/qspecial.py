@@ -103,6 +103,8 @@ def _p_sum_at(x, factors):
         t = t * a * b / c
         s = s + t
         worst = max(worst, abs(t))
+    if s != s:          # max() above passes over a NaN term
+        worst = s
     return s, worst
 
 

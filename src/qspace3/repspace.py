@@ -17,7 +17,6 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg as sla
 
 from .context import QContext
 from .errors import DomainError, WindowError
@@ -332,13 +331,20 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
     nu, m = mt + M, mt + mk
     basis = list(zip(nu.tolist(), m.tolist()))
     r = _sqrt_clamped(_qpow(q, 4 * M) - _qpow(q, 4 * nu[tu]))
+    try:
+        r2 = q**(4 * M + 2) * z0 * z0
+    except OverflowError:
+        r2 = math.inf
+    if not math.isfinite(r2):
+        raise DomainError(f"the R2 level q^(4M+2) z0^2 leaves binary64 at "
+                          f"M = {M}, z0 = {z0}, q = {q}")
     ops = {
         "X3": _op("X3", basis, ({},), _diag(z * _qpow(q, 2 * nu))),
         "X+": _op("X+", basis, ({"m_t": 1},),
                   (tu + nk, tu, -q * q * z / sq * r)),
         "X-": _op("X-", basis, ({"m_t": -1},), (tu, tu + nk, q * z / sq * r)),
         "R2": _op("R2", basis, ({},),
-                  _diag(np.full(len(basis), q**(4 * M + 2) * z0 * z0))),
+                  _diag(np.full(len(basis), r2))),
         **_orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
@@ -583,8 +589,11 @@ def t2_block_levels(m: int, depth: int, ctx: QContext, n_levels: int = None):
     The truncated single-sign chain carries the parity class l - |m| odd;
     returns [(l, eigenvalue, rel_err)] for the lowest levels.
     """
+    # scipy.linalg is imported by its two readers only: it adds about 0.1 s
+    # to the start of every command, and no verify or transform reads it
+    from scipy.linalg import eigvalsh_tridiagonal
     D, E, _ = t2_block(m, depth, ctx)
-    evs = np.sort(sla.eigvalsh_tridiagonal(D, E))
+    evs = np.sort(eigvalsh_tridiagonal(D, E))
     if n_levels is None:
         n_levels = len(evs)
     out = []
@@ -615,8 +624,9 @@ def x3_block_levels(M: int, m: int, l_max: int, r0: float, ctx: QContext):
     Only the largest levels are lattice-exact; the 5 levels nearest zero
     are dropped as truncation-distorted.  Returns [(nu, eigenvalue, rel_err)].
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     E, ls = x3_block(M, m, l_max, r0, ctx)
-    evs = np.sort(sla.eigvalsh_tridiagonal(np.zeros(len(ls)), E))[::-1]
+    evs = np.sort(eigvalsh_tridiagonal(np.zeros(len(ls)), E))[::-1]
     n_pos = len(ls) // 2
     q = float(ctx.q)
     nu_top = M + min(0, m)

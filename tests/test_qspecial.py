@@ -127,6 +127,12 @@ class TestEscalation:
         assert got == pytest.approx(9.0057775933823e-41, rel=1e-12)
         assert got == float(ext)
 
+    def test_nan_sum_has_a_nan_largest_term(self):
+        # the binary64 terms overflow; a largest term of 0 would read as
+        # "every term vanished", which the accept rule takes as exact
+        s, worst = qs._p_sum(29, 8, 3.186635545324935e-11, 3.0)
+        assert math.isnan(s) and math.isnan(worst)
+
     @staticmethod
     def _never_converges(l, m, x, q, dps=0):
         # a sum whose largest term dwarfs it at every precision
@@ -465,6 +471,8 @@ def _ref_p_sum(l, m, x, q, dps=0):
             / qa._qbin(m + k, k, q, dps)
         s = s + t
         worst = max(worst, abs(t))
+    if s != s:          # a NaN sum has a NaN largest term
+        worst = s
     return s, worst
 
 

@@ -1,12 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qspace3 import DomainError, QContext, WindowError
+from qspace3.operators import LabeledOperator
 from qspace3.relations import (commutator_magnitude, default_families,
                                verify_relations, RELATION_GROUPS,
-                               VerificationReport)
+                               VerificationReport, _Band, _interior_abs_max)
 
 
 def test_full_suite_passes_at_default_q():
@@ -92,3 +95,117 @@ def test_max_residual_propagates_nan():
     assert not rep.passed
     assert [r["pass"] for r in rep.records] == [True, False, True]
     assert VerificationReport(q=2.0, tol=1e-10).max_residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the band arithmetic against scipy.sparse, value for value
+# ---------------------------------------------------------------------------
+
+def _random_operator(rng, n):
+    """A canonical CSR on offsets drawn from {-7, -1, 0, 1, 7}, with gaps,
+    stored zeros, magnitudes up to 2^+-600 and a few infinite entries."""
+    offsets = rng.choice([d for d in (-7, -1, 0, 1, 7) if abs(d) < n],
+                         size=rng.integers(1, 4), replace=False)
+    rows, cols, vals = [], [], []
+    for d in offsets.tolist():
+        i = np.arange(max(0, -d), min(n, n - d))
+        if rng.random() < 0.5:                  # a diagonal with gaps
+            i = i[rng.random(i.size) < 0.7]
+        v = rng.standard_normal(i.size) * np.ldexp(
+            1.0, rng.integers(-600, 600, i.size))
+        v[rng.random(i.size) < 0.15] = 0.0
+        v[rng.random(i.size) < 0.04] = np.inf
+        v[rng.random(i.size) < 0.04] = -np.inf
+        rows.append(i)
+        cols.append(i + d)
+        vals.append(v)
+    coo = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    return LabeledOperator("A", range(n), coo).to_csr()
+
+
+def _band_entries(band):
+    """(rows, cols, values) of the stored entries, in row-major order."""
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for d, (v, present) in band.diags.items():
+        k = np.arange(v.size) if present is None else np.flatnonzero(present)
+        rows.append(k + max(0, -d))
+        cols.append(k + max(0, -d) + d)
+        vals.append(v[k])
+    return _sorted(*(np.concatenate(x) for x in (rows, cols, vals)))
+
+
+def _sparse_entries(mat):
+    c = mat.tocoo()
+    return _sorted(c.row.astype(int), c.col.astype(int), c.data)
+
+
+def _sorted(rows, cols, vals):
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def _assert_same(band, mat):
+    (br, bc, bv), (sr, sc, sv) = _band_entries(band), _sparse_entries(mat)
+    assert np.array_equal(br, sr) and np.array_equal(bc, sc)
+    # bit for bit, signed zeros included, and NaN in the same places (the
+    # sign of a NaN depends on operand order and shows in no report)
+    nan = np.isnan(sv)
+    assert np.array_equal(np.isnan(bv), nan)
+    assert np.array_equal(bv[~nan].view(np.uint64), sv[~nan].view(np.uint64))
+
+
+def _reference_abs_max(mat, interior):
+    """The interior max as computed on the CSR terms."""
+    c = mat.tocoo()
+    keep = interior[c.row] & interior[c.col]
+    return np.abs(c.data[keep]).max() if keep.any() else None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_band_arithmetic_matches_scipy_sparse(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    pool = []
+    for _ in range(3):
+        mat = _random_operator(rng, n)
+        pool.append((_Band.from_csr(mat), mat))
+    scalars = (1.5, -0.75, 2.0**-40, -3e9, 0.0, math.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(30):
+            (a, A), (b, B) = (pool[i] for i in rng.integers(len(pool),
+                                                            size=2))
+            s = scalars[rng.integers(len(scalars))]
+            op = rng.integers(7)
+            if op == 0:
+                pair = (a + b, A + B)
+            elif op == 1:
+                pair = (a - b, A - B)
+            elif op == 2:
+                # scipy sums a product entry in the stored order of its
+                # operands; the relation terms keep them sorted
+                pair = (a @ b, A.sorted_indices() @ B.sorted_indices())
+            elif op == 3:
+                pair = (s * a, s * A)
+            elif op == 4:
+                s = s or 7.0                    # 1 / 0 raises on both sides
+                pair = (a / s, A / s)
+            elif op == 5:
+                pair = (a.T, A.T)
+            else:
+                pair = (-a, -A)
+            _assert_same(*pair)
+            pool.append(pair)
+            interior = rng.random(n) < 0.7
+            got = _interior_abs_max(pair[0], interior)
+            want = _reference_abs_max(pair[1], interior)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.float64(got).view(np.uint64) \
+                    == np.float64(want).view(np.uint64)
+
+
+def test_band_identity_matches_scipy_sparse():
+    _assert_same(_Band.identity(6), sp.identity(6))
+    _assert_same(-_Band.identity(6), -sp.identity(6))

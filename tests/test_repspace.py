@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qspace3 import DomainError, QContext, WindowError
 from qspace3.operators import LabeledOperator, RepWindow
 from qspace3 import repspace as rs
-from qspace3.relations import _interior_residual, _su2_relations
+from qspace3.relations import _Band, _interior_residual, _su2_relations
 
 CTX = QContext(q=1.5)
 Q = 1.5
@@ -191,7 +191,8 @@ def ladder_families(draw):
 def test_ladder_families_close_the_algebra(case):
     fam, q, lower = case
     T3, Tp, Tm = (fam.op_csr(k) for k in ("T3", "T+", "T-"))
-    for name, terms in _su2_relations(T3, Tp, Tm, q):
+    bands = (_Band.from_csr(A) for A in (T3, Tp, Tm))
+    for name, terms in _su2_relations(*bands, q):
         assert _interior_residual(terms, fam.interior) < 1e-12, name
     assert np.array_equal(Tm.toarray(), lower * Tp.toarray().T)
 
