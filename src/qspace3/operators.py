@@ -6,7 +6,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .context import QContext
 from .errors import WindowError
@@ -81,29 +80,150 @@ class RepWindow:
         return bool(self.interior_mask(one)[0])
 
 
-class _EntryView(Mapping):
-    """Read-only {(i, j): value} view of the stored entries of a CSR."""
+class _Band(Mapping):
+    """An n x n band matrix as {offset d: (v, present)}, read as the
+    {(i, j): value} mapping of its stored entries.
 
-    def __init__(self, mat):
-        self._mat = mat
+    v holds the diagonal entries (i, i + d) for the rows i from max(0, -d),
+    as np.diagonal does, so a transpose only negates d.  present is None
+    when every entry of the diagonal is stored, else a boolean mask; an
+    absent entry holds 0 in v.  Vectors are never changed in place.
+
+    The arithmetic is scipy.sparse's, value for value: a product entry sums
+    its terms in ascending left offset (csr_matmat's order on a canonical
+    left operand), exact zeros of sums and products are dropped, stored
+    zeros of an operand are kept, and A / s is A * (1 / s).
+    """
+
+    __slots__ = ("n", "diags")
+    __array_ufunc__ = None          # numpy scalars defer to __rmul__
+
+    def __init__(self, n, diags):
+        self.n = n
+        self.diags = diags
+
+    @classmethod
+    def from_entries(cls, n, rows, cols, vals):
+        """The band holding vals[k] at (rows[k], cols[k]) (arrays), stored
+        zeros kept; no position may repeat."""
+        d = cols - rows
+        low = int(d.min()) if d.size else 0
+        diags = {}
+        for off in (np.flatnonzero(np.bincount(d - low)) + low).tolist():
+            pick = d == off
+            k = rows[pick] - max(0, -off)
+            v = np.zeros(n - abs(off))
+            v[k] = vals[pick]
+            present = np.zeros(v.size, dtype=bool)
+            present[k] = True
+            diags[off] = (v, None if present.all() else present)
+        return cls(n, diags)
+
+    @classmethod
+    def from_csr(cls, mat):
+        """The band of a scipy sparse matrix, its stored zeros kept."""
+        c = mat.tocoo()
+        return cls.from_entries(mat.shape[0], c.row, c.col, c.data)
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, {0: (np.ones(n), None)})
+
+    @classmethod
+    def _dropping_zeros(cls, n, vectors):
+        """The band of computed diagonals, exact zeros dropped."""
+        diags = {}
+        for d, v in vectors.items():
+            nz = v != 0
+            if nz.all():
+                diags[d] = (v, None)
+            elif nz.any():
+                diags[d] = (v, nz)
+        return cls(n, diags)
+
+    def coo(self):
+        """(rows, cols, values) of the stored entries, row-major."""
+        parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+        for d, (v, present) in self.diags.items():
+            k = np.arange(v.size) if present is None \
+                else np.flatnonzero(present)
+            parts.append((k + max(0, -d), k + max(0, d), v[k]))
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], vals[order]
 
     def __len__(self):
-        return self._mat.nnz
+        return sum(v.size if m is None else int(np.count_nonzero(m))
+                   for v, m in self.diags.values())
 
     def __iter__(self):
-        c = self._mat.tocoo()
-        return zip(c.row.tolist(), c.col.tolist())
+        rows, cols, _ = self.coo()
+        return zip(rows.tolist(), cols.tolist())
 
     def __getitem__(self, key):
         i, j = key
-        m = self._mat
-        if not 0 <= i < m.shape[0]:
+        v, present = self.diags.get(j - i, ((), None))
+        k = min(i, j)                   # the position on diagonal j - i
+        if not 0 <= k < len(v) or (present is not None and not present[k]):
             raise KeyError(key)
-        lo, hi = m.indptr[i], m.indptr[i + 1]
-        hit = np.flatnonzero(m.indices[lo:hi] == j)
-        if not hit.size:
-            raise KeyError(key)
-        return float(m.data[lo + hit[0]])
+        return float(v[k])
+
+    @property
+    def T(self):
+        return _Band(self.n, {-d: e for d, e in self.diags.items()})
+
+    def __neg__(self):
+        return _Band(self.n, {d: (-v, m) for d, (v, m) in self.diags.items()})
+
+    def __mul__(self, s):
+        # x * inf is NaN on a stored zero, but an absent entry stays absent
+        return _Band(self.n, {
+            d: (v * s if m is None else np.where(m, v * s, 0.0), m)
+            for d, (v, m) in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, s):
+        return self * (1 / s)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    @np.errstate(over="ignore", invalid="ignore")   # as scipy's C++ loops
+    def _combine(self, other, op):
+        """op entrywise, an entry absent on one side read as 0."""
+        a, b, zero = self.diags, other.diags, (0.0, None)
+        return _Band._dropping_zeros(self.n, {
+            d: op(a.get(d, zero)[0], b.get(d, zero)[0])
+            for d in a.keys() | b.keys()})
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __matmul__(self, other):
+        n = self.n
+        out = {}
+        for da in sorted(self.diags):   # ascending intermediate index
+            a, ma = self.diags[da]
+            la = max(0, -da)
+            for db, (b, mb) in other.diags.items():
+                d = da + db
+                lo, hi = max(0, -da, -d), min(n, n - da, n - d)
+                if lo >= hi:
+                    continue
+                lb, lc = max(0, -db), max(0, -d)
+                sa, sb = slice(lo - la, hi - la), slice(lo + da - lb,
+                                                        hi + da - lb)
+                t = a[sa] * b[sb]
+                if ma is not None or mb is not None:
+                    both = (True if ma is None else ma[sa]) \
+                        & (True if mb is None else mb[sb])
+                    t = np.where(both, t, 0.0)
+                if d not in out:
+                    out[d] = np.zeros(n - abs(d))
+                out[d][lo - lc:hi - lc] += t
+        return _Band._dropping_zeros(n, out)
 
 
 class LabeledOperator:
@@ -111,17 +231,15 @@ class LabeledOperator:
 
     Convention: acting on a ket indexed by column j produces amplitudes in
     rows i, i.e. entry (i, j) multiplies |basis[i]> in A|basis[j]>.  The
-    matrix is held as one CSR with sorted indices and no duplicates;
-    explicitly stored zeros are kept.
+    matrix is held as one _Band; explicitly stored zeros are kept.  to_csr
+    exports it to scipy.sparse on demand.
     """
 
-    def __init__(self, name, basis, matrix, shift=None):
+    def __init__(self, name, basis, band, shift=None):
         self.name = name
         self.basis = tuple(basis)
         self.shift = shift          # tuple of allowed shift dicts, or None
-        matrix = matrix.tocsr()
-        matrix.sum_duplicates()
-        self._csr = matrix
+        self.band = band
 
     @property
     def n(self):
@@ -130,7 +248,7 @@ class LabeledOperator:
     @property
     def entries(self):
         """Read-only {(i, j): value} view of the stored entries."""
-        return _EntryView(self._csr)
+        return self.band
 
     @cached_property
     def index(self):
@@ -138,13 +256,17 @@ class LabeledOperator:
         return MappingProxyType({s: i for i, s in enumerate(self.basis)})
 
     def to_csr(self):
-        return self._csr
+        """The canonical scipy CSR matrix of the stored entries."""
+        # imported when called, so that `import qspace3.cli` loads no scipy
+        import scipy.sparse as sp
+        rows, cols, vals = self.band.coo()
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
     def to_dense(self):
-        return self._csr.toarray()
+        return self.to_csr().toarray()
 
     def diagonal(self):
-        return self._csr.diagonal()
+        return self.band.diags.get(0, (np.zeros(self.n),))[0].copy()
 
     def shift_violations(self, coords: Coords):
         """Nonzero entries whose (row - column) coordinate change is not
@@ -152,19 +274,19 @@ class LabeledOperator:
         Empty when shift is None."""
         if not self.shift:
             return []
-        c = self._csr.tocoo()
+        rows, cols, vals = self.band.coo()
         names = sorted(set(coords.arrays).union(*self.shift))
         zero = np.zeros(len(coords), dtype=int)
-        delta = {k: coords.arrays.get(k, zero)[c.row]
-                 - coords.arrays.get(k, zero)[c.col] for k in names}
-        allowed = np.zeros(c.nnz, dtype=bool)
+        delta = {k: coords.arrays.get(k, zero)[rows]
+                 - coords.arrays.get(k, zero)[cols] for k in names}
+        allowed = np.zeros(rows.size, dtype=bool)
         for s in self.shift:
-            match = np.ones(c.nnz, dtype=bool)
+            match = np.ones(rows.size, dtype=bool)
             for k in names:
                 match &= delta[k] == s.get(k, 0)
             allowed |= match
-        bad = np.flatnonzero((c.data != 0.0) & ~allowed)
-        return [((int(c.row[p]), int(c.col[p])),
+        bad = np.flatnonzero((vals != 0.0) & ~allowed)
+        return [((int(rows[p]), int(cols[p])),
                  {k: d[p].item() for k, d in delta.items() if d[p]})
                 for p in bad]
 
@@ -197,6 +319,3 @@ class RepFamily:
     @property
     def n(self):
         return len(self.basis)
-
-    def op_csr(self, key):
-        return self.operators[key].to_csr()

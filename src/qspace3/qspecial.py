@@ -130,8 +130,14 @@ def _rad(m, x, q, powers=None):
 
 
 def _rad_powers(m, q):
-    """q**(4m) and q**(-4j), j = 0..m-1: the x-independent factors of _rad."""
-    return q**(4 * m), tuple(q**(-4 * j) for j in range(m))
+    """q**(4m) and q**(-4j), j = 0..m-1: the x-independent factors of _rad.
+    A binary64 q**(4m) beyond the range is a PrecisionError."""
+    try:
+        return q**(4 * m), tuple(q**(-4 * j) for j in range(m))
+    except OverflowError:
+        raise PrecisionError(
+            f"q**(4m) leaves the binary64 range at m={m}, q={q}; set "
+            f"QSPACE3_PRECISION=extended") from None
 
 
 def _log_u2(l, m, q):
@@ -385,8 +391,12 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
         return ctx.out(0.0)
     q = float(ctx.q)
     if not ctx.is_extended:
-        # validate support (and surface DomainError) in double first
-        r = float(_rad(m, float(x), q))
+        # validate support (and surface DomainError) in double first, unless
+        # q**(4m) leaves binary64 (amplification > 150 m): the route below does
+        try:
+            r = float(_rad(m, float(x), q))
+        except PrecisionError:
+            r = math.nan
         if r == 0.0:
             return 0.0
         amplification = 2.0 * l * l * math.log10(q)

@@ -7,12 +7,8 @@ interior rows and columns, relative to the largest interior entry among the
 constituent terms (so exponentially large matrix elements do not masquerade
 as failures, and genuinely zero relations are normalized by their parts).
 
-Each operator is read as the CSR of its LabeledOperator and converted at
-once into a _Band, one vector per diagonal offset; the terms are then
-shifted elementwise products and sums of those vectors.  The arithmetic is
-scipy.sparse's, value for value: a product entry sums its terms in
-ascending intermediate index, exact zeros of sums and products are dropped,
-stored zeros of an operator are kept, and A / s is A * (1 / s).
+Every term is evaluated on the _Band each LabeledOperator stores, one
+vector per diagonal offset, with scipy.sparse's arithmetic value for value.
 """
 
 import json
@@ -23,7 +19,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import DomainError, WindowError
-from .operators import RepFamily, RepWindow
+from .operators import RepFamily, RepWindow, _Band
 from .repspace import (build_K_orbital, build_L_operators,
                        build_X_T_R_joint, build_X_over_R, build_t_special,
                        casimir)
@@ -77,132 +73,6 @@ class VerificationReport:
         kw.setdefault("sort_keys", True)
         kw.setdefault("indent", 2)
         return json.dumps(self.to_dict(), **kw)
-
-
-class _Band:
-    """An n x n band matrix as {offset d: (v, present)}.
-
-    v holds the diagonal entries (i, i + d) for the rows i from max(0, -d),
-    as np.diagonal does, so a transpose only negates d.  present is None
-    when every entry of the diagonal is stored, else a boolean mask; an
-    absent entry holds 0 in v.  Vectors are never changed in place.
-    """
-
-    __slots__ = ("n", "diags")
-    __array_ufunc__ = None          # numpy scalars defer to __rmul__
-
-    def __init__(self, n, diags):
-        self.n = n
-        self.diags = diags
-
-    @classmethod
-    def from_csr(cls, mat):
-        """The band of a canonical CSR, its stored zeros kept."""
-        n = mat.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-        d = mat.indices - rows
-        data = np.asarray(mat.data, dtype=float)
-        offsets = []
-        if d.size:
-            low, high = int(d.min()), int(d.max())
-            offsets = [low] if low == high else \
-                (np.flatnonzero(np.bincount(d - low)) + low).tolist()
-        diags = {}
-        for off in offsets:
-            if len(offsets) == 1:
-                r, vals = rows, data
-            else:
-                pick = np.flatnonzero(d == off)
-                r, vals = rows[pick], data[pick]
-            size = n - abs(off)
-            if r.size == size:          # the whole diagonal, in row order
-                diags[off] = (vals, None)
-                continue
-            k = r - max(0, -off)
-            v = np.zeros(size)
-            v[k] = vals
-            present = np.zeros(size, dtype=bool)
-            present[k] = True
-            diags[off] = (v, present)
-        return cls(n, diags)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, {0: (np.ones(n), None)})
-
-    @classmethod
-    def _dropping_zeros(cls, n, vectors):
-        """The band of computed diagonals, exact zeros dropped."""
-        diags = {}
-        for d, v in vectors.items():
-            nz = v != 0
-            if nz.all():
-                diags[d] = (v, None)
-            elif nz.any():
-                diags[d] = (v, nz)
-        return cls(n, diags)
-
-    @property
-    def T(self):
-        return _Band(self.n, {-d: e for d, e in self.diags.items()})
-
-    def __neg__(self):
-        return _Band(self.n, {d: (-v, m) for d, (v, m) in self.diags.items()})
-
-    def __mul__(self, s):
-        # x * inf is NaN on a stored zero, but an absent entry stays absent
-        return _Band(self.n, {
-            d: (v * s if m is None else np.where(m, v * s, 0.0), m)
-            for d, (v, m) in self.diags.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, s):
-        return self * (1 / s)
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    @np.errstate(over="ignore", invalid="ignore")   # as scipy's C++ loops
-    def _combine(self, other, op):
-        """op entrywise, an entry absent on one side read as 0."""
-        a, b, zero = self.diags, other.diags, (0.0, None)
-        return _Band._dropping_zeros(self.n, {
-            d: op(a.get(d, zero)[0], b.get(d, zero)[0])
-            for d in a.keys() | b.keys()})
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def __matmul__(self, other):
-        n = self.n
-        out = {}
-        for da in sorted(self.diags):   # ascending intermediate index
-            a, ma = self.diags[da]
-            la = max(0, -da)
-            for db, (b, mb) in other.diags.items():
-                d = da + db
-                lo, hi = max(0, -da, -d), min(n, n - da, n - d)
-                if lo >= hi:
-                    continue
-                lb, lc = max(0, -db), max(0, -d)
-                sa, sb = slice(lo - la, hi - la), slice(lo + da - lb,
-                                                        hi + da - lb)
-                t = a[sa] * b[sb]
-                if ma is not None or mb is not None:
-                    both = (True if ma is None else ma[sa]) \
-                        & (True if mb is None else mb[sb])
-                    t = np.where(both, t, 0.0)
-                if d not in out:
-                    out[d] = np.zeros(n - abs(d))
-                out[d][lo - lc:hi - lc] += t
-        return _Band._dropping_zeros(n, out)
-
-
-def _read(fam: RepFamily, key):
-    """The family's operator key as a _Band."""
-    return _Band.from_csr(fam.op_csr(key))
 
 
 def _interior_abs_max(band, interior):
@@ -320,8 +190,8 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
 
     if "x" in groups:
         J = suite.joint()
-        X3, Xp, Xm = _read(J, "X3"), _read(J, "X+"), _read(J, "X-")
-        R2, tau = _read(J, "R2"), _read(J, "tau")
+        X3, Xp, Xm = J["X3"].band, J["X+"].band, J["X-"].band
+        R2, tau = J["R2"].band, J["tau"].band
         rec("X3 X+ twist", "joint", J, [X3 @ Xp, -q * q * Xp @ X3])
         rec("X3 X- twist", "joint", J, [X3 @ Xm, -Xm @ X3 / (q * q)])
         rec("coordinate commutator", "joint", J,
@@ -330,21 +200,21 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
             [R2, -X3 @ X3, q * Xp @ Xm, Xm @ Xp / q])
         rec("radius positive form", "joint", J,
             [R2, -q * q * X3.T @ X3, -(1 + q**-2) * Xp.T @ Xp])
-        for (nm, O) in (("X+", Xp), ("X-", Xm), ("T+", _read(J, "T+")),
-                        ("T-", _read(J, "T-"))):
+        for (nm, O) in (("X+", Xp), ("X-", Xm), ("T+", J["T+"].band),
+                        ("T-", J["T-"].band)):
             rec(f"radius central [R2, {nm}]", "joint", J, [R2 @ O, -O @ R2])
         rec("tau X+ twist", "joint", J, [tau @ Xp, -Xp @ tau / q**4])
         rec("tau X- twist", "joint", J, [tau @ Xm, -q**4 * Xm @ tau])
         rec("tau from T3", "joint", J,
-            [tau, -_Band.identity(J.n), lam * _read(J, "T3")])
+            [tau, -_Band.identity(J.n), lam * J["T3"].band])
 
     if "t" in groups:
         T = suite.t_special()
         XR = suite.x_over_r()
         if T.basis != XR.basis:
             raise WindowError("t and X/R families must share one basis")
-        t3, tp, tm = _read(T, "T3"), _read(T, "T+"), _read(T, "T-")
-        taut = _read(T, "tau")
+        t3, tp, tm = T["T3"].band, T["T+"].band, T["T-"].band
+        taut = T["tau"].band
         for name, terms in _su2_relations(t3, tp, tm, q):
             rec(f"t algebra: {name}", "t_special", T, terms)
         rec("tau_t from t3", "t_special", T,
@@ -353,27 +223,27 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
             [tp @ tm, (_Band.identity(T.n) + q * q * taut) / lam**2])
         rec("t ladder product (lower)", "t_special", T,
             [tm @ tp, (_Band.identity(T.n) + taut / (q * q)) / lam**2])
-        X3R = _read(XR, "X3R")
+        X3R = XR["X3R"].band
         rec("tau_t vs homogeneous coordinate", "t_special", T,
             [taut @ X3R @ X3R, _Band.identity(T.n)])
-        XpR, XmR = _read(XR, "X+R"), _read(XR, "X-R")
+        XpR, XmR = XR["X+R"].band, XR["X-R"].band
         rec("homogeneous radius normalization", "X_over_R", XR,
             [q * q * X3R @ X3R, (1 + q**-2) * XpR.T @ XpR,
              -_Band.identity(XR.n)])
 
     if "k" in groups:
         K = suite.k_orbital()
-        k3, kp, km = _read(K, "T3"), _read(K, "T+"), _read(K, "T-")
+        k3, kp, km = K["T3"].band, K["T+"].band, K["T-"].band
         for name, terms in _su2_relations(k3, kp, km, q):
             rec(f"K algebra: {name}", "K_orbital", K, terms)
         rec("tau_k from K3", "K_orbital", K,
-            [_read(K, "tau"), -_Band.identity(K.n), lam * k3])
+            [K["tau"].band, -_Band.identity(K.n), lam * k3])
 
     if "torb" in groups:
         J = suite.joint()
-        T3, Tp, Tm = _read(J, "T3"), _read(J, "T+"), _read(J, "T-")
-        X3, Xp, Xm = _read(J, "X3"), _read(J, "X+"), _read(J, "X-")
-        tau = _read(J, "tau")
+        T3, Tp, Tm = J["T3"].band, J["T+"].band, J["T-"].band
+        X3, Xp, Xm = J["X3"].band, J["X+"].band, J["X-"].band
+        tau = J["tau"].band
         for name, terms in _su2_relations(T3, Tp, Tm, q):
             rec(f"T_orb algebra: {name}", "joint", J, terms)
         sq = math.sqrt(1.0 + q * q)
@@ -393,34 +263,33 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
         rec("module T- X-", "joint", J, [Tm @ Xm, -q * q * Xm @ Tm])
         rec("tau T+ twist", "joint", J, [tau @ Tp, -Tp @ tau / q**4])
         rec("tau T- twist", "joint", J, [tau @ Tm, -q**4 * Tm @ tau])
-        T2 = _Band.from_csr(casimir(J, ctx).to_csr())
+        T2 = casimir(J, ctx).band
         rec("Casimir central [T2, T+]", "joint", J, [T2 @ Tp, -Tp @ T2])
         rec("Casimir central [T2, T-]", "joint", J, [T2 @ Tm, -Tm @ T2])
 
     if "conj" in groups:
         J = suite.joint()
         rec("conjugation X- = -q^-1 (X+)^T", "joint", J,
-            [_read(J, "X-"), _read(J, "X+").T / q])
+            [J["X-"].band, J["X+"].band.T / q])
         rec("conjugation T- = q^2 (T+)^T", "joint", J,
-            [_read(J, "T-"), -q * q * _read(J, "T+").T])
+            [J["T-"].band, -q * q * J["T+"].band.T])
         rec("symmetry (X3)^T = X3", "joint", J,
-            [_read(J, "X3"), -_read(J, "X3").T])
+            [J["X3"].band, -J["X3"].band.T])
         rec("symmetry (T3)^T = T3", "joint", J,
-            [_read(J, "T3"), -_read(J, "T3").T])
+            [J["T3"].band, -J["T3"].band.T])
         K = suite.k_orbital()
         rec("conjugation K- = -q^2 (K+)^T", "K_orbital", K,
-            [_read(K, "T-"), q * q * _read(K, "T+").T])
+            [K["T-"].band, q * q * K["T+"].band.T])
         T = suite.t_special()
         rec("conjugation t- = q^2 (t+)^T", "t_special", T,
-            [_read(T, "T-"), -q * q * _read(T, "T+").T])
+            [T["T-"].band, -q * q * T["T+"].band.T])
 
     if "orbital-constraint" in groups:
         J = suite.joint()
         L = build_L_operators(J, ctx)
         rec("transversality L.X = 0", "joint", J,
-            [_Band.from_csr(L["L3"].to_csr()) @ _read(J, "X3"),
-             -q * _Band.from_csr(L["L+"].to_csr()) @ _read(J, "X-"),
-             -_Band.from_csr(L["L-"].to_csr()) @ _read(J, "X+") / q])
+            [L["L3"].band @ J["X3"].band, -q * L["L+"].band @ J["X-"].band,
+             -L["L-"].band @ J["X+"].band / q])
 
     return rep
 
@@ -433,6 +302,6 @@ def commutator_magnitude(ctx: QContext, n_depth=25, k_width=25):
     """
     suite = default_families(ctx, n_depth=n_depth, k_width=k_width)
     J = suite.joint()
-    Xp, Xm = _read(J, "X+"), _read(J, "X-")
+    Xp, Xm = J["X+"].band, J["X-"].band
     worst = _interior_abs_max(Xm @ Xp - Xp @ Xm, _interior(J, "joint"))
     return 0.0 if worst is None else float(worst)

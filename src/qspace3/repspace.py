@@ -16,11 +16,10 @@ from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
-import scipy.sparse as sp
 
 from .context import QContext
 from .errors import DomainError, WindowError
-from .operators import Coords, LabeledOperator, RepFamily, RepWindow
+from .operators import Coords, LabeledOperator, RepFamily, RepWindow, _Band
 from .qarith import _qnum
 from .qspecial import _coeffs_through, _recurrence_coeff, _sqrt_any
 
@@ -63,10 +62,9 @@ def _qpow(q, e):
 
 def _op(name, basis, shift, *parts):
     """LabeledOperator assembled from (rows, cols, values) parts."""
-    n = len(basis)
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return LabeledOperator(
-        name, basis, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), shift)
+        name, basis, _Band.from_entries(len(basis), rows, cols, vals), shift)
 
 
 def _diag(vals):
@@ -407,6 +405,16 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
 # derived operators
 # ---------------------------------------------------------------------------
 
+def _tau_roots(family: RepFamily):
+    """The bands tau^(1/2) and tau^(-1/2) of a tau > 0 family."""
+    tau_d = family["tau"].diagonal()
+    if not np.all(tau_d > 0):
+        raise DomainError("tau has non-positive eigenvalues: no real roots")
+    root = np.sqrt(tau_d)
+    return _Band(len(root), {0: (root, None)}), \
+        _Band._dropping_zeros(len(root), {0: 1.0 / root})   # 0 at tau = inf
+
+
 def casimir(family: RepFamily, ctx: QContext) -> LabeledOperator:
     """Quadratic Casimir matrix from tau^(1/2) and the ladder product.
 
@@ -416,34 +424,24 @@ def casimir(family: RepFamily, ctx: QContext) -> LabeledOperator:
     """
     q = float(ctx.q)
     lam = ctx.lam
-    tau_d = family["tau"].diagonal()
-    if not np.all(tau_d > 0):
-        raise DomainError(
-            "tau has non-positive eigenvalues; the Casimir square roots are "
-            "not real")
-    th = sp.diags(np.sqrt(tau_d))
-    tmh = sp.diags(1.0 / np.sqrt(tau_d))
-    mat = (q * q / lam**2) * th + tmh / lam**2 \
-        + tmh @ family.op_csr("T+") @ family.op_csr("T-") \
-        - (1 + q * q) / lam**2 * sp.identity(family.n)
-    return LabeledOperator("T2", family.basis, mat)
+    th, tmh = _tau_roots(family)
+    band = (q * q / lam**2) * th + tmh / lam**2 \
+        + tmh @ family["T+"].band @ family["T-"].band \
+        - (1 + q * q) / lam**2 * _Band.identity(family.n)
+    return LabeledOperator("T2", family.basis, band)
 
 
 def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
     """Rescaled angular momentum components L3, L+, L- on a tau > 0 family."""
     q = float(ctx.q)
     lam = ctx.lam
-    tau_d = family["tau"].diagonal()
-    if not np.all(tau_d > 0):
-        raise DomainError("L operators need positive tau (tau^(-1/2) real)")
-    tmh = sp.diags(1.0 / np.sqrt(tau_d))
+    _, tmh = _tau_roots(family)
     sq = math.sqrt(1.0 + q * q)
-    n = family.n
-    T2 = family.op_csr("T2") if "T2" in family else \
-        casimir(family, ctx).to_csr()
-    Lp = tmh @ family.op_csr("T+") / (q * q * sq)
-    Lm = -tmh @ family.op_csr("T-") / (q**3 * sq)
-    L3 = (tmh - sp.identity(n) - lam**2 / (1 + q * q) * T2) / (q * q * (1 - q * q))
+    T2 = casimir(family, ctx).band
+    Lp = tmh @ family["T+"].band / (q * q * sq)
+    Lm = -tmh @ family["T-"].band / (q**3 * sq)
+    L3 = (tmh - _Band.identity(family.n) - lam**2 / (1 + q * q) * T2) \
+        / (q * q * (1 - q * q))
     return {"L3": LabeledOperator("L3", family.basis, L3),
             "L+": LabeledOperator("L+", family.basis, Lp, family["T+"].shift),
             "L-": LabeledOperator("L-", family.basis, Lm, family["T-"].shift)}
@@ -474,14 +472,17 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     else:
         raise DomainError(f"unknown coproduct variant {variant!r}")
 
+    # imported when called, as in LabeledOperator.to_csr
+    import scipy.sparse as sp
     n1, n2 = rep1.n, rep2.n
     basis = [(a, b) for a in rep1.basis for b in rep2.basis]
     one = sp.identity(n2, format="csr")
 
     def delta(key, diag1):
         """op x 1 + diag1 x op"""
-        return sp.kron(rep1.op_csr(key), one, format="csr") \
-            + sp.kron(sp.diags(diag1), rep2.op_csr(key), format="csr")
+        return _Band.from_csr(
+            sp.kron(rep1[key].to_csr(), one, format="csr")
+            + sp.kron(sp.diags(diag1), rep2[key].to_csr(), format="csr"))
 
     def merge_shift(s1, s2):
         allowed = [dict(s) for s in (s1 or ()) + (s2 or ())]

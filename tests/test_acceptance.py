@@ -174,8 +174,8 @@ def test_criterion_7_coproduct_consistency():
         RepWindow.make({"m_t": (-24, 0), "m_k": (0, 24)}), ctx)
     worst = 0.0
     for key in ("T3", "T+", "T-", "tau"):
-        dev = abs(cp.op_csr(key) - direct.op_csr(key)).max()
-        worst = max(worst, dev / max(1.0, abs(direct.op_csr(key)).max()))
+        dev = abs(cp[key].to_csr() - direct[key].to_csr()).max()
+        worst = max(worst, dev / max(1.0, abs(direct[key].to_csr()).max()))
     assert worst < 1e-12
     # tau is group-like exactly
     prod = np.kron(t["tau"].diagonal(), k["tau"].diagonal())

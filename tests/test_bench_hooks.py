@@ -33,9 +33,13 @@ print(sorted(tracer.summary()["calls"]))
 """
 
 # one call of each qspecial function the special workload traces, made
-# through the module namespace that install() rebinds
+# through the module namespace that install() rebinds, and one CSR export
+# (no CLI verb reaches LabeledOperator.to_csr)
 _LIBRARY = _PRELUDE + """
+from qspace3 import repspace
+from qspace3.operators import RepWindow
 ctx = QContext(q=1.5)
+repspace.build_t_special(RepWindow.make({"m_t": (-4, 0)}), ctx)["T+"].to_csr()
 qspecial.check_recurrence(3, 1, 1.5**-4, ctx)
 qspecial.check_difference(3, 1, 1.5**-4, ctx)
 qspecial.p_lm(3, 1, 0.3, ctx)
@@ -70,7 +74,6 @@ def test_traced_verify_sees_every_layer():
                            "--out", os.devnull])
     for name in ("repspace.build_X_T_R_joint", "repspace.casimir",
                  "repspace.build_L_operators",
-                 "operators.LabeledOperator.to_csr",
                  "operators.RepFamily.init",
                  *(f"relations.group.{g}" for g in RELATION_GROUPS)):
         assert repr(name) in spans, name
@@ -96,6 +99,8 @@ def test_traced_special_session_sees_every_qspecial_span():
                  "weight_w", "orthonormality_sum", "completeness_sum",
                  "p_tilde_table.double"):
         assert f"qspecial.{name}" in summary["calls"], name
+    # the operator layer's export span, which verify no longer reaches
+    assert "operators.LabeledOperator.to_csr" in summary["calls"]
     counts = summary["counts"]
     assert counts["qarith.qfact_cache.misses"] > 0
     assert counts["qarith.qfact_cache.entries"] > 0

@@ -248,6 +248,56 @@ def test_verify_exit_code_contract(argv, reports, capsys):
         _strict_json(out)
 
 
+def _ortho_complete_contract_cases():
+    """The ortho and complete grid, as (argv, allowed exit codes): q in and
+    out of the domain; the order m at -1 and where q**(4m) leaves binary64
+    (260 and 500 at q = 2); a negative and a zero --depth, --lspan and
+    --lmax; each bad --tol.  Exit 0 or 2 writes a report, 3 and 4 none."""
+    report, domain, precision = (0, 2), (3,), (4,)
+    cases = []
+    for q in ("nan", "inf", "1", "0.5", "1.2", "2", "1e300"):
+        codes = report if q in ("1.2", "2", "1e300") else domain
+        cases += [(["ortho", "--m", "1", "--lspan", "1", "--depth", "4",
+                    "--q", q], codes),
+                  (["complete", "--m", "1", "--lmax", "4", "--q", q], codes)]
+    cases += [
+        (["ortho", "--m", "-1", "--q", "2"], domain),
+        (["ortho", "--m", "260", "--lspan", "0", "--depth", "1", "--q", "2"],
+         precision),
+        (["ortho", "--m", "1", "--lspan", "1", "--depth", "-3"], domain),
+        (["ortho", "--m", "1", "--lspan", "1", "--depth", "0"], report),
+        (["ortho", "--m", "1", "--lspan", "-1", "--depth", "4"], domain),
+        (["ortho", "--m", "1", "--lspan", "0", "--depth", "4"], report),
+        (["complete", "--m", "-1", "--lmax", "4", "--q", "2"], report),
+        (["complete", "--m", "260", "--lmax", "260", "--q", "2"], precision),
+        (["complete", "--m", "500", "--lmax", "500", "--q", "2"], precision),
+        (["complete", "--m", "1", "--lmax", "-1"], domain),
+        (["complete", "--m", "1", "--lmax", "0"], domain),
+        (["complete", "--m", "0", "--lmax", "0"], report),
+    ]
+    for tol in ("nan", "0", "inf"):
+        cases += [(["ortho", "--m", "1", "--lspan", "1", "--depth", "4",
+                    "--tol", tol], domain),
+                  (["complete", "--m", "1", "--lmax", "4", "--tol", tol],
+                   domain)]
+    return [pytest.param(argv, codes, id=" ".join(argv))
+            for argv, codes in cases]
+
+
+@pytest.mark.parametrize("argv, codes", _ortho_complete_contract_cases())
+def test_ortho_and_complete_exit_code_contract(argv, codes, capsys):
+    # every case exits with its allowed code without a traceback: 3 or 4
+    # with no report, else 0 or 2 with a strict-JSON report
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert code in codes
+    if code in (3, 4):
+        assert out == ""
+    else:
+        _strict_json(out)
+
+
 class TestVerify:
     def test_all_relations_pass(self, tmp_path):
         code, doc = run_cli(["verify", "--relations", "all", "--q", "1.5",
@@ -459,14 +509,16 @@ class TestPlumbing:
         assert code == 4
 
     def test_import_leaves_scipy_linalg_out(self):
-        # scipy.linalg adds about 0.1 s to every command's start; only the
-        # spectral block levels read it, and import it when called
+        # scipy adds to every command's start; only the spectral block
+        # levels (scipy.linalg), the coproduct and the CSR export
+        # (scipy.sparse) read it, and import it when called
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, qspace3.cli; print('scipy.linalg' in sys.modules)"],
+             "import sys, qspace3.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_entry(self):
         proc = subprocess.run(

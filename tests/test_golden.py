@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from golden import make_operators
 from golden.make_verify_residuals import CELLS, LEDGER, cell_rows
 
 _DOC = json.loads(LEDGER.read_text(encoding="utf-8"))
+_OPS = json.loads(make_operators.LEDGER.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -22,3 +24,20 @@ def test_verify_ledger_covers_its_grid():
                          ids=lambda c: f"q={c['q']}-W={c['W']}")
 def test_verify_residuals_match_the_ledger(cell):
     assert cell_rows(cell["q"], cell["W"]) == cell["rows"]
+
+
+def test_operator_ledger_covers_its_grid():
+    assert [(c["kind"], c["q"], c["W"]) for c in _OPS["cases"]] \
+        == make_operators.CASES
+    # stored zeros are part of the ledger (T3 is stored where m = 0)
+    assert any("0x0.0p+0" in v[3] for c in _OPS["cases"]
+               for v in c["operators"].values())
+
+
+@pytest.mark.parametrize("case", _OPS["cases"],
+                         ids=lambda c: f"{c['kind']}-q={c['q']}-W={c['W']}")
+def test_operators_match_the_ledger(case):
+    got = make_operators.case_entries(case["kind"], case["q"], case["W"])
+    assert sorted(got) == sorted(case["operators"])
+    for key, entries in case["operators"].items():
+        assert got[key] == entries, key

@@ -213,6 +213,21 @@ class TestWeight:
         with pytest.raises(PrecisionError):
             qs.weight_w(l, m, x, QContext(q=2.0))
 
+    @pytest.mark.parametrize("m, x, q", [(260, 2.0**-522, 2.0),
+                                         (3, 1e30**-8, 1e30)],
+                             ids=["q=2", "q=1e30"])
+    def test_radicand_power_beyond_binary64_raises(self, m, x, q):
+        # q**(4m) (2**1040, 1e360) leaves binary64 before any radicand
+        # factor is formed, at the node n = 0; the extended mode has it
+        ctx = QContext(q=q)
+        with pytest.raises(PrecisionError, match="QSPACE3_PRECISION=extended"):
+            qs.weight_w(m, m, x, ctx)
+        with pytest.raises(PrecisionError, match="QSPACE3_PRECISION=extended"):
+            qs.p_tilde_table(m + 2, m, x, ctx)
+        if m == 3:
+            w = qs.weight_w(m, m, x, QContext(q=q, precision="extended"))
+            assert mp.isfinite(w) and w > 0
+
     def test_exact_zero_radicand_factor(self):
         # at x = 2**-8, q = 2, m = 30 the factor j = 26 is exactly 0, after
         # 26 factors whose running product overflows binary64
@@ -290,6 +305,15 @@ class TestWeightedFunction:
             qs.p_tilde(90, 0, 0.5, ctx)
         v = qs.p_tilde(90, 0, 0.5, QContext(q=1.3, precision="extended"))
         assert mp.isfinite(v) and abs(v) > 1e308
+
+    def test_radicand_power_beyond_binary64_is_multiprecision(self):
+        # q**(4m) = 1e360 leaves binary64 at m = 3, q = 1e30: p_tilde takes
+        # the multiprecision route of the extended mode and rounds it once
+        x = 1e30**-8                    # the node n = 0 of order 3
+        for l, xx in ((3, x), (4, -x)):
+            a = qs.p_tilde(l, 3, xx, QContext(q=1e30))
+            b = qs.p_tilde(l, 3, xx, QContext(q=1e30, precision="extended"))
+            assert math.isfinite(a) and a == float(b)
 
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually

@@ -122,7 +122,7 @@ def _random_operator(rng, n):
     coo = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n))
-    return LabeledOperator("A", range(n), coo).to_csr()
+    return LabeledOperator("A", range(n), _Band.from_csr(coo)).to_csr()
 
 
 def _band_entries(band):

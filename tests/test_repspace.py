@@ -44,8 +44,8 @@ class TestTSpecial:
 
     def test_ladder_product_identity(self):
         fam = rs.build_t_special(win_t(), CTX)
-        tp, tm = fam.op_csr("T+"), fam.op_csr("T-")
-        tau = fam.op_csr("tau")
+        tp, tm = fam["T+"].to_csr(), fam["T-"].to_csr()
+        tau = fam["tau"].to_csr()
         lhs = (tp @ tm).toarray()
         rhs = (-(sp.identity(fam.n) + Q * Q * tau) / LAM**2).toarray()
         inner = fam.interior
@@ -99,12 +99,12 @@ class TestTGeneric:
         fam = rs.build_T_generic(-2.0, -2.7, win, QContext(q=1.5))
         m = fam.coords.arrays["m"]
         assert m[-1] == -2.7
-        assert fam.op_csr("T+")[len(m) - 1, len(m) - 2] > 0
+        assert fam["T+"].to_csr()[len(m) - 1, len(m) - 2] > 0
 
     def test_d_zero_builds_and_closes_algebra(self):
         fam = rs.build_T_generic(0.0, 0.7, RepWindow.make({"m": (-14.3, 0.7)}),
                                  CTX)
-        t3, tp, tm = fam.op_csr("T3"), fam.op_csr("T+"), fam.op_csr("T-")
+        t3, tp, tm = (fam[k].to_csr() for k in ("T3", "T+", "T-"))
         inner = fam.interior
         r = (tp @ tm / Q - Q * tm @ tp - t3).toarray()
         scale = max(1.0, np.abs((tp @ tm).toarray()).max())
@@ -122,7 +122,7 @@ class TestXOverR:
 
     def test_unit_radius_combination(self):
         fam = rs.build_X_over_R(1, win_t(), CTX)
-        x3, xp = fam.op_csr("X3R"), fam.op_csr("X+R")
+        x3, xp = fam["X3R"].to_csr(), fam["X+R"].to_csr()
         comb = (Q * Q * x3 @ x3 + (1 + Q**-2) * xp.T @ xp).toarray()
         inner = fam.interior
         assert np.abs((comb - np.eye(fam.n))[np.ix_(inner, inner)]).max() \
@@ -190,7 +190,7 @@ def ladder_families(draw):
 @given(ladder_families())
 def test_ladder_families_close_the_algebra(case):
     fam, q, lower = case
-    T3, Tp, Tm = (fam.op_csr(k) for k in ("T3", "T+", "T-"))
+    T3, Tp, Tm = (fam[k].to_csr() for k in ("T3", "T+", "T-"))
     bands = (_Band.from_csr(A) for A in (T3, Tp, Tm))
     for name, terms in _su2_relations(*bands, q):
         assert _interior_residual(terms, fam.interior) < 1e-12, name
@@ -216,9 +216,9 @@ class TestTensorFamilies:
         # X+ annihilates nu = M
         assert all(fam["X3"].basis[c][0] != 0 for (r, c) in fam["X+"].entries)
         # R2 is a scalar block: commutes with everything exactly
-        R2 = fam.op_csr("R2")
+        R2 = fam["R2"].to_csr()
         for key in ("X+", "X-", "T+", "T-"):
-            O = fam.op_csr(key)
+            O = fam[key].to_csr()
             assert abs(R2 @ O - O @ R2).max() == 0.0
 
     def test_joint_nu_above_M_rejected(self):
@@ -231,7 +231,7 @@ class TestTensorFamilies:
         a = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
         b = rs.build_X_T_R_joint(0, 1.0, -1, win, CTX)
         assert np.allclose(a["X3"].diagonal(), -b["X3"].diagonal())
-        assert abs(a.op_csr("T+") - b.op_csr("T+")).max() == 0.0
+        assert abs(a["T+"].to_csr() - b["T+"].to_csr()).max() == 0.0
         assert np.allclose(a["R2"].diagonal(), b["R2"].diagonal())
 
     def test_band_discipline(self):
@@ -276,7 +276,7 @@ class TestCasimirAndL:
         T2 = rs.casimir(fam, CTX).to_csr()
         inner = fam.interior
         for key in ("T+", "T-", "T3"):
-            O = fam.op_csr(key)
+            O = fam[key].to_csr()
             r = (T2 @ O - O @ T2).toarray()
             scale = max(1.0, np.abs((T2 @ O).toarray()).max())
             assert np.abs(r[np.ix_(inner, inner)]).max() / scale < 1e-12
@@ -334,8 +334,9 @@ class TestCoproduct:
         cp = rs.coproduct(t, k, "beta", CTX)
         direct = rs.build_T_orb(win_tk(16, 16), CTX)
         for key in ("T3", "T+", "T-", "tau"):
-            dev = abs(cp.op_csr(key) - direct.op_csr(key)).max()
-            assert dev <= 1e-12 * max(1.0, abs(direct.op_csr(key)).max()), key
+            dev = abs(cp[key].to_csr() - direct[key].to_csr()).max()
+            assert dev <= 1e-12 * max(1.0, abs(direct[key].to_csr()).max()), \
+                key
 
     def test_group_like_tau(self):
         t = rs.build_t_special(win_t(10), CTX)
@@ -369,13 +370,14 @@ class TestAddSpin:
         spin0 = rs.build_T_generic(1 / LAM, 0.0, None, CTX)
         out = rs.coproduct(orb, spin0, "standard", CTX)
         for key in ("T3", "T+", "T-", "tau"):
-            assert abs(out.op_csr(key) - orb.op_csr(key)).max() < 1e-14, key
+            assert abs(out[key].to_csr() - orb[key].to_csr()).max() \
+                < 1e-14, key
 
     def test_spin_half_closes_algebra(self):
         orb = rs.build_T_orb(win_tk(10, 10), CTX)
         spin = rs.build_T_generic(1 / LAM, 0.5, None, CTX)
         out = rs.coproduct(orb, spin, "standard", CTX)
-        T3, Tp, Tm = (out.op_csr(k) for k in ("T3", "T+", "T-"))
+        T3, Tp, Tm = (out[k].to_csr() for k in ("T3", "T+", "T-"))
         inner = out.interior
         r = (Tp @ Tm / Q - Q * Tm @ Tp - T3).toarray()
         scale = max(1.0, np.abs((Tp @ Tm).toarray()).max())
@@ -506,7 +508,7 @@ class TestAgainstDictReference:
             assert fam.basis == tuple(basis)
             assert set(fam.operators) == set(ref)
             for key, mat in ref.items():
-                assert_same_csr(fam.op_csr(key), mat, (key, M))
+                assert_same_csr(fam[key].to_csr(), mat, (key, M))
             T2, L = _ref_casimir_and_L(ref, q)
             assert_same_csr(rs.casimir(fam, ctx).to_csr(), T2, ("T2", M))
             for key, op in rs.build_L_operators(fam, ctx).items():
@@ -538,19 +540,22 @@ class TestShiftViolations:
         rows, cols = [i + nk, i + nk + 1, i + 2], [i, i, i]
         mat = sp.csr_matrix(([1.0, 2.0, 0.0], (rows, cols)),
                             shape=(fam.n, fam.n))
-        op = LabeledOperator("X+?", fam.basis, mat, shift=({"m_t": 1},))
+        op = LabeledOperator("X+?", fam.basis, _Band.from_csr(mat),
+                             shift=({"m_t": 1},))
         assert len(op.entries) == 3
         assert op.entries[(i + 2, i)] == 0.0
         assert op.shift_violations(fam.coords) == [
             ((i + nk + 1, i), {"m_t": 1, "m_k": 1})]
-        assert LabeledOperator("free", fam.basis, mat).shift_violations(
+        assert LabeledOperator("free", fam.basis,
+                               _Band.from_csr(mat)).shift_violations(
             fam.coords) == []
 
     def test_transposed_ladder_violates(self):
         win = RepWindow.make({"m_t": (-4, 0), "m_k": (0, 4)})
         fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
         Tp = fam["T+"]
-        wrong = LabeledOperator("T+^T", fam.basis, Tp.to_csr().T,
+        wrong = LabeledOperator("T+^T", fam.basis,
+                                _Band.from_csr(Tp.to_csr().T),
                                 shift=Tp.shift)
         bad = wrong.shift_violations(fam.coords)
         assert len(bad) == np.count_nonzero(Tp.to_csr().data)
@@ -645,4 +650,4 @@ class TestAgainstScalarBlocks:
         torb = rs.build_T_orb(win, ctx)
         joint = rs.build_X_T_R_joint(0, 1.0, 1, win, ctx)
         for key in ("T3", "T+", "T-", "tau"):
-            assert_same_csr(torb.op_csr(key), joint.op_csr(key), key)
+            assert_same_csr(torb[key].to_csr(), joint[key].to_csr(), key)
