@@ -2,8 +2,6 @@
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -227,33 +225,27 @@ class _Band(Mapping):
 
 
 class LabeledOperator:
-    """Sparse band matrix over an ordered list of basis labels.
+    """Sparse band matrix over the states of a family, ordered as its Coords.
 
     Convention: acting on a ket indexed by column j produces amplitudes in
-    rows i, i.e. entry (i, j) multiplies |basis[i]> in A|basis[j]>.  The
-    matrix is held as one _Band; explicitly stored zeros are kept.  to_csr
-    exports it to scipy.sparse on demand.
+    rows i, i.e. entry (i, j) multiplies state i in A applied to state j.
+    The matrix is held as one _Band; explicitly stored zeros are kept.
+    to_csr exports it to scipy.sparse on demand.
     """
 
-    def __init__(self, name, basis, band, shift=None):
+    def __init__(self, name, band, shift=None):
         self.name = name
-        self.basis = tuple(basis)
         self.shift = shift          # tuple of allowed shift dicts, or None
         self.band = band
 
     @property
     def n(self):
-        return len(self.basis)
+        return self.band.n
 
     @property
     def entries(self):
         """Read-only {(i, j): value} view of the stored entries."""
         return self.band
-
-    @cached_property
-    def index(self):
-        """Read-only {label: position} map of the basis."""
-        return MappingProxyType({s: i for i, s in enumerate(self.basis)})
 
     def to_csr(self):
         """The canonical scipy CSR matrix of the stored entries."""
@@ -292,7 +284,9 @@ class LabeledOperator:
 
 
 class RepFamily:
-    """A named set of LabeledOperators sharing one basis.
+    """A named set of n x n LabeledOperators on the n states of coords, the
+    one record of their labels (the joint family's are (m_t, m_k), with
+    nu = m_t + M and m = m_t + m_k).
 
     Immutable after construction; operators are keyed canonically
     ("T3", "T+", "T-", "tau", "X3", ...) regardless of the family flavor.
@@ -306,8 +300,10 @@ class RepFamily:
         self.window = window
         self.ctx = ctx
         self.coords = coords
-        ops = next(iter(self.operators.values()))
-        self.basis = ops.basis
+        for key, op in self.operators.items():
+            if op.n != len(coords):
+                raise WindowError(f"operator {key} is {op.n} x {op.n}; the "
+                                  f"{kind} family has {len(coords)} states")
         self.interior = window.interior_mask(coords)
 
     def __getitem__(self, key) -> LabeledOperator:
@@ -318,4 +314,4 @@ class RepFamily:
 
     @property
     def n(self):
-        return len(self.basis)
+        return len(self.coords)

@@ -304,6 +304,10 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     _check_args(m, x)
     if l < m or (x == 0 and (l - m) % 2):
         return ctx.out(0.0)           # an odd polynomial vanishes at 0 exactly
+    # degree 0: the one-term sum is exactly 1, also where its binary64
+    # q-binomials overflow to inf / inf
+    if l == m:
+        return mp.mpf(1) if ctx.is_extended else 1.0
     qkey = float(ctx.q)
     if ctx.is_extended:
         return _p_lm_escalated(l, m, x, qkey, ctx.dps)

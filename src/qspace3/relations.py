@@ -211,7 +211,9 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
     if "t" in groups:
         T = suite.t_special()
         XR = suite.x_over_r()
-        if T.basis != XR.basis:
+        a, b = T.coords.arrays, XR.coords.arrays
+        if a.keys() != b.keys() \
+                or not all(np.array_equal(a[k], b[k]) for k in a):
             raise WindowError("t and X/R families must share one basis")
         t3, tp, tm = T["T3"].band, T["T+"].band, T["T-"].band
         taut = T["tau"].band

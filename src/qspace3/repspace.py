@@ -60,11 +60,11 @@ def _qpow(q, e):
     return table[inv].reshape(e.shape)
 
 
-def _op(name, basis, shift, *parts):
-    """LabeledOperator assembled from (rows, cols, values) parts."""
+def _op(name, n, shift, *parts):
+    """n x n LabeledOperator assembled from (rows, cols, values) parts."""
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return LabeledOperator(
-        name, basis, _Band.from_entries(len(basis), rows, cols, vals), shift)
+    return LabeledOperator(name, _Band.from_entries(n, rows, cols, vals),
+                           shift)
 
 
 def _diag(vals):
@@ -79,15 +79,14 @@ def _ladder_steps(m):
 
 
 def _mt_line(window):
-    """Window, labels (array and list) and ladder steps of a family on the
-    line m_t <= 0."""
+    """Window, labels and ladder steps of a family on the line m_t <= 0."""
     lo, hi = window.range_map["m_t"]
     if hi > 0:
         raise DomainError("no state with positive m_t exists")
     m = np.arange(int(lo), int(hi) + 1)
     win = RepWindow.make({"m_t": (lo, hi)},
                          hard_hi=("m_t",) if hi == 0 else ())
-    return win, m, m.tolist(), _ladder_steps(m)
+    return win, m, _ladder_steps(m)
 
 
 def casimir_eigenvalue(l, ctx: QContext) -> float:
@@ -116,15 +115,15 @@ def _ladder(kind, label, m, d, rad, lower, window, ctx, params):
     """
     q = float(ctx.q)
     lam = ctx.lam
-    ms = m.tolist()
+    n = len(m)
     up = _ladder_steps(m)
     p4 = _qpow(q, -4 * m)
     c = _sqrt_clamped(rad(_qpow(q, -2 * m)))[up]
     ops = {
-        "T3": _op("T3", ms, ({},), _diag(1.0 / lam - d * p4)),
-        "T+": _op("T+", ms, ({label: 1},), (up + 1, up, c)),
-        "T-": _op("T-", ms, ({label: -1},), (up, up + 1, lower * c)),
-        "tau": _op("tau", ms, ({},), _diag(d * lam * p4)),
+        "T3": _op("T3", n, ({},), _diag(1.0 / lam - d * p4)),
+        "T+": _op("T+", n, ({label: 1},), (up + 1, up, c)),
+        "T-": _op("T-", n, ({label: -1},), (up, up + 1, lower * c)),
+        "tau": _op("tau", n, ({},), _diag(d * lam * p4)),
     }
     return RepFamily(kind, params, ops, window, ctx, Coords({label: m}))
 
@@ -149,7 +148,7 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
             raise DomainError(
                 f"finite ladder needs m_bar a non-negative (half-)integer, got {m_bar}")
         d = 1.0 / lam
-        ms = [(-m_bar) + k for k in range(int(round(two)) + 1)]
+        m = -m_bar + np.arange(int(round(two)) + 1)
         win = RepWindow.make({"m": (-m_bar, m_bar)},
                              hard_lo=("m",), hard_hi=("m",))
     else:
@@ -159,17 +158,17 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
         if hi > m_bar + 1e-12:
             raise WindowError(
                 f"window top {hi} exceeds the ladder head m_bar = {m_bar}")
-        ms = [lo + k for k in range(int(round(hi - lo)) + 1)]
+        m = lo + np.arange(int(round(hi - lo)) + 1)
         hard_hi = ("m",) if abs(hi - m_bar) <= 1e-12 else ()
         if hard_hi:         # lo + k can miss the radicand's exact zero
-            ms[-1] = m_bar
+            m = np.append(m[:-1], m_bar)
         win = RepWindow.make({"m": (lo, hi)}, hard_hi=hard_hi)
 
     def ccstar(p):
         return (p - q**(-2 * m_bar)) * (q**(2 * (m_bar + 1)) / lam - d * p) \
             / (lam * q**4)
 
-    return _ladder("T_generic", "m", np.array(ms), d, ccstar, q * q, win,
+    return _ladder("T_generic", "m", m, d, ccstar, q * q, win,
                    ctx, {"d": d, "m_bar": m_bar, "m_name": "m"})
 
 
@@ -178,14 +177,14 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
     (d = -q^2/lam); tau has strictly negative eigenvalues."""
     q = float(ctx.q)
     lam = ctx.lam
-    win, m, ms, up = _mt_line(window)
+    win, m, up = _mt_line(window)
     p4 = _qpow(q, -4 * m)
     r = _sqrt_clamped(p4[up] - 1.0)
     ops = {
-        "T3": _op("t3", ms, ({},), _diag((1.0 + q * q * p4) / lam)),
-        "T+": _op("t+", ms, ({"m_t": 1},), (up + 1, up, r / (lam * q))),
-        "T-": _op("t-", ms, ({"m_t": -1},), (up, up + 1, q / lam * r)),
-        "tau": _op("tau_t", ms, ({},), _diag(-q * q * p4)),
+        "T3": _op("t3", m.size, ({},), _diag((1.0 + q * q * p4) / lam)),
+        "T+": _op("t+", m.size, ({"m_t": 1},), (up + 1, up, r / (lam * q))),
+        "T-": _op("t-", m.size, ({"m_t": -1},), (up, up + 1, q / lam * r)),
+        "tau": _op("tau_t", m.size, ({},), _diag(-q * q * p4)),
     }
     params = {"d": -q * q / lam, "m_bar": 0.0, "m_name": "m_t"}
     return RepFamily("t_special", params, ops, win, ctx, Coords({"m_t": m}))
@@ -197,14 +196,15 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     q = float(ctx.q)
-    win, m, ms, up = _mt_line(window)
+    win, m, up = _mt_line(window)
     s = float(sign)
     sq = math.sqrt(1.0 + q * q)
     r = _sqrt_clamped(1.0 - _qpow(q, 4 * m[up]))
     ops = {
-        "X3R": _op("X3/R", ms, ({},), _diag(s * _qpow(q, 2 * m - 1))),
-        "X+R": _op("X+/R", ms, ({"m_t": 1},), (up + 1, up, -s * q / sq * r)),
-        "X-R": _op("X-/R", ms, ({"m_t": -1},), (up, up + 1, s / sq * r)),
+        "X3R": _op("X3/R", m.size, ({},), _diag(s * _qpow(q, 2 * m - 1))),
+        "X+R": _op("X+/R", m.size, ({"m_t": 1},),
+                   (up + 1, up, -s * q / sq * r)),
+        "X-R": _op("X-/R", m.size, ({"m_t": -1},), (up, up + 1, s / sq * r)),
     }
     return RepFamily("X_over_R", {"sign": sign, "m_name": "m_t"},
                      ops, win, ctx, Coords({"m_t": m}))
@@ -271,23 +271,23 @@ def _torb_window(window):
     return win, mt, mk, nk, np.flatnonzero(mt < thi), np.flatnonzero(mk < khi)
 
 
-def _orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam):
+def _orbital_ladder(mt, mk, nk, tu, ku, q, lam):
     """T3, T+-, tau of the orbital angular momentum on the tensor grid
     |m_t, m_k> of _torb_window, written over q^(-4 m_t) (= q^(4(M - nu))
     in the joint labels) and q^(-4 m), m = m_t + m_k."""
-    m = mt + mk
+    n, m = mt.size, mt + mk
     pt = _qpow(q, -4 * mt)
     p4 = _qpow(q, -4 * m)
     rt = _sqrt_clamped(pt[tu] - 1.0)
     rk = _sqrt_clamped(pt[ku] - _qpow(q, -4 * (m[ku] + 1)))
     return {
-        "T3": _op("T3_orb", basis, ({},), _diag((1.0 - p4) / lam)),
-        "T+": _op("T+_orb", basis, ({"m_t": 1}, {"m_k": 1}),
+        "T3": _op("T3_orb", n, ({},), _diag((1.0 - p4) / lam)),
+        "T+": _op("T+_orb", n, ({"m_t": 1}, {"m_k": 1}),
                   (tu + nk, tu, rt / (q * lam)), (ku + 1, ku, rk / lam)),
-        "T-": _op("T-_orb", basis, ({"m_t": -1}, {"m_k": -1}),
+        "T-": _op("T-_orb", n, ({"m_t": -1}, {"m_k": -1}),
                   (tu, tu + nk, q * q / (q * lam) * rt),
                   (ku, ku + 1, q * q / lam * rk)),
-        "tau": _op("tau_orb", basis, ({},), _diag(p4)),
+        "tau": _op("tau_orb", n, ({},), _diag(p4)),
     }
 
 
@@ -296,8 +296,7 @@ def build_T_orb(window, ctx: QContext) -> RepFamily:
     q = float(ctx.q)
     lam = ctx.lam
     win, mt, mk, nk, tu, ku = _torb_window(window)
-    basis = list(zip(mt.tolist(), mk.tolist()))
-    ops = _orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam)
+    ops = _orbital_ladder(mt, mk, nk, tu, ku, q, lam)
     return RepFamily("T_orb_tensor", {"d": 1.0 / lam, "m_name": None},
                      ops, win, ctx, Coords({"m_t": mt, "m_k": mk}))
 
@@ -306,8 +305,9 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
                       ctx: QContext) -> RepFamily:
     """Coordinates, radius and orbital angular momentum on |M, nu, m>.
 
-    nu = m_t + M <= M and m = m_t + m_k >= nu - M label the states; the
-    fused sign sigma fixes the coordinate branch (X3 = sigma |z0| q^(2 nu)).
+    The family's labels are (m_t, m_k), m_t outer: the state |M, nu, m> has
+    nu = m_t + M <= M and m = m_t + m_k >= nu - M.  The fused sign sigma
+    fixes the coordinate branch (X3 = sigma |z0| q^(2 nu)).
     """
     if sigma not in (1, -1):
         raise DomainError("sigma must be +1 or -1")
@@ -326,8 +326,7 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
     win, mt, mk, nk, tu, ku = _torb_window(RepWindow.make(rm))
     z = sigma * abs(z0)
     sq = math.sqrt(1.0 + q * q)
-    nu, m = mt + M, mt + mk
-    basis = list(zip(nu.tolist(), m.tolist()))
+    nu, n = mt + M, mt.size
     r = _sqrt_clamped(_qpow(q, 4 * M) - _qpow(q, 4 * nu[tu]))
     try:
         r2 = q**(4 * M + 2) * z0 * z0
@@ -337,13 +336,11 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         raise DomainError(f"the R2 level q^(4M+2) z0^2 leaves binary64 at "
                           f"M = {M}, z0 = {z0}, q = {q}")
     ops = {
-        "X3": _op("X3", basis, ({},), _diag(z * _qpow(q, 2 * nu))),
-        "X+": _op("X+", basis, ({"m_t": 1},),
-                  (tu + nk, tu, -q * q * z / sq * r)),
-        "X-": _op("X-", basis, ({"m_t": -1},), (tu, tu + nk, q * z / sq * r)),
-        "R2": _op("R2", basis, ({},),
-                  _diag(np.full(len(basis), r2))),
-        **_orbital_ladder(basis, mt, mk, nk, tu, ku, q, lam),
+        "X3": _op("X3", n, ({},), _diag(z * _qpow(q, 2 * nu))),
+        "X+": _op("X+", n, ({"m_t": 1},), (tu + nk, tu, -q * q * z / sq * r)),
+        "X-": _op("X-", n, ({"m_t": -1},), (tu, tu + nk, q * z / sq * r)),
+        "R2": _op("R2", n, ({},), _diag(np.full(n, r2))),
+        **_orbital_ladder(mt, mk, nk, tu, ku, q, lam),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
               "m_name": None}
@@ -361,9 +358,9 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
     qn = (_qpow(q, a) - _qpow(q, -a)) / (q - 1 / q)      # qn[a] = [a]
     # position i holds (l, m) with i = l^2 + l + m
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    i = np.arange(len(l))
+    n = len(l)
+    i = np.arange(n)
     m = i - l * l - l
-    basis = list(zip(l.tolist(), m.tolist()))
     pref = r0 * _qpow(q, 2 * M + m)
     up = np.flatnonzero(l < l_max)
     lu, mu, pu = l[up], m[up], pref[up]
@@ -383,15 +380,15 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
                        / (qn[2] * qn[2 * l + 1] * qn[2 * l + 1 + 2 * s]))
 
     ops = {
-        "T2": _op("T2_orb", basis, ({},), _diag(q * qn[l] * qn[l + 1])),
-        "X3": _op("X3", basis, ({"l": 1}, {"l": -1}),
+        "T2": _op("T2_orb", n, ({},), _diag(q * qn[l] * qn[l + 1])),
+        "X3": _op("X3", n, ({"l": 1}, {"l": -1}),
                   (up + 2 * lu + 2, up, x3), (up, up + 2 * lu + 2, x3)),
-        "X+": _op("X+", basis, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
+        "X+": _op("X+", n, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
                   (up + 2 * lu + 3, up, pu * _qpow(q, -lu)
                    * cg(lu + mu + 1, lu + mu + 2, lu, 1)),
                   (xp - 2 * lp + 1, xp, -pref[xp] * _qpow(q, lp + 1)
                    * cg(lp - mp_, lp - mp_ - 1, lp, -1))),
-        "X-": _op("X-", basis, ({"l": 1, "m": -1}, {"l": -1, "m": -1}),
+        "X-": _op("X-", n, ({"l": 1, "m": -1}, {"l": -1, "m": -1}),
                   (up + 2 * lu + 1, up, pu * _qpow(q, lu)
                    * cg(lu - mu + 1, lu - mu + 2, lu, 1)),
                   (xm - 2 * lm - 1, xm, -pref[xm] * _qpow(q, -lm - 1)
@@ -428,7 +425,7 @@ def casimir(family: RepFamily, ctx: QContext) -> LabeledOperator:
     band = (q * q / lam**2) * th + tmh / lam**2 \
         + tmh @ family["T+"].band @ family["T-"].band \
         - (1 + q * q) / lam**2 * _Band.identity(family.n)
-    return LabeledOperator("T2", family.basis, band)
+    return LabeledOperator("T2", band)
 
 
 def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
@@ -442,9 +439,9 @@ def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
     Lm = -tmh @ family["T-"].band / (q**3 * sq)
     L3 = (tmh - _Band.identity(family.n) - lam**2 / (1 + q * q) * T2) \
         / (q * q * (1 - q * q))
-    return {"L3": LabeledOperator("L3", family.basis, L3),
-            "L+": LabeledOperator("L+", family.basis, Lp, family["T+"].shift),
-            "L-": LabeledOperator("L-", family.basis, Lm, family["T-"].shift)}
+    return {"L3": LabeledOperator("L3", L3),
+            "L+": LabeledOperator("L+", Lp, family["T+"].shift),
+            "L-": LabeledOperator("L-", Lm, family["T-"].shift)}
 
 
 def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
@@ -475,7 +472,6 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     # imported when called, as in LabeledOperator.to_csr
     import scipy.sparse as sp
     n1, n2 = rep1.n, rep2.n
-    basis = [(a, b) for a in rep1.basis for b in rep2.basis]
     one = sp.identity(n2, format="csr")
 
     def delta(key, diag1):
@@ -491,14 +487,14 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
 
     tau_out = np.kron(tau1, rep2["tau"].diagonal())
     ops = {
-        "T3": LabeledOperator("T3", basis, delta("T3", tau1), shift=({},)),
-        "T+": LabeledOperator("T+", basis, delta("T+", root),
+        "T3": LabeledOperator("T3", delta("T3", tau1), shift=({},)),
+        "T+": LabeledOperator("T+", delta("T+", root),
                               shift=merge_shift(rep1["T+"].shift,
                                                 rep2["T+"].shift)),
-        "T-": LabeledOperator("T-", basis, delta("T-", sign_minus * root),
+        "T-": LabeledOperator("T-", delta("T-", sign_minus * root),
                               shift=merge_shift(rep1["T-"].shift,
                                                 rep2["T-"].shift)),
-        "tau": _op("tau", basis, ({},), _diag(tau_out)),
+        "tau": _op("tau", n1 * n2, ({},), _diag(tau_out)),
     }
 
     labels = {k: np.repeat(v, n2) for k, v in rep1.coords.arrays.items()}

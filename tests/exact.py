@@ -3,8 +3,9 @@
 Every binary64 number is a dyadic rational, so at q = Fraction(float(q)) and
 x = Fraction(float(x)), or at an exact lattice node, the q-numbers, the
 q-factorials and q-binomials, the direct sum of P_lm, its terminating 3phi2
-(big q-Jacobi) form and the radicand product of the weight are exact
-Fractions.  test_exact.py compares the package's floats and mpfs with them.
+(big q-Jacobi) form, the radicand product of the weight, and the weight's
+scale u^2, normalization and square, and so P~_lm^2, are exact Fractions.
+test_exact.py compares the package's floats and mpfs with them.
 
 Standard library only: test_exact.py imports this module with mpmath, numpy
 and qspace3 blocked, so it can never share code with what it checks.
@@ -52,16 +53,19 @@ def _direct_coeffs(l, m, q):
     return tuple(coeffs)
 
 
-def p_direct(l, m, x, q):
-    """P_lm(x) by its direct sum: the coefficients of _direct_coeffs times
-    (x; q^-2)_k, k = 0..l-m."""
-    s = Fraction(0)
+def direct_terms(l, m, x, q):
+    """The terms of the direct sum of P_lm(x): the coefficients of
+    _direct_coeffs times (x; q^-2)_k, k = 0..l-m."""
     pochx = Fraction(1)
     for k, c in enumerate(_direct_coeffs(l, m, q)):
         if k:
             pochx *= 1 - x * q**(-2 * (k - 1))
-        s += c * pochx
-    return s
+        yield c * pochx
+
+
+def p_direct(l, m, x, q):
+    """P_lm(x) by its direct sum."""
+    return sum(direct_terms(l, m, x, q), Fraction(0))
 
 
 def jacobi_3phi2(n, x, a, b, c, base):
@@ -103,3 +107,36 @@ def sign_of_product(factors):
 def lattice_node(n, m, sigma, q):
     """The exact order-m lattice node sigma q^(2(n-m-1))."""
     return sigma * q**(2 * (n - m - 1))
+
+
+def u_squared(l, m, q):
+    """q^(l(l+1)) [2l+1] [l+m]! / [l-m]!, the square of the weight's
+    l-dependent scale."""
+    return q**(l * (l + 1)) * qnum(2 * l + 1, q) * qfactorial(l + m, q) \
+        / qfactorial(l - m, q)
+
+
+def lattice_norm(m, q):
+    """The order-m normalization u_squared(m, m) * 2 (1 - q^-2) S, where
+    S = sum_{n <= 0} |x_n| rad_m(x_n) over the nodes x_n = q^(2(n-m-1)).
+
+    The radicand product is expanded in y = x^2 as sum_k c_k y^k, one factor
+    1 - a y at a time; the monomial c_k x^(2k) contributes the geometric
+    series sum_{n <= 0} q^(2(n-m-1)(2k+1)) = q^(-2(m+1)(2k+1)) /
+    (1 - q^(-2(2k+1)))."""
+    c = [Fraction(1)]
+    for j in range(m):
+        a = q**(4 * (m - j))
+        c = [lo - a * hi for lo, hi in zip(c + [0], [0] + c)]
+    s = sum(ck * q**(-2 * (m + 1) * (2 * k + 1)) / (1 - q**(-2 * (2 * k + 1)))
+            for k, ck in enumerate(c))
+    return u_squared(m, m, q) * 2 * (1 - q**-2) * s
+
+
+def weight_squared(l, m, x, q):
+    """w_lm(x)^2 = u^2 rad_m(x) / norm_m; P~_lm(x)^2 is this times
+    P_lm(x)^2."""
+    rad = Fraction(1)
+    for f in rad_factors(m, x, q):
+        rad *= f
+    return u_squared(l, m, q) * rad / lattice_norm(m, q)

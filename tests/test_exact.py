@@ -49,6 +49,7 @@ def test_oracle_imports_without_the_package():
         "import exact",
         "assert exact.p_direct(3, 1, F(1, 3), F(2)) == "
         "exact.p_3phi2(3, 1, F(1, 3), F(2))",
+        "assert exact.weight_squared(2, 1, F(1, 9), F(2)) > 0",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60)
@@ -115,6 +116,81 @@ def test_binary64_p_lm_within_the_stated_bound():
         else:
             assert _ulps(v, exact) <= 2, (q, l, m, x)
     assert accepted >= 20
+
+
+# The multiprecision p_tilde (extended mode, and binary64 at lattice nodes)
+# sums P at dps = _cancel_dps(l, m, q) digits.  Its relative error is at most
+# 10**-dps times the cancellation max_k |t_k| / |P| of the direct sum's terms
+# t_k, times the rounding counts: <= 21 terms, each a product of q-binomials
+# of factorials with <= 40 factors, and the weight's <= 60 factors, which
+# cost at most PTILDE_GUARD digits.  So p_tilde^2 carries
+# dps - log10(max |t_k| / |P|) - PTILDE_GUARD correct digits; where these
+# are at least 17, the binary64 value is the exact P~ rounded to nearest
+# (within ulp/2 plus that error), inside README's 2 ulp.  _cancel_dps
+# covers the 2.2 l^2 log10 q digits that P cancels off the origin, not the
+# log10(1 / |x|) more of an odd-degree P near 0, so at deep nodes the
+# correct digits run out (test_deep_node_p_tilde_within_2_ulp).
+PTILDE_GUARD = 6
+
+
+def _ptilde_digits(l, m, xe, q):
+    """(P, the correct digits of the multiprecision p_tilde^2 at the exact
+    argument xe)."""
+    terms = list(ex.direct_terms(l, m, xe, Fraction(q)))
+    p = sum(terms, Fraction(0))
+    cancel = max(abs(t) for t in terms) / abs(p)
+    return p, qs._cancel_dps(l, m, q) - math.log10(cancel) - PTILDE_GUARD
+
+
+def _within_rounding(v, exact_sq, digits):
+    """Whether the float v is within ulp/2 + 10**-digits |v| of the root of
+    exact_sq, checked on squares."""
+    r = abs(Fraction(float(v)))
+    d = Fraction(math.ulp(float(v))) / 2 + r * Fraction(10)**-digits
+    return (r - d)**2 <= exact_sq <= (r + d)**2
+
+
+@pytest.mark.parametrize("q", QS)
+def test_extended_p_tilde_squared_within_its_digits(q):
+    # seeded lattice nodes, l <= 20, depth n >= -30 (p_tilde snaps a float
+    # node to the exact one): the mpf p_tilde^2 against the exact
+    # u^2 rad P^2 / norm, its sign against the sign of P
+    qf = Fraction(q)
+    ctx = QContext(q=q, precision="extended")
+    rng = random.Random(int(q * 10))
+    rounded = 0
+    for _ in range(6):
+        l = rng.randint(0, 20)
+        m = rng.randint(0, l)
+        nu, sigma = rng.randint(-30, 0), rng.choice((1, -1))
+        xe = ex.lattice_node(nu, m, sigma, qf)
+        p, digits = _ptilde_digits(l, m, xe, q)
+        exact = ex.weight_squared(l, m, xe, qf) * p * p
+        v = qs.p_tilde(l, m, qs._lattice_point(nu, m, sigma, q), ctx)
+        f = _mpf_fraction(v)
+        if digits > 0:          # beyond, the error of P^2 grows as its square
+            assert abs(f * f - exact) <= exact * Fraction(10)**-math.floor(
+                digits), (l, m, nu, digits)
+            assert (v > 0) == (p > 0), (l, m, nu)
+        if digits >= 17:
+            rounded += 1
+            assert _within_rounding(v, exact, 17), (l, m, nu)
+    assert rounded >= 3
+
+
+@pytest.mark.xfail(strict=True, reason="_cancel_dps omits the log10(1/|x|) "
+                   "digits an odd-degree P cancels near 0")
+def test_deep_node_p_tilde_within_2_ulp():
+    # q = 3, (l, m) = (2, 1), n = -45: P = x ~ 1e-45 cancels 45 digits
+    # of its unit terms, one more than the 44 that p_tilde sums at, and
+    # p_tilde^2 is 1.9 % off
+    q, qf = 3.0, Fraction(3)
+    xe = ex.lattice_node(-45, 1, 1, qf)
+    exact = ex.weight_squared(2, 1, xe, qf) * ex.p_direct(2, 1, xe, qf)**2
+    v = qs.p_tilde(2, 1, qs._lattice_point(-45, 1, 1, q),
+                   QContext(q=q, precision="extended"))
+    r, d = abs(Fraction(float(v))), 2 * Fraction(math.ulp(float(v)))
+    assert (r - d)**2 <= exact <= (r + d)**2
 
 
 def _qfact_bound(n, q):

@@ -9,6 +9,7 @@ from golden.make_verify_residuals import CELLS, LEDGER, cell_rows
 
 _DOC = json.loads(LEDGER.read_text(encoding="utf-8"))
 _OPS = json.loads(make_operators.LEDGER.read_text(encoding="utf-8"))
+_LABELS = json.loads(make_operators.LABELS.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -41,3 +42,22 @@ def test_operators_match_the_ledger(case):
     assert sorted(got) == sorted(case["operators"])
     for key, entries in case["operators"].items():
         assert got[key] == entries, key
+
+
+def test_label_ledger_covers_its_grid():
+    assert [(c["kind"], c["q"], c["W"]) for c in _LABELS["cases"]] \
+        == make_operators.CASES
+    # a coproduct of two ladders on one label primes the second factor's
+    spin = _LABELS["cases"][-1]["families"]["spin_coproduct"]
+    assert sorted(spin["coords"]) == ["m", "m'"]
+    assert ["m'", "-0x1.0000000000000p-1", "0x1.0000000000000p-1"] \
+        in spin["ranges"]
+
+
+@pytest.mark.parametrize("case", _LABELS["cases"],
+                         ids=lambda c: f"{c['kind']}-q={c['q']}-W={c['W']}")
+def test_labels_match_the_ledger(case):
+    got = make_operators.case_labels(case["kind"], case["q"], case["W"])
+    assert sorted(got) == sorted(case["families"])
+    for name, labels in case["families"].items():
+        assert got[name] == labels, name

@@ -52,6 +52,19 @@ class TestPolynomial:
         assert qs.p_lm(4, 4, -0.7, CTX15) == 1.0
         assert qs.p_lm(1, 3, 0.5, CTX15) == 0.0
 
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_degree_zero_is_one_without_a_sum(self, q, precision):
+        # P_mm = 1 needs no sum: at l = m = 120, q = 2 the binary64
+        # q-binomials of its one-term sum are inf/inf, and an escalated sum
+        # would start at thousands of digits
+        ctx = QContext(q=q, precision=precision)
+        kind = mp.mpf if precision == "extended" else float
+        for l in (0, 5, 50, 120, 260):
+            for x in (2.0**-522, 0.001, -0.7):
+                v = qs.p_lm(l, l, x, ctx)
+                assert type(v) is kind and v == 1, (l, x)
+
     def test_sum_terminates_after_degree_terms(self):
         # terms beyond index l - m carry a vanishing q-binomial, so padding
         # the summation range cannot change the value

@@ -6,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from qspace3 import DomainError, QContext, WindowError
-from qspace3.operators import LabeledOperator
+from qspace3.operators import LabeledOperator, RepWindow
 from qspace3.relations import (commutator_magnitude, default_families,
                                verify_relations, RELATION_GROUPS,
                                VerificationReport, _Band, _interior_abs_max)
+from qspace3.repspace import build_X_over_R
 
 
 def test_full_suite_passes_at_default_q():
@@ -86,6 +87,17 @@ def test_empty_interior_refuses_to_verify():
         commutator_magnitude(ctx, n_depth=1, k_width=1)
 
 
+@pytest.mark.parametrize("m_t", [(-5, 0), (-7, -1)])
+def test_t_and_x_over_r_must_share_their_labels(m_t):
+    # X/R on fewer states, or on as many states with other labels, is
+    # refused before any t relation is measured
+    ctx = QContext(q=1.5)
+    suite = default_families(ctx, n_depth=6, k_width=6)
+    suite._cache["xr"] = build_X_over_R(1, RepWindow.make({"m_t": m_t}), ctx)
+    with pytest.raises(WindowError, match="share one basis"):
+        verify_relations(suite, ("t",), ctx)
+
+
 def test_max_residual_propagates_nan():
     rep = VerificationReport(q=2.0, tol=1e-10)
     rep.add("a", "joint", {}, 1e-16, 4)
@@ -122,7 +134,7 @@ def _random_operator(rng, n):
     coo = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n))
-    return LabeledOperator("A", range(n), _Band.from_csr(coo)).to_csr()
+    return LabeledOperator("A", _Band.from_csr(coo)).to_csr()
 
 
 def _band_entries(band):

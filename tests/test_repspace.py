@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspace3 import DomainError, QContext, WindowError
-from qspace3.operators import LabeledOperator, RepWindow
+from qspace3.operators import LabeledOperator, RepFamily, RepWindow
 from qspace3 import repspace as rs
 from qspace3.relations import _Band, _interior_residual, _su2_relations
 
@@ -29,10 +30,19 @@ def win_tk(depth=20, width=20):
     return RepWindow.make({"m_t": (-depth, 0), "m_k": (0, width)})
 
 
+def _pos(fam, **labels):
+    """The position of the one state of fam with the given labels."""
+    hit = np.ones(fam.n, dtype=bool)
+    for k, v in labels.items():
+        hit &= fam.coords.arrays[k] == v
+    (i,) = np.flatnonzero(hit)
+    return int(i)
+
+
 class TestTSpecial:
     def test_head_state(self):
         fam = rs.build_t_special(win_t(), CTX)
-        i = fam["T3"].index[0]
+        i = _pos(fam, m_t=0)
         assert fam["T3"].entries[(i, i)] == pytest.approx(
             (1 + Q * Q) / LAM, rel=1e-15)
         # ladder annihilates the head
@@ -76,7 +86,7 @@ class TestTGeneric:
     def test_top_annihilated(self):
         fam = rs.build_T_generic(1 / LAM, 1.0, None, CTX)
         assert fam.n == 3
-        top = fam["T3"].index[1.0]
+        top = _pos(fam, m=1.0)
         assert all(c != top for (r, c) in fam["T+"].entries)
 
     def test_negative_d_tau_negative(self):
@@ -116,7 +126,7 @@ class TestXOverR:
     def test_head_eigenvalue(self):
         for sign in (1, -1):
             fam = rs.build_X_over_R(sign, win_t(), CTX)
-            i = fam["X3R"].index[0]
+            i = _pos(fam, m_t=0)
             assert fam["X3R"].entries[(i, i)] == pytest.approx(
                 sign / Q, rel=1e-15)
 
@@ -134,13 +144,13 @@ class TestKFamilies:
         fam = rs.build_K_orbital(win_k(), CTX)
         # K+ coefficient = sqrt((1 - q^-4(m+1)) / (lam^2 q^2))
         for mk in range(0, 5):
-            i, j = fam["T+"].index[mk], fam["T+"].index[mk + 1]
+            i, j = _pos(fam, m_k=mk), _pos(fam, m_k=mk + 1)
             expect = math.sqrt((1 - Q**(-4 * (mk + 1))) / (LAM**2 * Q**2))
             assert fam["T+"].entries[(j, i)] == pytest.approx(expect, rel=1e-13)
 
     def test_bottom_annihilated(self):
         fam = rs.build_K_orbital(win_k(), CTX)
-        zero = fam["T-"].index[0]
+        zero = _pos(fam, m_k=0)
         assert all(c != zero for (r, c) in fam["T-"].entries)
 
     def test_positive_d_small_alpha_bilateral(self):
@@ -201,7 +211,7 @@ class TestTensorFamilies:
     def test_torb_diagonals(self):
         fam = rs.build_T_orb(win_tk(8, 8), CTX)
         for (mt, mk) in ((0, 0), (-3, 2), (-5, 7)):
-            i = fam["T3"].index[(mt, mk)]
+            i = _pos(fam, m_t=mt, m_k=mk)
             mm = mt + mk
             assert fam["T3"].entries[(i, i)] == pytest.approx(
                 (1 - Q**(-4 * mm)) / LAM, rel=1e-13)
@@ -211,10 +221,11 @@ class TestTensorFamilies:
     def test_joint_diagonals_and_top(self):
         win = RepWindow.make({"nu": (-10, 0), "m_k": (0, 10)})
         fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
-        i = fam["X3"].index[(0, 0)]
+        i = _pos(fam, m_t=0, m_k=0)             # nu = m = 0
         assert fam["X3"].entries[(i, i)] == pytest.approx(1.0)
-        # X+ annihilates nu = M
-        assert all(fam["X3"].basis[c][0] != 0 for (r, c) in fam["X+"].entries)
+        # X+ annihilates nu = M, i.e. m_t = 0
+        mt = fam.coords.arrays["m_t"]
+        assert all(mt[c] != 0 for (r, c) in fam["X+"].entries)
         # R2 is a scalar block: commutes with everything exactly
         R2 = fam["R2"].to_csr()
         for key in ("X+", "X-", "T+", "T-"):
@@ -234,6 +245,26 @@ class TestTensorFamilies:
         assert abs(a["T+"].to_csr() - b["T+"].to_csr()).max() == 0.0
         assert np.allclose(a["R2"].diagonal(), b["R2"].diagonal())
 
+    def test_joint_family_retains_only_its_arrays(self):
+        # the family keeps its band vectors and masks, its label arrays and
+        # its interior mask, and little else: a Python label tuple per state
+        # would more than double the retained bytes
+        rs.build_X_T_R_joint(0, 1.0, 1, win_tk(4, 4), CTX)     # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fam = rs.build_X_T_R_joint(0, 1.0, 1, win_tk(120, 120), CTX)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = fam.interior.nbytes + sum(
+            a.nbytes for a in fam.coords.arrays.values())
+        for op in fam.operators.values():
+            arrays += sum(v.nbytes + (0 if m is None else m.nbytes)
+                          for v, m in op.band.diags.values())
+        assert fam.n == 121 * 121
+        assert retained <= 1.5 * arrays, retained / arrays
+
     def test_band_discipline(self):
         win = RepWindow.make({"m_t": (-8, 0), "m_k": (0, 8)})
         fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
@@ -245,15 +276,15 @@ class TestLBasis:
     def test_casimir_diagonal(self):
         fam = rs.build_L_basis(0, Q, 6, CTX)
         for l in range(7):
-            i = fam["T2"].index[(l, 0)]
+            i = _pos(fam, l=l, m=0)
             assert fam["T2"].entries[(i, i)] == pytest.approx(
                 rs.casimir_eigenvalue(l, CTX), rel=1e-13)
 
     def test_origin_has_single_branch(self):
         fam = rs.build_L_basis(0, Q, 6, CTX)
-        col = fam["X3"].index[(0, 0)]
+        col = _pos(fam, l=0, m=0)
         rows = [r for (r, c) in fam["X3"].entries if c == col]
-        assert rows == [fam["X3"].index[(1, 0)]]
+        assert rows == [_pos(fam, l=1, m=0)]
 
     def test_block_levels_match_lattice(self):
         r0 = rs.r0_from_z0(1.0, CTX)
@@ -403,6 +434,15 @@ class TestWindowPlumbing:
         assert not win.is_interior({"a": 9, "b": 5})
         assert not win.is_interior({"a": 5, "b": 1})
 
+    def test_family_rejects_an_operator_of_another_size(self):
+        # the family's Coords fix its size; an operator built on another
+        # window is named, not accepted
+        fam = rs.build_t_special(win_t(6), CTX)
+        other = rs.build_X_over_R(1, win_t(5), CTX)["X3R"]
+        with pytest.raises(WindowError, match="operator X3R is 6 x 6"):
+            RepFamily("t_special", fam.params, {**fam.operators, "X3R": other},
+                      fam.window, CTX, fam.coords)
+
     def test_sqrt_clamp(self):
         assert rs._sqrt_clamped(-1e-15) == 0.0
         with pytest.raises(WindowError):
@@ -505,7 +545,8 @@ class TestAgainstDictReference:
         for M, z0, sigma in ((0, 1.0, 1), (2, 0.7, -1)):
             fam = rs.build_X_T_R_joint(M, z0, sigma, win, ctx)
             basis, ref = _ref_joint(M, z0, sigma, depth, width, q)
-            assert fam.basis == tuple(basis)
+            mt, mk = fam.coords.arrays["m_t"], fam.coords.arrays["m_k"]
+            assert list(zip((mt + M).tolist(), (mt + mk).tolist())) == basis
             assert set(fam.operators) == set(ref)
             for key, mat in ref.items():
                 assert_same_csr(fam[key].to_csr(), mat, (key, M))
@@ -525,7 +566,6 @@ class TestAgainstDictReference:
             expect = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
                               coo.data.tolist()))
             assert dict(op.entries.items()) == expect
-        assert fam["T+"].index[fam.basis[7]] == 7
         assert (0, 0) in fam["X3"].entries
         assert (0, 1) not in fam["X3"].entries
 
@@ -540,22 +580,20 @@ class TestShiftViolations:
         rows, cols = [i + nk, i + nk + 1, i + 2], [i, i, i]
         mat = sp.csr_matrix(([1.0, 2.0, 0.0], (rows, cols)),
                             shape=(fam.n, fam.n))
-        op = LabeledOperator("X+?", fam.basis, _Band.from_csr(mat),
+        op = LabeledOperator("X+?", _Band.from_csr(mat),
                              shift=({"m_t": 1},))
         assert len(op.entries) == 3
         assert op.entries[(i + 2, i)] == 0.0
         assert op.shift_violations(fam.coords) == [
             ((i + nk + 1, i), {"m_t": 1, "m_k": 1})]
-        assert LabeledOperator("free", fam.basis,
-                               _Band.from_csr(mat)).shift_violations(
+        assert LabeledOperator("free", _Band.from_csr(mat)).shift_violations(
             fam.coords) == []
 
     def test_transposed_ladder_violates(self):
         win = RepWindow.make({"m_t": (-4, 0), "m_k": (0, 4)})
         fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
         Tp = fam["T+"]
-        wrong = LabeledOperator("T+^T", fam.basis,
-                                _Band.from_csr(Tp.to_csr().T),
+        wrong = LabeledOperator("T+^T", _Band.from_csr(Tp.to_csr().T),
                                 shift=Tp.shift)
         bad = wrong.shift_violations(fam.coords)
         assert len(bad) == np.count_nonzero(Tp.to_csr().data)
