@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import QContext
 from .errors import WindowError
 
 __all__ = ["RepWindow", "Coords", "LabeledOperator", "RepFamily"]
@@ -118,12 +117,6 @@ class _Band(Mapping):
         return cls(n, diags)
 
     @classmethod
-    def from_csr(cls, mat):
-        """The band of a scipy sparse matrix, its stored zeros kept."""
-        c = mat.tocoo()
-        return cls.from_entries(mat.shape[0], c.row, c.col, c.data)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, {0: (np.ones(n), None)})
 
@@ -197,6 +190,19 @@ class _Band(Mapping):
         return _Band._dropping_zeros(self.n, {
             d: op(a.get(d, zero)[0], b.get(d, zero)[0])
             for d in a.keys() | b.keys()})
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def kron(self, other):
+        """The Kronecker product self x other: every product of a stored
+        entry of self and one of other is stored, zeros included, as
+        scipy.sparse.kron stores it."""
+        ra, ca, va = self.coo()
+        rb, cb, vb = other.coo()
+        n = other.n
+        return _Band.from_entries(self.n * n,
+                                  np.add.outer(ra * n, rb).ravel(),
+                                  np.add.outer(ca * n, cb).ravel(),
+                                  np.multiply.outer(va, vb).ravel())
 
     @np.errstate(over="ignore", invalid="ignore")
     def __matmul__(self, other):
@@ -292,13 +298,11 @@ class RepFamily:
     ("T3", "T+", "T-", "tau", "X3", ...) regardless of the family flavor.
     """
 
-    def __init__(self, kind, params, operators, window, ctx: QContext,
-                 coords: Coords):
+    def __init__(self, kind, params, operators, window, coords: Coords):
         self.kind = kind
         self.params = dict(params)
         self.operators = dict(operators)
         self.window = window
-        self.ctx = ctx
         self.coords = coords
         for key, op in self.operators.items():
             if op.n != len(coords):

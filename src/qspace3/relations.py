@@ -103,12 +103,12 @@ def _interior_residual(terms, interior):
     return float((0.0 if worst is None else worst) / max(1.0, scale))
 
 
-def _interior(fam: RepFamily, fam_name):
+def _interior(fam: RepFamily, family):
     """The family's interior mask; an empty interior is a WindowError,
     since every relation would then pass without being measured."""
     if not fam.interior.any():
         raise WindowError(
-            f"the {fam_name} family has no interior state in the window "
+            f"the {family} family has no interior state in the window "
             f"{_window_dict(fam)}; widen the window")
     return fam.interior
 
@@ -183,9 +183,9 @@ def verify_relations(suite, groups, ctx: QContext) -> VerificationReport:
     lam = ctx.lam
     rep = VerificationReport(q=q, tol=ctx.tol_rel)
 
-    def rec(name, fam_name, fam, terms):
-        interior = _interior(fam, fam_name)
-        rep.add(name, fam_name, _window_dict(fam),
+    def rec(name, family, fam, terms):
+        interior = _interior(fam, family)
+        rep.add(name, family, _window_dict(fam),
                 _interior_residual(terms, interior), int(interior.sum()))
 
     if "x" in groups:

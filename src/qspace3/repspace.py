@@ -125,7 +125,7 @@ def _ladder(kind, label, m, d, rad, lower, window, ctx, params):
         "T-": _op("T-", n, ({label: -1},), (up, up + 1, lower * c)),
         "tau": _op("tau", n, ({},), _diag(d * lam * p4)),
     }
-    return RepFamily(kind, params, ops, window, ctx, Coords({label: m}))
+    return RepFamily(kind, params, ops, window, Coords({label: m}))
 
 
 def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
@@ -169,7 +169,7 @@ def build_T_generic(d: float, m_bar: float, window, ctx: QContext) -> RepFamily:
             / (lam * q**4)
 
     return _ladder("T_generic", "m", m, d, ccstar, q * q, win,
-                   ctx, {"d": d, "m_bar": m_bar, "m_name": "m"})
+                   ctx, {"d": d, "m_bar": m_bar})
 
 
 def build_t_special(window, ctx: QContext) -> RepFamily:
@@ -186,8 +186,8 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
         "T-": _op("t-", m.size, ({"m_t": -1},), (up, up + 1, q / lam * r)),
         "tau": _op("tau_t", m.size, ({},), _diag(-q * q * p4)),
     }
-    params = {"d": -q * q / lam, "m_bar": 0.0, "m_name": "m_t"}
-    return RepFamily("t_special", params, ops, win, ctx, Coords({"m_t": m}))
+    params = {"d": -q * q / lam, "m_bar": 0.0}
+    return RepFamily("t_special", params, ops, win, Coords({"m_t": m}))
 
 
 def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
@@ -206,8 +206,8 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
                    (up + 1, up, -s * q / sq * r)),
         "X-R": _op("X-/R", m.size, ({"m_t": -1},), (up, up + 1, s / sq * r)),
     }
-    return RepFamily("X_over_R", {"sign": sign, "m_name": "m_t"},
-                     ops, win, ctx, Coords({"m_t": m}))
+    return RepFamily("X_over_R", {"sign": sign}, ops, win,
+                     Coords({"m_t": m}))
 
 
 def build_K_generic(d_k: float, alpha: float, window, ctx: QContext) -> RepFamily:
@@ -228,7 +228,7 @@ def build_K_generic(d_k: float, alpha: float, window, ctx: QContext) -> RepFamil
         return k
 
     return _ladder("K_generic", "m_k", m, d_k, kappa, -q * q, window, ctx,
-                   {"d": d_k, "alpha": alpha, "m_name": "m_k"})
+                   {"d": d_k, "alpha": alpha})
 
 
 def build_K_orbital(window, ctx: QContext) -> RepFamily:
@@ -240,7 +240,7 @@ def build_K_orbital(window, ctx: QContext) -> RepFamily:
         raise WindowError("orbital K ladder starts at m_k = 0")
     win = RepWindow.make({"m_k": (0, hi)}, hard_lo=("m_k",))
     fam = build_K_generic(-1.0 / (ctx.lam * q * q), 0.0, win, ctx)
-    return RepFamily("K_orbital", fam.params, fam.operators, win, ctx,
+    return RepFamily("K_orbital", fam.params, fam.operators, win,
                      fam.coords)
 
 
@@ -297,8 +297,8 @@ def build_T_orb(window, ctx: QContext) -> RepFamily:
     lam = ctx.lam
     win, mt, mk, nk, tu, ku = _torb_window(window)
     ops = _orbital_ladder(mt, mk, nk, tu, ku, q, lam)
-    return RepFamily("T_orb_tensor", {"d": 1.0 / lam, "m_name": None},
-                     ops, win, ctx, Coords({"m_t": mt, "m_k": mk}))
+    return RepFamily("T_orb_tensor", {"d": 1.0 / lam}, ops, win,
+                     Coords({"m_t": mt, "m_k": mk}))
 
 
 def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
@@ -342,9 +342,8 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         "R2": _op("R2", n, ({},), _diag(np.full(n, r2))),
         **_orbital_ladder(mt, mk, nk, tu, ku, q, lam),
     }
-    params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam,
-              "m_name": None}
-    return RepFamily("X_T_R_joint", params, ops, win, ctx,
+    params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam}
+    return RepFamily("X_T_R_joint", params, ops, win,
                      Coords({"m_t": mt, "m_k": mk}))
 
 
@@ -394,8 +393,8 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
                   (xm - 2 * lm - 1, xm, -pref[xm] * _qpow(q, -lm - 1)
                    * cg(lm + mm, lm + mm - 1, lm, -1))),
     }
-    return RepFamily("L_basis", {"M": M, "r0": r0, "m_name": None},
-                     ops, win, ctx, Coords({"l": l, "m": m}))
+    return RepFamily("L_basis", {"M": M, "r0": r0}, ops, win,
+                     Coords({"l": l, "m": m}))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +443,13 @@ def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
             "L-": LabeledOperator("L-", Lm, family["T-"].shift)}
 
 
+def _ladder_label(family: RepFamily):
+    """The label array of a family on one ladder (a single label), else
+    None."""
+    arrays = list(family.coords.arrays.values())
+    return arrays[0] if len(arrays) == 1 else None
+
+
 def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
               ctx: QContext) -> RepFamily:
     """Tensor-product family through the standard or the sign-twisted rule.
@@ -451,8 +457,15 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     standard: D(T3) = T3 x 1 + tau x T3, D(T+-) = T+- x 1 + tau^(1/2) x T+-
               (first tau positive);
     beta:     D(T+-) = T+- x 1 +- (-tau)^(1/2) x T+- (first tau negative).
-    tau is group-like (product of diagonals), so d = lam d1 d2.
+    tau is group-like (product of diagonals), so d = lam d1 d2.  A label
+    of the second factor that the first also has is primed (m -> m').
     """
+    for which, rep in (("first", rep1), ("second", rep2)):
+        missing = [k for k in ("T3", "T+", "T-", "tau") if k not in rep]
+        if missing:
+            raise DomainError(f"coproduct needs T3, T+, T- and tau; the "
+                              f"{which} factor ({rep.kind}) has no "
+                              f"{', '.join(missing)}")
     tau1 = rep1["tau"].diagonal()
     if variant == "standard":
         if not np.all(tau1 > 0):
@@ -469,64 +482,61 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     else:
         raise DomainError(f"unknown coproduct variant {variant!r}")
 
-    # imported when called, as in LabeledOperator.to_csr
-    import scipy.sparse as sp
     n1, n2 = rep1.n, rep2.n
-    one = sp.identity(n2, format="csr")
+    one = _Band.identity(n2)
 
     def delta(key, diag1):
         """op x 1 + diag1 x op"""
-        return _Band.from_csr(
-            sp.kron(rep1[key].to_csr(), one, format="csr")
-            + sp.kron(sp.diags(diag1), rep2[key].to_csr(), format="csr"))
+        return rep1[key].band.kron(one) \
+            + _Band(n1, {0: (diag1, None)}).kron(rep2[key].band)
 
-    def merge_shift(s1, s2):
-        allowed = [dict(s) for s in (s1 or ()) + (s2 or ())]
+    # the second factor's labels, primed until they are new
+    taken = set(rep1.coords.arrays) | set(rep1.window.range_map)
+    rename = {}
+    for k in sorted(set(rep2.coords.arrays) | set(rep2.window.range_map)):
+        rename[k] = k
+        while rename[k] in taken:
+            rename[k] += "'"
+        taken.add(rename[k])
+
+    def merge_shift(key):
+        allowed = [dict(s) for s in rep1[key].shift or ()] \
+            + [{rename[k]: v for k, v in s.items()}
+               for s in rep2[key].shift or ()]
         return tuple({tuple(sorted(d.items())): d for d in allowed}.values()) \
             or None
 
     tau_out = np.kron(tau1, rep2["tau"].diagonal())
     ops = {
         "T3": LabeledOperator("T3", delta("T3", tau1), shift=({},)),
-        "T+": LabeledOperator("T+", delta("T+", root),
-                              shift=merge_shift(rep1["T+"].shift,
-                                                rep2["T+"].shift)),
+        "T+": LabeledOperator("T+", delta("T+", root), merge_shift("T+")),
         "T-": LabeledOperator("T-", delta("T-", sign_minus * root),
-                              shift=merge_shift(rep1["T-"].shift,
-                                                rep2["T-"].shift)),
+                              merge_shift("T-")),
         "tau": _op("tau", n1 * n2, ({},), _diag(tau_out)),
     }
 
     labels = {k: np.repeat(v, n2) for k, v in rep1.coords.arrays.items()}
-    for k, v in rep2.coords.arrays.items():
-        labels[k if k not in labels else k + "'"] = np.tile(v, n1)
-    ranges = dict(rep1.window.ranges)
-    hard_lo = set(rep1.window.hard_lo)
-    hard_hi = set(rep1.window.hard_hi)
-    for k, v in rep2.window.ranges:
-        kk = k if k not in ranges else k + "'"
-        ranges[kk] = v
-        if k in rep2.window.hard_lo:
-            hard_lo.add(kk)
-        if k in rep2.window.hard_hi:
-            hard_hi.add(kk)
-    win = RepWindow.make(ranges, hard_lo=hard_lo, hard_hi=hard_hi)
+    labels.update({rename[k]: np.tile(v, n1)
+                   for k, v in rep2.coords.arrays.items()})
+    win1, win2 = rep1.window, rep2.window
+    win = RepWindow.make(
+        {**win1.range_map, **{rename[k]: v for k, v in win2.ranges}},
+        hard_lo=win1.hard_lo | {rename[k] for k in win2.hard_lo},
+        hard_hi=win1.hard_hi | {rename[k] for k in win2.hard_hi})
 
     d1 = rep1.params.get("d")
     d2 = rep2.params.get("d")
     d_out = None if d1 is None or d2 is None else ctx.lam * d1 * d2
-    params = {"d": d_out, "variant": variant, "m_name": None}
+    params = {"d": d_out, "variant": variant}
     # group-like check: the product tau diagonal must equal lam*d*q^(-4m_tot)
-    n1_name = rep1.params.get("m_name")
-    n2_name = rep2.params.get("m_name")
-    if d_out is not None and n1_name and n2_name:
-        m_tot = np.repeat(rep1.coords.arrays[n1_name], n2) \
-            + np.tile(rep2.coords.arrays[n2_name], n1)
+    m1, m2 = _ladder_label(rep1), _ladder_label(rep2)
+    if d_out is not None and m1 is not None and m2 is not None:
+        m_tot = np.repeat(m1, n2) + np.tile(m2, n1)
         pred = ctx.lam * d_out * _qpow(float(ctx.q), -4 * m_tot)
         params["group_like_defect"] = float(np.max(
             np.abs(tau_out - pred) / np.maximum(1.0, np.abs(pred)),
             initial=0.0))
-    return RepFamily("coproduct", params, ops, win, ctx, Coords(labels))
+    return RepFamily("coproduct", params, ops, win, Coords(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ ranges and hard edges, and its interior mask.  The grid:
   of the joint family;
 - `build_L_basis(0, 1.5, 6)` at q in {1.2, 2.0};
 - the finite `build_T_generic` ladder with m_bar = 1, `build_T_orb` on the
-  (8, 8) window and the beta coproduct of the t and K ladders, at q = 1.5;
-  labels.json adds to the last case the standard coproduct of the spin-1
-  and spin-1/2 ladders, whose second label is primed (m').
+  (8, 8) window, and the beta coproduct of the t and K ladders with the
+  standard coproduct of the spin-1 and spin-1/2 ladders (whose second
+  label is primed, m'), at q = 1.5.
 
 No value goes through BLAS.  `tests/test_golden.py` rebuilds every case and
 compares exactly.  Regenerate from the repository root with
@@ -56,7 +56,10 @@ def _families(kind, ctx, w):
         return {"T_orb": rs.build_T_orb(win, ctx)}
     t = rs.build_t_special(RepWindow.make({"m_t": (-w, 0)}), ctx)
     k = rs.build_K_orbital(RepWindow.make({"m_k": (0, w)}), ctx)
-    return {"coproduct": rs.coproduct(t, k, "beta", ctx)}
+    one, half = (rs.build_T_generic(1 / ctx.lam, s, None, ctx)
+                 for s in (1, 0.5))
+    return {"coproduct": rs.coproduct(t, k, "beta", ctx),
+            "spin_coproduct": rs.coproduct(one, half, "standard", ctx)}
 
 
 def _operators(name, fam, ctx):
@@ -92,13 +95,8 @@ def case_labels(kind, q, w):
     as [name, lo, hi], the hard edges sorted and the interior mask as a
     string of 0s and 1s."""
     ctx = QContext(q=q)
-    fams = _families(kind, ctx, w)
-    if kind == "coproduct":
-        one, half = (rs.build_T_generic(1 / ctx.lam, s, None, ctx)
-                     for s in (1, 0.5))
-        fams["spin_coproduct"] = rs.coproduct(one, half, "standard", ctx)
     out = {}
-    for name, fam in fams.items():
+    for name, fam in _families(kind, ctx, w).items():
         win = fam.window
         out[name] = {
             "coords": {k: [str(a.dtype), [_exact(x) for x in a.tolist()]]

@@ -510,13 +510,31 @@ class TestPlumbing:
 
     def test_import_leaves_scipy_linalg_out(self):
         # scipy adds to every command's start; only the spectral block
-        # levels (scipy.linalg), the coproduct and the CSR export
-        # (scipy.sparse) read it, and import it when called
+        # levels (scipy.linalg) and the CSR export (scipy.sparse) read it,
+        # and import it when called
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, qspace3.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
             capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_coproduct_leaves_scipy_out(self):
+        # both coproduct variants build on bands; no scipy module is loaded
+        code = (
+            "import sys\n"
+            "from qspace3 import QContext, repspace as rs\n"
+            "from qspace3.operators import RepWindow\n"
+            "ctx = QContext(q=1.5)\n"
+            "t = rs.build_t_special(RepWindow.make({'m_t': (-4, 0)}), ctx)\n"
+            "k = rs.build_K_orbital(RepWindow.make({'m_k': (0, 4)}), ctx)\n"
+            "rs.coproduct(t, k, 'beta', ctx)\n"
+            "s = rs.build_T_generic(1 / ctx.lam, 1.0, None, ctx)\n"
+            "rs.coproduct(s, s, 'standard', ctx)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -134,7 +134,13 @@ def _random_operator(rng, n):
     coo = sp.coo_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n))
-    return LabeledOperator("A", _Band.from_csr(coo)).to_csr()
+    return LabeledOperator("A", _band_of(coo)).to_csr()
+
+
+def _band_of(mat):
+    """The band of a scipy sparse matrix, its stored zeros kept."""
+    c = mat.tocoo()
+    return _Band.from_entries(mat.shape[0], c.row, c.col, c.data)
 
 
 def _band_entries(band):
@@ -182,7 +188,7 @@ def test_band_arithmetic_matches_scipy_sparse(seed):
     pool = []
     for _ in range(3):
         mat = _random_operator(rng, n)
-        pool.append((_Band.from_csr(mat), mat))
+        pool.append((_band_of(mat), mat))
     scalars = (1.5, -0.75, 2.0**-40, -3e9, 0.0, math.inf)
     with np.errstate(all="ignore"):
         for _ in range(30):
@@ -216,6 +222,18 @@ def test_band_arithmetic_matches_scipy_sparse(seed):
             if want is not None:
                 assert np.float64(got).view(np.uint64) \
                     == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_band_kron_matches_scipy_sparse(seed):
+    # stored zeros and infinite entries included, on factors of two sizes
+    rng = np.random.default_rng(seed)
+    A, B = (_random_operator(rng, int(rng.integers(2, 12))) for _ in "AB")
+    with np.errstate(all="ignore"):
+        _assert_same(_band_of(A).kron(_band_of(B)),
+                     sp.kron(A, B, format="csr"))
+        _assert_same(_band_of(A).kron(_Band.identity(3)),
+                     sp.kron(A, sp.identity(3), format="csr"))
 
 
 def test_band_identity_matches_scipy_sparse():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -200,8 +201,8 @@ def ladder_families(draw):
 @given(ladder_families())
 def test_ladder_families_close_the_algebra(case):
     fam, q, lower = case
-    T3, Tp, Tm = (fam[k].to_csr() for k in ("T3", "T+", "T-"))
-    bands = (_Band.from_csr(A) for A in (T3, Tp, Tm))
+    Tp, Tm = (fam[k].to_csr() for k in ("T+", "T-"))
+    bands = (fam[k].band for k in ("T3", "T+", "T-"))
     for name, terms in _su2_relations(*bands, q):
         assert _interior_residual(terms, fam.interior) < 1e-12, name
     assert np.array_equal(Tm.toarray(), lower * Tp.toarray().T)
@@ -393,6 +394,45 @@ class TestCoproduct:
             rs.coproduct(t, k, "standard", CTX)
         with pytest.raises(DomainError):
             rs.coproduct(torb, k, "beta", CTX)
+        # a factor without tau or without a ladder is named, in either place
+        xr = rs.build_X_over_R(1, win_t(6), CTX)
+        lb = rs.build_L_basis(0, 1.0, 3, CTX)
+        for a, b, variant, which, bad in (
+                (xr, k, "beta", "first", xr), (t, xr, "beta", "second", xr),
+                (lb, torb, "standard", "first", lb),
+                (torb, lb, "standard", "second", lb)):
+            msg = f"the {which} factor ({bad.kind}) has no T3, T+, T-, tau"
+            with pytest.raises(DomainError, match=re.escape(msg)):
+                rs.coproduct(a, b, variant, CTX)
+
+    def test_labels_carry_the_shifts(self):
+        # every entry of a coproduct moves its labels by a declared shift,
+        # the primed label of a second factor that shares the first's
+        # included
+        spin1, half = (rs.build_T_generic(1 / LAM, s, None, CTX)
+                       for s in (1.0, 0.5))
+        cases = [
+            (rs.build_t_special(win_t(5), CTX),
+             rs.build_K_orbital(win_k(5), CTX), "beta"),
+            (spin1, half, "standard"),
+            (rs.build_T_orb(win_tk(3, 3), CTX), spin1, "standard")]
+        for a, b, variant in cases:
+            cp = rs.coproduct(a, b, variant, CTX)
+            for key, op in cp.operators.items():
+                assert op.shift_violations(cp.coords) == [], (variant, key)
+        cp = rs.coproduct(spin1, half, "standard", CTX)
+        assert cp["T+"].shift == ({"m": 1}, {"m'": 1})
+
+    def test_nested_coproduct_keeps_every_label(self):
+        spin1, half = (rs.build_T_generic(1 / LAM, s, None, CTX)
+                       for s in (1.0, 0.5))
+        inner = rs.coproduct(spin1, half, "standard", CTX)
+        cp = rs.coproduct(inner, half, "standard", CTX)
+        assert sorted(cp.coords.arrays) == ["m", "m'", "m''"]
+        assert sorted(cp.window.range_map) == ["m", "m'", "m''"]
+        assert np.array_equal(cp.coords.arrays["m''"], np.tile([-0.5, 0.5], 6))
+        for op in cp.operators.values():
+            assert op.shift_violations(cp.coords) == []
 
 
 class TestAddSpin:
@@ -441,7 +481,7 @@ class TestWindowPlumbing:
         other = rs.build_X_over_R(1, win_t(5), CTX)["X3R"]
         with pytest.raises(WindowError, match="operator X3R is 6 x 6"):
             RepFamily("t_special", fam.params, {**fam.operators, "X3R": other},
-                      fam.window, CTX, fam.coords)
+                      fam.window, fam.coords)
 
     def test_sqrt_clamp(self):
         assert rs._sqrt_clamped(-1e-15) == 0.0
@@ -577,24 +617,21 @@ class TestShiftViolations:
         nk, i = 5, 6                  # state i = (m_t, m_k) = (-3, 1)
         # a legal m_t step, a forbidden diagonal step, and a forbidden step
         # that stores an explicit zero (not a violation)
-        rows, cols = [i + nk, i + nk + 1, i + 2], [i, i, i]
-        mat = sp.csr_matrix(([1.0, 2.0, 0.0], (rows, cols)),
-                            shape=(fam.n, fam.n))
-        op = LabeledOperator("X+?", _Band.from_csr(mat),
-                             shift=({"m_t": 1},))
+        rows, cols = np.array([i + nk, i + nk + 1, i + 2]), np.full(3, i)
+        band = _Band.from_entries(fam.n, rows, cols, np.array([1.0, 2.0, 0.0]))
+        op = LabeledOperator("X+?", band, shift=({"m_t": 1},))
         assert len(op.entries) == 3
         assert op.entries[(i + 2, i)] == 0.0
         assert op.shift_violations(fam.coords) == [
             ((i + nk + 1, i), {"m_t": 1, "m_k": 1})]
-        assert LabeledOperator("free", _Band.from_csr(mat)).shift_violations(
+        assert LabeledOperator("free", band).shift_violations(
             fam.coords) == []
 
     def test_transposed_ladder_violates(self):
         win = RepWindow.make({"m_t": (-4, 0), "m_k": (0, 4)})
         fam = rs.build_X_T_R_joint(0, 1.0, 1, win, CTX)
         Tp = fam["T+"]
-        wrong = LabeledOperator("T+^T", _Band.from_csr(Tp.to_csr().T),
-                                shift=Tp.shift)
+        wrong = LabeledOperator("T+^T", Tp.band.T, shift=Tp.shift)
         bad = wrong.shift_violations(fam.coords)
         assert len(bad) == np.count_nonzero(Tp.to_csr().data)
         assert {tuple(sorted(d.items())) for _, d in bad} == {
