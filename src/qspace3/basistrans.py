@@ -39,18 +39,35 @@ def _site(m, m_t, sigma, q):
             _sqrt_any(1 - q**-2) * q**(m_t - max(m, 0) - 1))
 
 
-def _doubled_rows(m, mts, l_values, q, ctx, alternate):
-    """Rows pref * P~_l(x), l in l_values (ascending), one per sign-doubled
-    site (sigma, m_t), sigma = 1, -1 outer; the sites are taken in the type
-    of q, the tables in ctx's mode.  alternate adds the phase (-1)^m_t."""
+def _site_rows(m, mts, l_values, q, ctx, alternate):
+    """Rows pref * P~_l(x), l in l_values (ascending), one per sigma = +1
+    site m_t; the sites are taken in the type of q, the tables in ctx's
+    mode.  alternate adds the phase (-1)^m_t."""
     rows = []
-    for sigma in (1, -1):
-        for mt in mts:
-            x, pref = _site(m, mt, sigma, q)
-            tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
-            sgn = (-1)**mt if alternate else 1
-            rows.append([sgn * pref * tab[l] for l in l_values])
+    for mt in mts:
+        x, pref = _site(m, mt, 1, q)
+        tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
+        sp = ((-1)**mt if alternate else 1) * pref
+        rows.append([sp * tab[l] for l in l_values])
     return rows
+
+
+def _doubled_rows(m, mts, l_values, q, ctx, alternate):
+    """The rows of _site_rows over the sign-doubled sites (sigma, m_t),
+    sigma = 1, -1 outer: one table per m_t, the sigma = -1 half by parity.
+
+    P~_l(-x) = (-1)^(l-|m|) P~_l(x), and the table route keeps that parity
+    bit for bit: it reads x only through |x| and x^2, and rounding to
+    nearest commutes with negation.  So the sigma = -1 site (argument -x,
+    the same prefactor) carries the sigma = +1 value negated at odd
+    l - |m|.  A zero keeps its sign: a binary64 table stores an
+    underflowed entry as +0.0 at both signs of x, so pref * 0.0 is the
+    same zero on both rows (an mpf zero has no sign).
+    """
+    rows = _site_rows(m, mts, l_values, q, ctx, alternate)
+    odd = [(l - abs(m)) % 2 == 1 for l in l_values]
+    return rows + [[-v if o and v else v for v, o in zip(row, odd)]
+                   for row in rows]
 
 
 def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
@@ -181,6 +198,12 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     binary64 and the products taken with numpy.  That moves each normalized
     off-diagonal entry by a few binary64 roundings (~1e-16), far below the
     tail-limited defect.
+
+    The block A acts on each sign half alone, and the sigma = -1 half of a
+    column is its sigma = +1 half times (-1)^(l-|m|), exactly (see
+    _doubled_rows).  So the 40-digit work runs on the sigma = +1 half only, and
+    the sigma = -1 rows of U_K and R_K are its 40-digit values times that
+    parity, rounded.
     """
     q = float(ctx.q)
     ectx = replace(ctx, precision="extended")
@@ -188,25 +211,29 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     mts = list(range(top - cd, top + 1))
     n = len(mts)
     lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
-    # the deepest margin sites of each sign block are dropped
+    # the deepest margin sites of each sign half are dropped
     margin = 2
     U_K = np.empty((2 * (n - margin), len(l_values)))
     R_K = np.empty_like(U_K)
     gram_diag = np.empty(len(l_values))       # (U_K^T U_K)_aa - 1
     with mp.workdps(ectx.dps):
         qm = mp.mpf(q)
-        cols = list(zip(*_doubled_rows(m, mts, l_values, qm, ectx, True)))
+        cols = list(zip(*_site_rows(m, mts, l_values, qm, ectx, True)))
         D, E = (np.array(v, dtype=object) for v in _casimir_chain(m, cd, qm))
-        for c, (col, lam_c) in enumerate(zip(cols, lams.tolist())):
-            # A V on each sign block (row): diagonal, lower, upper neighbour
-            V = np.array(col, dtype=object).reshape(2, n)
+        for c, (col, lam_c, l) in enumerate(zip(cols, lams.tolist(),
+                                                l_values)):
+            # A V: diagonal, lower, upper neighbour
+            V = np.array(col, dtype=object)
             AV = V * D
-            AV[:, 1:] += V[:, :-1] * E
-            AV[:, :-1] += V[:, 1:] * E
-            V_K, AV_K = V[:, margin:].ravel(), AV[:, margin:].ravel()
-            U_K[:, c] = V_K.astype(float)
-            R_K[:, c] = (AV_K - lam_c * V_K).astype(float)
-            gram_diag[c] = float(mp.fsum(v**2 for v in V_K) - 1)
+            AV[1:] += V[:-1] * E
+            AV[:-1] += V[1:] * E
+            V_K, AV_K = V[margin:], AV[margin:]
+            odd = (l - abs(m)) % 2 == 1
+            for X, v in ((U_K, V_K), (R_K, AV_K - lam_c * V_K)):
+                X[:, c] = np.concatenate([v, -v if odd else v]).astype(float)
+            # both halves' squares, in the order of the rows of U_K
+            sq = [v**2 for v in V_K]
+            gram_diag[c] = float(mp.fsum(sq + sq) - 1)
     gram_minus_eye = U_K.T @ U_K
     np.fill_diagonal(gram_minus_eye, gram_diag)
     dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K

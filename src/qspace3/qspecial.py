@@ -431,14 +431,23 @@ def _recurrence_coeff(l, m, qn):
                      / (qn(2 * l + 1) * qn(2 * l + 3)))
 
 
+def _check_chain(l, m):
+    """DomainError unless m >= 0 and the degree l is on the chain l >= m."""
+    if m < 0 or l < m:
+        raise DomainError(
+            f"the recurrence needs m >= 0 and l >= m, got l={l}, m={m}")
+
+
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l+1) member in the three-term recurrence."""
+    _check_chain(l, m)
     return ctx.out(_recurrence_coeff(l, m, partial(_qnum, q=ctx.qval())))
 
 
 def recurrence_coeff_down(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l-1) member; zero at the bottom l = m."""
-    if l <= m:
+    _check_chain(l, m)
+    if l == m:
         return ctx.out(0.0)
     return ctx.out(_recurrence_coeff(l - 1, m, partial(_qnum, q=ctx.qval())))
 

@@ -166,6 +166,17 @@ def test_extended_context_gives_binary64_table(m, tmp_path):
             t.write_csv(fh)
 
 
+def test_binary64_table_is_the_site_by_site_table_byte_for_byte():
+    # tobytes sees the sign of a zero, which np.array_equal does not: the
+    # q = 2 table stores -0.0 where the phase (-1)^m_t meets an underflowed
+    # entry, and the sigma = -1 row must keep the sign of that zero
+    ctx = QContext(q=2.0)
+    t = bt.build_transform(1, 0, ctx, l_max=60)
+    ref = reference_rows(0, list(range(-60, 1)), 60, ctx, True)
+    assert np.signbit(t.matrix[t.matrix == 0]).any()
+    assert t.matrix.tobytes() == ref.tobytes()
+
+
 def reference_congruence_defect(m, l_max, q):
     """The Casimir congruence defect as the full quadratic form
     u_a^T K A u_b, every column, block entry and sum at 40 digits: O(L^2 n)
@@ -236,8 +247,9 @@ def test_congruence_defect_matches_full_form(q, m):
 
 def reference_residual_form(m, l_values, cd, ctx):
     """The residual-form congruence defect with the chain written out: the
-    40-digit chain lists and a hand-written block product, column by
-    column and entry by entry."""
+    40-digit columns site by site at both signs, each from its own table,
+    the chain lists and a hand-written block product on both sign blocks,
+    column by column and entry by entry."""
     q = float(ctx.q)
     ectx = replace(ctx, precision="extended")
     top = min(0, m)
@@ -251,7 +263,13 @@ def reference_residual_form(m, l_values, cd, ctx):
     gram_diag = np.empty(len(l_values))
     with mp.workdps(ectx.dps):
         qm = mp.mpf(q)
-        cols = list(zip(*bt._doubled_rows(m, mts, l_values, qm, ectx, True)))
+        cols = [[] for _ in l_values]
+        for sigma in (1, -1):
+            for mt in mts:
+                x, pref = bt._site(m, mt, sigma, qm)
+                tab = p_tilde_table(l_values[-1], abs(m), x, ectx)
+                for c, l in enumerate(l_values):
+                    cols[c].append((-1)**mt * pref * tab[l])
         lam2 = (qm - 1 / qm)**2
         entries = [chain_entries(m, mt, qm) for mt in mts]
         diag = [d / lam2 for d, _ in entries]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -431,6 +433,40 @@ class TestTableLayer:
         finally:
             sys.setswitchinterval(old)
 
+    def test_table_parity_is_bit_exact(self, monkeypatch):
+        # P~_l(-x) = (-1)^(l-m) P~_l(x) bit for bit, on both routes and in
+        # both modes: the transforms take their sigma = -1 rows from it.  A
+        # binary64 zero is +0.0 at both signs, so a zero is not negated.
+        routes = set()
+        for name in ("_table_up", "_table_down"):
+            def spy(*args, _name=name, _orig=getattr(qs, name)):
+                routes.add(_name)
+                return _orig(*args)
+            monkeypatch.setattr(qs, name, spy)
+        qs.clear_caches()
+        for q, precision, l_max, m, n in itertools.product(
+                (1.1, 2.0, 3.0), ("double", "extended"), (10, 60), (0, 1, 3),
+                (0, -3, -12, -40)):
+            ctx = QContext(q=q, precision=precision)
+            # the lattice sites of the transforms, at 40 digits in extended
+            with mp.workdps(40):
+                qv = ctx.qval()
+                x, y = (qs._lattice_point(n, m, s, qv) for s in (1, -1))
+                plus = qs.p_tilde_table(l_max, m, x, ctx)
+                minus = qs.p_tilde_table(l_max, m, y, ctx)
+                flipped = [-v if (l - m) % 2 and v else v
+                           for l, v in enumerate(plus)]
+            if ctx.is_extended:
+                # (the entries below m are a float 0.0)
+                assert [mp.mpf(v)._mpf_ for v in minus] \
+                    == [mp.mpf(v)._mpf_ for v in flipped], (q, l_max, m, n)
+                continue
+            a, b = (np.array(t).view(np.uint64) for t in (minus, flipped))
+            assert np.array_equal(a, b), (q, l_max, m, n)
+            both = np.array(plus + minus)
+            assert not np.signbit(both[both == 0]).any()
+        assert routes == {"_table_up", "_table_down"}
+
     def test_overshoot_cap_raises(self):
         # near q = 1 the downward pass would need more than 2000 extra
         # degrees to gain its 26 decades
@@ -476,6 +512,23 @@ class TestIdentities:
                     f = qs._ptilde_factors(l, m, q, dps)
                     assert isinstance(f.c_up, mp.mpf) and f.c_up == up
                     assert isinstance(f.c_down, mp.mpf) and f.c_down == down
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("fn,l,m", [
+        (qs.recurrence_coeff_up, 0, 2), (qs.recurrence_coeff_down, 3, -5),
+        (qs.recurrence_coeff_up, 1, -1), (qs.recurrence_coeff_down, 1, 2)])
+    def test_recurrence_coefficient_off_the_chain_rejected(self, fn, l, m,
+                                                           precision):
+        # off the chain the q-number product under the root can go
+        # negative: a math domain error in binary64, a complex value at 40
+        # digits
+        with pytest.raises(DomainError):
+            fn(l, m, QContext(q=1.5, precision=precision))
+
+    def test_down_coefficient_vanishes_at_the_bottom(self):
+        assert qs.recurrence_coeff_down(2, 2, CTX15) == 0.0
+        assert qs.recurrence_coeff_down(3, 2, CTX15) \
+            == qs.recurrence_coeff_up(2, 2, CTX15)
 
     def test_check_recurrence_reads_the_coefficient_cache(self):
         # one record per degree: l, then the neighbours l + 1 and l - 1

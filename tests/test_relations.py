@@ -143,29 +143,15 @@ def _band_of(mat):
     return _Band.from_entries(mat.shape[0], c.row, c.col, c.data)
 
 
-def _band_entries(band):
-    """(rows, cols, values) of the stored entries, in row-major order."""
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
-    for d, (v, present) in band.diags.items():
-        k = np.arange(v.size) if present is None else np.flatnonzero(present)
-        rows.append(k + max(0, -d))
-        cols.append(k + max(0, -d) + d)
-        vals.append(v[k])
-    return _sorted(*(np.concatenate(x) for x in (rows, cols, vals)))
-
-
 def _sparse_entries(mat):
+    """(rows, cols, values) of the stored entries, row-major."""
     c = mat.tocoo()
-    return _sorted(c.row.astype(int), c.col.astype(int), c.data)
-
-
-def _sorted(rows, cols, vals):
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], vals[order]
+    order = np.lexsort((c.col, c.row))
+    return c.row[order].astype(int), c.col[order].astype(int), c.data[order]
 
 
 def _assert_same(band, mat):
-    (br, bc, bv), (sr, sc, sv) = _band_entries(band), _sparse_entries(mat)
+    (br, bc, bv), (sr, sc, sv) = band.coo(), _sparse_entries(mat)
     assert np.array_equal(br, sr) and np.array_equal(bc, sc)
     # bit for bit, signed zeros included, and NaN in the same places (the
     # sign of a NaN depends on operand order and shows in no report)
