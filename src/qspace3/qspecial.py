@@ -13,25 +13,33 @@ at lattice arguments where it is not contractive by a downward
 coefficients are computed once per (m, ctx), up to the highest degree
 needed so far.
 
-Every evaluation reads one bounded record of its x-independent factors per
-precision mode, each value computed by the expression an inline evaluation
-uses, so values are bit-identical to one.  In binary64 it is _log_norm
-(4096 entries): log10 of u^2 and of the normalization.  In multiprecision it
-is _ptilde_factors (16 entries): the direct sum's terms, the radicand's
-q-powers, u^2, the normalization, the couplings to degrees l -+ 1 and the
-q-powers of the identity checks.  p_tilde's multiprecision route, extended
-weight_w and table seeds, and both identity checks read it.  The checks
-still sum every P~ directly, so they test the recurrence rather than restate
-it; they band their dps to multiples of 40 and visit the degrees in order,
-so 16 entries serve a whole grid.  p_lm's escalation streams the sum's
-factors instead, as its dps changes on every attempt.  The q-factorials are
-one prefix list per (q, dps).  clear_caches() empties every cache of this
-module and of qarith.
+Every evaluation reads bounded records, each value computed by the
+expression an inline evaluation uses, so values are bit-identical to one.
+In binary64 the x-independent record is _log_norm (4096 entries): log10 of
+u^2 and of the normalization.  In multiprecision there are two
+x-independent records per (l, m, q, dps): _ptilde_factors (16 entries: the
+radicand's q-powers, u^2, the normalization, the couplings to degrees
+l -+ 1 and the q-powers of the identity checks) and _sum_terms (8 entries:
+the direct sum's terms).  p_lm's escalation sums over _sum_terms as well; it
+escalates at _cancel_dps wherever its binary64 sum overflows, the dps
+p_tilde uses next at the same point.  A lattice node sigma q^e has an
+l-independent record per (e, sigma, q, dps), _node (the point and its
+Pochhammer prefix list), and a radicand per (m, e, q, dps), _node_rad;
+_ptilde_node keeps P~ there per (l, m, e, sigma, q, dps).  p_tilde's
+multiprecision route and both identity checks snap their argument once
+and read these records, the q-difference neighbours as the nodes e -+ 2,
+so each (l, m, node, dps) is lifted once and summed once.  The checks
+still sum every P~ directly, so they test the recurrence rather than
+restate it.  At l = m the sum is exactly 1 and the weight is returned
+without it.  Off the lattice the multiprecision routes sum at the
+argument directly.  The q-factorials are one prefix list per (q, dps).
+clear_caches() empties every cache of this module and of qarith.
 
-The coefficient lists and the q-factorial prefix lists are extended under
-one lock, qarith._QFACT_LOCK, which re-reads the length inside it, so
-threads sharing a list never append a degree twice.  Readers take no lock:
-an entry, once appended, never changes.
+The coefficient lists, the q-factorial prefix lists and the nodes'
+Pochhammer lists are extended under one lock, qarith._QFACT_LOCK, which
+re-reads the length inside it, so threads sharing a list never append an
+entry twice.  Readers take no lock: an entry, once appended, never
+changes.
 
 The weight normalization is fixed so the lattice orthonormality sum equals
 delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
@@ -69,8 +77,12 @@ _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 def _p_sum(l, m, x, q, dps=0):
     """Direct evaluation of the degree (l-m) polynomial sum.
 
-    Returns (value, max_abs_term) so callers can judge cancellation.
+    Returns (value, max_abs_term) so callers can judge cancellation.  In
+    binary64 (dps = 0) the factors stream; at dps digits they are the
+    record _sum_terms(l, m, q, dps), which p_tilde's route shares.
     """
+    if dps:
+        return _p_sum_at(x, _sum_terms(l, m, float(q), dps))
     return _p_sum_at(x, _sum_factors(l, m, q, dps))
 
 
@@ -106,6 +118,17 @@ def _p_sum_at(x, factors):
     if s != s:          # max() above passes over a NaN term
         worst = s
     return s, worst
+
+
+def _p_sum_node(poch, terms):
+    """The direct sum at a lattice node, as _p_sum_at forms it, with the
+    running Pochhammer product read from the node's prefix list poch."""
+    s = mp.mpf(0)
+    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
+        t = sign * pochx / pochd
+        t = t * a * b / c
+        s = s + t
+    return s
 
 
 def _rad(m, x, q, powers=None):
@@ -220,14 +243,18 @@ def _snap_lattice(x, m, q):
 
 
 def _ptilde_mp(l, m, x, q, dps):
-    """Weighted function at full working precision (x, q given as mpf);
-    near-lattice arguments are snapped to the exact lattice point."""
+    """Weighted function at full working precision (x, q given as mpf),
+    summed at x directly; a near-lattice x is snapped to the exact lattice
+    point.  The identity checks and p_tilde read lattice nodes through
+    _ptilde_node instead (_reader)."""
     if l < m:
         return mp.mpf(0)
-    f = _ptilde_factors(l, m, float(q), dps)
     x = _lift_arg(x, m, q)
-    s, _ = _p_sum_at(x, f.terms)
-    return s * _weight_mp(x, q, f)
+    w = _weight_mp(x, q, _ptilde_factors(l, m, float(q), dps))
+    if l == m:              # the one-term sum is exactly 1
+        return w
+    s, _ = _p_sum_at(x, _sum_terms(l, m, float(q), dps))
+    return s * w
 
 
 def _weight_mp(x, q, f):
@@ -236,38 +263,116 @@ def _weight_mp(x, q, f):
     return mp.sqrt(f.u2 * _rad(f.m, x, q, f.rad) / f.norm)
 
 
-@lru_cache(maxsize=65536)
-def _ptilde_mp_cached(l, m, x, qkey, dps):
-    """_ptilde_mp shared by the identity checks, which revisit each
-    (l, m, x) from the neighbouring degrees and arguments."""
-    return _ptilde_mp(l, m, x, mp.mpf(qkey), dps)
-
-
 _PtildeFactors = namedtuple(
-    "_PtildeFactors", "m terms rad u2 norm c_down c_up checks")
+    "_PtildeFactors", "m rad u2 norm c_down c_up checks")
 
 
 @lru_cache(maxsize=16)
 def _ptilde_factors(l, m, qkey, dps):
-    """The multiprecision record of everything in P~_l and its identity
-    checks that does not depend on x, at (l, m, q, dps): the terms of
-    _sum_factors, the _rad_powers, u^2, the normalization constant, the
-    couplings to degrees l - 1 (c_down, 0 at l = m) and l + 1 (c_up), and
-    the q-powers of the checks (q**(m+1) of check_recurrence, then the
-    seven of check_difference).  Each value is the expression it replaces,
-    at dps digits."""
+    """The multiprecision record of everything in P~_l's weight and its
+    identity checks that does not depend on x, at (l, m, q, dps): the
+    _rad_powers, u^2, the normalization constant, the couplings to degrees
+    l - 1 (c_down, 0 at l = m) and l + 1 (c_up), and the q-powers of the
+    checks (q**(m+1) of check_recurrence, then the six of
+    check_difference).  The direct sum's terms are the record _sum_terms.
+    Each value is the expression it replaces, at dps digits."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         qn = partial(_qnum, q=q)
         return _PtildeFactors(
-            m, tuple(_sum_factors(l, m, q, dps)), _rad_powers(m, q),
+            m, _rad_powers(m, q),
             _u2_mp(l, m, q), _snorm_mp_cached(m, qkey, dps),
             _recurrence_coeff(l - 1, m, qn) if l > m else mp.mpf(0),
             _recurrence_coeff(l, m, qn),
             (q**(m + 1),
              (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
              (q * q + 1) * q**(-2 * (m + 2)),
-             q**2, q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4))
+             q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4))
+
+
+@lru_cache(maxsize=8)
+def _sum_terms(l, m, qkey, dps):
+    """The terms of _sum_factors(l, m, q, dps) at dps digits, as a tuple:
+    the record p_lm's escalation and p_tilde's route both sum over."""
+    with mp.workdps(dps):
+        return tuple(_sum_factors(l, m, mp.mpf(qkey), dps))
+
+
+_Node = namedtuple("_Node", "x poch")
+
+
+@lru_cache(maxsize=1024)
+def _node(e, sigma, qkey, dps):
+    """The l-independent record of the lattice node sigma q^e at dps
+    digits: the point, as _lattice_point computes it, and the prefix list
+    of its Pochhammer products (x; q^-2)_k, which _node_poch extends."""
+    with mp.workdps(dps):
+        # (n, m) = (e/2 + 1, 0) names the node sigma q^e
+        x = _lattice_point(e // 2 + 1, 0, sigma, mp.mpf(qkey))
+        return _Node(x, [1 + 0 * x])
+
+
+def _node_poch(node, terms):
+    """node.poch through the last index of terms, extended in place under
+    _QFACT_LOCK as the q-factorial lists are (the length is re-read inside
+    the lock).  Each product is _p_sum_at's running one: the factor
+    1 - x b_k reads b_k = q**(-2(k-1)) from the terms, the same value in
+    every (l, m) record of this (q, dps).  Call under mp.workdps(dps)."""
+    poch = node.poch
+    if len(poch) < len(terms):
+        with _QFACT_LOCK:
+            for k in range(len(poch), len(terms)):
+                poch.append(poch[-1] * (1 - node.x * terms[k][0]))
+    return poch
+
+
+@lru_cache(maxsize=1024)
+def _node_rad(m, e, qkey, dps):
+    """The radicand _rad(m, x) at the nodes +-q^e, at dps digits.  It reads
+    only x^2, so both signs share it."""
+    with mp.workdps(dps):
+        return _rad(m, _node(e, 1, qkey, dps).x, mp.mpf(qkey))
+
+
+@lru_cache(maxsize=4096)
+def _ptilde_node(l, m, e, sigma, qkey, dps):
+    """P~_l of order m at the lattice node sigma q^e, at dps digits: the
+    direct sum over the node's Pochhammer list times the weight from its
+    radicand, each formed as _ptilde_mp forms it.  The identity checks
+    reach each (l, m, node) from up to six calls (the degrees l -+ 1 and
+    the nodes e -+ 2), so each is summed once."""
+    if l < m:
+        return mp.mpf(0)
+    with mp.workdps(dps):
+        f = _ptilde_factors(l, m, qkey, dps)
+        w = mp.sqrt(f.u2 * _node_rad(m, e, qkey, dps) / f.norm)
+        if l == m:          # the one-term sum is exactly 1
+            return w
+        terms = _sum_terms(l, m, qkey, dps)
+        node = _node(e, sigma, qkey, dps)
+        return _p_sum_node(_node_poch(node, terms), terms) * w
+
+
+def _reader(x, m, qkey, dps):
+    """x lifted to dps digits, and a reader (l, step) -> P~_l(x q^(2 step)),
+    step in {-1, 0, 1}.  A near-lattice x is its node (e, sigma)
+    (_snap_lattice), and the reader reads the records of the nodes
+    e + 2 step; any other x is summed at the rounded x q^(2 step) by
+    _ptilde_mp.  Call under mp.workdps(dps)."""
+    q = mp.mpf(qkey)
+    xx = mp.mpf(x)
+    snap = _snap_lattice(xx, m, q)
+    if snap is None:
+        def off_lattice(l, step=0):
+            arg = xx if not step else xx * q**2 if step > 0 else xx / q**2
+            return _ptilde_mp(l, m, arg, q, dps)
+        return xx, off_lattice
+    n, sigma = snap
+    e = 2 * (n - m - 1)
+
+    def at_node(l, step=0):
+        return _ptilde_node(l, m, e + 2 * step, sigma, qkey, dps)
+    return _node(e, sigma, qkey, dps).x, at_node
 
 
 def _log_weight(l, m, q, r):
@@ -282,6 +387,12 @@ def _check_args(m, x):
         raise DomainError(f"order m must be >= 0, got {m}")
     if not math.isfinite(float(x)):
         raise DomainError(f"argument must be finite, got {float(x)}")
+
+
+def _zero(ctx):
+    """0 in the context's output type.  ctx.out(0.0) would pass a float
+    through in extended mode, where every value is an mpf."""
+    return mp.mpf(0) if ctx.is_extended else 0.0
 
 
 def _cancel_dps(l, m, q):
@@ -303,7 +414,7 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     """
     _check_args(m, x)
     if l < m or (x == 0 and (l - m) % 2):
-        return ctx.out(0.0)           # an odd polynomial vanishes at 0 exactly
+        return _zero(ctx)             # an odd polynomial vanishes at 0 exactly
     # degree 0: the one-term sum is exactly 1, also where its binary64
     # q-binomials overflow to inf / inf
     if l == m:
@@ -392,7 +503,7 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
     """
     _check_args(m, x)
     if l < m:
-        return ctx.out(0.0)
+        return _zero(ctx)
     q = float(ctx.q)
     if not ctx.is_extended:
         # validate support (and surface DomainError) in double first, unless
@@ -414,7 +525,8 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
     # _cancel_dps is at least 40, the extended mode's own dps
     dps = _cancel_dps(l, m, q)
     with mp.workdps(dps):
-        v = ctx.out(_ptilde_mp(l, m, mp.mpf(x), mp.mpf(q), dps))
+        _, ptilde = _reader(x, m, q, dps)
+        v = ctx.out(ptilde(l))
     if not (ctx.is_extended or math.isfinite(v)):
         raise PrecisionError(
             f"p_tilde({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
@@ -448,7 +560,7 @@ def recurrence_coeff_down(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l-1) member; zero at the bottom l = m."""
     _check_chain(l, m)
     if l == m:
-        return ctx.out(0.0)
+        return _zero(ctx)
     return ctx.out(_recurrence_coeff(l - 1, m, partial(_qnum, q=ctx.qval())))
 
 
@@ -484,7 +596,7 @@ def _table_cached(l_max, m, x, ctx):
 
 
 def _table(l_max, m, x, ctx):
-    vals = [ctx.out(0.0)] * (l_max + 1)
+    vals = [_zero(ctx)] * (l_max + 1)
     if m > l_max or x == 0:
         return tuple(vals)
     seed = weight_w(m, m, x, ctx)
@@ -523,7 +635,7 @@ def _coeff_lists(m, ctx):
     _coeffs_through extends it in place, so it never runs past the highest
     degree a table has asked for.
     """
-    return [ctx.out(0.0)] * m
+    return [_zero(ctx)] * m
 
 
 def _coeffs_through(top, m, ctx):
@@ -552,7 +664,7 @@ def _coeffs_through(top, m, ctx):
 
 
 def _table_up(l_max, m, x, seed, ctx):
-    vals = [ctx.out(0.0)] * (l_max + 1)
+    vals = [_zero(ctx)] * (l_max + 1)
     vals[m] = seed
     up = _coeffs_through(l_max - 1, m, ctx)
     xq = x * ctx.qval()**(m + 1)
@@ -569,12 +681,12 @@ def _table_up(l_max, m, x, seed, ctx):
 
 
 def _table_down(l_max, m, x, seed, ctx, delta):
-    vals = [ctx.out(0.0)] * (l_max + 1)
+    vals = [_zero(ctx)] * (l_max + 1)
     L = l_max + delta
     up = _coeffs_through(L, m, ctx)
-    v = [ctx.out(0.0)] * (L + 2)
+    v = [_zero(ctx)] * (L + 2)
     scale_cnt = [0] * (L + 2)
-    v[L] = ctx.out(1.0)
+    v[L] = _zero(ctx) + 1
     xq = x * ctx.qval()**(m + 1)
     mp_mode = ctx.is_extended
     for l in range(L, m, -1):
@@ -621,8 +733,9 @@ def _check_dps(l, m, ctx):
 
 def _lift_arg(x, m, q):
     """Lift a binary64 argument into the ambient precision, snapping
-    near-lattice values to the exact node so identity checks see mutually
-    consistent arguments and coefficients."""
+    near-lattice values to the exact node, the argument every
+    multiprecision route evaluates at.  The routes that read node records
+    (_reader) take the point from _node instead."""
     xx = mp.mpf(x)
     snap = _snap_lattice(xx, m, q)
     if snap is not None:
@@ -638,12 +751,11 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
         f = _ptilde_factors(l, m, qkey, dps)
-        xx = _lift_arg(x, m, mp.mpf(qkey))
-        pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
-        lhs = xx * f.checks[0] * pt
-        rhs = f.c_up * _ptilde_mp_cached(l + 1, m, xx, qkey, dps)
+        xx, ptilde = _reader(x, m, qkey, dps)
+        lhs = xx * f.checks[0] * ptilde(l)
+        rhs = f.c_up * ptilde(l + 1)
         if l > m:
-            rhs += f.c_down * _ptilde_mp_cached(l - 1, m, xx, qkey, dps)
+            rhs += f.c_down * ptilde(l - 1)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -657,19 +769,17 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
-        _, shell, centre, q2, q4m, inner, outer, q4 = \
+        _, shell, centre, q4m, inner, outer, q4 = \
             _ptilde_factors(l, m, qkey, dps).checks
-        xx = _lift_arg(x, m, mp.mpf(qkey))
-        pt = _ptilde_mp_cached(l, m, xx, qkey, dps)
-        lhs = (shell * xx**2 - centre) * pt
+        xx, ptilde = _reader(x, m, qkey, dps)
+        lhs = (shell * xx**2 - centre) * ptilde(l)
         rhs = mp.mpf(0)
         r_in = (1 - xx * xx) * (1 - xx * xx * q4m)
         if r_in > 0:
-            rhs -= inner * mp.sqrt(r_in) \
-                * _ptilde_mp_cached(l, m, xx / q2, qkey, dps)
+            rhs -= inner * mp.sqrt(r_in) * ptilde(l, -1)
         r_out = (outer - xx * xx) * (q4 - xx * xx)
         if r_out > 0:
-            rhs -= mp.sqrt(r_out) * _ptilde_mp_cached(l, m, xx * q2, qkey, dps)
+            rhs -= mp.sqrt(r_out) * ptilde(l, 1)
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -734,6 +844,6 @@ def clear_caches():
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
     for cache in (_qfact_cached, _qfact_list, _log_norm, _snorm_mp_cached,
-                  _ptilde_mp_cached, _ptilde_factors, _table_cached,
-                  _coeff_lists):
+                  _ptilde_factors, _sum_terms, _node, _node_rad,
+                  _ptilde_node, _table_cached, _coeff_lists):
         cache.cache_clear()

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
+from golden import make_identity_residuals as identities
 from golden import make_operators
 from golden.make_verify_residuals import CELLS, LEDGER, cell_rows
+from qspace3 import qspecial as qs
 
 _DOC = json.loads(LEDGER.read_text(encoding="utf-8"))
 _OPS = json.loads(make_operators.LEDGER.read_text(encoding="utf-8"))
 _LABELS = json.loads(make_operators.LABELS.read_text(encoding="utf-8"))
+_IDS = json.loads(identities.LEDGER.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -61,3 +64,19 @@ def test_labels_match_the_ledger(case):
     assert sorted(got) == sorted(case["families"])
     for name, labels in case["families"].items():
         assert got[name] == labels, name
+
+
+def test_identity_ledger_covers_its_grid():
+    assert [c["q"] for c in _IDS["cells"]] == list(identities.QS)
+    for cell in _IDS["cells"]:
+        assert [tuple(p[:4]) for p in cell["points"]] == identities.GRID
+    assert len(identities.GRID) * len(identities.QS) == 2970
+    # exact zeros are part of the ledger
+    assert any("0x0.0p+0" in p[4:] for c in _IDS["cells"]
+               for p in c["points"])
+
+
+@pytest.mark.parametrize("cell", _IDS["cells"], ids=lambda c: f"q={c['q']}")
+def test_identity_residuals_match_the_ledger(cell):
+    qs.clear_caches()       # the values must not depend on what ran before
+    assert identities.residuals(cell["q"]) == [p[4:] for p in cell["points"]]

@@ -330,6 +330,31 @@ class TestWeightedFunction:
             b = qs.p_tilde(l, 3, xx, QContext(q=1e30, precision="extended"))
             assert math.isfinite(a) and a == float(b)
 
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_degree_zero_is_the_weight_without_a_sum(self, monkeypatch,
+                                                     precision):
+        # at l = m the direct sum is one term whose q-binomials are each
+        # x/x, exactly 1: the multiprecision route returns the weight and
+        # builds no terms (at l = m = 60, q = 2 they take 2,424 digits),
+        # bit for bit the summed value
+        cases = [(60, 2.0, 2.0**-122), (3, 1.5, 1.5**-8),
+                 (3, 1.5, -(1.5**-14)), (0, 2.0, 0.25),
+                 (12, 1.5, 0.3 * 1.5**-24)]     # the last off the lattice
+        qs.clear_caches()
+        monkeypatch.setattr(qs, "_sum_factors", lambda *a: pytest.fail(
+            "a degree-0 p_tilde built the direct sum's terms"))
+        got = [qs.p_tilde(l, l, x, QContext(q=q, precision=precision))
+               for l, q, x in cases]
+        monkeypatch.undo()
+        for (l, q, x), v in zip(cases, got):
+            dps = qs._cancel_dps(l, l, q)
+            with mp.workdps(dps):
+                ref = _ref_ptilde(l, l, mp.mpf(x), mp.mpf(q), dps)
+            if precision == "extended":
+                assert v._mpf_ == ref._mpf_, (l, q, x)
+            else:
+                assert float.hex(v) == float.hex(float(ref)), (l, q, x)
+
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually
         # leave binary64; the product must still come out finite
@@ -457,14 +482,33 @@ class TestTableLayer:
                 flipped = [-v if (l - m) % 2 and v else v
                            for l, v in enumerate(plus)]
             if ctx.is_extended:
-                # (the entries below m are a float 0.0)
-                assert [mp.mpf(v)._mpf_ for v in minus] \
-                    == [mp.mpf(v)._mpf_ for v in flipped], (q, l_max, m, n)
+                assert [v._mpf_ for v in minus] \
+                    == [v._mpf_ for v in flipped], (q, l_max, m, n)
                 continue
             a, b = (np.array(t).view(np.uint64) for t in (minus, flipped))
             assert np.array_equal(a, b), (q, l_max, m, n)
             both = np.array(plus + minus)
             assert not np.signbit(both[both == 0]).any()
+        assert routes == {"_table_up", "_table_down"}
+
+    def test_extended_table_holds_only_mpf(self, monkeypatch):
+        # the zeros below m, at x = 0 and at a zero seed (the radicand
+        # vanishes at n = 1) are mpf like every other entry, on both routes
+        routes = set()
+        for name in ("_table_up", "_table_down"):
+            def spy(*args, _name=name, _orig=getattr(qs, name)):
+                routes.add(_name)
+                return _orig(*args)
+            monkeypatch.setattr(qs, name, spy)
+        qs.clear_caches()
+        ctx = QContext(q=2.0, precision="extended")
+        for m in (0, 3):
+            for x in (2.0**-14, -(2.0**-14), 2.0**(-2 * (m + 1)),
+                      0.3**(m + 1), 0.0, 2.0**(-2 * m)):
+                for l_max in (2, 10, 40):
+                    tab = qs.p_tilde_table(l_max, m, x, ctx)
+                    assert all(type(v) is mp.mpf for v in tab), (m, x, l_max)
+        assert qs.p_tilde_table(10, 3, 2.0**-6, ctx) == [0] * 11
         assert routes == {"_table_up", "_table_down"}
 
     def test_overshoot_cap_raises(self):
@@ -531,13 +575,62 @@ class TestIdentities:
             == qs.recurrence_coeff_up(2, 2, CTX15)
 
     def test_check_recurrence_reads_the_coefficient_cache(self):
-        # one record per degree: l, then the neighbours l + 1 and l - 1
+        # one factors record and one terms record per degree (l, then the
+        # neighbours l + 1 and l - 1), one node record and one radicand
         qs.clear_caches()
         qs.check_recurrence(3, 1, 1.5**-4, CTX15)
-        info = qs._ptilde_factors.cache_info()
-        assert (info.misses, info.currsize) == (3, 3)
+        for cache, n in ((qs._ptilde_factors, 3), (qs._sum_terms, 3),
+                         (qs._ptilde_node, 3), (qs._node, 1),
+                         (qs._node_rad, 1)):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (n, n), cache.__name__
+        # the next degree at the same node and dps sums only degree 5
         qs.check_recurrence(4, 1, 1.5**-4, CTX15)
+        info = qs._ptilde_node.cache_info()
+        assert (info.hits, info.misses) == (2, 4)
         assert qs._ptilde_factors.cache_info().hits >= 1
+
+    def test_criterion_2_grid_sums_each_node_once(self, monkeypatch):
+        # the criterion-2 grid at q = 1.5 asks for 1304 distinct
+        # (l, m, node, dps), the q-difference neighbours included.  Each is
+        # summed once (none at l = m, whose sum is 1), none off the
+        # lattice, and each node is lifted once per dps.
+        requests, sums, lifts = [], [], []
+        ptilde_node, lattice_point = qs._ptilde_node, qs._lattice_point
+        p_sum_node = qs._p_sum_node
+
+        def node_spy(*key):
+            requests.append(key)
+            return ptilde_node(*key)
+
+        def sum_spy(poch, terms):
+            sums.append(len(terms))
+            return p_sum_node(poch, terms)
+
+        def lift_spy(n, m, sigma, q):
+            lifts.append((2 * (n - m - 1), sigma, mp.mp.prec))
+            return lattice_point(n, m, sigma, q)
+
+        qs.clear_caches()
+        monkeypatch.setattr(qs, "_ptilde_node", node_spy)
+        monkeypatch.setattr(qs, "_lattice_point", lift_spy)
+        monkeypatch.setattr(qs, "_p_sum_node", sum_spy)
+        monkeypatch.setattr(qs, "_p_sum_at", lambda *a: pytest.fail(
+            "a lattice argument took the off-lattice sum"))
+        q = 1.5
+        for l in range(9):
+            for m in range(l + 1):
+                for n in range(-10, 1):
+                    for sig in (1, -1):
+                        x = sig * q**(2 * (n - m - 1))
+                        qs.check_recurrence(l, m, x, CTX15)
+                        qs.check_difference(l, m, x, CTX15)
+        distinct = set(requests)
+        assert len(distinct) == 1304
+        assert len(sums) == len({k for k in distinct if k[0] > k[1]})
+        assert len(lifts) == len(set(lifts))
+        assert {(e, sigma) for e, sigma, _ in lifts} \
+            <= {(k[2], k[3]) for k in distinct}
 
 
 # The direct sum, radicand and identity checks as they were written inline,
@@ -690,17 +783,24 @@ class TestAgainstInlineSums:
         assert results[0] == results[1] == results[2]
 
     def test_escalation_stores_no_factors(self):
-        # p_lm's escalation picks a new dps per point, so its sums compute
-        # the factors on the fly; p_tilde's multiprecision route, in either
-        # mode, reads the record as the identity checks do
+        # p_lm's escalation reads one terms record per dps it tries (45,
+        # 90 and 180 digits, then 40, 80 and 160 in extended mode) and none
+        # of the weight's factors; p_tilde's multiprecision route, in either
+        # mode, reads the factors record as the identity checks do, and the
+        # terms record that a p_lm escalated at the same dps left
         qs.clear_caches()
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
         assert qs._ptilde_factors.cache_info().currsize == 0
-        qs.p_tilde(30, 1, 1.5**-10, CTX15)
-        qs.p_tilde(30, 1, 0.3, QContext(q=1.5, precision="extended"))
+        info = qs._sum_terms.cache_info()
+        assert (info.hits, info.misses) == (0, 6)
+        qs.p_lm(30, 1, 2.0**-24, QContext(q=2.0))     # escalates at 636
+        qs.p_tilde(30, 1, 2.0**-24, QContext(q=2.0))
+        qs.p_tilde(30, 1, 0.075, QContext(q=2.0, precision="extended"))
         info = qs._ptilde_factors.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        info = qs._sum_terms.cache_info()
+        assert (info.hits, info.misses) == (2, 7)
         qs.check_difference(4, 1, 1.5**-6, CTX15)
         qs.check_difference(4, 1, 1.5**-8, CTX15)
         info = qs._ptilde_factors.cache_info()
@@ -714,11 +814,14 @@ def _all_caches():
 
 def test_every_cache_is_bounded():
     # one record of x-independent factors per precision mode: _log_norm
-    # in binary64, _ptilde_factors in multiprecision
+    # in binary64, _ptilde_factors and the terms _sum_terms in
+    # multiprecision; one l-independent record per lattice node (_node,
+    # _node_rad) and one value per (l, m, node, dps)
     bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
               qs._log_norm: 4096, qs._snorm_mp_cached: 256,
               qs._table_cached: 65536, qs._coeff_lists: 256,
-              qs._ptilde_mp_cached: 65536, qs._ptilde_factors: 16}
+              qs._ptilde_factors: 16, qs._sum_terms: 8, qs._node: 1024,
+              qs._node_rad: 1024, qs._ptilde_node: 4096}
     for cache in _all_caches():
         assert cache in bounds, cache.__name__
     for cache, maxsize in bounds.items():
@@ -726,18 +829,28 @@ def test_every_cache_is_bounded():
 
 
 def test_clear_caches_empties_every_cache():
+    # the values computed afterwards are the cached ones, bit for bit
     ctx = QContext(q=1.5)
-    qs.check_recurrence(3, 1, 1.5**-4, ctx)
-    qs.check_difference(3, 1, 1.5**-4, ctx)
-    qs.p_lm(20, 0, 1.5**-18, ctx)
-    qs.p_tilde_table(10, 1, 1.5**-6, ctx)
-    qs.weight_w(2, 1, 0.1, QContext(q=1.5, precision="extended"))
+
+    def values():
+        return [_bits(v) for v in (
+            qs.check_recurrence(3, 1, 1.5**-4, ctx),
+            qs.check_difference(3, 1, 1.5**-4, ctx),
+            qs.p_lm(20, 0, 1.5**-18, ctx),
+            qs.p_tilde(20, 0, 1.5**-18, ctx),
+            *qs.p_tilde_table(10, 1, 1.5**-6, ctx),
+            qs.weight_w(2, 1, 0.1, QContext(q=1.5, precision="extended")))]
+
+    qs.clear_caches()
+    values()
+    cached = values()
     caches = _all_caches()
     assert all(c.cache_info().currsize > 0 for c in caches), [
         c.__name__ for c in caches if c.cache_info().currsize == 0]
     qs.clear_caches()
     for cache in caches:
         assert cache.cache_info().currsize == 0, cache.__name__
+    assert values() == cached
 
 
 class TestLatticeSums:
