@@ -17,23 +17,29 @@ Every evaluation reads bounded records, each value computed by the
 expression an inline evaluation uses, so values are bit-identical to one.
 In binary64 the x-independent record is _log_norm (4096 entries): log10 of
 u^2 and of the normalization.  In multiprecision there are two
-x-independent records per (l, m, q, dps): _ptilde_factors (16 entries: the
-radicand's q-powers, u^2, the normalization, the couplings to degrees
-l -+ 1 and the q-powers of the identity checks) and _sum_terms (8 entries:
-the direct sum's terms).  p_lm's escalation sums over _sum_terms as well; it
+x-independent records per (l, m, q, dps): _ptilde_factors (16 entries:
+u^2, the normalization, the couplings to degrees l -+ 1 and the q-powers
+of the identity checks) and _sum_terms (8 entries: the direct sum's
+terms); u^2 at l = m and the normalization's closed-form core are one
+record per (m, q, dps), _snorm_mp_cached.
+
+Every direct sum is one kernel, _p_sum_at, over a point record _Node: the
+point x and the prefix list of its Pochhammer products (x; q^-2)_k.  Every
+multiprecision P~ is one function of a point record and its radicand,
+_ptilde_at, and at l = m, where the sum is exactly 1, it is the weight
+without the sum.  A lattice node sigma q^e (_snap_lattice) is the record
+_node per (e, sigma, q, dps), with a radicand per (m, e, q, dps),
+_node_rad, and P~ per (l, m, e, sigma, q, dps), _ptilde_node.  Any other
+point record is transient and nothing caches it: the binary64 sums,
+p_lm's escalation and the multiprecision P~ off the lattice.  p_lm
 escalates at _cancel_dps wherever its binary64 sum overflows, the dps
-p_tilde uses next at the same point.  A lattice node sigma q^e has an
-l-independent record per (e, sigma, q, dps), _node (the point and its
-Pochhammer prefix list), and a radicand per (m, e, q, dps), _node_rad;
-_ptilde_node keeps P~ there per (l, m, e, sigma, q, dps).  p_tilde's
-multiprecision route and both identity checks snap their argument once
-and read these records, the q-difference neighbours as the nodes e -+ 2,
-so each (l, m, node, dps) is lifted once and summed once.  The checks
-still sum every P~ directly, so they test the recurrence rather than
-restate it.  At l = m the sum is exactly 1 and the weight is returned
-without it.  Off the lattice the multiprecision routes sum at the
-argument directly.  The q-factorials are one prefix list per (q, dps).
-clear_caches() empties every cache of this module and of qarith.
+p_tilde uses next at the same point, so both read one _sum_terms record.
+p_tilde's multiprecision route and both identity checks read P~ through
+_reader, the q-difference neighbours of a node as the nodes e -+ 2, so
+each (l, m, node, dps) is lifted once and summed once.  The checks still
+sum every P~ directly, so they test the recurrence rather than restate
+it.  The q-factorials are one prefix list per (q, dps).  clear_caches()
+empties every cache of this module and of qarith.
 
 The coefficient lists, the q-factorial prefix lists and the nodes'
 Pochhammer lists are extended under one lock, qarith._QFACT_LOCK, which
@@ -77,20 +83,19 @@ _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 def _p_sum(l, m, x, q, dps=0):
     """Direct evaluation of the degree (l-m) polynomial sum.
 
-    Returns (value, max_abs_term) so callers can judge cancellation.  In
-    binary64 (dps = 0) the factors stream; at dps digits they are the
-    record _sum_terms(l, m, q, dps), which p_tilde's route shares.
+    Returns (value, max_abs_term) so callers can judge cancellation.  The
+    sum runs at a transient point record; at dps digits the factors are
+    the record _sum_terms(l, m, q, dps), which p_tilde's route shares.
     """
-    if dps:
-        return _p_sum_at(x, _sum_terms(l, m, float(q), dps))
-    return _p_sum_at(x, _sum_factors(l, m, q, dps))
+    terms = (_sum_terms(l, m, float(q), dps) if dps
+             else tuple(_sum_factors(l, m, q, dps)))
+    return _p_sum_at(_Node(x, [1 + 0 * x]), terms)
 
 
 def _sum_factors(l, m, q, dps):
     """The x-independent factors of each term k = 0..l-m of the direct sum:
     base**(k-1), the sign-power (-1)**k q**(-k(m+1)), the denominator
-    Pochhammer and the three q-binomials.  A generator, so a caller that
-    does not cache them never holds more than one term's factors."""
+    Pochhammer and the three q-binomials, one tuple per term."""
     base = q**-2
     shift = q**(-2 * (m + 1))
     bk = pochd = 1 + 0 * q
@@ -103,14 +108,15 @@ def _sum_factors(l, m, q, dps):
                _qbin(m + k, k, q, dps))
 
 
-def _p_sum_at(x, factors):
-    """The direct sum at x over the per-term factors of _sum_factors."""
-    s = 0 * x
+def _p_sum_at(point, terms):
+    """The direct sum at the point record over the per-term factors terms
+    of _sum_factors, with (x; q^-2)_k read from the point's Pochhammer list
+    (_node_poch): (value, max_abs_term).  Call under mp.workdps(dps) for an
+    mpf point."""
+    s = 0 * point.x
     worst = abs(s)
-    pochx = 1 + 0 * x
-    for k, (bk, sign, pochd, a, b, c) in enumerate(factors):
-        if k > 0:
-            pochx = pochx * (1 - x * bk)
+    for pochx, (_, sign, pochd, a, b, c) in zip(_node_poch(point, terms),
+                                                terms):
         t = sign * pochx / pochd
         t = t * a * b / c
         s = s + t
@@ -120,24 +126,13 @@ def _p_sum_at(x, factors):
     return s, worst
 
 
-def _p_sum_node(poch, terms):
-    """The direct sum at a lattice node, as _p_sum_at forms it, with the
-    running Pochhammer product read from the node's prefix list poch."""
-    s = mp.mpf(0)
-    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
-        t = sign * pochx / pochd
-        t = t * a * b / c
-        s = s + t
-    return s
-
-
-def _rad(m, x, q, powers=None):
+def _rad(m, x, q):
     """Radicand product attached to the weight, or DomainError where it is
     negative (off the support).  A factor 1 - x^2 q^(4(m-j)) within
     _RAD_ULPS machine epsilons of zero, its rounding bound, is a zero of the
     radicand and the product is 0; every other factor, and so the product,
-    has its exact sign.  powers, when given, are _rad_powers(m, q)."""
-    q4m, q4j = powers or _rad_powers(m, q)
+    has its exact sign."""
+    q4m, q4j = _rad_powers(m, q)
     bound = _RAD_ULPS * (mp.eps if isinstance(x, mp.mpf) else _EPS)
     r = 1 + 0 * x
     x2q = x * x * q4m
@@ -212,19 +207,22 @@ def _u2_mp(l, m, q):
 
 @lru_cache(maxsize=256)
 def _snorm_mp_cached(m: int, qkey: float, dps: int):
+    """u^2 at l = m and the closed-form core _snorm_core of order m, at dps
+    digits; the normalization constant is their product."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
-        return _snorm_core(m, q) * _u2_mp(m, m, q)
+        return _u2_mp(m, m, q), _snorm_core(m, q)
 
 
 def _lattice_point(n, m, sigma, q):
     """The order-m lattice node sigma q^(2(n-m-1)); n <= 0 on the support.
-    Generic over float and mpf q; _snap_lattice inverts it."""
+    Generic over float and mpf q."""
     return sigma * q**(2 * (n - m - 1))
 
 
-def _snap_lattice(x, m, q):
-    """Lattice index (n, sigma) when |x| is within 1e-12 of q^(2(n-m-1)).
+def _snap_lattice(x, q):
+    """The node (e, sigma) when |x| is within 1e-12 of q^e, e even: the
+    node sigma q^(2(n-m-1)) of every order m with n - m = e/2 + 1.
 
     Binary64 lattice arguments are taken to *mean* the exact lattice point:
     at large degree the function value is astronomically sensitive to
@@ -235,53 +233,31 @@ def _snap_lattice(x, m, q):
     if ax == 0.0 or not math.isfinite(ax):
         return None
     qf = float(q)
-    e = math.log(ax) / math.log(qf) / 2.0 + m + 1.0
-    n = round(e)
-    if abs(ax / qf**(2 * (n - m - 1)) - 1.0) < 1e-12:
-        return n, (1 if float(x) > 0 else -1)
+    e = 2 * round(math.log(ax) / math.log(qf) / 2.0)
+    if abs(ax / qf**e - 1.0) < 1e-12:
+        return e, (1 if float(x) > 0 else -1)
     return None
 
 
-def _ptilde_mp(l, m, x, q, dps):
-    """Weighted function at full working precision (x, q given as mpf),
-    summed at x directly; a near-lattice x is snapped to the exact lattice
-    point.  The identity checks and p_tilde read lattice nodes through
-    _ptilde_node instead (_reader)."""
-    if l < m:
-        return mp.mpf(0)
-    x = _lift_arg(x, m, q)
-    w = _weight_mp(x, q, _ptilde_factors(l, m, float(q), dps))
-    if l == m:              # the one-term sum is exactly 1
-        return w
-    s, _ = _p_sum_at(x, _sum_terms(l, m, float(q), dps))
-    return s * w
-
-
-def _weight_mp(x, q, f):
-    """weight_w at full working precision (x, q given as mpf), from the
-    record f = _ptilde_factors(l, m, float(q), dps)."""
-    return mp.sqrt(f.u2 * _rad(f.m, x, q, f.rad) / f.norm)
-
-
-_PtildeFactors = namedtuple(
-    "_PtildeFactors", "m rad u2 norm c_down c_up checks")
+_PtildeFactors = namedtuple("_PtildeFactors", "u2 norm c_down c_up checks")
 
 
 @lru_cache(maxsize=16)
 def _ptilde_factors(l, m, qkey, dps):
     """The multiprecision record of everything in P~_l's weight and its
-    identity checks that does not depend on x, at (l, m, q, dps): the
-    _rad_powers, u^2, the normalization constant, the couplings to degrees
-    l - 1 (c_down, 0 at l = m) and l + 1 (c_up), and the q-powers of the
-    checks (q**(m+1) of check_recurrence, then the six of
-    check_difference).  The direct sum's terms are the record _sum_terms.
-    Each value is the expression it replaces, at dps digits."""
+    identity checks that does not depend on x, at (l, m, q, dps): u^2, the
+    normalization constant, the couplings to degrees l - 1 (c_down, 0 at
+    l = m) and l + 1 (c_up), and the q-powers of the checks (q**(m+1) of
+    check_recurrence, then the six of check_difference).  The direct sum's
+    terms are the record _sum_terms.  Each value is the expression it
+    replaces, at dps digits; u^2 at l = m is the one _snorm_mp_cached
+    holds."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         qn = partial(_qnum, q=q)
+        u2_mm, core = _snorm_mp_cached(m, qkey, dps)
         return _PtildeFactors(
-            m, _rad_powers(m, q),
-            _u2_mp(l, m, q), _snorm_mp_cached(m, qkey, dps),
+            u2_mm if l == m else _u2_mp(l, m, q), core * u2_mm,
             _recurrence_coeff(l - 1, m, qn) if l > m else mp.mpf(0),
             _recurrence_coeff(l, m, qn),
             (q**(m + 1),
@@ -304,20 +280,19 @@ _Node = namedtuple("_Node", "x poch")
 @lru_cache(maxsize=1024)
 def _node(e, sigma, qkey, dps):
     """The l-independent record of the lattice node sigma q^e at dps
-    digits: the point, as _lattice_point computes it, and the prefix list
-    of its Pochhammer products (x; q^-2)_k, which _node_poch extends."""
+    digits: the point and the prefix list of its Pochhammer products
+    (x; q^-2)_k, which _node_poch extends."""
     with mp.workdps(dps):
-        # (n, m) = (e/2 + 1, 0) names the node sigma q^e
-        x = _lattice_point(e // 2 + 1, 0, sigma, mp.mpf(qkey))
+        x = sigma * mp.mpf(qkey)**e
         return _Node(x, [1 + 0 * x])
 
 
 def _node_poch(node, terms):
     """node.poch through the last index of terms, extended in place under
     _QFACT_LOCK as the q-factorial lists are (the length is re-read inside
-    the lock).  Each product is _p_sum_at's running one: the factor
-    1 - x b_k reads b_k = q**(-2(k-1)) from the terms, the same value in
-    every (l, m) record of this (q, dps).  Call under mp.workdps(dps)."""
+    the lock).  The factor 1 - x b_k reads b_k = q**(-2(k-1)) from the
+    terms, the same value in every (l, m) record of this (q, dps).  Call
+    under mp.workdps(dps) for an mpf point."""
     poch = node.poch
     if len(poch) < len(terms):
         with _QFACT_LOCK:
@@ -334,41 +309,51 @@ def _node_rad(m, e, qkey, dps):
         return _rad(m, _node(e, 1, qkey, dps).x, mp.mpf(qkey))
 
 
+def _weight_at(l, m, rad, qkey, dps):
+    """weight_w at dps digits from its radicand rad = _rad(m, x).  Call
+    under mp.workdps(dps)."""
+    f = _ptilde_factors(l, m, qkey, dps)
+    return mp.sqrt(f.u2 * rad / f.norm)
+
+
+def _ptilde_at(l, m, point, rad, qkey, dps):
+    """P~_l of order m >= 0, l >= m, at the point record whose radicand
+    _rad(m, point.x) is rad, at dps digits: the direct sum times the
+    weight.  Call under mp.workdps(dps)."""
+    w = _weight_at(l, m, rad, qkey, dps)
+    if l == m:              # the one-term sum is exactly 1
+        return w
+    s, _ = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
+    return s * w
+
+
 @lru_cache(maxsize=4096)
 def _ptilde_node(l, m, e, sigma, qkey, dps):
-    """P~_l of order m at the lattice node sigma q^e, at dps digits: the
-    direct sum over the node's Pochhammer list times the weight from its
-    radicand, each formed as _ptilde_mp forms it.  The identity checks
-    reach each (l, m, node) from up to six calls (the degrees l -+ 1 and
-    the nodes e -+ 2), so each is summed once."""
-    if l < m:
-        return mp.mpf(0)
+    """P~_l of order m at the lattice node sigma q^e, at dps digits.  The
+    identity checks reach each (l, m, node) from up to six calls (the
+    degrees l -+ 1 and the nodes e -+ 2), so each is summed once."""
     with mp.workdps(dps):
-        f = _ptilde_factors(l, m, qkey, dps)
-        w = mp.sqrt(f.u2 * _node_rad(m, e, qkey, dps) / f.norm)
-        if l == m:          # the one-term sum is exactly 1
-            return w
-        terms = _sum_terms(l, m, qkey, dps)
-        node = _node(e, sigma, qkey, dps)
-        return _p_sum_node(_node_poch(node, terms), terms) * w
+        return _ptilde_at(l, m, _node(e, sigma, qkey, dps),
+                          _node_rad(m, e, qkey, dps), qkey, dps)
 
 
 def _reader(x, m, qkey, dps):
     """x lifted to dps digits, and a reader (l, step) -> P~_l(x q^(2 step)),
-    step in {-1, 0, 1}.  A near-lattice x is its node (e, sigma)
+    step in {-1, 0, 1}, l >= m.  A near-lattice x is its node (e, sigma)
     (_snap_lattice), and the reader reads the records of the nodes
-    e + 2 step; any other x is summed at the rounded x q^(2 step) by
-    _ptilde_mp.  Call under mp.workdps(dps)."""
-    q = mp.mpf(qkey)
+    e + 2 step; any other x is summed at the rounded x q^(2 step), a
+    transient point.  Call under mp.workdps(dps)."""
     xx = mp.mpf(x)
-    snap = _snap_lattice(xx, m, q)
+    snap = _snap_lattice(xx, qkey)
     if snap is None:
+        q = mp.mpf(qkey)
+
         def off_lattice(l, step=0):
             arg = xx if not step else xx * q**2 if step > 0 else xx / q**2
-            return _ptilde_mp(l, m, arg, q, dps)
+            return _ptilde_at(l, m, _Node(arg, [1 + 0 * arg]),
+                              _rad(m, arg, q), qkey, dps)
         return xx, off_lattice
-    n, sigma = snap
-    e = 2 * (n - m - 1)
+    e, sigma = snap
 
     def at_node(l, step=0):
         return _ptilde_node(l, m, e + 2 * step, sigma, qkey, dps)
@@ -447,7 +432,7 @@ def _p_lm_escalated(l, m, x, qkey, dps):
     for _ in range(6):
         with mp.workdps(dps):
             q = mp.mpf(qkey)
-            s, worst = _p_sum(l, m, _lift_arg(x, m, q), q, dps)
+            s, worst = _p_sum(l, m, _lift_arg(x, q), q, dps)
             if worst == 0 or (s != 0
                               and worst / abs(s) < mp.mpf(10)**(dps - 18)):
                 return s
@@ -472,8 +457,8 @@ def weight_w(l: int, m: int, x, ctx: QContext):
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
         with mp.workdps(ctx.dps):
-            return _weight_mp(mp.mpf(x), mp.mpf(ctx.q),
-                              _ptilde_factors(l, m, float(ctx.q), ctx.dps))
+            rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
+            return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
     q = float(ctx.q)
     r = float(_rad(m, float(x), q))
     if r == 0.0:
@@ -515,7 +500,7 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
         if r == 0.0:
             return 0.0
         amplification = 2.0 * l * l * math.log10(q)
-        if _snap_lattice(x, m, q) is None and amplification < 13.0:
+        if _snap_lattice(x, q) is None and amplification < 13.0:
             e = _log_weight(l, m, q, r)
             p = p_lm(l, m, x, ctx)
             if p == 0.0:
@@ -547,7 +532,7 @@ def _check_chain(l, m):
     """DomainError unless m >= 0 and the degree l is on the chain l >= m."""
     if m < 0 or l < m:
         raise DomainError(
-            f"the recurrence needs m >= 0 and l >= m, got l={l}, m={m}")
+            f"the degree chain needs m >= 0 and l >= m, got l={l}, m={m}")
 
 
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
@@ -609,7 +594,7 @@ def _table(l_max, m, x, ctx):
         return max(0.0, lx + (l + m + 2) * lq)
 
     log_gain = sum(step_log(l) for l in range(m, l_max))
-    if log_gain < 4.0 or _snap_lattice(x, m, q) is None:
+    if log_gain < 4.0 or _snap_lattice(x, q) is None:
         return tuple(_table_up(l_max, m, x, seed, ctx))
     # smallest even overshoot delta >= 4 whose steps gain 26 decades
     delta = 4
@@ -731,22 +716,22 @@ def _check_dps(l, m, ctx):
     return 40 * ((raw + 39) // 40)
 
 
-def _lift_arg(x, m, q):
-    """Lift a binary64 argument into the ambient precision, snapping
-    near-lattice values to the exact node, the argument every
-    multiprecision route evaluates at.  The routes that read node records
-    (_reader) take the point from _node instead."""
+def _lift_arg(x, q):
+    """Lift a binary64 argument into the ambient precision (q an mpf),
+    snapping near-lattice values to the exact node sigma q^e, the point
+    _node holds.  p_lm's escalation sums at it."""
     xx = mp.mpf(x)
-    snap = _snap_lattice(xx, m, q)
+    snap = _snap_lattice(xx, q)
     if snap is not None:
-        n, sigma = snap
-        xx = _lattice_point(n, m, sigma, q)
+        e, sigma = snap
+        xx = sigma * q**e
     return xx
 
 
 def check_recurrence(l: int, m: int, x, ctx: QContext):
     """Relative residual of the three-term recurrence in l at the point x."""
     _check_args(m, x)
+    _check_chain(l, m)
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):
@@ -766,6 +751,7 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     (each radicand is a product of two negative factors).
     """
     _check_args(m, x)
+    _check_chain(l, m)
     qkey = float(ctx.q)
     dps = _check_dps(l, m, ctx)
     with mp.workdps(dps):

@@ -6,6 +6,7 @@ import pytest
 
 from golden import make_identity_residuals as identities
 from golden import make_operators
+from golden import make_special_values as special
 from golden.make_verify_residuals import CELLS, LEDGER, cell_rows
 from qspace3 import qspecial as qs
 
@@ -13,6 +14,7 @@ _DOC = json.loads(LEDGER.read_text(encoding="utf-8"))
 _OPS = json.loads(make_operators.LEDGER.read_text(encoding="utf-8"))
 _LABELS = json.loads(make_operators.LABELS.read_text(encoding="utf-8"))
 _IDS = json.loads(identities.LEDGER.read_text(encoding="utf-8"))
+_SPECIAL = json.loads(special.LEDGER.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -80,3 +82,22 @@ def test_identity_ledger_covers_its_grid():
 def test_identity_residuals_match_the_ledger(cell):
     qs.clear_caches()       # the values must not depend on what ran before
     assert identities.residuals(cell["q"]) == [p[4:] for p in cell["points"]]
+
+
+def test_special_ledger_covers_its_grid():
+    assert [c["q"] for c in _SPECIAL["cells"]] == list(special.QS)
+    for cell in _SPECIAL["cells"]:
+        assert [tuple(p[:3]) for p in cell["points"]] \
+            == [(l, m, float.hex(x)) for l, m, x, _ in special.grid(cell["q"])]
+    records = [p[3] for c in _SPECIAL["cells"] for p in c["points"]]
+    assert len(records) == 4 * 9 * 6 + 1
+    assert sum("check_difference" in r for r in records) == 4 * 9 * 2
+    # raised calls are part of the ledger
+    assert any("PrecisionError" in v for r in records for v in r["p_tilde"])
+
+
+@pytest.mark.parametrize("cell", _SPECIAL["cells"],
+                         ids=lambda c: f"q={c['q']}")
+def test_special_values_match_the_ledger(cell):
+    qs.clear_caches()       # the values must not depend on what ran before
+    assert special.values(cell["q"]) == cell["points"]

@@ -355,6 +355,30 @@ class TestWeightedFunction:
             else:
                 assert float.hex(v) == float.hex(float(ref)), (l, q, x)
 
+    @pytest.mark.parametrize("q", [1.1, 2.0, 3.0])
+    def test_transient_point_at_a_node_is_the_node(self, q):
+        # one kernel sums at cached nodes and at transient points: at the
+        # node's exact point a transient record gives the node's Pochhammer
+        # list and P~ bit for bit, while lower degrees have extended the
+        # node's list before.  The records round at dps digits whatever
+        # the cancellation, so one dps below _cancel_dps serves every l.
+        m, e, dps = 2, -12, 200         # the node n = -3 of order 2
+        qs.clear_caches()
+        with mp.workdps(dps):
+            for l in range(m, 41):
+                terms = qs._sum_terms(l, m, q, dps)
+                for sigma in (1, -1):
+                    x = sigma * mp.mpf(q)**e
+                    node = qs._node(e, sigma, q, dps)
+                    assert node.x._mpf_ == x._mpf_
+                    got = qs._node_poch(qs._Node(x, [1 + 0 * x]), terms)
+                    want = qs._node_poch(node, terms)[:len(terms)]
+                    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+                    v = qs._ptilde_at(l, m, qs._Node(x, [1 + 0 * x]),
+                                      qs._rad(m, x, mp.mpf(q)), q, dps)
+                    ref = qs._ptilde_node(l, m, e, sigma, q, dps)
+                    assert v._mpf_ == ref._mpf_, (l, sigma)
+
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually
         # leave binary64; the product must still come out finite
@@ -593,30 +617,29 @@ class TestIdentities:
     def test_criterion_2_grid_sums_each_node_once(self, monkeypatch):
         # the criterion-2 grid at q = 1.5 asks for 1304 distinct
         # (l, m, node, dps), the q-difference neighbours included.  Each is
-        # summed once (none at l = m, whose sum is 1), none off the
-        # lattice, and each node is lifted once per dps.
-        requests, sums, lifts = [], [], []
-        ptilde_node, lattice_point = qs._ptilde_node, qs._lattice_point
-        p_sum_node = qs._p_sum_node
+        # summed once (none at l = m, whose sum is 1), every sum reads a
+        # node record (none a transient point off the lattice), and each
+        # node is lifted once per dps.
+        requests, sums, lifted = [], [], {}
+        ptilde_node, node, p_sum_at = qs._ptilde_node, qs._node, qs._p_sum_at
 
         def node_spy(*key):
             requests.append(key)
             return ptilde_node(*key)
 
-        def sum_spy(poch, terms):
-            sums.append(len(terms))
-            return p_sum_node(poch, terms)
+        def lift_spy(e, sigma, qkey, dps):
+            record = node(e, sigma, qkey, dps)
+            lifted[id(record)] = (e, sigma, dps)
+            return record
 
-        def lift_spy(n, m, sigma, q):
-            lifts.append((2 * (n - m - 1), sigma, mp.mp.prec))
-            return lattice_point(n, m, sigma, q)
+        def sum_spy(point, terms):
+            sums.append(lifted.get(id(point)))
+            return p_sum_at(point, terms)
 
         qs.clear_caches()
         monkeypatch.setattr(qs, "_ptilde_node", node_spy)
-        monkeypatch.setattr(qs, "_lattice_point", lift_spy)
-        monkeypatch.setattr(qs, "_p_sum_node", sum_spy)
-        monkeypatch.setattr(qs, "_p_sum_at", lambda *a: pytest.fail(
-            "a lattice argument took the off-lattice sum"))
+        monkeypatch.setattr(qs, "_node", lift_spy)
+        monkeypatch.setattr(qs, "_p_sum_at", sum_spy)
         q = 1.5
         for l in range(9):
             for m in range(l + 1):
@@ -627,10 +650,25 @@ class TestIdentities:
                         qs.check_difference(l, m, x, CTX15)
         distinct = set(requests)
         assert len(distinct) == 1304
+        assert None not in sums
         assert len(sums) == len({k for k in distinct if k[0] > k[1]})
-        assert len(lifts) == len(set(lifts))
-        assert {(e, sigma) for e, sigma, _ in lifts} \
+        info = node.cache_info()
+        assert info.misses == info.currsize == len(set(lifted.values()))
+        assert {(e, sigma) for e, sigma, _ in lifted.values()} \
             <= {(k[2], k[3]) for k in distinct}
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("l, m", [(1, 3), (0, 1), (-1, 0)])
+    def test_checks_off_the_chain_rejected(self, l, m, precision):
+        # below the chain every P~ reads 0, so a residual would be a
+        # vacuous 0.0, and the factors record would hold a complex coupling
+        ctx = QContext(q=1.5, precision=precision)
+        qs.clear_caches()
+        for check in (qs.check_recurrence, qs.check_difference):
+            for x in (1.5**-8, 0.3):
+                with pytest.raises(DomainError):
+                    check(l, m, x, ctx)
+        assert qs._ptilde_factors.cache_info().currsize == 0
 
 
 # The direct sum, radicand and identity checks as they were written inline,
@@ -674,10 +712,22 @@ def _ref_rad(m, x, q):
     return r
 
 
+def _ref_lift(x, m, q):
+    # x at the ambient precision, snapped to the node sigma q^(2(n-m-1))
+    # when |x| is within 1e-12 of it
+    xx = mp.mpf(x)
+    ax, qf = abs(float(xx)), float(q)
+    if ax != 0.0 and math.isfinite(ax):
+        n = round(math.log(ax) / math.log(qf) / 2.0 + m + 1.0)
+        if abs(ax / qf**(2 * (n - m - 1)) - 1.0) < 1e-12:
+            xx = (1 if float(xx) > 0 else -1) * q**(2 * (n - m - 1))
+    return xx
+
+
 def _ref_ptilde(l, m, x, q, dps):
     if l < m:
         return mp.mpf(0)
-    x = qs._lift_arg(x, m, q)
+    x = _ref_lift(x, m, q)
     s, _ = _ref_p_sum(l, m, x, q, dps)
     r = _ref_rad(m, x, q)
     if r == 0:
@@ -695,7 +745,7 @@ def _ref_check_recurrence(l, m, x, ctx):
     dps = qs._check_dps(l, m, ctx)
     with mp.workdps(dps):
         q = mp.mpf(qkey)
-        xx = qs._lift_arg(x, m, q)
+        xx = _ref_lift(x, m, q)
         pt = _ref_ptilde(l, m, xx, q, dps)
         lhs = xx * q**(m + 1) * pt
         rhs = _ref_coupling(l, m, q) * _ref_ptilde(l + 1, m, xx, q, dps)
@@ -710,7 +760,7 @@ def _ref_check_difference(l, m, x, ctx):
     dps = qs._check_dps(l, m, ctx)
     with mp.workdps(dps):
         q = mp.mpf(qkey)
-        xx = qs._lift_arg(x, m, q)
+        xx = _ref_lift(x, m, q)
         pt = _ref_ptilde(l, m, xx, q, dps)
         lhs = ((q**(2 * l + 1) + q**(-2 * l - 1)) / q * xx**2
                - (q * q + 1) * q**(-2 * (m + 2))) * pt
@@ -759,6 +809,12 @@ class TestAgainstInlineSums:
         for l in range(11):
             for m in {0, 1, min(3, l)}:
                 for x in _points(m, q):
+                    if l < m:           # the reference's vacuous 0.0
+                        for check in (qs.check_recurrence,
+                                      qs.check_difference):
+                            with pytest.raises(DomainError):
+                                check(l, m, x, ctx)
+                        continue
                     assert _bits(qs.check_recurrence(l, m, x, ctx)) \
                         == _bits(_ref_check_recurrence(l, m, x, ctx)), (l, m, x)
                     assert _bits(qs.check_difference(l, m, x, ctx)) \
