@@ -6,7 +6,12 @@ Evaluation strategy
 The polynomial sum alternates with terms up to ~q**(l*l - m*m) while the value
 at a lattice point is exponentially small, so binary64 loses roughly
 2*l*l*log10(q) digits to cancellation.  p_lm therefore escalates to multi-
-precision transparently whenever a cancellation estimate demands it.  Whole
+precision transparently whenever its binary64 sum cancels more than
+_CANCEL_OK allows.  It starts at 30 digits plus the loss the binary64 sum
+measures, max|t_k|/|s|, while that loss is below _CANCEL_RESOLVED (1e15,
+about 1/(4.5 eps)); beyond it, or where the sum overflows, the ratio reads
+rounding noise and the start is _cancel_dps, the dps p_tilde uses at the
+same point.  The precision doubles until the sum keeps 18 digits.  Whole
 columns P~_l(x), l = 0..l_max, are produced by the three-term recurrence in l:
 at lattice arguments where it is not contractive by a downward
 (minimal-solution) pass with rescaling, otherwise upward.  The recurrence
@@ -29,11 +34,11 @@ multiprecision P~ is one function of a point record and its radicand,
 _ptilde_at, and at l = m, where the sum is exactly 1, it is the weight
 without the sum.  A lattice node sigma q^e (_snap_lattice) is the record
 _node per (e, sigma, q, dps), with a radicand per (m, e, q, dps),
-_node_rad, and P~ per (l, m, e, sigma, q, dps), _ptilde_node.  Any other
-point record is transient and nothing caches it: the binary64 sums,
-p_lm's escalation and the multiprecision P~ off the lattice.  p_lm
-escalates at _cancel_dps wherever its binary64 sum overflows, the dps
-p_tilde uses next at the same point, so both read one _sum_terms record.
+_node_rad, and P~ per (l, m, e, sigma, q, dps), _ptilde_node.  p_lm's
+escalation at a node sums over the node record too, so a binary64 p_lm
+and p_tilde at one node share one _node, one _sum_terms record and one
+q-factorial list.  Any other point record is transient and nothing caches
+it: the binary64 sums and every multiprecision sum off the lattice.
 p_tilde's multiprecision route and both identity checks read P~ through
 _reader, the q-difference neighbours of a node as the nodes e -+ 2, so
 each (l, m, node, dps) is lifted once and summed once.  The checks still
@@ -72,6 +77,7 @@ __all__ = [
 
 _LOG_CAP = 250.0          # |log10| beyond which binary64 products are unsafe
 _CANCEL_OK = 1e2          # direct-sum cancellation accepted in binary64
+_CANCEL_RESOLVED = 1e15   # ~1/(4.5 eps): beyond it no binary64 digit is left
 _EPS = 2.0**-52           # binary64 machine epsilon
 _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 
@@ -80,16 +86,13 @@ _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 # generic kernels (operate on float or mpf alike)
 # ---------------------------------------------------------------------------
 
-def _p_sum(l, m, x, q, dps=0):
-    """Direct evaluation of the degree (l-m) polynomial sum.
+def _p_sum(l, m, x, q):
+    """Binary64 evaluation of the degree (l-m) polynomial sum at a
+    transient point record.
 
-    Returns (value, max_abs_term) so callers can judge cancellation.  The
-    sum runs at a transient point record; at dps digits the factors are
-    the record _sum_terms(l, m, q, dps), which p_tilde's route shares.
+    Returns (value, max_abs_term) so callers can judge cancellation.
     """
-    terms = (_sum_terms(l, m, float(q), dps) if dps
-             else tuple(_sum_factors(l, m, q, dps)))
-    return _p_sum_at(_Node(x, [1 + 0 * x]), terms)
+    return _p_sum_at(_Node(x, [1 + 0 * x]), tuple(_sum_factors(l, m, q, 0)))
 
 
 def _sum_factors(l, m, q, dps):
@@ -411,9 +414,9 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     finite = math.isfinite(s) and math.isfinite(worst)
     if finite and (worst == 0 or (s != 0 and worst / abs(s) < _CANCEL_OK)):
         return s
-    if finite and s != 0:
-        dps = 30 + int(math.log10(worst / abs(s)))
-    else:
+    if finite and s != 0 and worst / abs(s) < _CANCEL_RESOLVED:
+        dps = 30 + int(math.log10(worst / abs(s)))    # the measured loss
+    else:       # no digit left to measure: the dps p_tilde uses here
         dps = _cancel_dps(l, m, qkey)
     v = float(_p_lm_escalated(l, m, x, qkey, dps))
     if not math.isfinite(v):
@@ -427,12 +430,18 @@ def _p_lm_escalated(l, m, x, qkey, dps):
     """The direct sum at dps digits, doubled until its cancellation leaves
     at least 18 digits; PrecisionError after 6 attempts.  A sum that cancels
     to exactly 0 is not converged unless all its terms vanish.  A near-lattice
-    x is snapped to its node, as p_tilde does."""
+    x is its node (_snap_lattice) and the sum reads the node record _node,
+    the one p_tilde reads; any other x is a transient point."""
+    snap = _snap_lattice(x, qkey)
     start = dps
     for _ in range(6):
         with mp.workdps(dps):
-            q = mp.mpf(qkey)
-            s, worst = _p_sum(l, m, _lift_arg(x, q), q, dps)
+            if snap is None:
+                xx = mp.mpf(x)
+                point = _Node(xx, [1 + 0 * xx])
+            else:
+                point = _node(*snap, qkey, dps)
+            s, worst = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
             if worst == 0 or (s != 0
                               and worst / abs(s) < mp.mpf(10)**(dps - 18)):
                 return s
@@ -714,18 +723,6 @@ def _check_dps(l, m, ctx):
     # banded to multiples of 40 so neighbouring degrees share cache entries
     raw = max(50, _cancel_dps(l + 1, m, float(ctx.q)), ctx.dps + 20)
     return 40 * ((raw + 39) // 40)
-
-
-def _lift_arg(x, q):
-    """Lift a binary64 argument into the ambient precision (q an mpf),
-    snapping near-lattice values to the exact node sigma q^e, the point
-    _node holds.  p_lm's escalation sums at it."""
-    xx = mp.mpf(x)
-    snap = _snap_lattice(xx, q)
-    if snap is not None:
-        e, sigma = snap
-        xx = sigma * q**e
-    return xx
 
 
 def check_recurrence(l: int, m: int, x, ctx: QContext):

@@ -443,13 +443,6 @@ def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
             "L-": LabeledOperator("L-", Lm, family["T-"].shift)}
 
 
-def _ladder_label(family: RepFamily):
-    """The label array of a family on one ladder (a single label), else
-    None."""
-    arrays = list(family.coords.arrays.values())
-    return arrays[0] if len(arrays) == 1 else None
-
-
 def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
               ctx: QContext) -> RepFamily:
     """Tensor-product family through the standard or the sign-twisted rule.
@@ -528,10 +521,10 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
     d2 = rep2.params.get("d")
     d_out = None if d1 is None or d2 is None else ctx.lam * d1 * d2
     params = {"d": d_out, "variant": variant}
-    # group-like check: the product tau diagonal must equal lam*d*q^(-4m_tot)
-    m1, m2 = _ladder_label(rep1), _ladder_label(rep2)
-    if d_out is not None and m1 is not None and m2 is not None:
-        m_tot = np.repeat(m1, n2) + np.tile(m2, n1)
+    # group-like check: the product tau diagonal must equal lam*d*q^(-4m_tot),
+    # m_tot the sum of every label, primed ones included (m_t + m_k on T_orb)
+    if d_out is not None:
+        m_tot = sum(labels.values())
         pred = ctx.lam * d_out * _qpow(float(ctx.q), -4 * m_tot)
         params["group_like_defect"] = float(np.max(
             np.abs(tau_out - pred) / np.maximum(1.0, np.abs(pred)),

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from golden import make_escalation_values as escalation
 from golden import make_identity_residuals as identities
 from golden import make_operators
 from golden import make_special_values as special
@@ -15,6 +16,7 @@ _OPS = json.loads(make_operators.LEDGER.read_text(encoding="utf-8"))
 _LABELS = json.loads(make_operators.LABELS.read_text(encoding="utf-8"))
 _IDS = json.loads(identities.LEDGER.read_text(encoding="utf-8"))
 _SPECIAL = json.loads(special.LEDGER.read_text(encoding="utf-8"))
+_ESCALATION = json.loads(escalation.LEDGER.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -101,3 +103,22 @@ def test_special_ledger_covers_its_grid():
 def test_special_values_match_the_ledger(cell):
     qs.clear_caches()       # the values must not depend on what ran before
     assert special.values(cell["q"]) == cell["points"]
+
+
+def test_escalation_ledger_covers_its_grid():
+    assert [c["q"] for c in _ESCALATION["cells"]] == list(escalation.QS)
+    for cell in _ESCALATION["cells"]:
+        assert [tuple(p[:3]) for p in cell["points"]] \
+            == [(l, m, float.hex(x)) for l, m, x in escalation.grid(cell["q"])]
+    # the tie at q = 2: an escalation started at 56 digits in place of 44
+    # rounds it to -0x1.f81f81f81f7ffp-43
+    (tie,) = [p for c in _ESCALATION["cells"] for p in c["points"]
+              if p[0] == 5]
+    assert tie[3]["p_lm"] == "-0x1.f81f81f81f800p-43"
+
+
+@pytest.mark.parametrize("cell", _ESCALATION["cells"],
+                         ids=lambda c: f"q={c['q']}")
+def test_escalation_values_match_the_ledger(cell):
+    qs.clear_caches()       # the values must not depend on what ran before
+    assert escalation.values(cell["q"]) == cell["points"]

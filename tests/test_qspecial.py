@@ -120,27 +120,64 @@ class TestPolynomial:
 
 
 class TestEscalation:
+    @staticmethod
+    def _spy_sums(monkeypatch):
+        """Patch _p_sum_at to log each sum: None for a binary64 one, the
+        working dps for an mpf one."""
+        sums = []
+        p_sum_at = qs._p_sum_at
+
+        def counted(point, terms):
+            sums.append(mp.mp.dps if isinstance(point.x, mp.mpf) else None)
+            return p_sum_at(point, terms)
+
+        monkeypatch.setattr(qs, "_p_sum_at", counted)
+        return sums
+
     def test_escalation_reuses_the_binary64_sum(self, monkeypatch):
-        kinds = []
-        p_sum = qs._p_sum
-
-        def counted(l, m, x, q, dps=0):
-            kinds.append(type(x))
-            return p_sum(l, m, x, q, dps)
-
-        monkeypatch.setattr(qs, "_p_sum", counted)
+        sums = self._spy_sums(monkeypatch)
         qs.p_lm(20, 0, 1.5**-18, CTX15)
-        # one binary64 sum, whose cancellation sets the first mpf precision,
-        # then only mpf sums: at 45 digits, at 90, where the sum cancels to
-        # exactly 0 and is not accepted, and at 180
-        assert kinds == [float, mp.mpf, mp.mpf, mp.mpf]
+        # one binary64 sum, which has lost every digit (its largest term is
+        # 3e15 times the sum), then one mpf sum at _cancel_dps, the dps
+        # p_tilde uses at this node
+        assert sums == [None, qs._cancel_dps(20, 0, 1.5)] == [None, 194]
+        # a cancellation binary64 resolves (4e14 here) sets the start
+        sums.clear()
+        qs.p_lm(5, 2, 2.0**-30, QContext(q=2.0))
+        assert sums == [None, 30 + 14]
 
-    def test_sum_cancelling_to_zero_is_not_accepted(self):
-        # the terms do not vanish, so the exact 0 at 90 digits is escalated
+    def test_sum_cancelling_to_zero_is_not_accepted(self, monkeypatch):
+        # the terms do not vanish, so a sum that cancels to exactly 0 is
+        # escalated: at 89 digits it does, and the ladder goes on to 178
         got = qs.p_lm(20, 0, 1.5**-18, CTX15)
         ext = qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
         assert got == pytest.approx(9.0057775933823e-41, rel=1e-12)
         assert got == float(ext)
+        with mp.workdps(89):
+            s, worst = qs._p_sum_at(qs._node(-18, 1, 1.5, 89),
+                                    qs._sum_terms(20, 0, 1.5, 89))
+        assert s == 0 and worst > 0
+        sums = self._spy_sums(monkeypatch)
+        assert float(qs._p_lm_escalated(20, 0, 1.5**-18, 1.5, 89)) == got
+        assert sums == [89, 178]
+
+    def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch):
+        # binary64 p_lm at a node escalates once, with no ladder, at the dps
+        # p_tilde uses there and over the node record p_tilde reads: the
+        # pair builds one terms record, one node and one multiprecision
+        # q-factorial list (the other one is the binary64 sum's)
+        x = qs._lattice_point(-12, 3, 1, 1.2)
+        ctx = QContext(q=1.2)
+        qs.clear_caches()
+        sums = self._spy_sums(monkeypatch)
+        qs.p_lm(40, 3, x, ctx)
+        assert sums == [None, qs._cancel_dps(40, 3, 1.2)]
+        qs.p_tilde(40, 3, x, ctx)
+        assert sums[2:] == sums[1:2]
+        for cache, n in ((qs._sum_terms, 1), (qs._node, 1),
+                         (qa._qfact_list, 2)):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (n, n), cache.__name__
 
     def test_nan_sum_has_a_nan_largest_term(self):
         # the binary64 terms overflow; a largest term of 0 would read as
@@ -149,19 +186,20 @@ class TestEscalation:
         assert math.isnan(s) and math.isnan(worst)
 
     @staticmethod
-    def _never_converges(l, m, x, q, dps=0):
+    def _never_converges(point, terms):
         # a sum whose largest term dwarfs it at every precision
-        return 1 + 0 * x, (mp.inf if dps else math.inf)
+        x = point.x
+        return 1 + 0 * x, (mp.inf if isinstance(x, mp.mpf) else math.inf)
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_non_convergence_raises(self, monkeypatch, precision):
-        monkeypatch.setattr(qs, "_p_sum", self._never_converges)
+        monkeypatch.setattr(qs, "_p_sum_at", self._never_converges)
         with pytest.raises(PrecisionError):
             qs.p_lm(5, 0, 0.3, QContext(q=1.5, precision=precision))
 
     def test_non_convergence_exits_4(self, monkeypatch):
         from qspace3.cli import main
-        monkeypatch.setattr(qs, "_p_sum", self._never_converges)
+        monkeypatch.setattr(qs, "_p_sum_at", self._never_converges)
         assert main(["poly", "--l", "5", "--m", "0", "--x", "0.3"]) == 4
 
     @pytest.mark.parametrize("l, m, x, q", [(3, 1, 1e300, 1.1),
@@ -799,7 +837,10 @@ class TestAgainstInlineSums:
             for x in _points(m, q):
                 with mp.workdps(dps or mp.mp.dps):
                     xq = (mp.mpf(x), mp.mpf(q)) if dps else (x, q)
-                    got = [_bits(v) for v in qs._p_sum(l, m, *xq, dps)]
+                    got = [_bits(v) for v in (
+                        qs._p_sum_at(qs._Node(xq[0], [1 + 0 * xq[0]]),
+                                     qs._sum_terms(l, m, q, dps))
+                        if dps else qs._p_sum(l, m, x, q))]
                     ref = [_bits(v) for v in _ref_p_sum(l, m, *xq, dps)]
                 assert got == ref, (l, m, x)
 
@@ -839,24 +880,25 @@ class TestAgainstInlineSums:
         assert results[0] == results[1] == results[2]
 
     def test_escalation_stores_no_factors(self):
-        # p_lm's escalation reads one terms record per dps it tries (45,
-        # 90 and 180 digits, then 40, 80 and 160 in extended mode) and none
-        # of the weight's factors; p_tilde's multiprecision route, in either
-        # mode, reads the factors record as the identity checks do, and the
-        # terms record that a p_lm escalated at the same dps left
+        # p_lm's escalation reads one terms record per dps it tries (194
+        # digits, _cancel_dps, in binary64, then 40, 80 and 160 in extended
+        # mode) and none of the weight's factors; p_tilde's multiprecision
+        # route, in either mode, reads the factors record as the identity
+        # checks do, and the terms record that a p_lm escalated at the same
+        # dps left
         qs.clear_caches()
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
         assert qs._ptilde_factors.cache_info().currsize == 0
         info = qs._sum_terms.cache_info()
-        assert (info.hits, info.misses) == (0, 6)
+        assert (info.hits, info.misses) == (0, 4)
         qs.p_lm(30, 1, 2.0**-24, QContext(q=2.0))     # escalates at 636
         qs.p_tilde(30, 1, 2.0**-24, QContext(q=2.0))
         qs.p_tilde(30, 1, 0.075, QContext(q=2.0, precision="extended"))
         info = qs._ptilde_factors.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         info = qs._sum_terms.cache_info()
-        assert (info.hits, info.misses) == (2, 7)
+        assert (info.hits, info.misses) == (2, 5)
         qs.check_difference(4, 1, 1.5**-6, CTX15)
         qs.check_difference(4, 1, 1.5**-8, CTX15)
         info = qs._ptilde_factors.cache_info()

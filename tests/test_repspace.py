@@ -454,6 +454,23 @@ class TestAddSpin:
         scale = max(1.0, np.abs((Tp @ Tm).toarray()).max())
         assert np.abs(r[np.ix_(inner, inner)]).max() / scale < 1e-12
 
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_spin_half_tau_is_group_like(self, q):
+        # the total label m_t + m_k + m of T_orb x spin-1/2 reads the
+        # group-like check; a 1 % error in T_orb's tau fails it
+        ctx = QContext(q=q)
+        orb = rs.build_T_orb(win_tk(8, 8), ctx)
+        spin = rs.build_T_generic(1 / ctx.lam, 0.5, None, ctx)
+        out = rs.coproduct(orb, spin, "standard", ctx)
+        assert out.params["group_like_defect"] < 1e-15
+        tau = orb["tau"]
+        bad = RepFamily(orb.kind, orb.params, {
+            **orb.operators,
+            "tau": LabeledOperator("tau", 1.01 * tau.band, tau.shift)},
+            orb.window, orb.coords)
+        assert rs.coproduct(bad, spin, "standard", ctx) \
+            .params["group_like_defect"] > 1e-3
+
     def test_tau_product_structure(self):
         orb = rs.build_T_orb(win_tk(4, 4), CTX)
         spin = rs.build_T_generic(1 / LAM, 0.5, None, CTX)
