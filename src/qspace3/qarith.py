@@ -3,8 +3,9 @@ q-binomials, the building blocks of the direct sum of the big q-Jacobi
 polynomials in qspecial.
 
 The q-factorials are one prefix list per (q, dps), extended in place under
-_QFACT_LOCK and read without a lock.  Values are returned as float in
-"double" mode and as mpmath.mpf in "extended" mode.
+_QFACT_LOCK and read without a lock; the binary64 list rounds the entries
+of the EXTENDED_DPS list.  Values are returned as float in "double" mode
+and as mpmath.mpf in "extended" mode.
 """
 
 import threading
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .context import QContext
+from .context import EXTENDED_DPS, QContext
 from .errors import DomainError
 
 __all__ = ["qnum_sym", "qfactorial_sym", "qbinomial_sym"]
@@ -36,15 +37,18 @@ _QFACT_LOCK = threading.Lock()     # one extender per prefix list at a time
 
 @lru_cache(maxsize=4096)
 def _qfact_cached(n: int, qkey: float, dps: int):
-    """[n]! at q = qkey, in binary64 (dps = 0) or at dps digits."""
+    """[n]! at q = qkey, in binary64 (dps = 0) or at dps digits.  A binary64
+    entry is the EXTENDED_DPS entry rounded once, so it is within an ulp of
+    the exact [n]! instead of carrying the roundings of n factors."""
     facts = _qfact_list(qkey, dps)
     if n >= len(facts):
-        with _QFACT_LOCK:
+        with _QFACT_LOCK, mp.workdps(dps or EXTENDED_DPS):
             if dps:
-                with mp.workdps(dps):
-                    _extend_qfacts(facts, n, mp.mpf(qkey))
+                _extend_qfacts(facts, n, mp.mpf(qkey))
             else:
-                _extend_qfacts(facts, n, qkey)
+                ext = _qfact_list(qkey, EXTENDED_DPS)
+                _extend_qfacts(ext, n, mp.mpf(qkey))
+                facts.extend(float(v) for v in ext[len(facts):n + 1])
     return facts[n]
 
 

@@ -1,0 +1,74 @@
+"""Compares a regenerated golden ledger with the committed file and prints
+each changed entry: the grid point, the entry's name, the old value and the
+new one, one per line, then a count.
+
+    PYTHONPATH=src python tests/golden/diff_ledger.py special_values
+    PYTHONPATH=src python tests/golden/diff_ledger.py identity_residuals
+
+The ledger is recomputed in memory by its make_*.py module; the file is
+not written.  Exit status 1 when an entry changed, 0 when none did.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from golden import make_escalation_values as escalation  # noqa: E402
+from golden import make_identity_residuals as identities  # noqa: E402
+from golden import make_special_values as special  # noqa: E402
+
+# name -> (maker, the points of the cell of q, width of a point's grid part)
+LEDGERS = {
+    "special_values": (special, special.values, 3),
+    "escalation_values": (escalation, escalation.values, 3),
+    "identity_residuals": (identities, identities.points, 4),
+}
+# the names of a point's values where the ledger stores them as a list
+_LIST_NAMES = {"identity_residuals": ("check_recurrence", "check_difference")}
+_MODES = ("double", "extended")
+
+
+def entries(name, values):
+    """{entry name: value} of one point's value part."""
+    if name in _LIST_NAMES:
+        return dict(zip(_LIST_NAMES[name], values))
+    (record,) = values
+    flat = {}
+    for key, v in record.items():
+        if isinstance(v, list) and len(v) == 2 and not isinstance(v[0], int):
+            flat.update({f"{key} {mode}": w for mode, w in zip(_MODES, v)})
+        else:
+            flat[key] = v
+    return flat
+
+
+def changes(name):
+    """(q, grid point, entry name, old, new) of every changed entry."""
+    maker, regenerate, width = LEDGERS[name]
+    doc = json.loads(maker.LEDGER.read_text(encoding="utf-8"))
+    for cell in doc["cells"]:
+        q = cell["q"]
+        for old, new in zip(cell["points"], regenerate(q), strict=True):
+            assert old[:width] == new[:width], (old[:width], new[:width])
+            was = entries(name, old[width:])
+            now = entries(name, new[width:])
+            for key in sorted(was.keys() | now.keys()):
+                if was.get(key) != now.get(key):
+                    yield q, old[:width], key, was.get(key), now.get(key)
+
+
+def main(argv):
+    if len(argv) != 1 or argv[0] not in LEDGERS:
+        sys.exit(f"usage: diff_ledger.py {{{','.join(LEDGERS)}}}")
+    count = 0
+    for q, point, key, old, new in changes(argv[0]):
+        count += 1
+        print(json.dumps([q, point, key, old, new]))
+    print(f"{count} changed entries", file=sys.stderr)
+    return 1 if count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -39,13 +39,17 @@ def residuals(q):
     return rows
 
 
+def points(q):
+    """The ledger's points of q: [l, m, n, sigma, recurrence, difference]."""
+    return [list(p) + r for p, r in zip(GRID, residuals(q))]
+
+
 def main():
-    # one grid point per line: [l, m, n, sigma, recurrence, difference]
+    # one grid point per line
     cells = []
     for q in QS:
-        points = ",\n".join(json.dumps(list(p) + r)
-                            for p, r in zip(GRID, residuals(q)))
-        cells.append(f'{{"q": {q!r}, "points": [\n{points}]}}')
+        rows = ",\n".join(json.dumps(p) for p in points(q))
+        cells.append(f'{{"q": {q!r}, "points": [\n{rows}]}}')
     LEDGER.write_text('{"cells": [\n' + ",\n".join(cells) + "]}\n",
                       encoding="utf-8")
 

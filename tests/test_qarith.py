@@ -88,14 +88,13 @@ def _qfact_per_n(n, q, qnums):
 
 
 def _per_n_reference(qkey, dps, n_max=120):
-    if not dps:
-        qnums = [None] + [qa._qnum(k, qkey) for k in range(1, n_max + 1)]
-        return [_qfact_per_n(n, qkey, qnums) for n in range(n_max + 1)]
-    with mp.workdps(dps):
+    # the binary64 list is the 40-digit one rounded once
+    with mp.workdps(dps or 40):
         q = mp.mpf(qkey)
         qnums = [None] + [(q**k - q**(-k)) / (q - 1 / q)
                           for k in range(1, n_max + 1)]
-        return [_qfact_per_n(n, q, qnums) for n in range(n_max + 1)]
+        ref = [_qfact_per_n(n, q, qnums) for n in range(n_max + 1)]
+    return ref if dps else [float(v) for v in ref]
 
 
 class TestQFactorialPrefixList:

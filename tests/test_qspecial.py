@@ -165,7 +165,8 @@ class TestEscalation:
         # binary64 p_lm at a node escalates once, with no ladder, at the dps
         # p_tilde uses there and over the node record p_tilde reads: the
         # pair builds one terms record, one node and one multiprecision
-        # q-factorial list (the other one is the binary64 sum's)
+        # q-factorial list (the other two are the binary64 sum's and the
+        # 40-digit one it rounds)
         x = qs._lattice_point(-12, 3, 1, 1.2)
         ctx = QContext(q=1.2)
         qs.clear_caches()
@@ -175,7 +176,7 @@ class TestEscalation:
         qs.p_tilde(40, 3, x, ctx)
         assert sums[2:] == sums[1:2]
         for cache, n in ((qs._sum_terms, 1), (qs._node, 1),
-                         (qa._qfact_list, 2)):
+                         (qa._qfact_list, 3)):
             info = cache.cache_info()
             assert (info.misses, info.currsize) == (n, n), cache.__name__
 
