@@ -275,6 +275,11 @@ def _cmd_spectrum(args):
             rows.append({"l": l, "eigenvalue": ev,
                          "target": casimir_eigenvalue(l, ctx),
                          "rel_err": rel})
+    if not rows:
+        window = f"--depth {args.depth}" + (
+            f" --kwidth {args.kwidth}" if args.observable == "t3" else "")
+        raise DomainError(f"spectrum {args.observable} has no level in the "
+                          f"window {window}")
     report = {"schema": SCHEMA, "verb": "spectrum",
               "observable": args.observable, "q": q, "M": args.M,
               "z0": args.z0, "rows": rows}

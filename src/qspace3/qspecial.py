@@ -3,58 +3,43 @@ and their recurrence, difference, orthonormality and completeness identities.
 
 Evaluation strategy
 -------------------
-The polynomial sum alternates with terms up to ~q**(l*l - m*m) while the value
-at a lattice point is exponentially small, so binary64 loses roughly
-2*l*l*log10(q) digits to cancellation.  p_lm therefore escalates to multi-
-precision transparently whenever its binary64 sum cancels more than
-_CANCEL_OK allows.  It starts at 30 digits plus the loss the binary64 sum
-measures, max|t_k|/|s|, while that loss is below _CANCEL_RESOLVED (1e15,
-about 1/(4.5 eps)); beyond it, or where the sum overflows, the ratio reads
-rounding noise and the start is _cancel_dps, the dps p_tilde uses at the
-same point.  The precision doubles until the sum keeps 18 digits.  Whole
-columns P~_l(x), l = 0..l_max, are produced by the three-term recurrence in l:
-at lattice arguments where it is not contractive by a downward
-(minimal-solution) pass with rescaling, otherwise upward.  The recurrence
-coefficients are computed once per (m, ctx), up to the highest degree
-needed so far.
+The direct sum of P_lm alternates with terms up to ~q**(l*l - m*m) while the
+value at a lattice point is exponentially small: it loses about
+2.2*l*l*log10(q) digits to cancellation, and an odd-degree P ~ x loses
+log10(1/|x|) more near 0.  Binary64 p_lm keeps its float sum while the sum
+cancels less than _CANCEL_OK.  Every multiprecision direct sum (p_lm in both
+modes, p_tilde's multiprecision route, the identity checks' reads) follows
+one rule, _p_value: it starts at _sum_dps, that estimate plus _GUARD digits
+rounded up to a multiple of _STEP, measures the loss max|t_k|/|s| on the
+result and sums again at twice the digits while fewer than _KEEP survive.
+Degree 0 (l = m) has no sum; its weight gets the guard digits alone.  Whole
+columns P~_l(x), l = 0..l_max, come from the three-term recurrence in l:
+downward (minimal solution, rescaled) at lattice arguments where it is not
+contractive, upward otherwise, with coefficients computed once per (m, ctx).
 
-Every evaluation reads bounded records, each value computed by the
-expression an inline evaluation uses, so values are bit-identical to one.
-In binary64 the x-independent record is _log_norm (4096 entries): log10 of
-u^2 and of the normalization.  In multiprecision there are two
-x-independent records per (l, m, q, dps): _ptilde_factors (16 entries:
-u^2, the normalization, the couplings to degrees l -+ 1 and the q-powers
-of the identity checks) and _sum_terms (8 entries: the direct sum's
-terms); u^2 at l = m and the normalization's closed-form core are one
-record per (m, q, dps), _snorm_mp_cached.
+Every value is computed by the expression an inline evaluation uses, so the
+bounded records below keep values bit-identical to one.  x-independent:
+_log_norm in binary64 (log10 of u^2 and of the normalization); per (l, m, q,
+dps) _ptilde_factors (u^2, the normalization, the couplings to l -+ 1 and
+the checks' q-powers) and _sum_terms (the sum's terms); per (m, q, dps)
+_snorm_mp_cached.  Every sum is one kernel, _p_sum_at, over a point record
+_Node: x and its Pochhammer prefix list (x; q^-2)_k.  A lattice node
+sigma q^e (_snap_lattice) has one record _node and one radicand _node_rad
+per dps, and one P (_p_node) and one P~ (_ptilde_node) per (l, m), at the
+dps the rule gave them: p_lm, p_tilde and the identity checks read them, so
+each is summed once.  Any other point is transient and nothing caches it.
+The checks read P~ through _reader, the q-difference neighbours of a node as
+the nodes e -+ 2, and do their own arithmetic at the highest dps among the
+values they read; they sum every P~ directly, so they test the recurrence
+rather than restate it.  clear_caches() empties every cache of this module
+and of qarith.
 
-Every direct sum is one kernel, _p_sum_at, over a point record _Node: the
-point x and the prefix list of its Pochhammer products (x; q^-2)_k.  Every
-multiprecision P~ is one function of a point record and its radicand,
-_ptilde_at, and at l = m, where the sum is exactly 1, it is the weight
-without the sum.  A lattice node sigma q^e (_snap_lattice) is the record
-_node per (e, sigma, q, dps), with a radicand per (m, e, q, dps),
-_node_rad, and P~ per (l, m, e, sigma, q, dps), _ptilde_node.  p_lm's
-escalation at a node sums over the node record too, so a binary64 p_lm
-and p_tilde at one node share one _node, one _sum_terms record and one
-q-factorial list.  Any other point record is transient and nothing caches
-it: the binary64 sums and every multiprecision sum off the lattice.
-p_tilde's multiprecision route and both identity checks read P~ through
-_reader, the q-difference neighbours of a node as the nodes e -+ 2, so
-each (l, m, node, dps) is lifted once and summed once.  The checks still
-sum every P~ directly, so they test the recurrence rather than restate
-it.  The q-factorials are one prefix list per (q, dps).  clear_caches()
-empties every cache of this module and of qarith.
-
-The coefficient lists, the q-factorial prefix lists and the nodes'
-Pochhammer lists are extended under one lock, qarith._QFACT_LOCK, which
-re-reads the length inside it, so threads sharing a list never append an
-entry twice.  Readers take no lock: an entry, once appended, never
-changes.
-
-The weight normalization is fixed so the lattice orthonormality sum equals
-delta_{l,l'}; the l-independent constant comes from the degree-m lattice sum
-in closed form (elementary-symmetric expansion).
+The recurrence coefficient lists, the q-factorial prefix lists and the
+nodes' Pochhammer lists are extended under one lock, qarith._QFACT_LOCK,
+which re-reads the length inside it; readers take no lock, since an entry
+never changes once appended.  The weight normalization makes the lattice
+orthonormality sum delta_{l,l'}; its l-independent constant is the degree-m
+lattice sum in closed form (elementary-symmetric expansion).
 """
 
 import math
@@ -77,9 +62,11 @@ __all__ = [
 
 _LOG_CAP = 250.0          # |log10| beyond which binary64 products are unsafe
 _CANCEL_OK = 1e2          # direct-sum cancellation accepted in binary64
-_CANCEL_RESOLVED = 1e15   # ~1/(4.5 eps): beyond it no binary64 digit is left
 _EPS = 2.0**-52           # binary64 machine epsilon
 _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
+_GUARD = 40               # digits of a sum's start beyond its cancellation
+_STEP = 40                # starts are multiples of it, so records are shared
+_KEEP = 18                # digits a multiprecision sum must keep
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +74,8 @@ _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 # ---------------------------------------------------------------------------
 
 def _p_sum(l, m, x, q):
-    """Binary64 evaluation of the degree (l-m) polynomial sum at a
-    transient point record.
-
-    Returns (value, max_abs_term) so callers can judge cancellation.
-    """
+    """The binary64 direct sum at a transient point record, (value,
+    max_abs_term), so that callers can judge cancellation."""
     return _p_sum_at(_Node(x, [1 + 0 * x]), tuple(_sum_factors(l, m, q, 0)))
 
 
@@ -251,10 +235,8 @@ def _ptilde_factors(l, m, qkey, dps):
     identity checks that does not depend on x, at (l, m, q, dps): u^2, the
     normalization constant, the couplings to degrees l - 1 (c_down, 0 at
     l = m) and l + 1 (c_up), and the q-powers of the checks (q**(m+1) of
-    check_recurrence, then the six of check_difference).  The direct sum's
-    terms are the record _sum_terms.  Each value is the expression it
-    replaces, at dps digits; u^2 at l = m is the one _snorm_mp_cached
-    holds."""
+    check_recurrence, then the six of check_difference); u^2 at l = m is
+    the one _snorm_mp_cached holds."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         qn = partial(_qnum, q=q)
@@ -272,12 +254,13 @@ def _ptilde_factors(l, m, qkey, dps):
 @lru_cache(maxsize=8)
 def _sum_terms(l, m, qkey, dps):
     """The terms of _sum_factors(l, m, q, dps) at dps digits, as a tuple:
-    the record p_lm's escalation and p_tilde's route both sum over."""
+    the record every multiprecision sum reads."""
     with mp.workdps(dps):
         return tuple(_sum_factors(l, m, mp.mpf(qkey), dps))
 
 
 _Node = namedtuple("_Node", "x poch")
+_Value = namedtuple("_Value", "dps v")     # a value and the dps it has
 
 
 @lru_cache(maxsize=1024)
@@ -292,10 +275,9 @@ def _node(e, sigma, qkey, dps):
 
 def _node_poch(node, terms):
     """node.poch through the last index of terms, extended in place under
-    _QFACT_LOCK as the q-factorial lists are (the length is re-read inside
-    the lock).  The factor 1 - x b_k reads b_k = q**(-2(k-1)) from the
-    terms, the same value in every (l, m) record of this (q, dps).  Call
-    under mp.workdps(dps) for an mpf point."""
+    _QFACT_LOCK (re-reading the length inside it); the factor 1 - x b_k
+    reads b_k = q**(-2(k-1)) from the terms, the same value in every (l, m)
+    record of this (q, dps).  Call under mp.workdps(dps) for an mpf point."""
     poch = node.poch
     if len(poch) < len(terms):
         with _QFACT_LOCK:
@@ -313,54 +295,100 @@ def _node_rad(m, e, qkey, dps):
 
 
 def _weight_at(l, m, rad, qkey, dps):
-    """weight_w at dps digits from its radicand rad = _rad(m, x).  Call
-    under mp.workdps(dps)."""
+    """weight_w at dps digits from rad = _rad(m, x); under mp.workdps(dps)."""
     f = _ptilde_factors(l, m, qkey, dps)
     return mp.sqrt(f.u2 * rad / f.norm)
 
 
-def _ptilde_at(l, m, point, rad, qkey, dps):
-    """P~_l of order m >= 0, l >= m, at the point record whose radicand
-    _rad(m, point.x) is rad, at dps digits: the direct sum times the
-    weight.  Call under mp.workdps(dps)."""
-    w = _weight_at(l, m, rad, qkey, dps)
-    if l == m:              # the one-term sum is exactly 1
-        return w
-    s, _ = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
-    return s * w
+def _sum_dps(l, m, t, q):
+    """The dps every multiprecision direct sum of P_lm at |x| = q**t starts
+    at: the estimated cancellation, 2.2 l^2 log10 q digits and, for an odd
+    degree, the -t log10 q more that P ~ x cancels at |x| < 1, plus _GUARD,
+    rounded up to a multiple of _STEP; at l = m, with no sum, _GUARD."""
+    lost = 0 if l == m else 2.2 * l * l
+    if (l - m) % 2 and -math.inf < t < 0:
+        lost -= t
+    return _STEP * math.ceil((lost * math.log10(q) + _GUARD) / _STEP)
+
+
+def _p_value(l, m, lift, t, qkey):
+    """The record (dps, P_lm) at |x| = q**t over the point records lift(dps),
+    by the one rule: summed from _sum_dps digits, doubled while the sum keeps
+    fewer than _KEEP digits of its largest term (an exact 0 keeps none unless
+    all terms vanish), PrecisionError after 6 sums."""
+    dps = start = _sum_dps(l, m, t, qkey)
+    if l == m or ((l - m) % 2 and t == -math.inf):   # 1, and an odd P at 0
+        return _Value(dps, mp.mpf(int(l == m)))
+    for _ in range(6):
+        with mp.workdps(dps):
+            point = lift(dps)
+            s, worst = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
+            if worst == 0 or (s != 0
+                              and worst < abs(s) * 10**(dps - _KEEP)):
+                return _Value(dps, s)
+        dps *= 2
+    raise PrecisionError(
+        f"p_lm({l}, {m}, {float(point.x)}) at q={qkey} did not converge "
+        f"between {start} and {dps // 2} digits")
+
+
+@lru_cache(maxsize=64)
+def _p_node(l, m, e, sigma, qkey):
+    """The record (dps, P_lm) at the lattice node sigma q^e, summed over the
+    node records _node.  p_lm reads it, and _ptilde_node right after."""
+    return _p_value(l, m, partial(_node, e, sigma, qkey), e, qkey)
 
 
 @lru_cache(maxsize=4096)
-def _ptilde_node(l, m, e, sigma, qkey, dps):
-    """P~_l of order m at the lattice node sigma q^e, at dps digits.  The
-    identity checks reach each (l, m, node) from up to six calls (the
-    degrees l -+ 1 and the nodes e -+ 2), so each is summed once."""
-    with mp.workdps(dps):
-        return _ptilde_at(l, m, _node(e, sigma, qkey, dps),
-                          _node_rad(m, e, qkey, dps), qkey, dps)
+def _ptilde_node(l, m, e, sigma, qkey):
+    """The record (dps, P~_l) of order m at the lattice node sigma q^e: its
+    P times the weight, at the dps of P.  The identity checks reach each
+    (l, m, node) from up to six calls, so each is summed once."""
+    p = _p_node(l, m, e, sigma, qkey)
+    with mp.workdps(p.dps):
+        rad = _node_rad(m, e, qkey, p.dps)
+        return _Value(p.dps, p.v * _weight_at(l, m, rad, qkey, p.dps))
 
 
-def _reader(x, m, qkey, dps):
-    """x lifted to dps digits, and a reader (l, step) -> P~_l(x q^(2 step)),
-    step in {-1, 0, 1}, l >= m.  A near-lattice x is its node (e, sigma)
-    (_snap_lattice), and the reader reads the records of the nodes
-    e + 2 step; any other x is summed at the rounded x q^(2 step), a
-    transient point.  Call under mp.workdps(dps)."""
-    xx = mp.mpf(x)
-    snap = _snap_lattice(xx, qkey)
-    if snap is None:
-        q = mp.mpf(qkey)
+def _exponent(x, qkey):
+    """t with |x| = q**t (-inf at 0), from the binary exponent of x."""
+    if not x:
+        return -math.inf
+    y, n = mp.frexp(x)
+    return (math.log10(abs(float(y))) + n * math.log10(2)) / math.log10(qkey)
 
-        def off_lattice(l, step=0):
-            arg = xx if not step else xx * q**2 if step > 0 else xx / q**2
-            return _ptilde_at(l, m, _Node(arg, [1 + 0 * arg]),
-                              _rad(m, arg, q), qkey, dps)
-        return xx, off_lattice
-    e, sigma = snap
 
-    def at_node(l, step=0):
-        return _ptilde_node(l, m, e + 2 * step, sigma, qkey, dps)
-    return _node(e, sigma, qkey, dps).x, at_node
+def _transient(x, qkey, step=0):
+    """A lift of x q^(2 step), step in {-1, 0, 1}: dps -> a point record at
+    dps digits, which nothing caches; call it under mp.workdps(dps)."""
+    def lift(dps):
+        xx = mp.mpf(x)
+        if step:
+            xx = xx * mp.mpf(qkey)**2 if step > 0 else xx / mp.mpf(qkey)**2
+        return _Node(xx, [1 + 0 * xx])
+    return lift
+
+
+def _reader(x, m, qkey):
+    """(t, lift, read) at x: |x| = q**t, lift(dps) the point record of x,
+    read(l, step) the record (dps, P~_l) at x q^(2 step), step in {-1, 0, 1}.
+    A near-lattice x is its node (e, sigma) (_snap_lattice), t = e, and read
+    reads the nodes e + 2 step; any other x is a transient point."""
+    snap = _snap_lattice(x, qkey)
+    if snap is not None:
+        e, sigma = snap
+        return (e, partial(_node, e, sigma, qkey),
+                lambda l, step=0: _ptilde_node(l, m, e + 2 * step, sigma,
+                                               qkey))
+    t = _exponent(x, qkey)
+
+    def read(l, step=0):
+        lift = _transient(x, qkey, step)
+        p = _p_value(l, m, lift, t + 2 * step, qkey)
+        with mp.workdps(p.dps):
+            rad = _rad(m, lift(p.dps).x, mp.mpf(qkey))
+            return _Value(p.dps, p.v * _weight_at(l, m, rad, qkey, p.dps))
+    return t, _transient(x, qkey), read
 
 
 def _log_weight(l, m, q, r):
@@ -383,11 +411,6 @@ def _zero(ctx):
     return mp.mpf(0) if ctx.is_extended else 0.0
 
 
-def _cancel_dps(l, m, q):
-    """A priori decimal-digit estimate for the direct-sum cancellation."""
-    return int(2.2 * l * l * math.log10(float(q))) + 40
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -395,10 +418,10 @@ def _cancel_dps(l, m, q):
 def p_lm(l: int, m: int, x, ctx: QContext):
     """Associated big q-Jacobi polynomial of degree l - m in x.
 
-    Defined for m >= 0; identically 0 for l < m.  Evaluated by the explicit
-    finite sum with transparent precision escalation under cancellation; an
-    escalated sum at a near-lattice argument is taken at the exact node, the
-    argument p_tilde uses.
+    Defined for m >= 0; identically 0 for l < m.  The explicit finite sum,
+    in binary64 while it cancels less than _CANCEL_OK, else and in extended
+    mode by the multiprecision rule, at the exact node for a near-lattice
+    argument: the value p_tilde reads.
     """
     _check_args(m, x)
     if l < m or (x == 0 and (l - m) % 2):
@@ -408,17 +431,19 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     if l == m:
         return mp.mpf(1) if ctx.is_extended else 1.0
     qkey = float(ctx.q)
+    if not ctx.is_extended:
+        s, worst = _p_sum(l, m, float(x), qkey)
+        if math.isfinite(s) and math.isfinite(worst) and (
+                worst == 0 or (s != 0 and worst / abs(s) < _CANCEL_OK)):
+            return s
+    snap = _snap_lattice(x, qkey)
+    if snap is None:
+        p = _p_value(l, m, _transient(x, qkey), _exponent(x, qkey), qkey)
+    else:
+        p = _p_node(l, m, *snap, qkey)
     if ctx.is_extended:
-        return _p_lm_escalated(l, m, x, qkey, ctx.dps)
-    s, worst = _p_sum(l, m, float(x), qkey)
-    finite = math.isfinite(s) and math.isfinite(worst)
-    if finite and (worst == 0 or (s != 0 and worst / abs(s) < _CANCEL_OK)):
-        return s
-    if finite and s != 0 and worst / abs(s) < _CANCEL_RESOLVED:
-        dps = 30 + int(math.log10(worst / abs(s)))    # the measured loss
-    else:       # no digit left to measure: the dps p_tilde uses here
-        dps = _cancel_dps(l, m, qkey)
-    v = float(_p_lm_escalated(l, m, x, qkey, dps))
+        return p.v
+    v = float(p.v)
     if not math.isfinite(v):
         raise PrecisionError(
             f"p_lm({l}, {m}, {float(x)}) at q={qkey} leaves the binary64 "
@@ -426,40 +451,15 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     return v
 
 
-def _p_lm_escalated(l, m, x, qkey, dps):
-    """The direct sum at dps digits, doubled until its cancellation leaves
-    at least 18 digits; PrecisionError after 6 attempts.  A sum that cancels
-    to exactly 0 is not converged unless all its terms vanish.  A near-lattice
-    x is its node (_snap_lattice) and the sum reads the node record _node,
-    the one p_tilde reads; any other x is a transient point."""
-    snap = _snap_lattice(x, qkey)
-    start = dps
-    for _ in range(6):
-        with mp.workdps(dps):
-            if snap is None:
-                xx = mp.mpf(x)
-                point = _Node(xx, [1 + 0 * xx])
-            else:
-                point = _node(*snap, qkey, dps)
-            s, worst = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
-            if worst == 0 or (s != 0
-                              and worst / abs(s) < mp.mpf(10)**(dps - 18)):
-                return s
-        dps *= 2
-    raise PrecisionError(
-        f"p_lm({l}, {m}, {float(x)}) at q={qkey} did not converge between "
-        f"{start} and {dps // 2} digits")
-
-
 def weight_w(l: int, m: int, x, ctx: QContext):
     """Orthonormalizing weight for p_lm on the lattice +-q^(2(n-m-1)), n <= 0.
 
     The l-dependent scale is q^(l(l+1)/2) sqrt([l+m]! [2l+1] / [l-m]!) and the
     constant makes the degree-m member a unit vector on the lattice (closed
-    form).  Raises DomainError off the support (negative
-    radicand beyond rounding), and in binary64 PrecisionError where the
-    weight, or the radicand product behind it, leaves the binary64 range; a
-    weight below 1e-250 reads 0.
+    form).  Raises DomainError off the support (negative radicand beyond
+    rounding), and in binary64 PrecisionError where the weight, or the
+    radicand product behind it, leaves the binary64 range; a weight below
+    1e-250 reads 0.
     """
     _check_args(m, x)
     if l < m:
@@ -516,11 +516,8 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
                 return 0.0
             if abs(e) < _LOG_CAP and abs(math.log10(abs(p)) + e) < _LOG_CAP:
                 return 10.0**e * p
-    # _cancel_dps is at least 40, the extended mode's own dps
-    dps = _cancel_dps(l, m, q)
-    with mp.workdps(dps):
-        _, ptilde = _reader(x, m, q, dps)
-        v = ctx.out(ptilde(l))
+    _, _, read = _reader(x, m, q)
+    v = ctx.out(read(l).v)
     if not (ctx.is_extended or math.isfinite(v)):
         raise PrecisionError(
             f"p_tilde({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
@@ -719,25 +716,21 @@ def _table_down(l_max, m, x, seed, ctx, delta):
 # residual measures the identity, not binary64 input rounding)
 # ---------------------------------------------------------------------------
 
-def _check_dps(l, m, ctx):
-    # banded to multiples of 40 so neighbouring degrees share cache entries
-    raw = max(50, _cancel_dps(l + 1, m, float(ctx.q)), ctx.dps + 20)
-    return 40 * ((raw + 39) // 40)
-
-
 def check_recurrence(l: int, m: int, x, ctx: QContext):
     """Relative residual of the three-term recurrence in l at the point x."""
     _check_args(m, x)
     _check_chain(l, m)
     qkey = float(ctx.q)
-    dps = _check_dps(l, m, ctx)
+    _, lift, read = _reader(x, m, qkey)
+    here, up = read(l), read(l + 1)
+    down = read(l - 1) if l > m else None
+    dps = max(here.dps, up.dps, down.dps if down else 0)
     with mp.workdps(dps):
         f = _ptilde_factors(l, m, qkey, dps)
-        xx, ptilde = _reader(x, m, qkey, dps)
-        lhs = xx * f.checks[0] * ptilde(l)
-        rhs = f.c_up * ptilde(l + 1)
-        if l > m:
-            rhs += f.c_down * ptilde(l - 1)
+        lhs = lift(dps).x * f.checks[0] * here.v
+        rhs = f.c_up * up.v
+        if down is not None:
+            rhs += f.c_down * down.v
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -745,24 +738,30 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     """Relative residual of the q-difference identity linking x, x q^2, x/q^2.
 
     On the support both square-root coefficients carry an overall minus sign
-    (each radicand is a product of two negative factors).
+    (each radicand is a product of two negative factors).  A coefficient
+    enters where its radicand is positive, judged on t, |x| = q**t.
     """
     _check_args(m, x)
     _check_chain(l, m)
     qkey = float(ctx.q)
-    dps = _check_dps(l, m, ctx)
+    t, lift, read = _reader(x, m, qkey)
+    # (1 - x^2)(1 - x^2 q^4m) and (q^-4(m+1) - x^2)(q^-4 - x^2) are > 0
+    here = read(l)
+    inner = read(l, -1) if t < -2 * m or t > 0 else None
+    outer = read(l, 1) if t < -2 * (m + 1) or t > -2 else None
+    dps = max(here.dps, inner.dps if inner else 0,
+              outer.dps if outer else 0)
     with mp.workdps(dps):
-        _, shell, centre, q4m, inner, outer, q4 = \
+        _, shell, centre, q4m, c_in, c_out, q4 = \
             _ptilde_factors(l, m, qkey, dps).checks
-        xx, ptilde = _reader(x, m, qkey, dps)
-        lhs = (shell * xx**2 - centre) * ptilde(l)
+        xx = lift(dps).x
+        lhs = (shell * xx**2 - centre) * here.v
         rhs = mp.mpf(0)
-        r_in = (1 - xx * xx) * (1 - xx * xx * q4m)
-        if r_in > 0:
-            rhs -= inner * mp.sqrt(r_in) * ptilde(l, -1)
-        r_out = (outer - xx * xx) * (q4 - xx * xx)
-        if r_out > 0:
-            rhs -= mp.sqrt(r_out) * ptilde(l, 1)
+        if inner is not None:
+            rhs -= c_in * mp.sqrt((1 - xx * xx) * (1 - xx * xx * q4m)) \
+                * inner.v
+        if outer is not None:
+            rhs -= mp.sqrt((c_out - xx * xx) * (q4 - xx * xx)) * outer.v
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -827,6 +826,6 @@ def clear_caches():
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
     for cache in (_qfact_cached, _qfact_list, _log_norm, _snorm_mp_cached,
-                  _ptilde_factors, _sum_terms, _node, _node_rad,
+                  _ptilde_factors, _sum_terms, _node, _node_rad, _p_node,
                   _ptilde_node, _table_cached, _coeff_lists):
         cache.cache_clear()

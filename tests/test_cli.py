@@ -97,6 +97,22 @@ class TestPoly:
             w = weight_w(30, 0, r["x"], QContext(q=1.5))
             assert w * r["P"] == pytest.approx(r["P_tilde"], rel=1e-12)
 
+    def test_deep_lattice_rows_keep_their_digits(self, tmp_path):
+        # P = x at (l, m) = (2, 1): near 0 its sum cancels log10(1/|x|)
+        # digits, 59 at the deepest node q^-124, and every P_tilde row keeps
+        # its value and the exact odd parity at +-x
+        code, doc = run_cli(["poly", "--l", "2", "--m", "1", "--q", "3",
+                             "--lattice", "--nmin", "-60"], tmp_path)
+        assert code == 0
+        rows = doc["rows"]
+        assert len(rows) == 122
+        for r in rows:
+            assert r["P"] == pytest.approx(r["x"], rel=1e-14)
+            assert r["P_tilde"] != 0
+        for plus, minus in zip(rows[::2], rows[1::2]):
+            assert minus["x"] == -plus["x"]
+            assert minus["P_tilde"] == -plus["P_tilde"]
+
     def test_bad_point_is_config_error(self, capsys):
         code, _ = run_cli(["poly", "--l", "2", "--m", "0", "--x", "0.3,abc"])
         assert code == 3
@@ -177,14 +193,18 @@ def test_poly_exit_code_contract(capsys):
 def test_spectrum_and_transform_exit_code_contract(capsys):
     # every verb and --z0 of the grid exits 0, 2, 3 or 4 without a
     # traceback, and every report it writes is strict JSON; a non-finite
-    # z0, and one whose levels leave binary64 (the R2 level q^2 z0^2 at
-    # z0 = 1e200), exit 3
+    # z0, one whose levels leave binary64 (the R2 level q^2 z0^2 at
+    # z0 = 1e200), and a window that holds no level, exit 3
     verbs = [["spectrum", obs, "--q", "2", "--depth", "4"]
              for obs in ("x3", "r2", "t3", "t2")]
     verbs += [["transform", "--direction", d, "--m", "1", "--lmax", "6",
                "--depth", "8"] for d in ("1", "2")]
+    empty = [["spectrum", obs, "--q", "2", "--depth", "-3"]
+             for obs in ("x3", "r2", "t2")]
+    empty += [["spectrum", "t3", "--q", "2", "--depth", d, "--kwidth", k]
+              for d, k in (("2", "-3"), ("-1", "0"))]
     failures = []
-    for argv0 in verbs:
+    for argv0 in verbs + empty:
         for z0 in ("nan", "inf", "-inf", "1e200", "1"):
             argv = argv0 + [f"--z0={z0}"]
             try:
@@ -196,8 +216,8 @@ def test_spectrum_and_transform_exit_code_contract(capsys):
             if code not in (0, 2, 3, 4):
                 failures.append((argv, code))
             off_range = argv[1] == "r2" and z0 == "1e200"
-            if z0 in ("nan", "inf", "-inf") or off_range:
-                if code != 3:
+            if z0 in ("nan", "inf", "-inf") or off_range or argv0 in empty:
+                if code != 3 or out:
                     failures.append((argv, code))
             elif out:
                 try:

@@ -119,27 +119,27 @@ def test_binary64_p_lm_within_the_stated_bound():
 
 
 # The multiprecision p_tilde (extended mode, and binary64 at lattice nodes)
-# sums P at dps = _cancel_dps(l, m, q) digits.  Its relative error is at most
+# sums P at the rule's dps, _sum_dps(l, m, t, q) at |x| = q**t, or more
+# where the sum keeps fewer than 18 digits.  Its relative error is at most
 # 10**-dps times the cancellation max_k |t_k| / |P| of the direct sum's terms
 # t_k, times the rounding counts: <= 21 terms, each a product of q-binomials
 # of factorials with <= 40 factors, and the weight's <= 60 factors, which
 # cost at most PTILDE_GUARD digits.  So p_tilde^2 carries
 # dps - log10(max |t_k| / |P|) - PTILDE_GUARD correct digits; where these
 # are at least 17, the binary64 value is the exact P~ rounded to nearest
-# (within ulp/2 plus that error), inside README's 2 ulp.  _cancel_dps
-# covers the 2.2 l^2 log10 q digits that P cancels off the origin, not the
-# log10(1 / |x|) more of an odd-degree P near 0, so at deep nodes the
-# correct digits run out (test_deep_node_p_tilde_within_2_ulp).
+# (within ulp/2 plus that error), inside README's 2 ulp.  The rule counts
+# the log10(1 / |x|) digits an odd-degree P cancels near 0, so deep nodes
+# keep their digits too (test_deep_node_p_tilde_within_2_ulp).
 PTILDE_GUARD = 6
 
 
-def _ptilde_digits(l, m, xe, q):
+def _ptilde_digits(l, m, xe, e, q):
     """(P, the correct digits of the multiprecision p_tilde^2 at the exact
-    argument xe)."""
+    node xe = +-q**e)."""
     terms = list(ex.direct_terms(l, m, xe, Fraction(q)))
     p = sum(terms, Fraction(0))
     cancel = max(abs(t) for t in terms) / abs(p)
-    return p, qs._cancel_dps(l, m, q) - math.log10(cancel) - PTILDE_GUARD
+    return p, qs._sum_dps(l, m, e, q) - math.log10(cancel) - PTILDE_GUARD
 
 
 def _within_rounding(v, exact_sq, digits):
@@ -164,7 +164,7 @@ def test_extended_p_tilde_squared_within_its_digits(q):
         m = rng.randint(0, l)
         nu, sigma = rng.randint(-30, 0), rng.choice((1, -1))
         xe = ex.lattice_node(nu, m, sigma, qf)
-        p, digits = _ptilde_digits(l, m, xe, q)
+        p, digits = _ptilde_digits(l, m, xe, 2 * (nu - m - 1), q)
         exact = ex.weight_squared(l, m, xe, qf) * p * p
         v = qs.p_tilde(l, m, qs._lattice_point(nu, m, sigma, q), ctx)
         f = _mpf_fraction(v)
@@ -178,19 +178,21 @@ def test_extended_p_tilde_squared_within_its_digits(q):
     assert rounded >= 3
 
 
-@pytest.mark.xfail(strict=True, reason="_cancel_dps omits the log10(1/|x|) "
-                   "digits an odd-degree P cancels near 0")
-def test_deep_node_p_tilde_within_2_ulp():
-    # q = 3, (l, m) = (2, 1), n = -45: P = x ~ 1e-45 cancels 45 digits
-    # of its unit terms, one more than the 44 that p_tilde sums at, and
-    # p_tilde^2 is 1.9 % off
-    q, qf = 3.0, Fraction(3)
-    xe = ex.lattice_node(-45, 1, 1, qf)
-    exact = ex.weight_squared(2, 1, xe, qf) * ex.p_direct(2, 1, xe, qf)**2
-    v = qs.p_tilde(2, 1, qs._lattice_point(-45, 1, 1, q),
-                   QContext(q=q, precision="extended"))
-    r, d = abs(Fraction(float(v))), 2 * Fraction(math.ulp(float(v)))
-    assert (r - d)**2 <= exact <= (r + d)**2
+@pytest.mark.parametrize("q, l, m, n", [(3.0, 2, 1, -45), (3.0, 2, 1, -60),
+                                         (2.0, 5, 2, -90)])
+def test_deep_node_p_tilde_within_2_ulp(q, l, m, n):
+    # P ~ x at the deep node cancels log10(1/|x|) digits of its terms (44
+    # at q = 3, n = -45, 59 at n = -60, 57 at q = 2, n = -90), which the
+    # rule's dps counts; binary64 p_tilde is the exact value to 2 ulp, and
+    # so is the extended one rounded
+    qf = Fraction(q)
+    xe = ex.lattice_node(n, m, 1, qf)
+    exact = ex.weight_squared(l, m, xe, qf) * ex.p_direct(l, m, xe, qf)**2
+    x = qs._lattice_point(n, m, 1, q)
+    for ctx in (QContext(q=q), QContext(q=q, precision="extended")):
+        v = qs.p_tilde(l, m, x, ctx)
+        r, d = abs(Fraction(float(v))), 2 * Fraction(math.ulp(float(v)))
+        assert (r - d)**2 <= exact <= (r + d)**2, ctx.precision
 
 
 @pytest.mark.parametrize("q", QS)

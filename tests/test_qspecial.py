@@ -134,21 +134,26 @@ class TestEscalation:
         monkeypatch.setattr(qs, "_p_sum_at", counted)
         return sums
 
-    def test_escalation_reuses_the_binary64_sum(self, monkeypatch):
+    def test_escalation_starts_at_the_rule_dps(self, monkeypatch):
         sums = self._spy_sums(monkeypatch)
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         # one binary64 sum, which has lost every digit (its largest term is
-        # 3e15 times the sum), then one mpf sum at _cancel_dps, the dps
-        # p_tilde uses at this node
-        assert sums == [None, qs._cancel_dps(20, 0, 1.5)] == [None, 194]
-        # a cancellation binary64 resolves (4e14 here) sets the start
+        # 3e15 times the sum), then one mpf sum at the rule's dps: 2.2 l^2
+        # log10 q = 154.8 digits and 40 guard digits, in steps of 40
+        assert sums == [None, qs._sum_dps(20, 0, -18, 1.5)] == [None, 200]
         sums.clear()
         qs.p_lm(5, 2, 2.0**-30, QContext(q=2.0))
-        assert sums == [None, 30 + 14]
+        assert sums == [None, qs._sum_dps(5, 2, -30, 2.0)] == [None, 80]
+        # an odd degree adds the log10(1/|x|) digits P ~ x cancels, 27.1 at
+        # 2**-90, where an even degree adds none
+        assert qs._sum_dps(5, 2, 0, 2.0) == 80
+        assert qs._sum_dps(5, 2, -90, 2.0) == 120
+        assert qs._sum_dps(4, 2, -90, 2.0) == qs._sum_dps(4, 2, 0, 2.0) == 80
 
     def test_sum_cancelling_to_zero_is_not_accepted(self, monkeypatch):
         # the terms do not vanish, so a sum that cancels to exactly 0 is
-        # escalated: at 89 digits it does, and the ladder goes on to 178
+        # summed again: started at 89 digits, where it does, the rule goes
+        # on to 178
         got = qs.p_lm(20, 0, 1.5**-18, CTX15)
         ext = qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
         assert got == pytest.approx(9.0057775933823e-41, rel=1e-12)
@@ -157,28 +162,34 @@ class TestEscalation:
             s, worst = qs._p_sum_at(qs._node(-18, 1, 1.5, 89),
                                     qs._sum_terms(20, 0, 1.5, 89))
         assert s == 0 and worst > 0
+        monkeypatch.setattr(qs, "_sum_dps", lambda *args: 89)
         sums = self._spy_sums(monkeypatch)
-        assert float(qs._p_lm_escalated(20, 0, 1.5**-18, 1.5, 89)) == got
-        assert sums == [89, 178]
+        p = qs._p_value(20, 0, partial(qs._node, -18, 1, 1.5), -18, 1.5)
+        assert sums == [89, 178] and p.dps == 178 and float(p.v) == got
 
-    def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch):
-        # binary64 p_lm at a node escalates once, with no ladder, at the dps
-        # p_tilde uses there and over the node record p_tilde reads: the
-        # pair builds one terms record, one node and one multiprecision
-        # q-factorial list (the other two are the binary64 sum's and the
-        # 40-digit one it rounds)
-        x = qs._lattice_point(-12, 3, 1, 1.2)
-        ctx = QContext(q=1.2)
+    @pytest.mark.parametrize("n, sigma", [(-12, 1), (-3, -1)])
+    def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch, n,
+                                                    sigma):
+        # binary64 p_lm (after its float sum), extended p_lm and p_tilde in
+        # both modes read one P record at a node: one mpf sum, at the dps
+        # of the rule, and one terms record at that dps.  The radicand reads
+        # the node record of sigma = +1, shared by both signs.
+        x = qs._lattice_point(n, 3, sigma, 1.2)
+        e, _ = qs._snap_lattice(x, 1.2)
         qs.clear_caches()
         sums = self._spy_sums(monkeypatch)
-        qs.p_lm(40, 3, x, ctx)
-        assert sums == [None, qs._cancel_dps(40, 3, 1.2)]
-        qs.p_tilde(40, 3, x, ctx)
-        assert sums[2:] == sums[1:2]
-        for cache, n in ((qs._sum_terms, 1), (qs._node, 1),
-                         (qa._qfact_list, 3)):
+        modes = (QContext(q=1.2), QContext(q=1.2, precision="extended"))
+        for ctx in modes:
+            qs.p_lm(40, 3, x, ctx)
+            qs.p_tilde(40, 3, x, ctx)
+        dps = qs._sum_dps(40, 3, e, 1.2)
+        assert sums == [None, dps]
+        assert qs._p_node(40, 3, e, sigma, 1.2).dps \
+            == qs._ptilde_node(40, 3, e, sigma, 1.2).dps == dps
+        for cache, k in ((qs._sum_terms, 1), (qs._node, 1 + (sigma < 0)),
+                         (qs._p_node, 1), (qs._ptilde_node, 1)):
             info = cache.cache_info()
-            assert (info.misses, info.currsize) == (n, n), cache.__name__
+            assert (info.misses, info.currsize) == (k, k), cache.__name__
 
     def test_nan_sum_has_a_nan_largest_term(self):
         # the binary64 terms overflow; a largest term of 0 would read as
@@ -373,9 +384,10 @@ class TestWeightedFunction:
     def test_degree_zero_is_the_weight_without_a_sum(self, monkeypatch,
                                                      precision):
         # at l = m the direct sum is one term whose q-binomials are each
-        # x/x, exactly 1: the multiprecision route returns the weight and
-        # builds no terms (at l = m = 60, q = 2 they take 2,424 digits),
-        # bit for bit the summed value
+        # x/x, exactly 1: the multiprecision route returns the weight, at
+        # the rule's guard digits alone, and builds no terms, bit for bit
+        # the summed value at those digits (at l = m = 60, q = 2 a sum
+        # would take 2,424)
         cases = [(60, 2.0, 2.0**-122), (3, 1.5, 1.5**-8),
                  (3, 1.5, -(1.5**-14)), (0, 2.0, 0.25),
                  (12, 1.5, 0.3 * 1.5**-24)]     # the last off the lattice
@@ -386,7 +398,8 @@ class TestWeightedFunction:
                for l, q, x in cases]
         monkeypatch.undo()
         for (l, q, x), v in zip(cases, got):
-            dps = qs._cancel_dps(l, l, q)
+            dps = qs._sum_dps(l, l, 0, q)
+            assert dps == 40
             with mp.workdps(dps):
                 ref = _ref_ptilde(l, l, mp.mpf(x), mp.mpf(q), dps)
             if precision == "extended":
@@ -398,25 +411,31 @@ class TestWeightedFunction:
     def test_transient_point_at_a_node_is_the_node(self, q):
         # one kernel sums at cached nodes and at transient points: at the
         # node's exact point a transient record gives the node's Pochhammer
-        # list and P~ bit for bit, while lower degrees have extended the
-        # node's list before.  The records round at dps digits whatever
-        # the cancellation, so one dps below _cancel_dps serves every l.
-        m, e, dps = 2, -12, 200         # the node n = -3 of order 2
+        # list and P~ bit for bit, at the dps the rule gives the node value,
+        # while lower degrees have extended the node's list before
+        m, e = 2, -12                   # the node n = -3 of order 2
         qs.clear_caches()
-        with mp.workdps(dps):
-            for l in range(m, 41):
-                terms = qs._sum_terms(l, m, q, dps)
-                for sigma in (1, -1):
+        for l in range(m, 41):
+            for sigma in (1, -1):
+                ref = qs._ptilde_node(l, m, e, sigma, q)
+
+                def transient(dps):     # called under mp.workdps(dps)
                     x = sigma * mp.mpf(q)**e
-                    node = qs._node(e, sigma, q, dps)
-                    assert node.x._mpf_ == x._mpf_
-                    got = qs._node_poch(qs._Node(x, [1 + 0 * x]), terms)
+                    return qs._Node(x, [1 + 0 * x])
+
+                with mp.workdps(ref.dps):
+                    node = qs._node(e, sigma, q, ref.dps)
+                    point = transient(ref.dps)
+                    assert node.x._mpf_ == point.x._mpf_
+                    terms = qs._sum_terms(l, m, q, ref.dps)
+                    got = qs._node_poch(point, terms)
                     want = qs._node_poch(node, terms)[:len(terms)]
                     assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-                    v = qs._ptilde_at(l, m, qs._Node(x, [1 + 0 * x]),
-                                      qs._rad(m, x, mp.mpf(q)), q, dps)
-                    ref = qs._ptilde_node(l, m, e, sigma, q, dps)
-                    assert v._mpf_ == ref._mpf_, (l, sigma)
+                    p = qs._p_value(l, m, transient, e, q)
+                    v = p.v * qs._weight_at(
+                        l, m, qs._rad(m, point.x, mp.mpf(q)), q, p.dps)
+                assert p.dps == ref.dps and v._mpf_ == ref.v._mpf_, \
+                    (l, sigma)
 
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually
@@ -607,10 +626,9 @@ class TestIdentities:
         # the record of degree l holds the couplings to l + 1 and, above
         # the bottom l = m, to l - 1, each computed as the inline one
         for q in (1.1, 1.5, 2.0):
-            ctx = QContext(q=q)
             for l in range(9):
                 for m in range(l + 1):
-                    dps = qs._check_dps(l, m, ctx)
+                    dps = qs._sum_dps(l + 1, m, 0, q)
                     with mp.workdps(dps):
                         qn_mp = partial(qa._qnum, q=mp.mpf(q))
                         up = qs._recurrence_coeff(l, m, qn_mp)
@@ -654,11 +672,12 @@ class TestIdentities:
         assert qs._ptilde_factors.cache_info().hits >= 1
 
     def test_criterion_2_grid_sums_each_node_once(self, monkeypatch):
-        # the criterion-2 grid at q = 1.5 asks for 1304 distinct
-        # (l, m, node, dps), the q-difference neighbours included.  Each is
-        # summed once (none at l = m, whose sum is 1), every sum reads a
-        # node record (none a transient point off the lattice), and each
-        # node is lifted once per dps.
+        # the criterion-2 grid at q = 1.5 asks for 1278 distinct
+        # (l, m, e, sigma), the q-difference neighbours included, against
+        # 1304 (l, m, node, dps) when the value was keyed by its dps.  Each
+        # is summed once and at its first dps (none at l = m, whose sum is
+        # 1), every sum reads a node record (none a transient point off the
+        # lattice), and each node is lifted once per dps.
         requests, sums, lifted = [], [], {}
         ptilde_node, node, p_sum_at = qs._ptilde_node, qs._node, qs._p_sum_at
 
@@ -688,9 +707,12 @@ class TestIdentities:
                         qs.check_recurrence(l, m, x, CTX15)
                         qs.check_difference(l, m, x, CTX15)
         distinct = set(requests)
-        assert len(distinct) == 1304
+        assert len(distinct) == 1278
         assert None not in sums
-        assert len(sums) == len({k for k in distinct if k[0] > k[1]})
+        summed = {k for k in distinct if k[0] > k[1]}
+        assert len(sums) == len(summed)
+        assert all(ptilde_node(*k).dps == qs._sum_dps(k[0], k[1], k[2], q)
+                   for k in summed)
         info = node.cache_info()
         assert info.misses == info.currsize == len(set(lifted.values()))
         assert {(e, sigma) for e, sigma, _ in lifted.values()} \
@@ -779,38 +801,63 @@ def _ref_coupling(l, m, q):
     return qs._recurrence_coeff(l, m, partial(qa._qnum, q=q))
 
 
-def _ref_check_recurrence(l, m, x, ctx):
-    qkey = float(ctx.q)
-    dps = qs._check_dps(l, m, ctx)
+def _ref_exponent(x, m, q):
+    # t with |x| = q**t: the node's exponent where x snaps, as in _ref_lift
+    ax, qf = abs(float(x)), float(q)
+    if ax != 0.0 and math.isfinite(ax):
+        n = round(math.log(ax) / math.log(qf) / 2.0 + m + 1.0)
+        if abs(ax / qf**(2 * (n - m - 1)) - 1.0) < 1e-12:
+            return 2 * (n - m - 1)
+    return qs._exponent(x, qf)
+
+
+def _ref_read(l, m, x, qkey, step=0):
+    # P~_l at x q^(2 step) at the dps the rule gives it: (dps, value)
+    dps = qs._sum_dps(l, m, _ref_exponent(x, m, qkey) + 2 * step, qkey)
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         xx = _ref_lift(x, m, q)
-        pt = _ref_ptilde(l, m, xx, q, dps)
-        lhs = xx * q**(m + 1) * pt
-        rhs = _ref_coupling(l, m, q) * _ref_ptilde(l + 1, m, xx, q, dps)
+        arg = xx if not step else xx * q**2 if step > 0 else xx / q**2
+        return dps, _ref_ptilde(l, m, arg, q, dps)
+
+
+def _ref_check_recurrence(l, m, x, ctx):
+    qkey = float(ctx.q)
+    reads = [_ref_read(k, m, x, qkey) for k in (l, l + 1, l - 1) if k >= m]
+    dps = max(d for d, _ in reads)
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        xx = _ref_lift(x, m, q)
+        lhs = xx * q**(m + 1) * reads[0][1]
+        rhs = _ref_coupling(l, m, q) * reads[1][1]
         if l > m:
-            rhs += _ref_coupling(l - 1, m, q) \
-                * _ref_ptilde(l - 1, m, xx, q, dps)
+            rhs += _ref_coupling(l - 1, m, q) * reads[2][1]
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
 def _ref_check_difference(l, m, x, ctx):
+    # a neighbour enters where its radicand is positive in exact arithmetic
     qkey = float(ctx.q)
-    dps = qs._check_dps(l, m, ctx)
+    qf = Fraction(qkey)
+    t = _ref_exponent(x, m, qkey)
+    x2 = (qf**t if isinstance(t, int) else Fraction(float(x)))**2
+    on = {-1: (1 - x2) * (1 - x2 * qf**(4 * m)) > 0,
+          1: (qf**(-4 * (m + 1)) - x2) * (qf**-4 - x2) > 0}
+    reads = {step: _ref_read(l, m, x, qkey, step)
+             for step in (0, -1, 1) if not step or on[step]}
+    dps = max(d for d, _ in reads.values())
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         xx = _ref_lift(x, m, q)
-        pt = _ref_ptilde(l, m, xx, q, dps)
         lhs = ((q**(2 * l + 1) + q**(-2 * l - 1)) / q * xx**2
-               - (q * q + 1) * q**(-2 * (m + 2))) * pt
+               - (q * q + 1) * q**(-2 * (m + 2))) * reads[0][1]
         rhs = mp.mpf(0)
-        r_in = (1 - xx * xx) * (1 - xx * xx * q**(4 * m))
-        if r_in > 0:
-            rhs -= q**(-2 * (m + 1)) * mp.sqrt(r_in) \
-                * _ref_ptilde(l, m, xx / q**2, q, dps)
-        r_out = (q**(-4 * (m + 1)) - xx * xx) * (q**-4 - xx * xx)
-        if r_out > 0:
-            rhs -= mp.sqrt(r_out) * _ref_ptilde(l, m, xx * q**2, q, dps)
+        if -1 in reads:
+            r_in = (1 - xx * xx) * (1 - xx * xx * q**(4 * m))
+            rhs -= q**(-2 * (m + 1)) * mp.sqrt(r_in) * reads[-1][1]
+        if 1 in reads:
+            r_out = (q**(-4 * (m + 1)) - xx * xx) * (q**-4 - xx * xx)
+            rhs -= mp.sqrt(r_out) * reads[1][1]
         return float(abs(lhs - rhs) / max(1, abs(lhs)))
 
 
@@ -881,25 +928,25 @@ class TestAgainstInlineSums:
         assert results[0] == results[1] == results[2]
 
     def test_escalation_stores_no_factors(self):
-        # p_lm's escalation reads one terms record per dps it tries (194
-        # digits, _cancel_dps, in binary64, then 40, 80 and 160 in extended
-        # mode) and none of the weight's factors; p_tilde's multiprecision
-        # route, in either mode, reads the factors record as the identity
-        # checks do, and the terms record that a p_lm escalated at the same
-        # dps left
+        # p_lm's escalation, in either mode, reads one terms record, at the
+        # rule's dps (200 digits here), and none of the weight's factors;
+        # p_tilde's multiprecision route, in either mode, reads the factors
+        # record as the identity checks do, and the terms record that a p_lm
+        # summed at the same dps left (680 digits at the node 2**-24 and at
+        # 3e-5, off the lattice)
         qs.clear_caches()
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
         assert qs._ptilde_factors.cache_info().currsize == 0
         info = qs._sum_terms.cache_info()
-        assert (info.hits, info.misses) == (0, 4)
-        qs.p_lm(30, 1, 2.0**-24, QContext(q=2.0))     # escalates at 636
+        assert (info.hits, info.misses) == (0, 1)
+        qs.p_lm(30, 1, 2.0**-24, QContext(q=2.0))
         qs.p_tilde(30, 1, 2.0**-24, QContext(q=2.0))
-        qs.p_tilde(30, 1, 0.075, QContext(q=2.0, precision="extended"))
+        qs.p_tilde(30, 1, 3e-5, QContext(q=2.0, precision="extended"))
         info = qs._ptilde_factors.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         info = qs._sum_terms.cache_info()
-        assert (info.hits, info.misses) == (2, 5)
+        assert (info.hits, info.misses) == (1, 2)
         qs.check_difference(4, 1, 1.5**-6, CTX15)
         qs.check_difference(4, 1, 1.5**-8, CTX15)
         info = qs._ptilde_factors.cache_info()
@@ -914,13 +961,13 @@ def _all_caches():
 def test_every_cache_is_bounded():
     # one record of x-independent factors per precision mode: _log_norm
     # in binary64, _ptilde_factors and the terms _sum_terms in
-    # multiprecision; one l-independent record per lattice node (_node,
-    # _node_rad) and one value per (l, m, node, dps)
+    # multiprecision; one l-independent record per lattice node and dps
+    # (_node, _node_rad), and one P and one P~ value per (l, m, node)
     bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
               qs._log_norm: 4096, qs._snorm_mp_cached: 256,
               qs._table_cached: 65536, qs._coeff_lists: 256,
               qs._ptilde_factors: 16, qs._sum_terms: 8, qs._node: 1024,
-              qs._node_rad: 1024, qs._ptilde_node: 4096}
+              qs._node_rad: 1024, qs._p_node: 64, qs._ptilde_node: 4096}
     for cache in _all_caches():
         assert cache in bounds, cache.__name__
     for cache, maxsize in bounds.items():
