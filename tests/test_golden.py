@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from golden import diff_ledger
 from golden import make_escalation_values as escalation
 from golden import make_identity_residuals as identities
 from golden import make_operators
@@ -122,3 +123,17 @@ def test_escalation_ledger_covers_its_grid():
 def test_escalation_values_match_the_ledger(cell):
     qs.clear_caches()       # the values must not depend on what ran before
     assert escalation.values(cell["q"]) == cell["points"]
+
+
+def test_ledger_diff_names_each_entry():
+    # a point's value part flattens to one named entry per mode and check
+    mpf = [0, "0x1", 0, 1]
+    record = {"p_lm": ["0x1.0000000000000p+0", mpf],
+              "p_tilde": ["PrecisionError", mpf],
+              "check_recurrence": "0x1.0000000000000p-60"}
+    assert diff_ledger.entries("special_values", [record]) == {
+        "p_lm double": "0x1.0000000000000p+0", "p_lm extended": mpf,
+        "p_tilde double": "PrecisionError", "p_tilde extended": mpf,
+        "check_recurrence": "0x1.0000000000000p-60"}
+    assert diff_ledger.entries("identity_residuals", ["0x1p-90", "0x0p+0"]) \
+        == {"check_recurrence": "0x1p-90", "check_difference": "0x0p+0"}

@@ -167,29 +167,29 @@ class TestEscalation:
         p = qs._p_value(20, 0, partial(qs._node, -18, 1, 1.5), -18, 1.5)
         assert sums == [89, 178] and p.dps == 178 and float(p.v) == got
 
-    @pytest.mark.parametrize("n, sigma", [(-12, 1), (-3, -1)])
-    def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch, n,
-                                                    sigma):
+    def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch):
         # binary64 p_lm (after its float sum), extended p_lm and p_tilde in
         # both modes read one P record at a node: one mpf sum, at the dps
         # of the rule, and one terms record at that dps.  The radicand reads
         # the node record of sigma = +1, shared by both signs.
-        x = qs._lattice_point(n, 3, sigma, 1.2)
-        e, _ = qs._snap_lattice(x, 1.2)
-        qs.clear_caches()
         sums = self._spy_sums(monkeypatch)
         modes = (QContext(q=1.2), QContext(q=1.2, precision="extended"))
-        for ctx in modes:
-            qs.p_lm(40, 3, x, ctx)
-            qs.p_tilde(40, 3, x, ctx)
-        dps = qs._sum_dps(40, 3, e, 1.2)
-        assert sums == [None, dps]
-        assert qs._p_node(40, 3, e, sigma, 1.2).dps \
-            == qs._ptilde_node(40, 3, e, sigma, 1.2).dps == dps
-        for cache, k in ((qs._sum_terms, 1), (qs._node, 1 + (sigma < 0)),
-                         (qs._p_node, 1), (qs._ptilde_node, 1)):
-            info = cache.cache_info()
-            assert (info.misses, info.currsize) == (k, k), cache.__name__
+        for n, sigma in ((-12, 1), (-3, -1)):
+            x = qs._lattice_point(n, 3, sigma, 1.2)
+            e, _ = qs._snap_lattice(x, 1.2)
+            qs.clear_caches()
+            sums.clear()
+            for ctx in modes:
+                qs.p_lm(40, 3, x, ctx)
+                qs.p_tilde(40, 3, x, ctx)
+            dps = qs._sum_dps(40, 3, e, 1.2)
+            assert sums == [None, dps], n
+            assert qs._p_node(40, 3, e, sigma, 1.2).dps \
+                == qs._ptilde_node(40, 3, e, sigma, 1.2).dps == dps
+            for cache, k in ((qs._sum_terms, 1), (qs._node, 1 + (sigma < 0)),
+                             (qs._p_node, 1), (qs._ptilde_node, 1)):
+                info = cache.cache_info()
+                assert (info.misses, info.currsize) == (k, k), cache.__name__
 
     def test_nan_sum_has_a_nan_largest_term(self):
         # the binary64 terms overflow; a largest term of 0 would read as
