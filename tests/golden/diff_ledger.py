@@ -4,6 +4,7 @@ new one, one per line, then a count.
 
     PYTHONPATH=src python tests/golden/diff_ledger.py special_values
     PYTHONPATH=src python tests/golden/diff_ledger.py identity_residuals
+    PYTHONPATH=src python tests/golden/diff_ledger.py table_values
 
 The ledger is recomputed in memory by its make_*.py module; the file is
 not written.  Exit status 1 when an entry changed, 0 when none did.
@@ -18,12 +19,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from golden import make_escalation_values as escalation  # noqa: E402
 from golden import make_identity_residuals as identities  # noqa: E402
 from golden import make_special_values as special  # noqa: E402
+from golden import make_table_values as tables  # noqa: E402
 
 # name -> (maker, the points of the cell of q, width of a point's grid part)
 LEDGERS = {
     "special_values": (special, special.values, 3),
     "escalation_values": (escalation, escalation.values, 3),
     "identity_residuals": (identities, identities.points, 4),
+    "table_values": (tables, tables.tables, 2),
 }
 # the names of a point's values where the ledger stores them as a list
 _LIST_NAMES = {"identity_residuals": ("check_recurrence", "check_difference")}
@@ -36,6 +39,13 @@ def entries(name, values):
         return dict(zip(_LIST_NAMES[name], values))
     (record,) = values
     flat = {}
+    if name == "table_values":      # {mode: entries, or an exception name}
+        for mode, col in record.items():
+            if isinstance(col, str):
+                flat[mode] = col
+            else:
+                flat.update({f"P~_{l} {mode}": v for l, v in enumerate(col)})
+        return flat
     for key, v in record.items():
         if isinstance(v, list) and len(v) == 2 and not isinstance(v[0], int):
             flat.update({f"{key} {mode}": w for mode, w in zip(_MODES, v)})
@@ -45,7 +55,8 @@ def entries(name, values):
 
 
 def changes(name):
-    """(q, grid point, entry name, old, new) of every changed entry."""
+    """(q, grid point, entry name, old, new) of every changed entry; for
+    a report, ("report", its argv, the entry's path, old, new)."""
     maker, regenerate, width = LEDGERS[name]
     doc = json.loads(maker.LEDGER.read_text(encoding="utf-8"))
     for cell in doc["cells"]:
@@ -57,6 +68,23 @@ def changes(name):
             for key in sorted(was.keys() | now.keys()):
                 if was.get(key) != now.get(key):
                     yield q, old[:width], key, was.get(key), now.get(key)
+    for argv, *old in doc.get("reports", ()):
+        was, now = (_paths(dict(zip(("exit", "report"), r)))
+                    for r in (old, maker.report(argv)))
+        for key in sorted(was.keys() | now.keys()):
+            if was.get(key) != now.get(key):
+                yield "report", argv, key, was.get(key), now.get(key)
+
+
+def _paths(v, prefix=""):
+    """{path: leaf} of a parsed report, paths like report.rows[3].defect."""
+    if isinstance(v, dict):
+        items = ((f"{prefix}.{k}" if prefix else k, w) for k, w in v.items())
+    elif isinstance(v, list):
+        items = ((f"{prefix}[{i}]", w) for i, w in enumerate(v))
+    else:
+        return {prefix: v}
+    return {p: leaf for k, w in items for p, leaf in _paths(w, k).items()}
 
 
 def main(argv):

@@ -9,6 +9,7 @@ from golden import make_escalation_values as escalation
 from golden import make_identity_residuals as identities
 from golden import make_operators
 from golden import make_special_values as special
+from golden import make_table_values as tables
 from golden.make_verify_residuals import CELLS, LEDGER, cell_rows
 from qspace3 import qspecial as qs
 
@@ -18,6 +19,7 @@ _LABELS = json.loads(make_operators.LABELS.read_text(encoding="utf-8"))
 _IDS = json.loads(identities.LEDGER.read_text(encoding="utf-8"))
 _SPECIAL = json.loads(special.LEDGER.read_text(encoding="utf-8"))
 _ESCALATION = json.loads(escalation.LEDGER.read_text(encoding="utf-8"))
+_TABLES = json.loads(tables.LEDGER.read_text(encoding="utf-8"))
 
 
 def test_verify_ledger_covers_its_grid():
@@ -125,6 +127,37 @@ def test_escalation_values_match_the_ledger(cell):
     assert escalation.values(cell["q"]) == cell["points"]
 
 
+def test_table_ledger_covers_its_grid():
+    assert [c["q"] for c in _TABLES["cells"]] == list(special.QS)
+    for cell in _TABLES["cells"]:
+        assert [tuple(p[:2]) for p in cell["points"]] \
+            == [(m, float.hex(x)) for m, x in tables.grid(cell["q"])]
+        for point in cell["points"]:
+            assert all(len(col) == 41 or col == "PrecisionError"
+                       for col in point[2].values())
+    # raised tables are part of the ledger: binary64 off the lattice at
+    # q = 3, where the upward recurrence leaves the range
+    assert sum("PrecisionError" in p[2].values() for c in _TABLES["cells"]
+               for p in c["points"]) == 7
+    assert [r[0] for r in _TABLES["reports"]] == tables.REPORTS
+    # the benchmark's known transform failures are part of the ledger
+    assert [r[1] for r in _TABLES["reports"]].count(2) == 2
+
+
+@pytest.mark.parametrize("cell", _TABLES["cells"],
+                         ids=lambda c: f"q={c['q']}")
+def test_table_values_match_the_ledger(cell):
+    qs.clear_caches()       # the values must not depend on what ran before
+    assert tables.tables(cell["q"]) == cell["points"]
+
+
+@pytest.mark.parametrize("entry", _TABLES["reports"],
+                         ids=lambda r: " ".join(r[0]))
+def test_reports_match_the_ledger(entry):
+    argv, code, report = entry
+    assert tables.report(argv) == [code, report]
+
+
 def test_ledger_diff_names_each_entry():
     # a point's value part flattens to one named entry per mode and check
     mpf = [0, "0x1", 0, 1]
@@ -137,3 +170,12 @@ def test_ledger_diff_names_each_entry():
         "check_recurrence": "0x1.0000000000000p-60"}
     assert diff_ledger.entries("identity_residuals", ["0x1p-90", "0x0p+0"]) \
         == {"check_recurrence": "0x1p-90", "check_difference": "0x0p+0"}
+    # a table flattens to one entry per degree and mode
+    assert diff_ledger.entries(
+        "table_values", [{"double": ["0x1p+0", "0x0p+0"],
+                          "extended": "PrecisionError"}]) == {
+        "P~_0 double": "0x1p+0", "P~_1 double": "0x0p+0",
+        "extended": "PrecisionError"}
+    assert diff_ledger._paths({"exit": 0, "report": {"rows": [
+        {"defect": "0x1p-60"}]}}) == {"exit": 0,
+                                      "report.rows[0].defect": "0x1p-60"}
