@@ -15,12 +15,18 @@ result and sums again at twice the digits while fewer than _KEEP survive.
 Degree 0 (l = m) has no sum; its weight gets the guard digits alone.  Whole
 columns P~_l(x), l = 0..l_max, come from the three-term recurrence in l:
 downward (minimal solution, rescaled) at lattice arguments where it is not
-contractive, upward otherwise, with coefficients computed once per (m, ctx).
+contractive, upward otherwise and at x = 0, with coefficients computed once
+per (m, ctx).
+
+One idiom carries a binary64 value past the range: a mantissa and an
+integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
+The weight is ldexp(sqrt(f rad), k), u^2 / norm ~ f 4**k (_weight_scale);
+the downward table keeps a binary exponent per entry.
 
 Every value is computed by the expression an inline evaluation uses, so the
 bounded records below keep values bit-identical to one.  x-independent:
-_log_norm in binary64 (log10 of u^2 and of the normalization); per (l, m, q,
-dps) _ptilde_factors (u^2, the normalization, the couplings to l -+ 1 and
+_weight_scale in binary64 (u^2 / norm as (f, k)); per (l, m, q, dps)
+_ptilde_factors (u^2, the normalization, the couplings to l -+ 1 and
 the checks' q-powers) and _sum_terms (the sum's terms); per (m, q, dps)
 _snorm_mp_cached.  Every sum is one kernel, _p_sum_at, over a point record
 _Node: x and its Pochhammer prefix list (x; q^-2)_k.  A lattice node
@@ -60,13 +66,14 @@ __all__ = [
     "recurrence_coeff_up", "recurrence_coeff_down", "clear_caches",
 ]
 
-_LOG_CAP = 250.0          # |log10| beyond which binary64 products are unsafe
 _CANCEL_OK = 1e2          # direct-sum cancellation accepted in binary64
 _EPS = 2.0**-52           # binary64 machine epsilon
 _RAD_ULPS = 8             # rounding bound of a _rad factor, in epsilons
 _GUARD = 40               # digits of a sum's start beyond its cancellation
 _STEP = 40                # starts are multiples of it, so records are shared
 _KEEP = 18                # digits a multiprecision sum must keep
+_WEIGHT_MIN = 1e-250      # a binary64 weight below it reads 0
+_TABLE_MIN = 1e-300       # a binary64 table entry below it reads +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +152,6 @@ def _rad_powers(m, q):
             f"QSPACE3_PRECISION=extended") from None
 
 
-def _log_u2(l, m, q):
-    """log10 of the positive l-dependent weight factor squared."""
-    t = l * (l + 1) * math.log10(q) + math.log10(_qnum(2 * l + 1, q))
-    for k in range(l - m + 1, l + m + 1):
-        t += math.log10(_qnum(k, q))
-    return t
-
-
-@lru_cache(maxsize=4096)
-def _log_norm(l: int, m: int, qkey: float):
-    """The binary64 record of weight_w's x-independent factors: log10 of u^2
-    at (l, m) and of the normalization constant of order m."""
-    return (_log_u2(l, m, qkey),
-            math.log10(_snorm_core(m, qkey)) + _log_u2(m, m, qkey))
-
-
 def _snorm_core(m, q):
     """Closed form of the lattice sum sum_{n<=0} q^(2(n-m-1)) rad_m(x_n).
 
@@ -199,6 +190,26 @@ def _snorm_mp_cached(m: int, qkey: float, dps: int):
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         return _u2_mp(m, m, q), _snorm_core(m, q)
+
+
+@lru_cache(maxsize=4096)
+def _weight_scale(l: int, m: int, qkey: float):
+    """The binary64 record of weight_w's x-independent factor u^2 / norm at
+    (l, m): the 40-digit value rounded once to (f, k), u^2 / norm ~ f 4**k
+    with 1/2 <= f < 2, so that the weight is ldexp(sqrt(f rad), k)."""
+    with mp.workdps(40):
+        u2_mm, core = _snorm_mp_cached(m, qkey, 40)
+        u2 = u2_mm if l == m else _u2_mp(l, m, mp.mpf(qkey))
+        f, e = mp.frexp(u2 / (core * u2_mm))
+    return math.ldexp(float(f), e % 2), e // 2
+
+
+def _ldexp(v, k):
+    """v 2**k, exact in the normal range; +-inf beyond it."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def _lattice_point(n, m, sigma, q):
@@ -391,12 +402,6 @@ def _reader(x, m, qkey):
     return t, _transient(x, qkey), read
 
 
-def _log_weight(l, m, q, r):
-    """log10 of the binary64 weight_w at the radicand value r > 0."""
-    log_u2, log_norm = _log_norm(l, m, q)
-    return 0.5 * (log_u2 + math.log10(r) - log_norm)
-
-
 def _check_args(m, x):
     """DomainError unless the order m is >= 0 and the argument x finite."""
     if m < 0:
@@ -469,21 +474,13 @@ def weight_w(l: int, m: int, x, ctx: QContext):
             rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
             return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
     q = float(ctx.q)
-    r = float(_rad(m, float(x), q))
-    if r == 0.0:
-        return 0.0
-    e = _log_weight(l, m, q, r)
-    if e <= -_LOG_CAP:
-        return 0.0
-    try:
-        w = 10.0**e
-    except OverflowError:
-        w = math.inf
-    if not math.isfinite(w):        # NaN when the radicand product overflows
+    f, k = _weight_scale(l, m, q)
+    w = _ldexp(math.sqrt(f * _rad(m, float(x), q)), k)
+    if not math.isfinite(w):        # inf also when the radicand overflows
         raise PrecisionError(
             f"weight_w({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
-            f"range (log10 = {e:.1f})")
-    return w
+            f"range")
+    return w if w >= _WEIGHT_MIN else 0.0
 
 
 def p_tilde(l: int, m: int, x, ctx: QContext):
@@ -510,12 +507,13 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
             return 0.0
         amplification = 2.0 * l * l * math.log10(q)
         if _snap_lattice(x, q) is None and amplification < 13.0:
-            e = _log_weight(l, m, q, r)
             p = p_lm(l, m, x, ctx)
             if p == 0.0:
                 return 0.0
-            if abs(e) < _LOG_CAP and abs(math.log10(abs(p)) + e) < _LOG_CAP:
-                return 10.0**e * p
+            f, k = _weight_scale(l, m, q)
+            v = _ldexp(math.sqrt(f * r) * p, k)
+            if 2.0**-1022 <= abs(v) < math.inf:     # a normal number
+                return v
     _, _, read = _reader(x, m, q)
     v = ctx.out(read(l).v)
     if not (ctx.is_extended or math.isfinite(v)):
@@ -566,10 +564,11 @@ def p_tilde_table(l_max: int, m: int, x, ctx: QContext):
 
     At lattice arguments where the upward recurrence is not contractive the
     wanted column is the minimal solution, so it comes from a downward pass
-    normalized at l = m (Gautschi 1967); in binary64 that pass rescales
-    through an exponent ledger.  Everywhere else the recurrence runs upward:
-    off the lattice P~ is the dominant solution.  Extended tables are
-    computed at ctx.dps whatever the ambient mpmath precision.
+    normalized at l = m (Gautschi 1967); in binary64 that pass keeps a
+    binary exponent per entry.  Everywhere else the recurrence runs upward:
+    off the lattice P~ is the dominant solution, and at x = 0 every odd
+    degree is +0.  Extended tables are computed at ctx.dps whatever the
+    ambient mpmath precision.
     """
     _check_args(m, x)
     return list(_table_cached(l_max, m, x, ctx))
@@ -587,12 +586,12 @@ def _table_cached(l_max, m, x, ctx):
 
 
 def _table(l_max, m, x, ctx):
-    vals = [_zero(ctx)] * (l_max + 1)
-    if m > l_max or x == 0:
-        return tuple(vals)
-    seed = weight_w(m, m, x, ctx)
+    seed = weight_w(m, m, x, ctx) if m <= l_max else 0
     if seed == 0:
-        return tuple(vals)
+        return (_zero(ctx),) * (l_max + 1)
+    if x == 0:          # every odd degree is +0, whatever zero it rounds to
+        return tuple(v if (l - m) % 2 == 0 else _zero(ctx)
+                     for l, v in enumerate(_table_up(l_max, m, x, seed, ctx)))
     q = float(ctx.q)
     lx, lq = math.log10(abs(float(x))), math.log10(q)
 
@@ -676,38 +675,31 @@ def _table_down(l_max, m, x, seed, ctx, delta):
     L = l_max + delta
     up = _coeffs_through(L, m, ctx)
     v = [_zero(ctx)] * (L + 2)
-    scale_cnt = [0] * (L + 2)
+    exps = [0] * (L + 2)    # binary64: the column is v[l] 2**exps[l]
     v[L] = _zero(ctx) + 1
     xq = x * ctx.qval()**(m + 1)
-    mp_mode = ctx.is_extended
     for l in range(L, m, -1):
         vl1 = v[l + 1]
-        if not mp_mode and scale_cnt[l + 1] != scale_cnt[l]:
-            vl1 = vl1 * 10.0**(200 * (scale_cnt[l + 1] - scale_cnt[l]))
+        if exps[l + 1] != exps[l]:
+            vl1 = math.ldexp(vl1, exps[l + 1] - exps[l])
         nxt = (xq * v[l] - up[l] * vl1) / up[l - 1]
-        cnt = scale_cnt[l]
-        if not mp_mode:
-            while abs(nxt) > 1e200:
-                nxt *= 1e-200
-                cnt += 1
+        exps[l - 1] = exps[l]
+        if not ctx.is_extended and abs(nxt) > 2.0**664:
+            nxt, e = math.frexp(nxt)
+            exps[l - 1] += e
         v[l - 1] = nxt
-        scale_cnt[l - 1] = cnt
     if v[m] == 0:
         return vals
-    if mp_mode:
+    if ctx.is_extended:
         ratio = seed / v[m]
-        for l in range(m, l_max + 1):
-            vals[l] = v[l] * ratio
-        return vals
-    base = math.log10(abs(seed)) - (math.log10(abs(v[m])) + 200 * scale_cnt[m])
-    sgn = math.copysign(1.0, v[m]) * math.copysign(1.0, seed)
+        return vals[:m] + [v[l] * ratio for l in range(m, l_max + 1)]
+    fm, em = math.frexp(v[m])
+    ratio = seed / fm
     for l in range(m, l_max + 1):
-        if v[l] == 0.0:
-            continue
-        e = math.log10(abs(v[l])) + 200 * scale_cnt[l] + base
-        if e < -300:
-            continue
-        vals[l] = sgn * math.copysign(10.0**e, v[l])
+        f, e = math.frexp(v[l])
+        w = math.ldexp(f * ratio, e + exps[l] - exps[m] - em)
+        if abs(w) >= _TABLE_MIN:     # else +0.0, at both signs of x
+            vals[l] = w
     return vals
 
 
@@ -717,9 +709,12 @@ def _table_down(l_max, m, x, seed, ctx, delta):
 # ---------------------------------------------------------------------------
 
 def check_recurrence(l: int, m: int, x, ctx: QContext):
-    """Relative residual of the three-term recurrence in l at the point x."""
+    """Relative residual of the three-term recurrence in l at the point x;
+    DomainError at x = 0 with l - m even, where it reads 0 = 0."""
     _check_args(m, x)
     _check_chain(l, m)
+    if x == 0 and (l - m) % 2 == 0:
+        raise DomainError(f"the recurrence at x = 0 is 0 = 0, l - m = {l - m}")
     qkey = float(ctx.q)
     _, lift, read = _reader(x, m, qkey)
     here, up = read(l), read(l + 1)
@@ -740,9 +735,12 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     On the support both square-root coefficients carry an overall minus sign
     (each radicand is a product of two negative factors).  A coefficient
     enters where its radicand is positive, judged on t, |x| = q**t.
+    DomainError at x = 0, where x q^(+-2) = x and the identity degenerates.
     """
     _check_args(m, x)
     _check_chain(l, m)
+    if x == 0:
+        raise DomainError("the q-difference identity degenerates at x = 0")
     qkey = float(ctx.q)
     t, lift, read = _reader(x, m, qkey)
     # (1 - x^2)(1 - x^2 q^4m) and (q^-4(m+1) - x^2)(q^-4 - x^2) are > 0
@@ -825,7 +823,7 @@ def clear_caches():
     """Empty every cache of qarith and qspecial, the q-factorial prefix
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
-    for cache in (_qfact_cached, _qfact_list, _log_norm, _snorm_mp_cached,
+    for cache in (_qfact_cached, _qfact_list, _weight_scale, _snorm_mp_cached,
                   _ptilde_factors, _sum_terms, _node, _node_rad, _p_node,
                   _ptilde_node, _table_cached, _coeff_lists):
         cache.cache_clear()

@@ -111,9 +111,13 @@ def lattice_node(n, m, sigma, q):
 
 def u_squared(l, m, q):
     """q^(l(l+1)) [2l+1] [l+m]! / [l-m]!, the square of the weight's
-    l-dependent scale."""
-    return q**(l * (l + 1)) * qnum(2 * l + 1, q) * qfactorial(l + m, q) \
-        / qfactorial(l - m, q)
+    l-dependent scale.  The factorial ratio is the product of its 2m
+    factors [l-m+1] ... [l+m], which costs far less than the ratio of two
+    long factorials."""
+    t = qnum(2 * l + 1, q)
+    for k in range(l - m + 1, l + m + 1):
+        t *= qnum(k, q)
+    return q**(l * (l + 1)) * t
 
 
 def lattice_norm(m, q):

@@ -336,3 +336,12 @@ class TestCompleteness:
         for m in (2, -2):
             rep = bt.completeness_check(m, CTX, l_max=40)
             assert rep["max_defect"] < 1e-5
+
+    def test_defects_at_rounding_level(self):
+        # the tables' binary64 entries are within tens of ulp of the exact
+        # values (test_exact.py), so the completeness and Gram defects they
+        # give are a few ulp of 1 (1.1e-13 and 3.6e-13 when the tables
+        # rebuilt each entry from a log10)
+        assert bt.completeness_check(0, CTX)["max_defect"] < 1e-14
+        t = bt.build_transform(1, 0, QContext(q=2.0), l_max=60)
+        assert t.gram_defect < 1e-14

@@ -271,12 +271,14 @@ def test_verify_exit_code_contract(argv, reports, capsys):
 def _ortho_complete_contract_cases():
     """The ortho and complete grid, as (argv, allowed exit codes): q in and
     out of the domain; the order m at -1 and where q**(4m) leaves binary64
-    (260 and 500 at q = 2); a negative and a zero --depth, --lspan and
-    --lmax; each bad --tol.  Exit 0 or 2 writes a report, 3 and 4 none."""
+    (1 at q = 1e300, whose nodes underflow to 0, and 260 and 500 at q = 2);
+    a negative and a zero --depth, --lspan and --lmax; each bad --tol.
+    Exit 0 or 2 writes a report, 3 and 4 none."""
     report, domain, precision = (0, 2), (3,), (4,)
     cases = []
     for q in ("nan", "inf", "1", "0.5", "1.2", "2", "1e300"):
-        codes = report if q in ("1.2", "2", "1e300") else domain
+        codes = {"1.2": report, "2": report, "1e300": precision}.get(
+            q, domain)
         cases += [(["ortho", "--m", "1", "--lspan", "1", "--depth", "4",
                     "--q", q], codes),
                   (["complete", "--m", "1", "--lmax", "4", "--q", q], codes)]

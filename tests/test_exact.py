@@ -17,7 +17,7 @@ import mpmath as mp
 import pytest
 
 import exact as ex
-from qspace3 import DomainError, QContext
+from qspace3 import DomainError, PrecisionError, QContext
 from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 
@@ -261,3 +261,128 @@ def test_point_off_the_support_raises_whatever_m(m, precision):
     with pytest.raises(DomainError):
         qs.weight_w(m, m, 2.0**-8 * (1 + 1e-7),
                     QContext(q=2.0, precision=precision))
+
+
+# The binary64 weight is ldexp(sqrt(f rad), k): f is the 40-digit u^2/norm
+# rounded once, rad = prod_j (1 - a_j) with a_j = x^2 q^(4(m-j)).  At an
+# order-m lattice node sigma q^(2(n-m-1)), n <= 0, a_j <= q^-4, so
+# c = 1/(q^4 - 1) bounds a_j / (1 - a_j).  Counting u = 2^-53 for each
+# rounding and 2u for each libm pow: a_j carries 7u, the factor 1 - a_j
+# u (1 + 7c), the product m - 1 roundings more; f, f rad and the root one
+# each, and the root halves what it is given.  To first order in u the
+# weight is within 2 + m (1 + 3.5c) ulp (its ulp is above u |w|).
+def weight_ulps(m, q):
+    return 2 + m * (1 + 3.5 / (q**4 - 1))
+
+
+# A binary64 table at a node above the neutral region l* = -log_q|x| - m - 2
+# (item 11 of the ROADMAP) is seed * v_l / v_m, where the column v runs down
+# from l_max + delta and is rescaled by powers of two, which is exact.  Each
+# step v_{l-1} = (xq v_l - a_l v_{l+1}) / a_{l-1} grows the column there, so
+# its rounding stays in the ratio v_{l-1} / v_l.  Per step: xq = x q^(m+1)
+# 5u (the node x and the pow 2u each, the product u), the two products, the
+# difference and the quotient u each, and the coupling a_{l-1}, the root of
+# a ratio of four q-numbers [a] = (q^a - q^-a) / (q - 1/q), each within
+# 3u coth(ln q) + 3u: 2 [a] + 2.5u.  The seed is weight_w at the float node,
+# whose radicand moves by 2mc u from the exact node's; the ratio seed / v_m
+# and its product with v_l round once each.  An entry of degree l is within
+# 4 + m (1 + 5.5c) + (l - m) (18 + 6 coth(ln q)) ulp of the exact value.
+def table_ulps(l, m, q):
+    coth = (q * q + 1) / (q * q - 1)
+    return 4 + m * (1 + 5.5 / (q**4 - 1)) + (l - m) * (18 + 6 * coth)
+
+
+WEIGHT_MS = (0, 1, 3, 8)
+WEIGHT_NODES = (0, -3, -10)
+
+
+def _squares_within(v, ulps, exact_sq, scale):
+    """Whether the nonzero float v is within ulps ulp of the root of
+    exact_sq / scale, checked on squares times scale."""
+    r, d = abs(Fraction(v)), Fraction(math.ulp(v)) * Fraction(ulps)
+    return (r - d)**2 * scale <= exact_sq <= (r + d)**2 * scale
+
+
+def _rad(m, x, qf):
+    r = Fraction(1)
+    for f in ex.rad_factors(m, x, qf):
+        r *= f
+    return r
+
+
+@pytest.mark.parametrize("q", QS)
+def test_binary64_weight_within_the_stated_bound(q):
+    # every degree l <= 60 (every third at q = 1.1, where the oracle's
+    # fractions are long) at the nodes n = 0, -3, -10; a weight beyond the
+    # binary64 range raises PrecisionError
+    qf, ctx = Fraction(q), QContext(q=q)
+    checked = 0
+    for m in WEIGHT_MS:
+        norm = ex.lattice_norm(m, qf)
+        xs = [qs._lattice_point(n, m, 1, q) for n in WEIGHT_NODES]
+        rads = [_rad(m, Fraction(x), qf) for x in xs]
+        for l in range(m, 61, 3 if q == 1.1 else 1):
+            u2 = ex.u_squared(l, m, qf)
+            for x, rad in zip(xs, rads):
+                try:
+                    w = qs.weight_w(l, m, x, ctx)
+                except PrecisionError:
+                    assert u2 * rad > Fraction(sys.float_info.max)**2 * norm
+                    continue
+                assert _squares_within(w, weight_ulps(m, q), u2 * rad,
+                                       norm), (l, m, x)
+                checked += 1
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_binary64_table_within_the_stated_bound(q):
+    # p_tilde_table(40, m, x) at the nodes n = 0, -3, -10 (both signs read
+    # the same magnitudes), every degree above l* = m - 2n, where P~ of an
+    # odd degree is not a cancelled O(x); at q = 3 the top degrees at n = 0
+    # are below 1e-300
+    qf, ctx = Fraction(q), QContext(q=q)
+    checked = 0
+    for m in WEIGHT_MS:
+        norm = ex.lattice_norm(m, qf)
+        for n in WEIGHT_NODES:
+            xe = ex.lattice_node(n, m, 1, qf)
+            rad = _rad(m, xe, qf)
+            table = qs.p_tilde_table(40, m, qs._lattice_point(n, m, 1, q),
+                                     ctx)
+            for l in range(max(m, m - 2 * n + 1), 41):
+                p = ex.p_direct(l, m, xe, qf)
+                exact = ex.u_squared(l, m, qf) * rad * p * p
+                if table[l] == 0:       # an entry below 1e-300 reads +0.0
+                    assert exact < (2 * Fraction(qs._TABLE_MIN))**2 * norm
+                    continue
+                assert (table[l] > 0) == (p > 0), (l, m, n)
+                assert _squares_within(table[l], table_ulps(l, m, q), exact,
+                                       norm), (l, m, n)
+                checked += 1
+    assert checked >= 300
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_table_at_zero(q):
+    # the upward recurrence at x = 0: every odd degree is +0.0 (0 in
+    # extended mode), every even degree the exact value, in binary64
+    # within the table bound
+    qf = Fraction(q)
+    for m in (0, 1, 3):
+        norm = ex.lattice_norm(m, qf)
+        double = qs.p_tilde_table(40, m, 0.0, QContext(q=q))
+        extended = qs.p_tilde_table(40, m, 0.0,
+                                    QContext(q=q, precision="extended"))
+        for l in range(m, 41):
+            if (l - m) % 2:
+                assert double[l] == 0 and math.copysign(1, double[l]) > 0
+                assert extended[l] == 0
+                continue
+            p = ex.p_direct(l, m, Fraction(0), qf)
+            exact = ex.u_squared(l, m, qf) * p * p
+            assert _squares_within(double[l], table_ulps(l, m, q), exact,
+                                   norm), (l, m)
+            f = _mpf_fraction(extended[l])
+            assert abs(f * f * norm - exact) <= exact * Fraction(10)**-35
+            assert (double[l] > 0) == (p > 0) == (extended[l] > 0), (l, m)

@@ -719,6 +719,21 @@ class TestIdentities:
             <= {(k[2], k[3]) for k in distinct}
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_checks_at_zero_measure_or_refuse(self, precision):
+        # at x = 0 the q-difference neighbours x q^(+-2) are x itself, and
+        # with l - m even the recurrence reads 0 = 0: both would return a
+        # vacuous 0.0; with l - m odd the recurrence still measures
+        ctx = QContext(q=1.5, precision=precision)
+        for l, m in ((0, 0), (2, 0), (3, 0), (3, 1), (4, 1), (6, 2)):
+            with pytest.raises(DomainError):
+                qs.check_difference(l, m, 0.0, ctx)
+            if (l - m) % 2 == 0:
+                with pytest.raises(DomainError):
+                    qs.check_recurrence(l, m, 0.0, ctx)
+            else:
+                assert 0 < qs.check_recurrence(l, m, 0.0, ctx) < 1e-60
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("l, m", [(1, 3), (0, 1), (-1, 0)])
     def test_checks_off_the_chain_rejected(self, l, m, precision):
         # below the chain every P~ reads 0, so a residual would be a
@@ -959,12 +974,12 @@ def _all_caches():
 
 
 def test_every_cache_is_bounded():
-    # one record of x-independent factors per precision mode: _log_norm
+    # one record of x-independent factors per precision mode: _weight_scale
     # in binary64, _ptilde_factors and the terms _sum_terms in
     # multiprecision; one l-independent record per lattice node and dps
     # (_node, _node_rad), and one P and one P~ value per (l, m, node)
     bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
-              qs._log_norm: 4096, qs._snorm_mp_cached: 256,
+              qs._weight_scale: 4096, qs._snorm_mp_cached: 256,
               qs._table_cached: 65536, qs._coeff_lists: 256,
               qs._ptilde_factors: 16, qs._sum_terms: 8, qs._node: 1024,
               qs._node_rad: 1024, qs._p_node: 64, qs._ptilde_node: 4096}
