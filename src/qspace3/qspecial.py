@@ -55,7 +55,7 @@ from functools import lru_cache, partial
 import mpmath as mp
 import numpy as np
 
-from .context import QContext
+from .context import EXTENDED_DPS, QContext
 from .errors import DomainError, PrecisionError
 from .qarith import _qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK
 
@@ -195,10 +195,10 @@ def _snorm_mp_cached(m: int, qkey: float, dps: int):
 @lru_cache(maxsize=4096)
 def _weight_scale(l: int, m: int, qkey: float):
     """The binary64 record of weight_w's x-independent factor u^2 / norm at
-    (l, m): the 40-digit value rounded once to (f, k), u^2 / norm ~ f 4**k
-    with 1/2 <= f < 2, so that the weight is ldexp(sqrt(f rad), k)."""
-    with mp.workdps(40):
-        u2_mm, core = _snorm_mp_cached(m, qkey, 40)
+    (l, m): the EXTENDED_DPS value rounded once to (f, k), u^2 / norm ~
+    f 4**k with 1/2 <= f < 2, so that the weight is ldexp(sqrt(f rad), k)."""
+    with mp.workdps(EXTENDED_DPS):
+        u2_mm, core = _snorm_mp_cached(m, qkey, EXTENDED_DPS)
         u2 = u2_mm if l == m else _u2_mp(l, m, mp.mpf(qkey))
         f, e = mp.frexp(u2 / (core * u2_mm))
     return math.ldexp(float(f), e % 2), e // 2
