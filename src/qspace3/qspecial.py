@@ -474,8 +474,9 @@ def weight_w(l: int, m: int, x, ctx: QContext):
             rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
             return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
     q = float(ctx.q)
+    r = _rad(m, float(x), q)        # DomainError or PrecisionError first
     f, k = _weight_scale(l, m, q)
-    w = _ldexp(math.sqrt(f * _rad(m, float(x), q)), k)
+    w = _ldexp(math.sqrt(f * r), k)
     if not math.isfinite(w):        # inf also when the radicand overflows
         raise PrecisionError(
             f"weight_w({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
