@@ -137,10 +137,15 @@ def lattice_norm(m, q):
     return u_squared(m, m, q) * 2 * (1 - q**-2) * s
 
 
-def weight_squared(l, m, x, q):
-    """w_lm(x)^2 = u^2 rad_m(x) / norm_m; P~_lm(x)^2 is this times
-    P_lm(x)^2."""
+def radicand(m, x, q):
+    """rad_m(x), the product of rad_factors."""
     rad = Fraction(1)
     for f in rad_factors(m, x, q):
         rad *= f
-    return u_squared(l, m, q) * rad / lattice_norm(m, q)
+    return rad
+
+
+def weight_squared(l, m, x, q):
+    """w_lm(x)^2 = u^2 rad_m(x) / norm_m; P~_lm(x)^2 is this times
+    P_lm(x)^2."""
+    return u_squared(l, m, q) * radicand(m, x, q) / lattice_norm(m, q)

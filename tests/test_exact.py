@@ -303,13 +303,6 @@ def _squares_within(v, ulps, exact_sq, scale):
     return (r - d)**2 * scale <= exact_sq <= (r + d)**2 * scale
 
 
-def _rad(m, x, qf):
-    r = Fraction(1)
-    for f in ex.rad_factors(m, x, qf):
-        r *= f
-    return r
-
-
 @pytest.mark.parametrize("q", QS)
 def test_binary64_weight_within_the_stated_bound(q):
     # every degree l <= 60 (every third at q = 1.1, where the oracle's
@@ -320,7 +313,7 @@ def test_binary64_weight_within_the_stated_bound(q):
     for m in WEIGHT_MS:
         norm = ex.lattice_norm(m, qf)
         xs = [qs._lattice_point(n, m, 1, q) for n in WEIGHT_NODES]
-        rads = [_rad(m, Fraction(x), qf) for x in xs]
+        rads = [ex.radicand(m, Fraction(x), qf) for x in xs]
         for l in range(m, 61, 3 if q == 1.1 else 1):
             u2 = ex.u_squared(l, m, qf)
             for x, rad in zip(xs, rads):
@@ -347,7 +340,7 @@ def test_binary64_table_within_the_stated_bound(q):
         norm = ex.lattice_norm(m, qf)
         for n in WEIGHT_NODES:
             xe = ex.lattice_node(n, m, 1, qf)
-            rad = _rad(m, xe, qf)
+            rad = ex.radicand(m, xe, qf)
             table = qs.p_tilde_table(40, m, qs._lattice_point(n, m, 1, q),
                                      ctx)
             for l in range(max(m, m - 2 * n + 1), 41):
