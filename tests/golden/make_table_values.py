@@ -8,10 +8,14 @@ binary64 entry is its `float.hex`, a multiprecision one its exact `_mpf_`
 (sign, mantissa in hex, exponent, bit count).
 
 Reports: the `ortho`, `complete` and `transform` reports (both directions)
-at their defaults, `transform --direction 2` at q = 3, and the six
-`transform` configurations of the benchmark's seed-1 op list, each run
-in-process from cold caches.  A report is its exit code and its parsed JSON
-with every float as `float.hex`.  The transform's Gram and congruence
+at their defaults, `ortho` at m = 1 (lspan 5) and m = 3, `complete` at
+m = 2 and -2, `transform --direction 2` at q = 3, the six `transform`
+configurations of the benchmark's seed-1 op list, and `ortho --lspan 3`
+and `complete` at m = 0 in the extended mode, each run in-process from cold
+caches.  A report's argv may start with NAME=value words, as on a shell
+command line: the run sees those environment variables, and the
+environment is restored after it.  A report is its exit code and its
+parsed JSON with every float as `float.hex`.  The transform's Gram and congruence
 defects go through numpy matmul; the BLAS build and the core count the
 ledger was written with are recorded under "blas".
 
@@ -26,10 +30,12 @@ reason where the change is recorded.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -43,9 +49,14 @@ LEDGER = Path(__file__).resolve().parent / "table_values.json"
 
 L_MAX = 40
 MS = sorted({m for _, m in special.LM})
+EXTENDED = "QSPACE3_PRECISION=extended"
 REPORTS = [
     ["ortho", "--m", "0"],
+    ["ortho", "--m", "1", "--lspan", "5"],
+    ["ortho", "--m", "3"],
     ["complete", "--m", "0"],
+    ["complete", "--m", "2"],
+    ["complete", "--m", "-2"],
     ["transform", "--direction", "1", "--m", "0"],
     ["transform", "--direction", "2", "--m", "0"],
     ["transform", "--direction", "2", "--q", "3", "--m", "0"],
@@ -61,6 +72,8 @@ REPORTS = [
      "--lmax", "60"],
     ["transform", "--direction", "1", "--q", "1.1", "--m", "-2",
      "--lmax", "40"],
+    [EXTENDED, "ortho", "--m", "0", "--lspan", "3"],
+    [EXTENDED, "complete", "--m", "0"],
 ]
 
 
@@ -101,11 +114,14 @@ def _hex_floats(v):
 
 def report(argv):
     """[exit code, parsed report] of the CLI command argv, from cold
-    caches."""
+    caches; its leading NAME=value words set environment variables for the
+    run."""
+    env = dict(w.split("=", 1) for w in itertools.takewhile(
+        lambda w: "=" in w, argv))
     qs.clear_caches()
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
+        code = cli.main(argv[len(env):])
     return [code, _hex_floats(json.loads(out.getvalue()))]
 
 
