@@ -19,8 +19,8 @@ import numpy as np
 
 from .context import QContext
 from .errors import CoverageError, DomainError
-from .qspecial import (_lattice_point, _sqrt_any, completeness_sum, p_tilde,
-                       p_tilde_table)
+from .qspecial import (_doubled_rows, _lattice_matrix, _site, _site_rows,
+                       p_tilde)
 from .repspace import (_casimir_chain, casimir_eigenvalue, chain_entries,
                        x3_block, r0_from_z0)
 
@@ -28,46 +28,6 @@ __all__ = [
     "c_coeff", "d_coeff", "check_t2", "check_x3_recursion",
     "TransformTable", "build_transform", "completeness_check",
 ]
-
-
-def _site(m, m_t, sigma, q):
-    """Lattice argument and prefactor of the chain site (m_t, sigma) in the
-    order-m columns: the coefficient there is pref * P~_l(x) with order |m|
-    at the lattice index n = m_t - min(m, 0).  Generic over float and mpf q.
-    """
-    return (_lattice_point(m_t - min(m, 0), abs(m), sigma, q),
-            _sqrt_any(1 - q**-2) * q**(m_t - max(m, 0) - 1))
-
-
-def _site_rows(m, mts, l_values, q, ctx, alternate):
-    """Rows pref * P~_l(x), l in l_values (ascending), one per sigma = +1
-    site m_t; the sites are taken in the type of q, the tables in ctx's
-    mode.  alternate adds the phase (-1)^m_t."""
-    rows = []
-    for mt in mts:
-        x, pref = _site(m, mt, 1, q)
-        tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
-        sp = ((-1)**mt if alternate else 1) * pref
-        rows.append([sp * tab[l] for l in l_values])
-    return rows
-
-
-def _doubled_rows(m, mts, l_values, q, ctx, alternate):
-    """The rows of _site_rows over the sign-doubled sites (sigma, m_t),
-    sigma = 1, -1 outer: one table per m_t, the sigma = -1 half by parity.
-
-    P~_l(-x) = (-1)^(l-|m|) P~_l(x), and the table route keeps that parity
-    bit for bit: it reads x only through |x| and x^2, and rounding to
-    nearest commutes with negation.  So the sigma = -1 site (argument -x,
-    the same prefactor) carries the sigma = +1 value negated at odd
-    l - |m|.  A zero keeps its sign: a binary64 table stores an
-    underflowed entry as +0.0 at both signs of x, so pref * 0.0 is the
-    same zero on both rows (an mpf zero has no sign).
-    """
-    rows = _site_rows(m, mts, l_values, q, ctx, alternate)
-    odd = [(l - abs(m)) % 2 == 1 for l in l_values]
-    return rows + [[-v if o and v else v for v, o in zip(row, odd)]
-                   for row in rows]
 
 
 def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
@@ -312,35 +272,31 @@ def completeness_check(m: int, ctx: QContext, l_max: int = 40) -> dict:
 
     Returns the worst |sum - delta delta| over diagonal and off-diagonal
     samples at l_max, plus the staged defects at l_max/4, l_max/2, l_max
-    (convergence profile; expected to decrease monotonically).
+    (convergence profile; expected to decrease monotonically).  One lattice
+    matrix at l_max holds every site sampled; a stage's sums are entries of
+    the Gram product of its columns l <= the stage's l_max.
     """
-    shift = max(m, 0)
     top = min(0, m)
-    samples = []
-    for mt in range(top, top - _COMPLETE_DEPTH - 1, -1):
-        samples.append(((mt, 1), (mt, 1)))
-        samples.append(((mt, -1), (mt, -1)))
-    for mt in range(top, top - _COMPLETE_DEPTH, -1):
-        samples.append(((mt, 1), (mt - 1, 1)))
-        samples.append(((mt, 1), (mt, -1)))
-
-    def worst_at(lm):
-        w = 0.0
-        per = []
-        for (mta, sa), (mtb, sb) in samples:
-            val = completeness_sum(mta - shift, mtb - shift, sa, sb, m,
-                                   ctx, l_max=lm)
-            target = 1.0 if (mta, sa) == (mtb, sb) else 0.0
-            d = abs(float(val) - target)
-            per.append({"pair": [[mta, sa], [mtb, sb]], "sum": float(val),
-                        "defect": d})
-            w = max(w, d)
-        return w, per
-
+    mts = list(range(top - _COMPLETE_DEPTH, top + 1))
+    U = _lattice_matrix(m, mts, range(abs(m), l_max + 1), ctx)
+    sites = [(mt, s) for s in (1, -1) for mt in mts]     # the rows of U
+    # every site with itself, then each (mt, 1) above the deepest with its
+    # lower neighbour and with (mt, -1), from the top down
+    samples = [(a, a) for mt in mts[::-1] for a in ((mt, 1), (mt, -1))]
+    samples += [((mt, 1), b) for mt in mts[:0:-1]
+                for b in ((mt - 1, 1), (mt, -1))]
     stages = []
     for lm in (max(abs(m), l_max // 4), max(abs(m), l_max // 2), l_max):
-        w, per = worst_at(lm)
-        stages.append({"l_max": lm, "max_defect": w})
+        cols = U[:, :lm - abs(m) + 1]
+        G = cols @ cols.T
+        per = []
+        for a, b in samples:
+            val = G[sites.index(a), sites.index(b)]
+            target = 1.0 if a == b else 0.0
+            per.append({"pair": [list(a), list(b)], "sum": float(val),
+                        "defect": float(abs(val - target))})
+        stages.append({"l_max": lm,
+                       "max_defect": max(p["defect"] for p in per)})
     return {
         "schema": "qspace3/1",
         "m": m,

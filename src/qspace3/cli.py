@@ -313,21 +313,18 @@ def _cmd_transform(args):
 
 def _cmd_ortho(args):
     ctx = _ctx(args)
-    am = abs(args.m)
-    if args.m < 0:
-        raise DomainError("orthonormality tables are indexed by m >= 0")
     if args.lspan < 0:
         raise DomainError(f"--lspan must be >= 0, got {args.lspan}")
-    ls = list(range(am, am + args.lspan + 1))
+    ls = list(range(args.m, args.m + args.lspan + 1))
+    gram = qspecial._ortho_gram(ls, args.m, ctx, -args.depth)
     worst = 0.0
     rows = []
-    for l in ls:
-        for lp in ls:
-            s = float(qspecial.orthonormality_sum(l, lp, args.m, ctx,
-                                                  n_min=-args.depth))
-            d = abs(s - (1.0 if l == lp else 0.0))
+    for i, l in enumerate(ls):
+        for j, lp in enumerate(ls):
+            s = gram[i, j]
+            d = float(abs(s - (1.0 if l == lp else 0.0)))
             worst = max(worst, d)
-            rows.append({"l": l, "lp": lp, "sum": s, "defect": d})
+            rows.append({"l": l, "lp": lp, "sum": float(s), "defect": d})
     report = {"schema": SCHEMA, "verb": "ortho", "q": float(ctx.q),
               "m": args.m, "n_min": -args.depth, "max_defect": worst,
               "pass": bool(worst < args.tol), "rows": rows}

@@ -218,6 +218,46 @@ def _lattice_point(n, m, sigma, q):
     return sigma * q**(2 * (n - m - 1))
 
 
+def _site(m, m_t, sigma, q):
+    """Lattice argument and prefactor of the chain site (m_t, sigma) in the
+    order-m columns: the coefficient there is pref * P~_l(x) with order |m|
+    at the lattice index n = m_t - min(m, 0).  Generic over float and mpf q.
+    """
+    return (_lattice_point(m_t - min(m, 0), abs(m), sigma, q),
+            _sqrt_any(1 - q**-2) * q**(m_t - max(m, 0) - 1))
+
+
+def _site_rows(m, mts, l_values, q, ctx, alternate):
+    """Rows pref * P~_l(x), l in l_values (ascending), one per sigma = +1
+    site m_t; the sites are taken in the type of q, the tables in ctx's
+    mode.  alternate adds the phase (-1)^m_t."""
+    rows = []
+    for mt in mts:
+        x, pref = _site(m, mt, 1, q)
+        tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
+        sp = ((-1)**mt if alternate else 1) * pref
+        rows.append([sp * tab[l] for l in l_values])
+    return rows
+
+
+def _doubled_rows(m, mts, l_values, q, ctx, alternate):
+    """The rows of _site_rows over the sign-doubled sites (sigma, m_t),
+    sigma = 1, -1 outer: one table per m_t, the sigma = -1 half by parity.
+
+    P~_l(-x) = (-1)^(l-|m|) P~_l(x), and the table route keeps that parity
+    bit for bit: it reads x only through |x| and x^2, and rounding to
+    nearest commutes with negation.  So the sigma = -1 site (argument -x,
+    the same prefactor) carries the sigma = +1 value negated at odd
+    l - |m|.  A zero keeps its sign: a binary64 table stores an
+    underflowed entry as +0.0 at both signs of x, so pref * 0.0 is the
+    same zero on both rows (an mpf zero has no sign).
+    """
+    rows = _site_rows(m, mts, l_values, q, ctx, alternate)
+    odd = [(l - abs(m)) % 2 == 1 for l in l_values]
+    return rows + [[-v if o and v else v for v, o in zip(row, odd)]
+                   for row in rows]
+
+
 def _snap_lattice(x, q):
     """The node (e, sigma) when |x| is within 1e-12 of q^e, e even: the
     node sigma q^(2(n-m-1)) of every order m with n - m = e/2 + 1.
@@ -765,29 +805,40 @@ def check_difference(l: int, m: int, x, ctx: QContext):
 
 
 # ---------------------------------------------------------------------------
-# lattice sums
+# lattice sums: entries of the Gram products of one lattice matrix
 # ---------------------------------------------------------------------------
+
+def _lattice_matrix(m, mts, l_values, ctx):
+    """The order-m lattice matrix: a row per site (sigma, m_t) of
+    _doubled_rows over mts, without the phase, a column per degree of
+    l_values; binary64, or mpfs in extended mode.  The degrees |m|..l_max
+    of a completeness sum are none when l_max < |m|: a DomainError."""
+    if not l_values:
+        raise DomainError(f"l_max must be >= |m| = {abs(m)}")
+    return np.array(_doubled_rows(m, mts, l_values, ctx.qval(), ctx, False),
+                    dtype=object if ctx.is_extended else float)
+
+
+def _ortho_gram(ls, m, ctx, n_min):
+    """U^T U over the degrees ls (ascending) of the lattice matrix U on the
+    nodes n = n_min..0 of order m: the truncated orthonormality sums."""
+    if m < 0:
+        raise DomainError(f"order m must be >= 0, got {m}")
+    if n_min > 0:
+        raise DomainError("n_min must be <= 0")
+    U = _lattice_matrix(m, range(n_min, 1), ls, ctx)
+    return U.T @ U
+
 
 def orthonormality_sum(l: int, lp: int, m: int, ctx: QContext, n_min: int = -60):
     """Truncated lattice orthonormality sum; tends to delta_{l,l'} as
     n_min -> -infinity (geometric tail with ratio q^-2).
 
-    Terms are accumulated from n = 0 downward (largest magnitude first,
-    smallest last).
+    The product of the columns l and l' of the lattice matrix on the nodes
+    n = n_min..0 (_ortho_gram).
     """
-    if m < 0:
-        raise DomainError(f"order m must be >= 0, got {m}")
-    if n_min > 0:
-        raise DomainError("n_min must be <= 0")
-    q = ctx.qval()
-    top = max(l, lp)
-    s = 0 * q
-    for sigma in (1, -1):
-        for n in range(0, n_min - 1, -1):
-            xn = _lattice_point(n, m, sigma, q)
-            tab = p_tilde_table(top, m, xn, ctx)
-            s += abs(xn) * tab[l] * tab[lp]
-    return ctx.out((1 - q**-2) * s)
+    ls = sorted({l, lp})
+    return ctx.out(_ortho_gram(ls, m, ctx, n_min)[ls.index(l), ls.index(lp)])
 
 
 def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
@@ -797,23 +848,17 @@ def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
     Tends to delta_{nu,nu'} delta_{sigma,sigma'} as l_max grows, for lattice
     labels nu, nu' <= min(m, 0).  The identity is numerically supported on
     nu <= -|m|; basistrans.completeness_check reports the observed
-    convergence profile.
+    convergence profile.  The product of the lattice matrix's rows at the
+    sites (sigma, nu + max(m, 0)) and (sigma', nu' + max(m, 0)).
     """
     if sigma not in (1, -1) or sigmap not in (1, -1):
         raise DomainError("sigma labels must be +1 or -1")
     top = min(m, 0)
     if nu > top or nup > top:
         raise DomainError(f"nu labels must be <= min(m, 0) = {top}")
-    am = abs(m)
-    if l_max < am:
-        raise DomainError(f"l_max must be >= |m| = {am}")
-    q = ctx.qval()
-    ta = p_tilde_table(l_max, am, _lattice_point(nu + am, am, sigma, q), ctx)
-    tb = p_tilde_table(l_max, am, _lattice_point(nup + am, am, sigmap, q), ctx)
-    s = 0 * q
-    for l in range(am, l_max + 1):
-        s += ta[l] * tb[l]
-    return ctx.out((1 - q**-2) * q**(nu + nup - 2) * s)
+    U = _lattice_matrix(m, [nu + max(m, 0), nup + max(m, 0)],
+                        range(abs(m), l_max + 1), ctx)
+    return ctx.out(U[1 - sigma] @ U[2 - sigmap])   # rows (1, nu), (-1, nu')
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspace3 import CoverageError, DomainError, QContext
+from qspace3 import CoverageError, DomainError, QContext, cli
 from qspace3 import basistrans as bt
+from qspace3 import qspecial as qs
 from qspace3.qspecial import p_tilde_table
 from qspace3.repspace import casimir_eigenvalue, chain_entries
 
@@ -345,3 +346,43 @@ class TestCompleteness:
         assert bt.completeness_check(0, CTX)["max_defect"] < 1e-14
         t = bt.build_transform(1, 0, QContext(q=2.0), l_max=60)
         assert t.gram_defect < 1e-14
+
+
+class TestLatticeMatrix:
+    """ortho, complete and the transforms read one lattice matrix: a table
+    per site m_t at the report's top degree, the sigma = -1 rows by
+    parity."""
+
+    @pytest.mark.parametrize("argv, tables", [
+        (["ortho", "--m", "1", "--lspan", "5"], 61),
+        (["ortho", "--m", "0"], 61),
+        (["complete", "--m", "0"], 5)],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_one_table_per_site(self, argv, tables, capsys):
+        qs.clear_caches()
+        assert cli.main(argv) == 0
+        assert qs._table_cached.cache_info().currsize == tables
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_orthonormality_sum_is_the_transform_gram(self, m):
+        # the columns of direction 1 carry the phase (-1)^m_t, which cancels
+        # exactly in U^T U
+        for top in range(m, m + 4):
+            U = bt.build_transform(1, m, CTX, l_max=top, depth=20).matrix
+            G = U.T @ U
+            for l in range(m, top + 1):
+                for a, b in ((l, top), (top, l)):
+                    s = qs.orthonormality_sum(a, b, m, CTX, n_min=-20)
+                    assert abs(s - G[a - m, b - m]) <= 1e-15, (a, b)
+
+    @pytest.mark.parametrize("m", [0, 2, -2])
+    def test_completeness_sum_is_the_transform_gram(self, m):
+        # the columns (sigma, nu) of direction 2 (M = 0) are the sites
+        # (sigma, m_t = nu), the completeness labels nu - max(m, 0)
+        t = bt.build_transform(2, m, CTX, l_max=20, nu_depth=4)
+        G = t.matrix.T @ t.matrix
+        for i, (s, nu) in enumerate(t.col_labels):
+            for j, (sp, nup) in enumerate(t.col_labels):
+                v = qs.completeness_sum(nu - max(m, 0), nup - max(m, 0), s, sp,
+                                        m, CTX, l_max=20)
+                assert abs(v - G[i, j]) <= 1e-15, (s, nu, sp, nup)
