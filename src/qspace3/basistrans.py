@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 import numpy as np
 
-from .context import QContext
+from .context import QContext, _at_ctx_dps
 from .errors import CoverageError, DomainError
 from .qspecial import (_doubled_rows, _lattice_matrix, _site, _site_rows,
                        p_tilde)
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 
+@_at_ctx_dps
 def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
     """Coefficient of |m_t, m_k, sigma> in the Casimir eigenstate (l, m).
 
@@ -44,6 +45,7 @@ def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
     return ctx.out((-1)**m_t * pref * p_tilde(l, am, x, ctx))
 
 
+@_at_ctx_dps
 def d_coeff(M: int, l: int, m: int, nu: int, sigma: int, ctx: QContext):
     """Coefficient of |M, l, m> in the X3 eigenstate with eigenvalue
     sigma r0 q^(2 nu - 1); requires nu <= M and m >= nu - M."""
@@ -267,6 +269,7 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
 _COMPLETE_DEPTH = 4      # chain sites completeness_check samples below the top
 
 
+@_at_ctx_dps
 def completeness_check(m: int, ctx: QContext, l_max: int = 40) -> dict:
     """Evaluate the degree-summed completeness for sampled lattice pairs.
 

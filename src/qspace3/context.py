@@ -1,5 +1,7 @@
 """Deformation-parameter context: q, derived constants, precision policy."""
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -57,3 +59,19 @@ class QContext:
     def out(self, x):
         """Coerce a computed value to the context's output type."""
         return x if self.is_extended else float(x)
+
+
+def _at_ctx_dps(fn):
+    """fn with its arithmetic at ctx.dps digits when its argument ctx is an
+    extended QContext, whatever the ambient mpmath precision; a binary64
+    context calls fn as it is."""
+    i = list(inspect.signature(fn).parameters).index("ctx")
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        ctx = args[i] if i < len(args) else kwargs["ctx"]
+        if not ctx.is_extended:
+            return fn(*args, **kwargs)
+        with mp.workdps(ctx.dps):
+            return fn(*args, **kwargs)
+    return run

@@ -13,12 +13,13 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .context import EXTENDED_DPS, QContext
+from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError
 
 __all__ = ["qnum_sym", "qfactorial_sym", "qbinomial_sym"]
 
 
+@_at_ctx_dps
 def qnum_sym(a, ctx: QContext):
     """Symmetric q-number [a] = (q^a - q^-a)/(q - q^-1).
 
@@ -73,6 +74,7 @@ def qfactorial_sym(n: int, ctx: QContext):
     return ctx.out(_qfact_cached(n, float(ctx.q), ctx.dps))
 
 
+@_at_ctx_dps
 def qbinomial_sym(n: int, k: int, ctx: QContext):
     """Symmetric q-binomial [n]!/([k]![n-k]!); 0 when n < k or n < 0 or k < 0."""
     return ctx.out(_qbin(n, k, ctx.q, ctx.dps))

@@ -55,7 +55,7 @@ from functools import lru_cache, partial
 import mpmath as mp
 import numpy as np
 
-from .context import EXTENDED_DPS, QContext
+from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
 from .qarith import _qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK
 
@@ -496,6 +496,7 @@ def p_lm(l: int, m: int, x, ctx: QContext):
     return v
 
 
+@_at_ctx_dps
 def weight_w(l: int, m: int, x, ctx: QContext):
     """Orthonormalizing weight for p_lm on the lattice +-q^(2(n-m-1)), n <= 0.
 
@@ -510,9 +511,8 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     if l < m:
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
-        with mp.workdps(ctx.dps):
-            rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
-            return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
+        rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
+        return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
     q = float(ctx.q)
     r = _rad(m, float(x), q)        # DomainError or PrecisionError first
     f, k = _weight_scale(l, m, q)
@@ -580,12 +580,14 @@ def _check_chain(l, m):
             f"the degree chain needs m >= 0 and l >= m, got l={l}, m={m}")
 
 
+@_at_ctx_dps
 def recurrence_coeff_up(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l+1) member in the three-term recurrence."""
     _check_chain(l, m)
     return ctx.out(_recurrence_coeff(l, m, partial(_qnum, q=ctx.qval())))
 
 
+@_at_ctx_dps
 def recurrence_coeff_down(l: int, m: int, ctx: QContext):
     """Coefficient of the degree-(l-1) member; zero at the bottom l = m."""
     _check_chain(l, m)
@@ -619,14 +621,8 @@ _MAX_DELTA = 2000         # overshoot cap of the downward pass
 
 
 @lru_cache(maxsize=65536)
+@_at_ctx_dps
 def _table_cached(l_max, m, x, ctx):
-    if ctx.is_extended:
-        with mp.workdps(ctx.dps):
-            return _table(l_max, m, x, ctx)
-    return _table(l_max, m, x, ctx)
-
-
-def _table(l_max, m, x, ctx):
     seed = weight_w(m, m, x, ctx) if m <= l_max else 0
     if seed == 0:
         return (_zero(ctx),) * (l_max + 1)
@@ -819,6 +815,7 @@ def _lattice_matrix(m, mts, l_values, ctx):
                     dtype=object if ctx.is_extended else float)
 
 
+@_at_ctx_dps
 def _ortho_gram(ls, m, ctx, n_min):
     """U^T U over the degrees ls (ascending) of the lattice matrix U on the
     nodes n = n_min..0 of order m: the truncated orthonormality sums."""
@@ -841,6 +838,7 @@ def orthonormality_sum(l: int, lp: int, m: int, ctx: QContext, n_min: int = -60)
     return ctx.out(_ortho_gram(ls, m, ctx, n_min)[ls.index(l), ls.index(lp)])
 
 
+@_at_ctx_dps
 def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
                      ctx: QContext, l_max: int = 40):
     """Truncated completeness sum over degrees l <= l_max.

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact as ex
-from qspace3 import DomainError, PrecisionError, QContext
+from qspace3 import DomainError, PrecisionError, QContext, cli
+from qspace3 import basistrans as bt
 from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 
@@ -1046,6 +1048,31 @@ class TestLatticeSums:
             == pytest.approx(1.0, abs=1e-8)
         assert float(qs.completeness_sum(-1, -1, 1, 1, 0, ctxe, l_max=25)) \
             == pytest.approx(1.0, abs=1e-6)
+
+    def test_extended_values_carry_the_context_digits(self, monkeypatch,
+                                                      capsys):
+        # an extended value is computed at ctx.dps whatever the ambient
+        # precision: at the ambient 15 digits these were 53-bit values, and
+        # the extended completeness check measured binary64 noise (4.4e-16)
+        ctxe = QContext(q=1.5, precision="extended")
+        calls = [partial(qa.qnum_sym, 7, ctxe),
+                 partial(qa.qbinomial_sym, 12, 5, ctxe),
+                 partial(qs.recurrence_coeff_up, 3, 1, ctxe),
+                 partial(qs.recurrence_coeff_down, 3, 1, ctxe),
+                 partial(bt.c_coeff, 3, 1, -2, 1, ctxe),
+                 partial(bt.d_coeff, 0, 3, 1, -2, 1, ctxe),
+                 partial(qs.orthonormality_sum, 0, 1, 0, ctxe, n_min=-200),
+                 partial(qs.orthonormality_sum, 2, 2, 1, ctxe, n_min=-50),
+                 partial(qs.completeness_sum, -1, -2, 1, -1, 0, ctxe,
+                         l_max=25)]
+        for call in calls:
+            v = call()
+            with mp.workdps(80):
+                ref = call()
+            assert abs(v - ref) <= abs(ref) * 1e-35, call.func.__name__
+        monkeypatch.setenv("QSPACE3_PRECISION", "extended")
+        assert cli.main(["complete", "--m", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_defect"] < 1e-30
 
     def test_normalization_constant_closed_form(self):
         # quadrature referee for the elementary-symmetric closed form
