@@ -823,6 +823,8 @@ def _ortho_gram(ls, m, ctx, n_min):
         raise DomainError(f"order m must be >= 0, got {m}")
     if n_min > 0:
         raise DomainError("n_min must be <= 0")
+    if ls[0] < 0:           # a table read at -1 would be its top degree
+        raise DomainError(f"degrees must be >= 0, got {ls[0]}")
     U = _lattice_matrix(m, range(n_min, 1), ls, ctx)
     return U.T @ U
 

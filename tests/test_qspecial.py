@@ -1028,6 +1028,12 @@ class TestLatticeSums:
         ctx = QContext(q=1.3)
         assert abs(qs.orthonormality_sum(2, 4, 1, ctx, n_min=-60)) < 1e-8
 
+    def test_orthonormality_negative_degree(self):
+        # (-1, 2) read the table's top entry, the (2, 2) sum 0.9999999999999993
+        for l, lp in ((-1, 2), (2, -1), (-1, -1)):
+            with pytest.raises(DomainError):
+                qs.orthonormality_sum(l, lp, 0, CTX15)
+
     def test_completeness_diagonal(self):
         assert qs.completeness_sum(0, 0, 1, 1, 0, CTX15, l_max=40) \
             == pytest.approx(1.0, abs=1e-6)
