@@ -328,22 +328,31 @@ def test_binary64_weight_within_the_stated_bound(q):
     assert checked >= 150
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-def test_binary64_table_within_the_stated_bound(q):
-    # p_tilde_table(40, m, x) at the nodes n = 0, -3, -10 (both signs read
-    # the same magnitudes), every degree above l* = m - 2n, where P~ of an
-    # odd degree is not a cancelled O(x); at q = 3 the top degrees at n = 0
-    # are below 1e-300
+# l_max = 40 keeps the ids [q]; the shorter tables are ROADMAP item 11's
+_SHORT_TABLES = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 11: a short table built upward at a "
+                        "node with log_gain < 4 exceeds the bound")
+
+
+@pytest.mark.parametrize("q, l_max", [
+    *(pytest.param(q, 40, id=str(q)) for q in (1.5, 2.0, 3.0)),
+    *(pytest.param(q, l_max, id=f"{q}-l_max={l_max}", marks=_SHORT_TABLES)
+      for l_max in (10, 20) for q in (1.5, 2.0, 3.0))])
+def test_binary64_table_within_the_stated_bound(q, l_max):
+    # p_tilde_table(l_max, m, x) at the nodes n = 0, -3, -8, -10 (both
+    # signs read the same magnitudes), every degree above l* = m - 2n, where
+    # P~ of an odd degree is not a cancelled O(x); at q = 3 the top degrees
+    # at n = 0 are below 1e-300
     qf, ctx = Fraction(q), QContext(q=q)
     checked = 0
     for m in WEIGHT_MS:
         norm = ex.lattice_norm(m, qf)
-        for n in WEIGHT_NODES:
+        for n in (0, -3, -8, -10):
             xe = ex.lattice_node(n, m, 1, qf)
             rad = ex.radicand(m, xe, qf)
-            table = qs.p_tilde_table(40, m, qs._lattice_point(n, m, 1, q),
-                                     ctx)
-            for l in range(max(m, m - 2 * n + 1), 41):
+            table = qs.p_tilde_table(l_max, m,
+                                     qs._lattice_point(n, m, 1, q), ctx)
+            for l in range(max(m, m - 2 * n + 1), l_max + 1):
                 p = ex.p_direct(l, m, xe, qf)
                 exact = ex.u_squared(l, m, qf) * rad * p * p
                 if table[l] == 0:       # an entry below 1e-300 reads +0.0
@@ -353,7 +362,7 @@ def test_binary64_table_within_the_stated_bound(q):
                 assert _squares_within(table[l], table_ulps(l, m, q), exact,
                                        norm), (l, m, n)
                 checked += 1
-    assert checked >= 300
+    assert checked >= {10: 30, 20: 100, 40: 300}[l_max]
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
