@@ -2,6 +2,9 @@
 orbital Casimir on the sign-doubled tensor basis, and coefficients
 diagonalizing the coordinate X3 on the diagonal-Casimir basis.
 
+Every table and completeness profile reads its rows from the lattice
+matrix of qspecial._doubled_rows.
+
 Phase convention: the tensor-side coefficients carry an extra (-1)^(m_t)
 relative to the bare weighted-function formula.  The truncated Casimir block
 has strictly positive off-diagonals, and its eigenvectors alternate in sign

@@ -40,6 +40,12 @@ values they read; they sum every P~ directly, so they test the recurrence
 rather than restate it.  clear_caches() empties every cache of this module
 and of qarith.
 
+The one lattice map is _site: the argument and prefactor of a chain site
+(sigma, m_t).  _doubled_rows builds the lattice matrix from it, one table
+per site m_t with the sigma = -1 rows by parity; the transforms, both
+lattice sums, ortho and complete read that matrix, each sum an entry of a
+Gram product taken with numpy matmul.
+
 The recurrence coefficient lists, the q-factorial prefix lists and the
 nodes' Pochhammer lists are extended under one lock, qarith._QFACT_LOCK,
 which re-reads the length inside it; readers take no lock, since an entry
