@@ -862,9 +862,10 @@ def completeness_sum(nu: int, nup: int, sigma: int, sigmap: int, m: int,
     top = min(m, 0)
     if nu > top or nup > top:
         raise DomainError(f"nu labels must be <= min(m, 0) = {top}")
-    U = _lattice_matrix(m, [nu + max(m, 0), nup + max(m, 0)],
-                        range(abs(m), l_max + 1), ctx)
-    return ctx.out(U[1 - sigma] @ U[2 - sigmap])   # rows (1, nu), (-1, nu')
+    a, b = nu + max(m, 0), nup + max(m, 0)
+    U = _lattice_matrix(m, [a, b], range(abs(m), l_max + 1), ctx)
+    # the rows of U are the sites (1, a), (1, b), (-1, a), (-1, b)
+    return ctx.out(U[1 - sigma] @ U[2 - sigmap])
 
 
 # ---------------------------------------------------------------------------
