@@ -22,6 +22,7 @@ import numpy as np
 
 from .context import QContext, _at_ctx_dps
 from .errors import CoverageError, DomainError
+from .qarith import _zero
 from .qspecial import (_doubled_rows, _lattice_matrix, _site, _site_rows,
                        p_tilde)
 from .repspace import (_casimir_chain, casimir_eigenvalue, chain_entries,
@@ -43,7 +44,7 @@ def c_coeff(l: int, m: int, m_t: int, sigma: int, ctx: QContext):
         raise DomainError("sigma must be +1 or -1")
     am = abs(m)
     if l < am or m_t > min(0, m):
-        return ctx.out(0.0)
+        return _zero(ctx)
     x, pref = _site(m, m_t, sigma, ctx.qval())
     return ctx.out((-1)**m_t * pref * p_tilde(l, am, x, ctx))
 
@@ -60,7 +61,7 @@ def d_coeff(M: int, l: int, m: int, nu: int, sigma: int, ctx: QContext):
             f"nu={nu}, M={M}, m={m}")
     am = abs(m)
     if l < am:
-        return ctx.out(0.0)
+        return _zero(ctx)
     x, pref = _site(m, nu - M, sigma, ctx.qval())
     return ctx.out(pref * p_tilde(l, am, x, ctx))
 

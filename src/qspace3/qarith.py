@@ -77,7 +77,15 @@ def qfactorial_sym(n: int, ctx: QContext):
 @_at_ctx_dps
 def qbinomial_sym(n: int, k: int, ctx: QContext):
     """Symmetric q-binomial [n]!/([k]![n-k]!); 0 when n < k or n < 0 or k < 0."""
+    if k < 0 or n < 0 or n < k:
+        return _zero(ctx)
     return ctx.out(_qbin(n, k, ctx.q, ctx.dps))
+
+
+def _zero(ctx):
+    """0 in the context's output type.  ctx.out(0.0) would pass a float
+    through in extended mode, where every value is an mpf."""
+    return mp.mpf(0) if ctx.is_extended else 0.0
 
 
 def _qbin(n, k, q, dps=0):

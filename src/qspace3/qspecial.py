@@ -63,7 +63,8 @@ import numpy as np
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
-from .qarith import _qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK
+from .qarith import (_qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK,
+                     _zero)
 
 __all__ = [
     "p_lm", "weight_w", "p_tilde", "p_tilde_table",
@@ -454,12 +455,6 @@ def _check_args(m, x):
         raise DomainError(f"order m must be >= 0, got {m}")
     if not math.isfinite(float(x)):
         raise DomainError(f"argument must be finite, got {float(x)}")
-
-
-def _zero(ctx):
-    """0 in the context's output type.  ctx.out(0.0) would pass a float
-    through in extended mode, where every value is an mpf."""
-    return mp.mpf(0) if ctx.is_extended else 0.0
 
 
 # ---------------------------------------------------------------------------

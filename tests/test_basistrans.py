@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qspace3 import CoverageError, DomainError, QContext, cli
 from qspace3 import basistrans as bt
+from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 from qspace3.qspecial import p_tilde_table
 from qspace3.repspace import casimir_eigenvalue, chain_entries
@@ -20,6 +21,13 @@ class TestCoefficients:
         assert bt.c_coeff(1, 3, -2, 1, CTX) == 0.0     # l < |m|
         assert bt.c_coeff(4, 0, 1, 1, CTX) == 0.0      # m_t above the head
         assert bt.c_coeff(4, -2, -1, 1, CTX) == 0.0    # m_t above min(0, m)
+
+    def test_extended_valid_zeros_are_mpf(self):
+        ctxe = QContext(q=1.5, precision="extended")
+        for zero in (bt.c_coeff(0, 1, 0, 1, ctxe),
+                     bt.d_coeff(0, 0, 1, 0, 1, ctxe),
+                     qa.qbinomial_sym(1, 3, ctxe)):
+            assert type(zero) is mp.mpf and zero == 0
 
     def test_t2_residual_spec_points(self):
         assert bt.check_t2(2, 1, -3, 1, QContext(q=1.4)) < 1e-10
