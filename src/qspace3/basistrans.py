@@ -19,11 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, from_float, mpf_add, mpf_mul, mpf_sub,
+                          mpf_sum, round_nearest as _RN, to_float)
 
 from .context import QContext, _at_ctx_dps
 from .errors import CoverageError, DomainError
 from .qarith import _zero
-from .qspecial import (_doubled_rows, _lattice_matrix, _site, _site_rows,
+from .qspecial import (_doubled_rows, _lattice_matrix, _raw_site_rows, _site,
                        p_tilde)
 from .repspace import (_casimir_chain, casimir_eigenvalue, chain_entries,
                        x3_block, r0_from_z0)
@@ -167,44 +169,67 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
 
     The block A acts on each sign half alone, and the sigma = -1 half of a
     column is its sigma = +1 half times (-1)^(l-|m|), exactly (see
-    _doubled_rows).  So the 40-digit work runs on the sigma = +1 half only, and
-    the sigma = -1 rows of U_K and R_K are its 40-digit values times that
-    parity, rounded.
+    _doubled_rows).  So the 40-digit work runs on the sigma = +1 half only,
+    and the sigma = -1 rows of U_K and R_K are its rounded values negated
+    in binary64, which is exact.  That work runs on libmp tuples
+    (_raw_columns).
     """
     q = float(ctx.q)
     ectx = replace(ctx, precision="extended")
     top = min(0, m)
     mts = list(range(top - cd, top + 1))
-    n = len(mts)
     lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
-    # the deepest margin sites of each sign half are dropped
-    margin = 2
-    U_K = np.empty((2 * (n - margin), len(l_values)))
-    R_K = np.empty_like(U_K)
-    gram_diag = np.empty(len(l_values))       # (U_K^T U_K)_aa - 1
     with mp.workdps(ectx.dps):
+        prec = mp.mp.prec
         qm = mp.mpf(q)
-        cols = list(zip(*_site_rows(m, mts, l_values, qm, ectx, True)))
-        D, E = (np.array(v, dtype=object) for v in _casimir_chain(m, cd, qm))
-        for c, (col, lam_c, l) in enumerate(zip(cols, lams.tolist(),
-                                                l_values)):
-            # A V: diagonal, lower, upper neighbour
-            V = np.array(col, dtype=object)
-            AV = V * D
-            AV[1:] += V[:-1] * E
-            AV[:-1] += V[1:] * E
-            V_K, AV_K = V[margin:], AV[margin:]
-            odd = (l - abs(m)) % 2 == 1
-            for X, v in ((U_K, V_K), (R_K, AV_K - lam_c * V_K)):
-                X[:, c] = np.concatenate([v, -v if odd else v]).astype(float)
-            # both halves' squares, in the order of the rows of U_K
-            sq = [v**2 for v in V_K]
-            gram_diag[c] = float(mp.fsum(sq + sq) - 1)
+        rows = list(_raw_site_rows(m, mts, l_values, qm, ectx, True, prec))
+        D, E = ([v._mpf_ for v in part] for part in _casimir_chain(m, cd, qm))
+    U, R, gram_diag = _raw_columns(rows, D, E, lams.tolist(), prec)
+    odd = np.array([(l - abs(m)) % 2 == 1 for l in l_values])
+    U_K = np.concatenate([U, np.where(odd, -U, U)])
+    R_K = np.concatenate([R, np.where(odd, -R, R)])
     gram_minus_eye = U_K.T @ U_K
     np.fill_diagonal(gram_minus_eye, gram_diag)
     dev = gram_minus_eye * lams[None, :] + U_K.T @ R_K
     scale = np.maximum(np.maximum.outer(lams, lams), 1.0)
     return float(np.abs(dev / scale).max())
+
+
+_MARGIN = 2       # the deepest sites of each sign half, dropped from K
+
+
+def _raw_columns(rows, D, E, lams, prec):
+    """The sigma = +1 halves of the congruence pieces, from the 40-digit
+    rows (one list of libmp tuples per chain site, ascending) and the
+    chain block (diagonal D, couplings E, as tuples), each operation
+    rounded to nearest at prec bits in the order of the mpf expressions
+        AV = V D + V_lower E + V_upper E,   R = AV - lam V:
+    U and R over the kept sites (a row each) and the columns, rounded to
+    binary64 once, and per column (U_K^T U_K)_aa - 1 over both halves."""
+    n = len(rows)
+    kept = range(_MARGIN, n)
+    U = np.empty((n - _MARGIN, len(lams)))
+    R = np.empty_like(U)
+    gram_diag = np.empty(len(lams))
+    for c, lam in enumerate(lams):
+        V = [row[c] for row in rows]
+        lam = from_float(lam)
+        sq = []
+        for r, j in enumerate(kept):
+            v = V[j]
+            av = mpf_add(mpf_mul(v, D[j], prec, _RN),
+                         mpf_mul(V[j - 1], E[j - 1], prec, _RN), prec, _RN)
+            if j + 1 < n:
+                av = mpf_add(av, mpf_mul(V[j + 1], E[j], prec, _RN),
+                             prec, _RN)
+            U[r, c] = to_float(v, rnd=_RN)
+            R[r, c] = to_float(mpf_sub(av, mpf_mul(v, lam, prec, _RN),
+                                       prec, _RN), rnd=_RN)
+            sq.append(mpf_mul(v, v, prec, _RN))
+        # both halves' squares, in the order of the rows of U_K
+        gram_diag[c] = to_float(mpf_sub(mpf_sum(sq + sq, prec, _RN), fone,
+                                        prec, _RN), rnd=_RN)
+    return U, R, gram_diag
 
 
 def build_transform(direction, m: int, ctx: QContext, M: int = 0,

@@ -60,6 +60,8 @@ from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, from_float, fzero, mpf_div, mpf_mul,
+                          mpf_pow_int, mpf_sub, round_nearest as _RN)
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
@@ -238,6 +240,9 @@ def _site_rows(m, mts, l_values, q, ctx, alternate):
     """Rows pref * P~_l(x), l in l_values (ascending), one per sigma = +1
     site m_t; the sites are taken in the type of q, the tables in ctx's
     mode.  alternate adds the phase (-1)^m_t."""
+    if ctx.is_extended:
+        rows = _raw_site_rows(m, mts, l_values, q, ctx, alternate, mp.mp.prec)
+        return [[_mpf(v) for v in row] for row in rows]
     rows = []
     for mt in mts:
         x, pref = _site(m, mt, 1, q)
@@ -245,6 +250,17 @@ def _site_rows(m, mts, l_values, q, ctx, alternate):
         sp = ((-1)**mt if alternate else 1) * pref
         rows.append([sp * tab[l] for l in l_values])
     return rows
+
+
+def _raw_site_rows(m, mts, l_values, q, ctx, alternate, prec):
+    """The rows of _site_rows in extended mode as libmp tuples, each
+    product rounded to nearest at prec bits: the mpf operator's value at
+    mp.mp.prec = prec."""
+    for mt in mts:
+        x, pref = _site(m, mt, 1, q)
+        tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
+        sp = _raw(((-1)**mt if alternate else 1) * pref)
+        yield [mpf_mul(sp, tab[l]._mpf_, prec, _RN) for l in l_values]
 
 
 def _doubled_rows(m, mts, l_values, q, ctx, alternate):
@@ -455,6 +471,15 @@ def _check_args(m, x):
         raise DomainError(f"order m must be >= 0, got {m}")
     if not math.isfinite(float(x)):
         raise DomainError(f"argument must be finite, got {float(x)}")
+
+
+_mpf = mp.make_mpf         # an mpf around a libmp tuple, as the operators make
+
+
+def _raw(v):
+    """The libmp tuple of an mpf, or the exact value of a float, as the mpf
+    operators convert one."""
+    return v._mpf_ if isinstance(v, mp.mpf) else from_float(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +697,23 @@ def _coeffs_through(top, m, ctx):
     Both tables divide by these coefficients.  In binary64 they underflow
     to 0 (or turn NaN) once the q-number products overflow, and the q-powers
     themselves overflow later still; either is a PrecisionError, raised here
-    as the list grows so the recurrence loops stay unchecked.
+    as the list grows so the recurrence loops stay unchecked.  An extension
+    in extended mode computes each q-number [a] it reads once, and
+    recurrence_coeff_up's expression reads them from that table.
     """
     up = _coeff_lists(m, ctx)
     if len(up) > top:
         return up
     with _QFACT_LOCK:               # a racing extender would append twice
-        for l in range(len(up), top + 1):
+        lo = len(up)
+        if ctx.is_extended:
+            with mp.workdps(ctx.dps):
+                q = ctx.qval()
+                qn = {a: _qnum(a, q) for a in range(lo - m + 1, 2 * top + 4)}
+                up.extend(_recurrence_coeff(l, m, qn.__getitem__)
+                          for l in range(lo, top + 1))
+            return up
+        for l in range(lo, top + 1):
             try:
                 cu = recurrence_coeff_up(l, m, ctx)
             except OverflowError:
@@ -691,30 +726,58 @@ def _coeffs_through(top, m, ctx):
     return up
 
 
+def _raw_xq(x, m, ctx, prec):
+    """x q^(m+1), the argument of both recurrences, as a libmp tuple."""
+    qm1 = mpf_pow_int(ctx.qval()._mpf_, m + 1, prec, _RN)
+    return mpf_mul(_raw(x), qm1, prec, _RN)
+
+
 def _table_up(l_max, m, x, seed, ctx):
-    vals = [_zero(ctx)] * (l_max + 1)
-    vals[m] = seed
     up = _coeffs_through(l_max - 1, m, ctx)
+    if ctx.is_extended:
+        col = _raw_up(l_max, m, x, seed, ctx, up, mp.mp.prec)
+        return [_mpf(v) for v in col]
+    vals = [0.0] * (l_max + 1)
+    vals[m] = seed
     xq = x * ctx.qval()**(m + 1)
     if m + 1 <= l_max:
         vals[m + 1] = xq * seed / up[m]
     for l in range(m + 1, l_max):
         vals[l + 1] = (xq * vals[l] - up[l - 1] * vals[l - 1]) / up[l]
     # an inf or NaN carries upward, so the top entry shows any
-    if not (ctx.is_extended or math.isfinite(vals[l_max])):
+    if not math.isfinite(vals[l_max]):
         raise PrecisionError(
             f"upward recurrence at x={float(x)}, m={m} leaves the binary64 "
             f"range below degree l_max={l_max}")
     return vals
 
 
+def _raw_up(l_max, m, x, seed, ctx, up, prec):
+    """The extended upward column as libmp tuples: the binary64 branch's
+    operations in its order, each rounded to nearest at prec bits."""
+    c = [v._mpf_ for v in up]
+    xq = _raw_xq(x, m, ctx, prec)
+    vals = [fzero] * (l_max + 1)
+    vals[m] = seed._mpf_
+    if m + 1 <= l_max:
+        vals[m + 1] = mpf_div(mpf_mul(xq, vals[m], prec, _RN), c[m], prec, _RN)
+    for l in range(m + 1, l_max):
+        t = mpf_sub(mpf_mul(xq, vals[l], prec, _RN),
+                    mpf_mul(c[l - 1], vals[l - 1], prec, _RN), prec, _RN)
+        vals[l + 1] = mpf_div(t, c[l], prec, _RN)
+    return vals
+
+
 def _table_down(l_max, m, x, seed, ctx, delta):
-    vals = [_zero(ctx)] * (l_max + 1)
     L = l_max + delta
     up = _coeffs_through(L, m, ctx)
-    v = [_zero(ctx)] * (L + 2)
-    exps = [0] * (L + 2)    # binary64: the column is v[l] 2**exps[l]
-    v[L] = _zero(ctx) + 1
+    if ctx.is_extended:
+        col = _raw_down(l_max, m, x, seed, ctx, up, L, mp.mp.prec)
+        return [_mpf(v) for v in col]
+    vals = [0.0] * (l_max + 1)
+    v = [0.0] * (L + 2)
+    exps = [0] * (L + 2)    # the column is v[l] 2**exps[l]
+    v[L] = 1.0
     xq = x * ctx.qval()**(m + 1)
     for l in range(L, m, -1):
         vl1 = v[l + 1]
@@ -722,15 +785,12 @@ def _table_down(l_max, m, x, seed, ctx, delta):
             vl1 = math.ldexp(vl1, exps[l + 1] - exps[l])
         nxt = (xq * v[l] - up[l] * vl1) / up[l - 1]
         exps[l - 1] = exps[l]
-        if not ctx.is_extended and abs(nxt) > 2.0**664:
+        if abs(nxt) > 2.0**664:
             nxt, e = math.frexp(nxt)
             exps[l - 1] += e
         v[l - 1] = nxt
     if v[m] == 0:
         return vals
-    if ctx.is_extended:
-        ratio = seed / v[m]
-        return vals[:m] + [v[l] * ratio for l in range(m, l_max + 1)]
     fm, em = math.frexp(v[m])
     ratio = seed / fm
     for l in range(m, l_max + 1):
@@ -739,6 +799,25 @@ def _table_down(l_max, m, x, seed, ctx, delta):
         if abs(w) >= _TABLE_MIN:     # else +0.0, at both signs of x
             vals[l] = w
     return vals
+
+
+def _raw_down(l_max, m, x, seed, ctx, up, L, prec):
+    """The extended downward column from degree L as libmp tuples, scaled
+    to the seed at l = m; no rescaling is needed, since an mpf exponent has
+    no range."""
+    c = [v._mpf_ for v in up]
+    xq = _raw_xq(x, m, ctx, prec)
+    v = [fzero] * (L + 2)
+    v[L] = fone
+    for l in range(L, m, -1):
+        t = mpf_sub(mpf_mul(xq, v[l], prec, _RN),
+                    mpf_mul(c[l], v[l + 1], prec, _RN), prec, _RN)
+        v[l - 1] = mpf_div(t, c[l - 1], prec, _RN)
+    if v[m] == fzero:
+        return [fzero] * (l_max + 1)
+    ratio = mpf_div(seed._mpf_, v[m], prec, _RN)
+    return [fzero] * m + [mpf_mul(v[l], ratio, prec, _RN)
+                          for l in range(m, l_max + 1)]
 
 
 # ---------------------------------------------------------------------------

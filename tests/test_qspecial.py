@@ -595,6 +595,71 @@ class TestTableLayer:
         assert qs.p_tilde_table(10, 3, 2.0**-6, ctx) == [0] * 11
         assert routes == {"_table_up", "_table_down"}
 
+    def test_extended_table_is_the_written_out_mpf_recurrence(
+            self, monkeypatch):
+        # bit for bit at the direction-1 transform sites, on both routes:
+        # each table against the recurrence written out with mpf operators
+        # from the seed, route and overshoot the table was built with
+        calls = []
+        for name in ("_table_up", "_table_down"):
+            def spy(*args, _name=name, _orig=getattr(qs, name)):
+                tab = _orig(*args)
+                calls.append((_name, args, tab))
+                return tab
+            monkeypatch.setattr(qs, name, spy)
+
+        coeffs = {}
+
+        def written_out(l_max, m, x, seed, ctx, delta=0):
+            L = l_max + delta
+            c = coeffs.setdefault((ctx.q, m), [None] * m)
+            c += [qs.recurrence_coeff_up(l, m, ctx)
+                  for l in range(len(c), L + 1)]
+            xq = x * ctx.qval()**(m + 1)
+            vals = [mp.mpf(0)] * (l_max + 1)
+            if not delta:               # upward from the seed
+                vals[m] = seed
+                vals[m + 1] = xq * seed / c[m]
+                for l in range(m + 1, l_max):
+                    vals[l + 1] = (xq * vals[l] - c[l - 1] * vals[l - 1]) \
+                        / c[l]
+                return vals
+            v = [mp.mpf(0)] * (L + 2)   # downward from 1, scaled to the seed
+            v[L] = mp.mpf(1)
+            for l in range(L, m, -1):
+                v[l - 1] = (xq * v[l] - c[l] * v[l + 1]) / c[l - 1]
+            ratio = seed / v[m]
+            return vals[:m] + [v[l] * ratio for l in range(m, l_max + 1)]
+
+        qs.clear_caches()
+        for q, m in itertools.product((1.1, 1.5, 2.0, 3.0), (0, 2)):
+            ctx = QContext(q=q, precision="extended")
+            with mp.workdps(ctx.dps):
+                for mt in range(-60, 1):
+                    x, _ = qs._site(m, mt, 1, mp.mpf(q))
+                    qs.p_tilde_table(60, m, x, ctx)
+        assert {name for name, _, _ in calls} == {"_table_up", "_table_down"}
+        for _, args, tab in calls:
+            with mp.workdps(args[4].dps):
+                ref = written_out(*args)
+            assert [v._mpf_ for v in tab] == [v._mpf_ for v in ref], args[:3]
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_grown_coefficient_list_is_recurrence_coeff_up(self, precision):
+        ctx = QContext(q=1.5, precision=precision)
+        qs.clear_caches()
+        for m in (0, 3):
+            for top in (10, 40, 120):
+                up = qs._coeffs_through(top, m, ctx)
+                assert len(up) == top + 1
+            ref = [qs.recurrence_coeff_up(l, m, ctx) for l in range(m, 121)]
+            if ctx.is_extended:
+                assert all(type(c) is mp.mpf for c in up[m:])
+                up, ref = ([c._mpf_ for c in v] for v in (up[m:], ref))
+            else:
+                up = up[m:]
+            assert up == ref, m
+
     def test_overshoot_cap_raises(self):
         # near q = 1 the downward pass would need more than 2000 extra
         # degrees to gain its 26 decades
