@@ -171,8 +171,8 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     column is its sigma = +1 half times (-1)^(l-|m|), exactly (see
     _doubled_rows).  So the 40-digit work runs on the sigma = +1 half only,
     and the sigma = -1 rows of U_K and R_K are its rounded values negated
-    in binary64, which is exact.  That work runs on libmp tuples
-    (_raw_columns).
+    in binary64, which is exact (a zero would turn -0.0, which the products
+    and abs() read as 0).  That work runs on libmp tuples (_raw_columns).
     """
     q = float(ctx.q)
     ectx = replace(ctx, precision="extended")
@@ -222,6 +222,7 @@ def _raw_columns(rows, D, E, lams, prec):
             if j + 1 < n:
                 av = mpf_add(av, mpf_mul(V[j + 1], E[j], prec, _RN),
                              prec, _RN)
+            # rnd by keyword: the second positional parameter is strict
             U[r, c] = to_float(v, rnd=_RN)
             R[r, c] = to_float(mpf_sub(av, mpf_mul(v, lam, prec, _RN),
                                        prec, _RN), rnd=_RN)

@@ -16,7 +16,10 @@ Degree 0 (l = m) has no sum; its weight gets the guard digits alone.  Whole
 columns P~_l(x), l = 0..l_max, come from the three-term recurrence in l:
 downward (minimal solution, rescaled) at lattice arguments where it is not
 contractive, upward otherwise and at x = 0, with coefficients computed once
-per (m, ctx).
+per (m, ctx).  An extended column, and the extended rows of _site_rows, run
+on libmp tuples (mpf._mpf_) through the primitives the mpf operators call,
+in the same order and rounding to nearest, so each value is the mpf
+expression's bit for bit without its object layer.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
@@ -697,9 +700,9 @@ def _coeffs_through(top, m, ctx):
     Both tables divide by these coefficients.  In binary64 they underflow
     to 0 (or turn NaN) once the q-number products overflow, and the q-powers
     themselves overflow later still; either is a PrecisionError, raised here
-    as the list grows so the recurrence loops stay unchecked.  An extension
-    in extended mode computes each q-number [a] it reads once, and
-    recurrence_coeff_up's expression reads them from that table.
+    as the list grows so the recurrence loops stay unchecked.  An extended
+    extension computes each q-number [a] of its degrees once, into a table
+    that recurrence_coeff_up's expression reads.
     """
     up = _coeff_lists(m, ctx)
     if len(up) > top:
@@ -709,7 +712,9 @@ def _coeffs_through(top, m, ctx):
         if ctx.is_extended:
             with mp.workdps(ctx.dps):
                 q = ctx.qval()
-                qn = {a: _qnum(a, q) for a in range(lo - m + 1, 2 * top + 4)}
+                read = {a for l in range(lo, top + 1)
+                        for a in (l - m + 1, l + m + 1, 2 * l + 1, 2 * l + 3)}
+                qn = {a: _qnum(a, q) for a in read}
                 up.extend(_recurrence_coeff(l, m, qn.__getitem__)
                           for l in range(lo, top + 1))
             return up
