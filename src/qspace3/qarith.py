@@ -6,6 +6,12 @@ The q-factorials are one prefix list per (q, dps), extended in place under
 _QFACT_LOCK and read without a lock; the binary64 list rounds the entries
 of the EXTENDED_DPS list.  Values are returned as float in "double" mode
 and as mpmath.mpf in "extended" mode.
+
+The denominator lambda = q - 1/q of every q-number is formed once per loop
+that computes q-numbers at one q and precision, and passed to _qnum: here
+in _extend_qfacts, in qspecial in _u2_mp, _ptilde_factors and the
+coefficient-list extension _coeffs_through.  It is the same value at every
+call, so each [a] is the one a call without lam gives, bit for bit.
 """
 
 import threading
@@ -29,8 +35,16 @@ def qnum_sym(a, ctx: QContext):
     return ctx.out(_qnum(a, q))
 
 
-def _qnum(a, q):
-    return (q**a - q**(-a)) / (q - 1 / q)
+def _qnum(a, q, lam=None):
+    """[a] at q; lam, when given, is _lam(q) formed once by the caller."""
+    if lam is None:
+        lam = _lam(q)
+    return (q**a - q**(-a)) / lam
+
+
+def _lam(q):
+    """q - 1/q, the denominator of every q-number."""
+    return q - 1 / q
 
 
 _QFACT_LOCK = threading.Lock()     # one extender per prefix list at a time
@@ -62,8 +76,9 @@ def _qfact_list(qkey: float, dps: int):
 
 def _extend_qfacts(facts, n, q):
     r = facts[-1]
+    lam = _lam(q)
     for k in range(len(facts), n + 1):
-        r *= _qnum(k, q)
+        r *= _qnum(k, q, lam)
         facts.append(r)
 
 
@@ -91,6 +106,11 @@ def _zero(ctx):
 def _qbin(n, k, q, dps=0):
     if k < 0 or n < 0 or n < k:
         return 0.0
+    if dps and k in (0, n):
+        # [n]!/([0]! [n]!) at the factorials' own digits is exactly 1; in
+        # binary64 the quotient stays, since an overflowed [n]! gives
+        # inf/inf = NaN there and p_lm's accept test reads it
+        return mp.mpf(1)
     qk = float(q)
     return _qfact_cached(n, qk, dps) \
         / (_qfact_cached(k, qk, dps) * _qfact_cached(n - k, qk, dps))

@@ -18,8 +18,15 @@ downward (minimal solution, rescaled) at lattice arguments where it is not
 contractive, upward otherwise and at x = 0, with coefficients computed once
 per (m, ctx).  An extended column, and the extended rows of _site_rows, run
 on libmp tuples (mpf._mpf_) through the primitives the mpf operators call,
-in the same order and rounding to nearest, so each value is the mpf
-expression's bit for bit without its object layer.
+in the same order and rounding to nearest at the ambient precision, so each
+value is the mpf expression's bit for bit without its object layer.  So do
+the multiprecision direct sum (_raw_p_sum), the nodes' Pochhammer products
+(_node_poch), _p_value's stopping test (_keeps), the weighted-function body
+P sqrt(u^2 rad / norm) (_weighted) and the residual arithmetic of both
+identity checks (_residual); the records between them stay mpfs.  The
+q-number denominator lambda = q - 1/q (qarith._lam) is formed once per loop
+over q-numbers: in _u2_mp, _ptilde_factors, _coeffs_through and
+qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
@@ -63,13 +70,15 @@ from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_float, fzero, mpf_div, mpf_mul,
-                          mpf_pow_int, mpf_sub, round_nearest as _RN)
+from mpmath.libmp import (dps_to_prec, fone, from_float, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_eq, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_pow_int, mpf_sqrt, mpf_sub,
+                          round_nearest as _RN, to_float)
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
-from .qarith import (_qnum, _qbin, _qfact_cached, _qfact_list, _QFACT_LOCK,
-                     _zero)
+from .qarith import (_lam, _qnum, _qbin, _qfact_cached, _qfact_list,
+                     _QFACT_LOCK, _zero)
 
 __all__ = [
     "p_lm", "weight_w", "p_tilde", "p_tilde_table",
@@ -118,16 +127,37 @@ def _p_sum_at(point, terms):
     """The direct sum at the point record over the per-term factors terms
     of _sum_factors, with (x; q^-2)_k read from the point's Pochhammer list
     (_node_poch): (value, max_abs_term).  Call under mp.workdps(dps) for an
-    mpf point."""
+    mpf point, whose sum runs on libmp tuples (_raw_p_sum)."""
+    poch = _node_poch(point, terms)
+    if isinstance(point.x, mp.mpf):
+        return tuple(map(_mpf, _raw_p_sum(poch, terms, mp.mp.prec)))
     s = 0 * point.x
     worst = abs(s)
-    for pochx, (_, sign, pochd, a, b, c) in zip(_node_poch(point, terms),
-                                                terms):
+    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
         t = sign * pochx / pochd
         t = t * a * b / c
         s = s + t
         worst = max(worst, abs(t))
     if s != s:          # max() above passes over a NaN term
+        worst = s
+    return s, worst
+
+
+def _raw_p_sum(poch, terms, prec):
+    """The mpf sum of _p_sum_at as libmp tuples, each operation rounded to
+    nearest at prec bits: max(worst, |t|) keeps worst unless |t| > worst,
+    and a NaN sum is its own largest term."""
+    s = worst = fzero
+    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
+        t = mpf_div(mpf_mul(sign._mpf_, pochx._mpf_, prec, _RN), pochd._mpf_,
+                    prec, _RN)
+        t = mpf_div(mpf_mul(mpf_mul(t, a._mpf_, prec, _RN), b._mpf_, prec,
+                            _RN), c._mpf_, prec, _RN)
+        s = mpf_add(s, t, prec, _RN)
+        t = mpf_abs(t, prec, _RN)
+        if mpf_gt(t, worst):
+            worst = t
+    if not mpf_eq(s, s):
         worst = s
     return s, worst
 
@@ -189,9 +219,10 @@ def _snorm_core(m, q):
 
 def _u2_mp(l, m, q):
     """u^2 factor in ambient mpmath precision."""
-    t = q**(l * (l + 1)) * (q**(2 * l + 1) - q**(-2 * l - 1)) / (q - 1 / q)
+    lam = _lam(q)
+    t = q**(l * (l + 1)) * (q**(2 * l + 1) - q**(-2 * l - 1)) / lam
     for k in range(l - m + 1, l + m + 1):
-        t = t * (q**k - q**(-k)) / (q - 1 / q)
+        t = t * (q**k - q**(-k)) / lam
     return t
 
 
@@ -316,7 +347,7 @@ def _ptilde_factors(l, m, qkey, dps):
     the one _snorm_mp_cached holds."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
-        qn = partial(_qnum, q=q)
+        qn = partial(_qnum, q=q, lam=_lam(q))
         u2_mm, core = _snorm_mp_cached(m, qkey, dps)
         return _PtildeFactors(
             u2_mm if l == m else _u2_mp(l, m, q), core * u2_mm,
@@ -354,12 +385,22 @@ def _node_poch(node, terms):
     """node.poch through the last index of terms, extended in place under
     _QFACT_LOCK (re-reading the length inside it); the factor 1 - x b_k
     reads b_k = q**(-2(k-1)) from the terms, the same value in every (l, m)
-    record of this (q, dps).  Call under mp.workdps(dps) for an mpf point."""
+    record of this (q, dps).  Call under mp.workdps(dps) for an mpf point,
+    whose products run on libmp tuples; the list holds mpfs."""
     poch = node.poch
     if len(poch) < len(terms):
         with _QFACT_LOCK:
+            x = node.x
+            if not isinstance(x, mp.mpf):
+                for k in range(len(poch), len(terms)):
+                    poch.append(poch[-1] * (1 - x * terms[k][0]))
+                return poch
+            prec, x, r = mp.mp.prec, x._mpf_, poch[-1]._mpf_
             for k in range(len(poch), len(terms)):
-                poch.append(poch[-1] * (1 - node.x * terms[k][0]))
+                f = mpf_sub(fone, mpf_mul(x, terms[k][0]._mpf_, prec, _RN),
+                            prec, _RN)
+                r = mpf_mul(r, f, prec, _RN)
+                poch.append(_mpf(r))
     return poch
 
 
@@ -372,9 +413,21 @@ def _node_rad(m, e, qkey, dps):
 
 
 def _weight_at(l, m, rad, qkey, dps):
-    """weight_w at dps digits from rad = _rad(m, x); under mp.workdps(dps)."""
+    """weight_w at dps digits from rad = _rad(m, x): the mpf expression
+    mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples."""
     f = _ptilde_factors(l, m, qkey, dps)
-    return mp.sqrt(f.u2 * rad / f.norm)
+    prec = dps_to_prec(dps)
+    w = mpf_div(mpf_mul(f.u2._mpf_, rad._mpf_, prec, _RN), f.norm._mpf_,
+                prec, _RN)
+    return _mpf(mpf_sqrt(w, prec, _RN))
+
+
+def _weighted(l, m, p, rad, qkey):
+    """The record (dps, P~_l) from the record p = (dps, P) at x and the
+    radicand rad = _rad(m, x) at p.dps digits: the mpf expression
+    p.v * _weight_at(...), on libmp tuples."""
+    w = _weight_at(l, m, rad, qkey, p.dps)._mpf_
+    return _Value(p.dps, _mpf(mpf_mul(p.v._mpf_, w, dps_to_prec(p.dps), _RN)))
 
 
 def _sum_dps(l, m, t, q):
@@ -400,13 +453,23 @@ def _p_value(l, m, lift, t, qkey):
         with mp.workdps(dps):
             point = lift(dps)
             s, worst = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
-            if worst == 0 or (s != 0
-                              and worst < abs(s) * 10**(dps - _KEEP)):
+            if _keeps(s._mpf_, worst._mpf_, dps, mp.mp.prec):
                 return _Value(dps, s)
         dps *= 2
     raise PrecisionError(
         f"p_lm({l}, {m}, {float(point.x)}) at q={qkey} did not converge "
         f"between {start} and {dps // 2} digits")
+
+
+def _keeps(s, worst, dps, prec):
+    """The stopping test of _p_value on libmp tuples, worst == 0 or (s != 0
+    and worst < |s| 10**(dps - _KEEP)) with mpf operators at prec bits."""
+    if mpf_eq(worst, fzero):
+        return True
+    if mpf_eq(s, fzero):
+        return False
+    return mpf_lt(worst, mpf_mul_int(mpf_abs(s, prec, _RN), 10**(dps - _KEEP),
+                                     prec, _RN))
 
 
 @lru_cache(maxsize=64)
@@ -422,9 +485,7 @@ def _ptilde_node(l, m, e, sigma, qkey):
     P times the weight, at the dps of P.  The identity checks reach each
     (l, m, node) from up to six calls, so each is summed once."""
     p = _p_node(l, m, e, sigma, qkey)
-    with mp.workdps(p.dps):
-        rad = _node_rad(m, e, qkey, p.dps)
-        return _Value(p.dps, p.v * _weight_at(l, m, rad, qkey, p.dps))
+    return _weighted(l, m, p, _node_rad(m, e, qkey, p.dps), qkey)
 
 
 def _exponent(x, qkey):
@@ -464,7 +525,7 @@ def _reader(x, m, qkey):
         p = _p_value(l, m, lift, t + 2 * step, qkey)
         with mp.workdps(p.dps):
             rad = _rad(m, lift(p.dps).x, mp.mpf(qkey))
-            return _Value(p.dps, p.v * _weight_at(l, m, rad, qkey, p.dps))
+        return _weighted(l, m, p, rad, qkey)
     return t, _transient(x, qkey), read
 
 
@@ -660,23 +721,24 @@ def _table_cached(l_max, m, x, ctx):
                      for l, v in enumerate(_table_up(l_max, m, x, seed, ctx)))
     q = float(ctx.q)
     lx, lq = math.log10(abs(float(x))), math.log10(q)
-
-    def step_log(l):
-        return max(0.0, lx + (l + m + 2) * lq)
-
-    log_gain = sum(step_log(l) for l in range(m, l_max))
+    # the step at degree l gains max(0.0, lx + (l + m + 2) lq) decades,
+    # written v if v > 0.0 else 0.0, the value max() returns
+    log_gain = sum(v if (v := lx + (l + m + 2) * lq) > 0.0 else 0.0
+                   for l in range(m, l_max))
     if log_gain < 4.0 or _snap_lattice(x, q) is None:
         return tuple(_table_up(l_max, m, x, seed, ctx))
     # smallest even overshoot delta >= 4 whose steps gain 26 decades
     delta = 4
-    gain = sum(step_log(l) for l in range(l_max, l_max + delta))
+    gain = sum(v if (v := lx + (l + m + 2) * lq) > 0.0 else 0.0
+               for l in range(l_max, l_max + delta))
     while gain < 26.0:
         if delta >= _MAX_DELTA:
             raise PrecisionError(
                 f"downward recurrence at x={float(x)}, m={m}, l_max={l_max} "
                 f"needs an overshoot beyond {_MAX_DELTA} degrees")
         for l in (l_max + delta, l_max + delta + 1):
-            gain += step_log(l)
+            v = lx + (l + m + 2) * lq
+            gain += v if v > 0.0 else 0.0
         delta += 2
     return tuple(_table_down(l_max, m, x, seed, ctx, delta))
 
@@ -699,31 +761,30 @@ def _coeffs_through(top, m, ctx):
 
     Both tables divide by these coefficients.  In binary64 they underflow
     to 0 (or turn NaN) once the q-number products overflow, and the q-powers
-    themselves overflow later still; either is a PrecisionError, raised here
-    as the list grows so the recurrence loops stay unchecked.  An extended
-    extension computes each q-number [a] of its degrees once, into a table
-    that recurrence_coeff_up's expression reads.
+    themselves overflow later still (an OverflowError, read as an infinite
+    q-number); either is a PrecisionError at the first degree it reaches,
+    raised here as the list grows so the recurrence loops stay unchecked.
+    An extension computes each q-number [a] of its degrees once, into a
+    table that recurrence_coeff_up's expression reads.
     """
     up = _coeff_lists(m, ctx)
     if len(up) > top:
         return up
-    with _QFACT_LOCK:               # a racing extender would append twice
-        lo = len(up)
-        if ctx.is_extended:
-            with mp.workdps(ctx.dps):
-                q = ctx.qval()
-                read = {a for l in range(lo, top + 1)
-                        for a in (l - m + 1, l + m + 1, 2 * l + 1, 2 * l + 3)}
-                qn = {a: _qnum(a, q) for a in read}
-                up.extend(_recurrence_coeff(l, m, qn.__getitem__)
-                          for l in range(lo, top + 1))
-            return up
-        for l in range(lo, top + 1):
+    # an extended list at ctx.dps; a binary64 one ignores the digits
+    with _QFACT_LOCK, mp.workdps(ctx.dps or mp.mp.dps):
+        lo = len(up)                # a racing extender would append twice
+        q = ctx.qval()
+        lam = _lam(q)
+        qn = {}
+        for a in sorted({a for l in range(lo, top + 1) for a in
+                         (l - m + 1, l + m + 1, 2 * l + 1, 2 * l + 3)}):
             try:
-                cu = recurrence_coeff_up(l, m, ctx)
+                qn[a] = _qnum(a, q, lam)
             except OverflowError:
-                cu = math.inf
-            if not 0 < cu < math.inf:
+                qn[a] = math.inf
+        for l in range(lo, top + 1):
+            cu = _recurrence_coeff(l, m, qn.__getitem__)
+            if not (ctx.is_extended or 0 < cu < math.inf):
                 raise PrecisionError(
                     f"recurrence coefficients at degree {l} (m={m}, "
                     f"q={float(ctx.q)}) leave the binary64 range")
@@ -842,13 +903,16 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     here, up = read(l), read(l + 1)
     down = read(l - 1) if l > m else None
     dps = max(here.dps, up.dps, down.dps if down else 0)
+    f = _ptilde_factors(l, m, qkey, dps)
     with mp.workdps(dps):
-        f = _ptilde_factors(l, m, qkey, dps)
-        lhs = lift(dps).x * f.checks[0] * here.v
-        rhs = f.c_up * up.v
-        if down is not None:
-            rhs += f.c_down * down.v
-        return float(abs(lhs - rhs) / max(1, abs(lhs)))
+        prec, x = mp.mp.prec, lift(dps).x._mpf_
+    lhs = mpf_mul(mpf_mul(x, f.checks[0]._mpf_, prec, _RN), here.v._mpf_,
+                  prec, _RN)
+    rhs = mpf_mul(f.c_up._mpf_, up.v._mpf_, prec, _RN)
+    if down is not None:
+        rhs = mpf_add(rhs, mpf_mul(f.c_down._mpf_, down.v._mpf_, prec, _RN),
+                      prec, _RN)
+    return _residual(lhs, rhs, prec)
 
 
 def check_difference(l: int, m: int, x, ctx: QContext):
@@ -871,18 +935,41 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     outer = read(l, 1) if t < -2 * (m + 1) or t > -2 else None
     dps = max(here.dps, inner.dps if inner else 0,
               outer.dps if outer else 0)
+    _, shell, centre, q4m, c_in, c_out, q4 = \
+        (v._mpf_ for v in _ptilde_factors(l, m, qkey, dps).checks)
     with mp.workdps(dps):
-        _, shell, centre, q4m, c_in, c_out, q4 = \
-            _ptilde_factors(l, m, qkey, dps).checks
-        xx = lift(dps).x
-        lhs = (shell * xx**2 - centre) * here.v
-        rhs = mp.mpf(0)
-        if inner is not None:
-            rhs -= c_in * mp.sqrt((1 - xx * xx) * (1 - xx * xx * q4m)) \
-                * inner.v
-        if outer is not None:
-            rhs -= mp.sqrt((c_out - xx * xx) * (q4 - xx * xx)) * outer.v
-        return float(abs(lhs - rhs) / max(1, abs(lhs)))
+        prec, xx = mp.mp.prec, lift(dps).x._mpf_
+
+    def mul(a, b):
+        return mpf_mul(a, b, prec, _RN)
+
+    def sub(a, b):
+        return mpf_sub(a, b, prec, _RN)
+
+    x2 = mul(xx, xx)
+    lhs = mul(sub(mul(shell, mpf_pow_int(xx, 2, prec, _RN)), centre),
+              here.v._mpf_)
+    rhs = fzero
+    # each radicand is positive where it enters: its bounds on t are even
+    # exponents, the lattice nodes an argument near them snaps to
+    if inner is not None:
+        rad = mul(sub(fone, x2), sub(fone, mul(x2, q4m)))
+        rhs = sub(rhs, mul(mul(c_in, mpf_sqrt(rad, prec, _RN)),
+                           inner.v._mpf_))
+    if outer is not None:
+        rad = mul(sub(c_out, x2), sub(q4, x2))
+        rhs = sub(rhs, mul(mpf_sqrt(rad, prec, _RN), outer.v._mpf_))
+    return _residual(lhs, rhs, prec)
+
+
+def _residual(lhs, rhs, prec):
+    """float(abs(lhs - rhs) / max(1, abs(lhs))) for the libmp tuples lhs and
+    rhs, with mpf operators at prec bits: the checks' relative residual."""
+    den = mpf_abs(lhs, prec, _RN)
+    if not mpf_gt(den, fone):
+        den = fone
+    return to_float(mpf_div(mpf_abs(mpf_sub(lhs, rhs, prec, _RN), prec, _RN),
+                            den, prec, _RN), rnd=_RN)
 
 
 # ---------------------------------------------------------------------------

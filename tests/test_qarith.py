@@ -164,6 +164,57 @@ class TestQFactorialPrefixList:
         assert qa._qfact_list.cache_info().currsize == 1
 
 
+class TestWrittenOutExpressions:
+    """[a] and the multiprecision q-binomials are the mpf expressions
+    (q**a - q**(-a)) / (q - 1/q) and F[n] / (F[k] F[n-k]) over the prefix
+    list F, bit for bit, with lambda = q - 1/q passed in or not."""
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dps", [40, 80, 1120])
+    def test_qnum_and_qbin(self, q, dps):
+        qs.clear_caches()
+        with mp.workdps(dps):
+            qm = mp.mpf(q)
+            lam = qa._lam(qm)
+            for a in range(101):
+                ref = (qm**a - qm**(-a)) / (qm - 1 / qm)
+                assert qa._qnum(a, qm)._mpf_ == ref._mpf_, a
+                assert qa._qnum(a, qm, lam)._mpf_ == ref._mpf_, a
+            facts = [qa._qfact_cached(n, q, dps) for n in range(101)]
+            for n in range(101):
+                for k in {0, 1, n // 2, n - 1, n} & set(range(n + 1)):
+                    ref = facts[n] / (facts[k] * facts[n - k])
+                    got = qa._qbin(n, k, q, dps)
+                    assert type(got) is mp.mpf and got._mpf_ == ref._mpf_, \
+                        (n, k)
+
+    def test_exact_at_q2(self):
+        # at q = 2 every [a] = (4**a - 1) / (3 2**(a-1)) is a dyadic
+        # rational, exact at 1120 digits for a <= 100, while [100]! needs
+        # about 9,900 bits and is rounded; the edges k = 0 and k = n are 1
+        # at every precision
+        with mp.workdps(1120):
+            two = mp.mpf(2)
+            for a in range(1, 101):
+                exact = mp.mpf((4**a - 1) // 3) / 2**(a - 1)
+                assert qa._qnum(a, two, qa._lam(two))._mpf_ == exact._mpf_
+        for dps in (40, 80, 1120):
+            with mp.workdps(dps):
+                for n in range(101):
+                    assert qa._qbin(n, 0, 2.0, dps)._mpf_ \
+                        == qa._qbin(n, n, 2.0, dps)._mpf_ == mp.mpf(1)._mpf_
+
+    def test_binary64_edges_keep_the_quotient(self):
+        # a binary64 [n]! past the range gives inf / inf = NaN at k = 0 and
+        # k = n, which p_lm's accept test reads; below it the edges are 1.0
+        assert qa._qbin(5, 0, 1.5) == qa._qbin(5, 5, 1.5) == 1.0
+        assert math.isnan(qa._qbin(60, 0, 50.0))
+        assert math.isnan(qa._qbin(60, 60, 50.0))
+        for a in range(60):
+            assert qa._qnum(a, 1.5, qa._lam(1.5)) == qa._qnum(a, 1.5) \
+                == (1.5**a - 1.5**(-a)) / (1.5 - 1 / 1.5)
+
+
 class TestQBinomial:
     def test_edges(self):
         assert qa.qbinomial_sym(5, 0, CTX15) == 1.0

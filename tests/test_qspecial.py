@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -508,6 +509,75 @@ class TestTableLayer:
         tab = qs.p_tilde_table(300, 0, 2.0**-2,
                                QContext(q=2.0, precision="extended"))
         assert all(mp.isfinite(v) for v in tab)
+
+    def test_coefficient_list_stops_at_its_first_degree_out_of_range(self):
+        # at q = 50 the denominator [2l+1][2l+3] of degree 45 overflows, so
+        # its coefficient reads 0; at m = 100 the first degree's q**201
+        # raises OverflowError, read as an infinite q-number.  The list
+        # keeps every degree below, each recurrence_coeff_up's value.
+        ctx = QContext(q=50.0)
+        for m, first in ((0, 45), (3, 45), (100, 100)):
+            qs.clear_caches()
+            with pytest.raises(PrecisionError, match=f"at degree {first} "):
+                qs._coeffs_through(400, m, ctx)
+            up = qs._coeff_lists(m, ctx)
+            assert len(up) == first
+            assert up[m:] == [qs.recurrence_coeff_up(l, m, ctx)
+                              for l in range(m, first)]
+        with pytest.raises(OverflowError):
+            qa._qnum(201, 50.0)
+
+    def test_route_and_overshoot_on_the_table_ledger_grid(self, monkeypatch):
+        # every table of tests/golden/table_values.json, in both modes,
+        # takes the route and overshoot delta of the decision written with
+        # one step_log call per degree
+        from golden import make_special_values as special
+        from golden import make_table_values as tables
+
+        def ref_route(l_max, m, x, q):
+            if x == 0:
+                return "_table_up", None
+            lx, lq = math.log10(abs(float(x))), math.log10(q)
+
+            def step_log(l):
+                return max(0.0, lx + (l + m + 2) * lq)
+
+            log_gain = sum(step_log(l) for l in range(m, l_max))
+            if log_gain < 4.0 or qs._snap_lattice(x, q) is None:
+                return "_table_up", None
+            delta = 4
+            gain = sum(step_log(l) for l in range(l_max, l_max + delta))
+            while gain < 26.0:
+                for l in (l_max + delta, l_max + delta + 1):
+                    gain += step_log(l)
+                delta += 2
+            return "_table_down", delta
+
+        calls = []
+        for name in ("_table_up", "_table_down"):
+            def spy(l_max, m, x, seed, ctx, *delta, _name=name,
+                    _orig=getattr(qs, name)):
+                calls.append(((_name, delta[0] if delta else None),
+                              ref_route(l_max, m, x, float(ctx.q))))
+                return _orig(l_max, m, x, seed, ctx, *delta)
+            monkeypatch.setattr(qs, name, spy)
+        for q in special.QS:
+            qs.clear_caches()
+            tables.tables(q)
+        assert len(calls) == 240 and all(got == ref for got, ref in calls)
+        assert {got for got, _ in calls} == {("_table_up", None)} | {
+            ("_table_down", delta) for delta in (4, 6, 14, 16, 18)}
+        # and the binary64 tables of the direction-1 transform sites, where
+        # a route turns on the last degree of the gain's sum
+        calls.clear()
+        for q in (1.1, 1.5, 2.0, 3.0):
+            ctx = QContext(q=q)
+            qs.clear_caches()
+            for m, mt, l_max in itertools.product(range(4), range(-60, 1),
+                                                  (20, 40, 60)):
+                with contextlib.suppress(PrecisionError):
+                    qs.p_tilde_table(l_max, m, qs._site(m, mt, 1, q)[0], ctx)
+        assert len(calls) == 2928 and all(got == ref for got, ref in calls)
 
     def test_upward_table_beyond_binary64_raises(self):
         # the upward column overflows from l = 75 on and is NaN above
@@ -1033,6 +1103,155 @@ class TestAgainstInlineSums:
         qs.check_difference(4, 1, 1.5**-8, CTX15)
         info = qs._ptilde_factors.cache_info()
         assert info.hits > 1 and info.misses == info.currsize == 2
+
+
+class TestTupleRoute:
+    """The multiprecision sums, the stopping test, the Pochhammer lists, the
+    weighted-function body and the check residuals run on libmp tuples; each
+    must be the mpf-operator expression it replaces, bit for bit."""
+
+    @staticmethod
+    def _mpf_sum(x, terms):
+        # the mpf loop of _p_sum_at, with the Pochhammer products of
+        # _node_poch written out from x and the terms' b_k
+        s = 0 * x
+        worst = abs(s)
+        pochx = 1 + 0 * x
+        for k, (bk, sign, pochd, a, b, c) in enumerate(terms):
+            if k:
+                pochx = pochx * (1 - x * bk)
+            t = sign * pochx / pochd
+            t = t * a * b / c
+            s = s + t
+            worst = max(worst, abs(t))
+        if s != s:
+            worst = s
+        return s, worst
+
+    def _mpf_value(self, l, m, lift, t, q, dps=None):
+        # the rule of _p_value with its stopping test written in mpf
+        dps = dps or qs._sum_dps(l, m, t, q)
+        if l == m or ((l - m) % 2 and t == -math.inf):
+            return dps, mp.mpf(int(l == m))
+        while True:
+            with mp.workdps(dps):
+                s, worst = self._mpf_sum(lift(dps).x,
+                                         qs._sum_terms(l, m, q, dps))
+                if worst == 0 or (s != 0 and
+                                  worst < abs(s) * 10**(dps - qs._KEEP)):
+                    return dps, s
+            dps *= 2
+
+    def _mpf_read(self, l, m, x, q, step):
+        # (dps, P~_l) at x q^(2 step): the node records at a lattice x,
+        # the transient point elsewhere, weighted by the mpf expression
+        snap = qs._snap_lattice(x, q)
+        if snap is None:
+            t = qs._exponent(x, q) + 2 * step
+            lift = qs._transient(x, q, step)
+        else:
+            t, sigma = snap[0] + 2 * step, snap[1]
+            lift = partial(qs._node, t, sigma, q)
+        dps, p = self._mpf_value(l, m, lift, t, q)
+        with mp.workdps(dps):
+            rad = qs._rad(m, lift(dps).x, mp.mpf(q))
+            f = qs._ptilde_factors(l, m, q, dps)
+            return dps, p * mp.sqrt(f.u2 * rad / f.norm)
+
+    def _mpf_checks(self, l, m, x, q):
+        # check_recurrence and check_difference written in mpf over the
+        # reads above: the float residuals
+        t, lift, _ = qs._reader(x, m, q)
+        reads = {(k, 0): self._mpf_read(k, m, x, q, 0)
+                 for k in (l - 1, l, l + 1) if k >= m}
+        for step, on in ((-1, t < -2 * m or t > 0),
+                         (1, t < -2 * (m + 1) or t > -2)):
+            if on:
+                reads[l, step] = self._mpf_read(l, m, x, q, step)
+        dps = max(d for k, (d, _) in reads.items() if k[1] == 0)
+        with mp.workdps(dps):
+            f = qs._ptilde_factors(l, m, q, dps)
+            lhs = lift(dps).x * f.checks[0] * reads[l, 0][1]
+            rhs = f.c_up * reads[l + 1, 0][1]
+            if l > m:
+                rhs += f.c_down * reads[l - 1, 0][1]
+            rec = float(abs(lhs - rhs) / max(1, abs(lhs)))
+        dps = max(d for k, (d, _) in reads.items() if k[0] == l)
+        with mp.workdps(dps):
+            _, shell, centre, q4m, c_in, c_out, q4 = \
+                qs._ptilde_factors(l, m, q, dps).checks
+            xx = lift(dps).x
+            lhs = (shell * xx**2 - centre) * reads[l, 0][1]
+            rhs = mp.mpf(0)
+            if (l, -1) in reads:
+                rhs -= c_in * mp.sqrt((1 - xx * xx) * (1 - xx * xx * q4m)) \
+                    * reads[l, -1][1]
+            if (l, 1) in reads:
+                rhs -= mp.sqrt((c_out - xx * xx) * (q4 - xx * xx)) \
+                    * reads[l, 1][1]
+            diff = float(abs(lhs - rhs) / max(1, abs(lhs)))
+        return reads, rec, diff
+
+    @pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
+    def test_reads_and_residuals(self, q):
+        # lattice nodes of both signs and off-lattice points of both signs
+        # (_points): the sums, P~ (through _ptilde_node at a node, read's
+        # transient body elsewhere) and both residuals
+        ctx = QContext(q=q)
+        qs.clear_caches()
+        for l in range(10):
+            for m in sorted({0, 2} & set(range(l + 1))):
+                for x in _points(m, q):
+                    reads, rec, diff = self._mpf_checks(l, m, x, q)
+                    _, _, read = qs._reader(x, m, q)
+                    for (k, step), (dps, v) in reads.items():
+                        got = read(k, step)
+                        assert (got.dps, got.v._mpf_) == (dps, v._mpf_), \
+                            (l, m, x, k, step)
+                    assert float.hex(qs.check_recurrence(l, m, x, ctx)) \
+                        == float.hex(rec), (l, m, x)
+                    assert float.hex(qs.check_difference(l, m, x, ctx)) \
+                        == float.hex(diff), (l, m, x)
+
+    def test_sum_and_stopping_test_when_the_sum_doubles(self, monkeypatch):
+        # started at 40 digits, the degree-9 sum at q = 3 keeps fewer than
+        # _KEEP of them and doubles, at a node and off the lattice
+        monkeypatch.setattr(qs, "_sum_dps", lambda *args: 40)
+        for lift, t in ((partial(qs._node, -8, -1, 3.0), -8),
+                        (qs._transient(0.0123, 3.0), qs._exponent(0.0123, 3.0))):
+            qs.clear_caches()
+            p = qs._p_value(9, 0, lift, t, 3.0)
+            assert (p.dps, p.v._mpf_) == tuple(
+                v._mpf_ if i else v for i, v in
+                enumerate(self._mpf_value(9, 0, lift, t, 3.0, 40)))
+            assert p.dps == 80
+            with mp.workdps(p.dps):
+                point = lift(p.dps)
+                terms = qs._sum_terms(9, 0, 3.0, p.dps)
+                got = qs._p_sum_at(point, terms)
+                assert [type(v) for v in got] == [mp.mpf, mp.mpf]
+                assert [v._mpf_ for v in got] \
+                    == [v._mpf_ for v in self._mpf_sum(point.x, terms)]
+            assert all(type(v) is mp.mpf for v in point.poch)
+
+    def test_stopping_test_at_its_boundary(self):
+        # worst just below, at and just above |s| 10**(dps - _KEEP), and the
+        # zeros, infinities and NaN the rule meets
+        for dps in (40, 80, 320):
+            with mp.workdps(dps):
+                eps = mp.mpf(2)**(1 - mp.mp.prec)
+                cases = [(mp.mpf(0), mp.mpf(0)), (mp.mpf(0), mp.mpf(1)),
+                         (mp.mpf(1), mp.mpf(0)), (mp.mpf(1), mp.inf),
+                         (mp.nan, mp.nan), (mp.mpf(1), mp.nan)]
+                for s in (mp.mpf(3) / 7, -mp.mpf(10)**-30, mp.mpf(2)**900):
+                    edge = abs(s) * 10**(dps - qs._KEEP)
+                    cases += [(s, edge * (1 + k * eps)) for k in (-2, -1, 0,
+                                                                  1, 2)]
+                for s, worst in cases:
+                    ref = worst == 0 or (
+                        s != 0 and worst < abs(s) * 10**(dps - qs._KEEP))
+                    assert qs._keeps(s._mpf_, worst._mpf_, dps,
+                                     mp.mp.prec) == ref, (dps, s, worst)
 
 
 def _all_caches():
