@@ -22,11 +22,11 @@ in the same order and rounding to nearest at the ambient precision, so each
 value is the mpf expression's bit for bit without its object layer.  So do
 the multiprecision direct sum (_raw_p_sum), the nodes' Pochhammer products
 (_node_poch), _p_value's stopping test (_keeps), the weighted-function body
-P sqrt(u^2 rad / norm) (_weighted) and the residual arithmetic of both
-identity checks (_residual); the records between them stay mpfs.  The
-q-number denominator lambda = q - 1/q (qarith._lam) is formed once per loop
-over q-numbers: in _u2_mp, _ptilde_factors, _coeffs_through and
-qarith._extend_qfacts.
+P sqrt(u^2 rad / norm) (_weighted, at the dps of the P it weights) and the
+residual arithmetic of both identity checks (_residual); the records
+between them stay mpfs.  The q-number denominator lambda = q - 1/q
+(qarith._lam) is formed once per loop over q-numbers: in _u2_mp,
+_ptilde_factors, _coeffs_through and qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.

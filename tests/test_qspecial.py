@@ -527,10 +527,11 @@ class TestTableLayer:
         with pytest.raises(OverflowError):
             qa._qnum(201, 50.0)
 
-    def test_route_and_overshoot_on_the_table_ledger_grid(self, monkeypatch):
-        # every table of tests/golden/table_values.json, in both modes,
-        # takes the route and overshoot delta of the decision written with
-        # one step_log call per degree
+    def test_route_and_overshoot_are_the_step_log_decision(self, monkeypatch):
+        # every table of tests/golden/table_values.json, in both modes, and
+        # every binary64 table of the direction-1 transform sites takes the
+        # route and overshoot delta of the decision written with one
+        # step_log call per degree
         from golden import make_special_values as special
         from golden import make_table_values as tables
 
@@ -567,8 +568,7 @@ class TestTableLayer:
         assert len(calls) == 240 and all(got == ref for got, ref in calls)
         assert {got for got, _ in calls} == {("_table_up", None)} | {
             ("_table_down", delta) for delta in (4, 6, 14, 16, 18)}
-        # and the binary64 tables of the direction-1 transform sites, where
-        # a route turns on the last degree of the gain's sum
+        # at the sites a route can turn on the last degree of the gain's sum
         calls.clear()
         for q in (1.1, 1.5, 2.0, 3.0):
             ctx = QContext(q=q)
@@ -1217,14 +1217,13 @@ class TestTupleRoute:
         # started at 40 digits, the degree-9 sum at q = 3 keeps fewer than
         # _KEEP of them and doubles, at a node and off the lattice
         monkeypatch.setattr(qs, "_sum_dps", lambda *args: 40)
+        off = 0.0123
         for lift, t in ((partial(qs._node, -8, -1, 3.0), -8),
-                        (qs._transient(0.0123, 3.0), qs._exponent(0.0123, 3.0))):
+                        (qs._transient(off, 3.0), qs._exponent(off, 3.0))):
             qs.clear_caches()
             p = qs._p_value(9, 0, lift, t, 3.0)
-            assert (p.dps, p.v._mpf_) == tuple(
-                v._mpf_ if i else v for i, v in
-                enumerate(self._mpf_value(9, 0, lift, t, 3.0, 40)))
-            assert p.dps == 80
+            dps, v = self._mpf_value(9, 0, lift, t, 3.0, 40)
+            assert (p.dps, p.v._mpf_) == (dps, v._mpf_) and dps == 80
             with mp.workdps(p.dps):
                 point = lift(p.dps)
                 terms = qs._sum_terms(9, 0, 3.0, p.dps)
