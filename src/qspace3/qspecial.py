@@ -130,7 +130,8 @@ def _p_sum_at(point, terms):
     mpf point, whose sum runs on libmp tuples (_raw_p_sum)."""
     poch = _node_poch(point, terms)
     if isinstance(point.x, mp.mpf):
-        return tuple(map(_mpf, _raw_p_sum(poch, terms, mp.mp.prec)))
+        s, worst = _raw_p_sum(poch, terms, mp.mp.prec)
+        return _mpf(s), _mpf(worst)
     s = 0 * point.x
     worst = abs(s)
     for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
