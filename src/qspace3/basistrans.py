@@ -70,7 +70,7 @@ def d_coeff(M: int, l: int, m: int, nu: int, sigma: int, ctx: QContext):
 
 def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
     """Relative residual of the Casimir three-term recursion in m_t at one
-    coefficient site."""
+    coefficient site, a float in both precision modes."""
     q = float(ctx.q)
     diag, up = chain_entries(m, m_t, q)
     _, dn = chain_entries(m, m_t - 1, q)
@@ -78,7 +78,7 @@ def check_t2(l: int, m: int, m_t: int, sigma: int, ctx: QContext) -> float:
         * c_coeff(l, m, m_t, sigma, ctx)
     rhs = up * c_coeff(l, m, m_t + 1, sigma, ctx) \
         + dn * c_coeff(l, m, m_t - 1, sigma, ctx)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    return float(abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 
 def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
@@ -95,7 +95,7 @@ def check_x3_recursion(M: int, l: int, m: int, nu: int, sigma: int,
     rhs = E[k] * d_coeff(M, l + 1, m, nu, sigma, ctx)
     if k > 0:
         rhs += E[k - 1] * d_coeff(M, l - 1, m, nu, sigma, ctx)
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    return float(abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,9 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
     am = abs(m)
     if l_max < am:
         raise CoverageError(f"l_max={l_max} cannot cover |m|={am}")
+    if (depth < _MARGIN) if direction == "mtk_to_lm" else (nu_depth < 0):
+        raise CoverageError(f"the {direction} window keeps no site to "
+                            f"measure: depth={depth}, nu_depth={nu_depth}")
 
     if direction == "mtk_to_lm":
         l_values = list(range(am, l_max + 1))

@@ -14,13 +14,14 @@ coefficient-list extension _coeffs_through.  It is the same value at every
 call, so each [a] is the one a call without lam gives, bit for bit.
 """
 
+import math
 import threading
 from functools import lru_cache
 
 import mpmath as mp
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 
 __all__ = ["qnum_sym", "qfactorial_sym", "qbinomial_sym"]
 
@@ -31,8 +32,7 @@ def qnum_sym(a, ctx: QContext):
 
     Odd in a and continuous; [a] -> a as q -> 1+.
     """
-    q = ctx.qval()
-    return ctx.out(_qnum(a, q))
+    return _in_range(ctx, f"[{a}]", _qnum, a, ctx.qval())
 
 
 def _qnum(a, q, lam=None):
@@ -86,7 +86,7 @@ def qfactorial_sym(n: int, ctx: QContext):
     """Symmetric q-factorial [n]! = [1][2]...[n]; [0]! = 1."""
     if n < 0:
         raise DomainError(f"q-factorial needs n >= 0, got {n}")
-    return ctx.out(_qfact_cached(n, float(ctx.q), ctx.dps))
+    return _in_range(ctx, f"[{n}]!", _qfact_cached, n, float(ctx.q), ctx.dps)
 
 
 @_at_ctx_dps
@@ -94,7 +94,20 @@ def qbinomial_sym(n: int, k: int, ctx: QContext):
     """Symmetric q-binomial [n]!/([k]![n-k]!); 0 when n < k or n < 0 or k < 0."""
     if k < 0 or n < 0 or n < k:
         return _zero(ctx)
-    return ctx.out(_qbin(n, k, ctx.q, ctx.dps))
+    return _in_range(ctx, f"[{n} over {k}]", _qbin, n, k, ctx.q, ctx.dps)
+
+
+def _in_range(ctx, name, fn, *args):
+    """ctx.out(fn(*args)), or a PrecisionError where a binary64 value leaves
+    the range: an OverflowError, an inf, or the NaN of inf / inf."""
+    try:
+        v = ctx.out(fn(*args))
+    except OverflowError:
+        v = math.inf
+    if not (ctx.is_extended or math.isfinite(v)):
+        raise PrecisionError(f"{name} at q={ctx.q} leaves the binary64 "
+                             f"range; set QSPACE3_PRECISION=extended")
+    return v
 
 
 def _zero(ctx):

@@ -16,39 +16,36 @@ Degree 0 (l = m) has no sum; its weight gets the guard digits alone.  Whole
 columns P~_l(x), l = 0..l_max, come from the three-term recurrence in l:
 downward (minimal solution, rescaled) at lattice arguments where it is not
 contractive, upward otherwise and at x = 0, with coefficients computed once
-per (m, ctx).  An extended column, and the extended rows of _site_rows, run
-on libmp tuples (mpf._mpf_) through the primitives the mpf operators call,
-in the same order and rounding to nearest at the ambient precision, so each
-value is the mpf expression's bit for bit without its object layer.  So do
-the multiprecision direct sum (_raw_p_sum), the nodes' Pochhammer products
-(_node_poch), _p_value's stopping test (_keeps), the weighted-function body
-P sqrt(u^2 rad / norm) (_weighted, at the dps of the P it weights) and the
-residual arithmetic of both identity checks (_residual); the records
-between them stay mpfs.  The q-number denominator lambda = q - 1/q
-(qarith._lam) is formed once per loop over q-numbers: in _u2_mp,
-_ptilde_factors, _coeffs_through and qarith._extend_qfacts.
+per (m, ctx).  The extended columns and _site_rows' extended rows, and the
+whole multiprecision point route, run on libmp tuples (mpf._mpf_) through
+the primitives the mpf operators call, in their order and rounding to
+nearest, so each value is the mpf expression's bit for bit without its
+object layer.  In the point route the tuple is the one format: each record
+(_sum_terms, _ptilde_factors, _node_rad, the Pochhammer lists) converts its
+mpf expressions once where it is built, _p_sum_at, _Value and _weight_at
+pass tuples on, and only the public returns (_public, weight_w) make an mpf
+or a float.  lambda = q - 1/q (qarith._lam) is formed once per loop over
+q-numbers: _u2_mp, _ptilde_factors, _coeffs_through, qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
 The weight is ldexp(sqrt(f rad), k), u^2 / norm ~ f 4**k (_weight_scale);
 the downward table keeps a binary exponent per entry.
 
-Every value is computed by the expression an inline evaluation uses, so the
-bounded records below keep values bit-identical to one.  x-independent:
-_weight_scale in binary64 (u^2 / norm as (f, k)); per (l, m, q, dps)
-_ptilde_factors (u^2, the normalization, the couplings to l -+ 1 and
-the checks' q-powers) and _sum_terms (the sum's terms); per (m, q, dps)
-_snorm_mp_cached.  Every sum is one kernel, _p_sum_at, over a point record
-_Node: x and its Pochhammer prefix list (x; q^-2)_k.  A lattice node
-sigma q^e (_snap_lattice) has one record _node and one radicand _node_rad
-per dps, and one P (_p_node) and one P~ (_ptilde_node) per (l, m), at the
-dps the rule gave them: p_lm, p_tilde and the identity checks read them, so
-each is summed once.  Any other point is transient and nothing caches it.
-The checks read P~ through _reader, the q-difference neighbours of a node as
-the nodes e -+ 2, and do their own arithmetic at the highest dps among the
-values they read; they sum every P~ directly, so they test the recurrence
-rather than restate it.  clear_caches() empties every cache of this module
-and of qarith.
+The bounded records below keep every value bit-identical to an inline
+evaluation.  x-independent: _weight_scale in binary64 (u^2 / norm as
+(f, k)); per (l, m, q, dps) _ptilde_factors (u^2, the normalization, the
+couplings to l -+ 1, the checks' q-powers) and _sum_terms; per (m, q, dps)
+_snorm_mp_cached.  Binary64 p_lm sums its own float loop, _p_sum; every
+multiprecision sum is one kernel, _p_sum_at, over a point record _Node (the
+mpf x and its Pochhammer prefix list (x; q^-2)_k).  A lattice node sigma q^e
+(_snap_lattice) has one _node and one _node_rad per dps, and one P (_p_node)
+and one P~ (_ptilde_node) per (l, m), at the dps the rule gave them, which
+p_lm, p_tilde and the identity checks read; any other point is transient
+and uncached.  The checks read P~ through _reader, the q-difference
+neighbours of a node as the nodes e -+ 2, at the highest dps among their
+reads; they sum every P~ directly, so they test the recurrence rather than
+restate it.  clear_caches() empties every cache of this module and qarith.
 
 The one lattice map is _site: the argument and prefactor of a chain site
 (sigma, m_t).  _doubled_rows builds the lattice matrix from it, one table
@@ -98,13 +95,25 @@ _TABLE_MIN = 1e-300       # a binary64 table entry below it reads +0.0
 
 
 # ---------------------------------------------------------------------------
-# generic kernels (operate on float or mpf alike)
+# kernels: the direct sums, the radicand and the normalization
 # ---------------------------------------------------------------------------
 
 def _p_sum(l, m, x, q):
-    """The binary64 direct sum at a transient point record, (value,
-    max_abs_term), so that callers can judge cancellation."""
-    return _p_sum_at(_Node(x, [1 + 0 * x]), tuple(_sum_factors(l, m, q, 0)))
+    """The binary64 direct sum at x, (value, max_abs_term), so that callers
+    can judge cancellation; (x; q^-2)_k is formed term by term."""
+    s = 0 * x
+    worst = abs(s)
+    pochx = 1 + 0 * x
+    for k, (bk, sign, pochd, a, b, c) in enumerate(_sum_factors(l, m, q, 0)):
+        if k:
+            pochx = pochx * (1 - x * bk)
+        t = sign * pochx / pochd
+        t = t * a * b / c
+        s = s + t
+        worst = max(worst, abs(t))
+    if s != s:          # max() above passes over a NaN term
+        worst = s
+    return s, worst
 
 
 def _sum_factors(l, m, q, dps):
@@ -124,36 +133,18 @@ def _sum_factors(l, m, q, dps):
 
 
 def _p_sum_at(point, terms):
-    """The direct sum at the point record over the per-term factors terms
-    of _sum_factors, with (x; q^-2)_k read from the point's Pochhammer list
-    (_node_poch): (value, max_abs_term).  Call under mp.workdps(dps) for an
-    mpf point, whose sum runs on libmp tuples (_raw_p_sum)."""
-    poch = _node_poch(point, terms)
-    if isinstance(point.x, mp.mpf):
-        s, worst = _raw_p_sum(poch, terms, mp.mp.prec)
-        return _mpf(s), _mpf(worst)
-    s = 0 * point.x
-    worst = abs(s)
-    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
-        t = sign * pochx / pochd
-        t = t * a * b / c
-        s = s + t
-        worst = max(worst, abs(t))
-    if s != s:          # max() above passes over a NaN term
-        worst = s
-    return s, worst
-
-
-def _raw_p_sum(poch, terms, prec):
-    """The mpf sum of _p_sum_at as libmp tuples, each operation rounded to
-    nearest at prec bits: max(worst, |t|) keeps worst unless |t| > worst,
-    and a NaN sum is its own largest term."""
+    """The multiprecision direct sum at the point record over the terms
+    record _sum_terms, (x; q^-2)_k read from the point's Pochhammer list
+    (_node_poch): (value, max_abs_term) as libmp tuples, each operation
+    rounded to nearest at the ambient precision (call it under workdps).
+    max(worst, |t|) keeps worst unless |t| > worst; a NaN sum is its own."""
+    prec = mp.mp.prec
     s = worst = fzero
-    for pochx, (_, sign, pochd, a, b, c) in zip(poch, terms):
-        t = mpf_div(mpf_mul(sign._mpf_, pochx._mpf_, prec, _RN), pochd._mpf_,
+    for pochx, (_, sign, pochd, a, b, c) in zip(_node_poch(point, terms),
+                                                terms):
+        t = mpf_div(mpf_mul(sign, pochx, prec, _RN), pochd, prec, _RN)
+        t = mpf_div(mpf_mul(mpf_mul(t, a, prec, _RN), b, prec, _RN), c,
                     prec, _RN)
-        t = mpf_div(mpf_mul(mpf_mul(t, a._mpf_, prec, _RN), b._mpf_, prec,
-                            _RN), c._mpf_, prec, _RN)
         s = mpf_add(s, t, prec, _RN)
         t = mpf_abs(t, prec, _RN)
         if mpf_gt(t, worst):
@@ -341,35 +332,37 @@ _PtildeFactors = namedtuple("_PtildeFactors", "u2 norm c_down c_up checks")
 @lru_cache(maxsize=16)
 def _ptilde_factors(l, m, qkey, dps):
     """The multiprecision record of everything in P~_l's weight and its
-    identity checks that does not depend on x, at (l, m, q, dps): u^2, the
-    normalization constant, the couplings to degrees l - 1 (c_down, 0 at
-    l = m) and l + 1 (c_up), and the q-powers of the checks (q**(m+1) of
-    check_recurrence, then the six of check_difference); u^2 at l = m is
-    the one _snorm_mp_cached holds."""
+    identity checks that does not depend on x, at (l, m, q, dps), as libmp
+    tuples: u^2, the normalization constant, the couplings to degrees l - 1
+    (c_down, 0 at l = m) and l + 1 (c_up), and the q-powers of the checks
+    (q**(m+1) of check_recurrence, then the six of check_difference); u^2
+    at l = m is the one _snorm_mp_cached holds."""
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         qn = partial(_qnum, q=q, lam=_lam(q))
         u2_mm, core = _snorm_mp_cached(m, qkey, dps)
         return _PtildeFactors(
-            u2_mm if l == m else _u2_mp(l, m, q), core * u2_mm,
-            _recurrence_coeff(l - 1, m, qn) if l > m else mp.mpf(0),
-            _recurrence_coeff(l, m, qn),
-            (q**(m + 1),
-             (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
-             (q * q + 1) * q**(-2 * (m + 2)),
-             q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4))
+            (u2_mm if l == m else _u2_mp(l, m, q))._mpf_,
+            (core * u2_mm)._mpf_,
+            _recurrence_coeff(l - 1, m, qn)._mpf_ if l > m else fzero,
+            _recurrence_coeff(l, m, qn)._mpf_,
+            tuple(v._mpf_ for v in (
+                q**(m + 1), (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
+                (q * q + 1) * q**(-2 * (m + 2)),
+                q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4)))
 
 
 @lru_cache(maxsize=8)
 def _sum_terms(l, m, qkey, dps):
-    """The terms of _sum_factors(l, m, q, dps) at dps digits, as a tuple:
-    the record every multiprecision sum reads."""
+    """The terms of _sum_factors(l, m, q, dps) at dps digits, as a tuple of
+    libmp tuples: the record every multiprecision sum reads."""
     with mp.workdps(dps):
-        return tuple(_sum_factors(l, m, mp.mpf(qkey), dps))
+        return tuple(tuple(v._mpf_ for v in term)
+                     for term in _sum_factors(l, m, mp.mpf(qkey), dps))
 
 
-_Node = namedtuple("_Node", "x poch")
-_Value = namedtuple("_Value", "dps v")     # a value and the dps it has
+_Node = namedtuple("_Node", "x poch")     # an mpf point, a list of tuples
+_Value = namedtuple("_Value", "dps v")     # a libmp tuple and its dps
 
 
 @lru_cache(maxsize=1024)
@@ -378,57 +371,49 @@ def _node(e, sigma, qkey, dps):
     digits: the point and the prefix list of its Pochhammer products
     (x; q^-2)_k, which _node_poch extends."""
     with mp.workdps(dps):
-        x = sigma * mp.mpf(qkey)**e
-        return _Node(x, [1 + 0 * x])
+        return _Node(sigma * mp.mpf(qkey)**e, [fone])
 
 
 def _node_poch(node, terms):
     """node.poch through the last index of terms, extended in place under
     _QFACT_LOCK (re-reading the length inside it); the factor 1 - x b_k
     reads b_k = q**(-2(k-1)) from the terms, the same value in every (l, m)
-    record of this (q, dps).  Call under mp.workdps(dps) for an mpf point,
-    whose products run on libmp tuples; the list holds mpfs."""
+    record of this (q, dps).  Call under mp.workdps(dps): the products run
+    on libmp tuples at the ambient precision."""
     poch = node.poch
     if len(poch) < len(terms):
         with _QFACT_LOCK:
-            x = node.x
-            if not isinstance(x, mp.mpf):
-                for k in range(len(poch), len(terms)):
-                    poch.append(poch[-1] * (1 - x * terms[k][0]))
-                return poch
-            prec, x, r = mp.mp.prec, x._mpf_, poch[-1]._mpf_
-            for k in range(len(poch), len(terms)):
-                f = mpf_sub(fone, mpf_mul(x, terms[k][0]._mpf_, prec, _RN),
-                            prec, _RN)
+            prec, x, r = mp.mp.prec, node.x._mpf_, poch[-1]
+            for bk, *_ in terms[len(poch):]:
+                f = mpf_sub(fone, mpf_mul(x, bk, prec, _RN), prec, _RN)
                 r = mpf_mul(r, f, prec, _RN)
-                poch.append(_mpf(r))
+                poch.append(r)
     return poch
 
 
 @lru_cache(maxsize=1024)
 def _node_rad(m, e, qkey, dps):
-    """The radicand _rad(m, x) at the nodes +-q^e, at dps digits.  It reads
-    only x^2, so both signs share it."""
+    """The radicand _rad(m, x) at the nodes +-q^e, at dps digits, as a libmp
+    tuple.  It reads only x^2, so both signs share it."""
     with mp.workdps(dps):
-        return _rad(m, _node(e, 1, qkey, dps).x, mp.mpf(qkey))
+        return _rad(m, _node(e, 1, qkey, dps).x, mp.mpf(qkey))._mpf_
 
 
 def _weight_at(l, m, rad, qkey, dps):
-    """weight_w at dps digits from rad = _rad(m, x): the mpf expression
-    mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples."""
+    """weight_w at dps digits from the tuple rad of _rad(m, x): the mpf
+    expression mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples."""
     f = _ptilde_factors(l, m, qkey, dps)
     prec = dps_to_prec(dps)
-    w = mpf_div(mpf_mul(f.u2._mpf_, rad._mpf_, prec, _RN), f.norm._mpf_,
-                prec, _RN)
-    return _mpf(mpf_sqrt(w, prec, _RN))
+    w = mpf_div(mpf_mul(f.u2, rad, prec, _RN), f.norm, prec, _RN)
+    return mpf_sqrt(w, prec, _RN)
 
 
 def _weighted(l, m, p, rad, qkey):
     """The record (dps, P~_l) from the record p = (dps, P) at x and the
-    radicand rad = _rad(m, x) at p.dps digits: the mpf expression
+    radicand rad of _rad(m, x) at p.dps digits: the mpf expression
     p.v * _weight_at(...), on libmp tuples."""
-    w = _weight_at(l, m, rad, qkey, p.dps)._mpf_
-    return _Value(p.dps, _mpf(mpf_mul(p.v._mpf_, w, dps_to_prec(p.dps), _RN)))
+    w = _weight_at(l, m, rad, qkey, p.dps)
+    return _Value(p.dps, mpf_mul(p.v, w, dps_to_prec(p.dps), _RN))
 
 
 def _sum_dps(l, m, t, q):
@@ -449,12 +434,12 @@ def _p_value(l, m, lift, t, qkey):
     all terms vanish), PrecisionError after 6 sums."""
     dps = start = _sum_dps(l, m, t, qkey)
     if l == m or ((l - m) % 2 and t == -math.inf):   # 1, and an odd P at 0
-        return _Value(dps, mp.mpf(int(l == m)))
+        return _Value(dps, fone if l == m else fzero)
     for _ in range(6):
         with mp.workdps(dps):
             point = lift(dps)
             s, worst = _p_sum_at(point, _sum_terms(l, m, qkey, dps))
-            if _keeps(s._mpf_, worst._mpf_, dps, mp.mp.prec):
+            if _keeps(s, worst, dps, mp.mp.prec):
                 return _Value(dps, s)
         dps *= 2
     raise PrecisionError(
@@ -465,12 +450,8 @@ def _p_value(l, m, lift, t, qkey):
 def _keeps(s, worst, dps, prec):
     """The stopping test of _p_value on libmp tuples, worst == 0 or (s != 0
     and worst < |s| 10**(dps - _KEEP)) with mpf operators at prec bits."""
-    if mpf_eq(worst, fzero):
-        return True
-    if mpf_eq(s, fzero):
-        return False
-    return mpf_lt(worst, mpf_mul_int(mpf_abs(s, prec, _RN), 10**(dps - _KEEP),
-                                     prec, _RN))
+    return worst == fzero or (s != fzero and mpf_lt(worst, mpf_mul_int(
+        mpf_abs(s, prec, _RN), 10**(dps - _KEEP), prec, _RN)))
 
 
 @lru_cache(maxsize=64)
@@ -504,7 +485,7 @@ def _transient(x, qkey, step=0):
         xx = mp.mpf(x)
         if step:
             xx = xx * mp.mpf(qkey)**2 if step > 0 else xx / mp.mpf(qkey)**2
-        return _Node(xx, [1 + 0 * xx])
+        return _Node(xx, [fone])
     return lift
 
 
@@ -525,7 +506,7 @@ def _reader(x, m, qkey):
         lift = _transient(x, qkey, step)
         p = _p_value(l, m, lift, t + 2 * step, qkey)
         with mp.workdps(p.dps):
-            rad = _rad(m, lift(p.dps).x, mp.mpf(qkey))
+            rad = _rad(m, lift(p.dps).x, mp.mpf(qkey))._mpf_
         return _weighted(l, m, p, rad, qkey)
     return t, _transient(x, qkey), read
 
@@ -539,6 +520,18 @@ def _check_args(m, x):
 
 
 _mpf = mp.make_mpf         # an mpf around a libmp tuple, as the operators make
+
+
+def _public(v, ctx, name, l, m, x):
+    """The tuple v of name(l, m, x) as a public value: an mpf in extended
+    mode, else float(mpf)'s rounding, a PrecisionError beyond binary64."""
+    if ctx.is_extended:
+        return _mpf(v)
+    f = to_float(v, rnd=_RN)
+    if not math.isfinite(f):
+        raise PrecisionError(f"{name}({l}, {m}, {float(x)}) at q="
+                             f"{float(ctx.q)} leaves the binary64 range")
+    return f
 
 
 def _raw(v):
@@ -577,14 +570,7 @@ def p_lm(l: int, m: int, x, ctx: QContext):
         p = _p_value(l, m, _transient(x, qkey), _exponent(x, qkey), qkey)
     else:
         p = _p_node(l, m, *snap, qkey)
-    if ctx.is_extended:
-        return p.v
-    v = float(p.v)
-    if not math.isfinite(v):
-        raise PrecisionError(
-            f"p_lm({l}, {m}, {float(x)}) at q={qkey} leaves the binary64 "
-            f"range")
-    return v
+    return _public(p.v, ctx, "p_lm", l, m, x)
 
 
 @_at_ctx_dps
@@ -602,8 +588,8 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     if l < m:
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
-        rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))
-        return _weight_at(l, m, rad, float(ctx.q), ctx.dps)
+        rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))._mpf_
+        return _mpf(_weight_at(l, m, rad, float(ctx.q), ctx.dps))
     q = float(ctx.q)
     r = _rad(m, float(x), q)        # DomainError or PrecisionError first
     f, k = _weight_scale(l, m, q)
@@ -647,12 +633,7 @@ def p_tilde(l: int, m: int, x, ctx: QContext):
             if 2.0**-1022 <= abs(v) < math.inf:     # a normal number
                 return v
     _, _, read = _reader(x, m, q)
-    v = ctx.out(read(l).v)
-    if not (ctx.is_extended or math.isfinite(v)):
-        raise PrecisionError(
-            f"p_tilde({l}, {m}, {float(x)}) at q={q} leaves the binary64 "
-            f"range")
-    return v
+    return _public(read(l).v, ctx, "p_tilde", l, m, x)
 
 
 def _recurrence_coeff(l, m, qn):
@@ -907,12 +888,10 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     f = _ptilde_factors(l, m, qkey, dps)
     with mp.workdps(dps):
         prec, x = mp.mp.prec, lift(dps).x._mpf_
-    lhs = mpf_mul(mpf_mul(x, f.checks[0]._mpf_, prec, _RN), here.v._mpf_,
-                  prec, _RN)
-    rhs = mpf_mul(f.c_up._mpf_, up.v._mpf_, prec, _RN)
+    lhs = mpf_mul(mpf_mul(x, f.checks[0], prec, _RN), here.v, prec, _RN)
+    rhs = mpf_mul(f.c_up, up.v, prec, _RN)
     if down is not None:
-        rhs = mpf_add(rhs, mpf_mul(f.c_down._mpf_, down.v._mpf_, prec, _RN),
-                      prec, _RN)
+        rhs = mpf_add(rhs, mpf_mul(f.c_down, down.v, prec, _RN), prec, _RN)
     return _residual(lhs, rhs, prec)
 
 
@@ -937,29 +916,23 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     dps = max(here.dps, inner.dps if inner else 0,
               outer.dps if outer else 0)
     _, shell, centre, q4m, c_in, c_out, q4 = \
-        (v._mpf_ for v in _ptilde_factors(l, m, qkey, dps).checks)
+        _ptilde_factors(l, m, qkey, dps).checks
     with mp.workdps(dps):
         prec, xx = mp.mp.prec, lift(dps).x._mpf_
 
-    def mul(a, b):
-        return mpf_mul(a, b, prec, _RN)
-
-    def sub(a, b):
-        return mpf_sub(a, b, prec, _RN)
-
+    mul = partial(mpf_mul, prec=prec, rnd=_RN)
+    sub = partial(mpf_sub, prec=prec, rnd=_RN)
     x2 = mul(xx, xx)
-    lhs = mul(sub(mul(shell, mpf_pow_int(xx, 2, prec, _RN)), centre),
-              here.v._mpf_)
+    lhs = mul(sub(mul(shell, mpf_pow_int(xx, 2, prec, _RN)), centre), here.v)
     rhs = fzero
     # each radicand is positive where it enters: its bounds on t are even
     # exponents, the lattice nodes an argument near them snaps to
     if inner is not None:
         rad = mul(sub(fone, x2), sub(fone, mul(x2, q4m)))
-        rhs = sub(rhs, mul(mul(c_in, mpf_sqrt(rad, prec, _RN)),
-                           inner.v._mpf_))
+        rhs = sub(rhs, mul(mul(c_in, mpf_sqrt(rad, prec, _RN)), inner.v))
     if outer is not None:
         rad = mul(sub(c_out, x2), sub(q4, x2))
-        rhs = sub(rhs, mul(mpf_sqrt(rad, prec, _RN), outer.v._mpf_))
+        rhs = sub(rhs, mul(mpf_sqrt(rad, prec, _RN), outer.v))
     return _residual(lhs, rhs, prec)
 
 

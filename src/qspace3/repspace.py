@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from .context import QContext
-from .errors import DomainError, WindowError
+from .errors import DomainError, PrecisionError, WindowError
 from .operators import Coords, LabeledOperator, RepFamily, RepWindow, _Band
 from .qarith import _qnum
 from .qspecial import _coeffs_through, _recurrence_coeff, _sqrt_any
@@ -91,9 +91,16 @@ def _mt_line(window):
 
 def casimir_eigenvalue(l, ctx: QContext) -> float:
     """q [l][l+1], the quadratic Casimir value on the spin-l ladder
-    (l may be half-integer)."""
+    (l may be half-integer), binary64 in both modes and finite."""
     q = float(ctx.q)
-    return q * _qnum(l, q) * _qnum(l + 1, q)
+    try:
+        v = q * _qnum(l, q) * _qnum(l + 1, q)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise PrecisionError(f"q [{l}][{l + 1}] at q={q} leaves binary64, "
+                             f"which both precision modes compute it in")
+    return v
 
 
 def r0_from_z0(z0: float, ctx: QContext) -> float:
@@ -610,8 +617,10 @@ def x3_block(M: int, m: int, l_max: int, r0: float, ctx: QContext):
     binary64 recurrence coefficients of p_tilde_table (symmetric in m)
     times r0 q^(2M+m).
 
-    Zero diagonal; returns (offdiag, l labels ascending from |m|)."""
+    Zero diagonal; returns (offdiag, l labels from |m| up to l_max >= |m|)."""
     am = abs(m)
+    if l_max < am:
+        raise DomainError(f"l_max={l_max} holds no degree of |m|={am}")
     c = _coeffs_through(l_max - 1, am, replace(ctx, precision="double"))
     E = r0 * float(ctx.q)**(2 * M + m) * np.array(c[am:l_max])
     return E, list(range(am, l_max + 1))

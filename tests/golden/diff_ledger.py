@@ -1,13 +1,15 @@
-"""Compares a regenerated golden ledger with the committed file and prints
-each changed entry: the grid point, the entry's name, the old value and the
-new one, one per line, then a count.
+"""Compares regenerated golden ledgers with the committed files and prints
+each changed entry: the ledger, the grid point, the entry's name, the old
+value and the new one, one per line, then a count per ledger.
 
+    PYTHONPATH=src python tests/golden/diff_ledger.py
     PYTHONPATH=src python tests/golden/diff_ledger.py special_values
-    PYTHONPATH=src python tests/golden/diff_ledger.py identity_residuals
-    PYTHONPATH=src python tests/golden/diff_ledger.py table_values
 
-The ledger is recomputed in memory by its make_*.py module; the file is
-not written.  Exit status 1 when an entry changed, 0 when none did.
+With no argument it diffs every ledger of LEDGERS (special_values,
+escalation_values, identity_residuals, table_values), so one command shows
+whether a change keeps them all bit for bit; with a name, that ledger only.
+Each ledger is recomputed in memory by its make_*.py module; no file is
+written.  Exit status 1 when an entry changed, 0 when none did.
 """
 
 import json
@@ -88,14 +90,17 @@ def _paths(v, prefix=""):
 
 
 def main(argv):
-    if len(argv) != 1 or argv[0] not in LEDGERS:
-        sys.exit(f"usage: diff_ledger.py {{{','.join(LEDGERS)}}}")
-    count = 0
-    for q, point, key, old, new in changes(argv[0]):
-        count += 1
-        print(json.dumps([q, point, key, old, new]))
-    print(f"{count} changed entries", file=sys.stderr)
-    return 1 if count else 0
+    if len(argv) > 1 or not set(argv) <= LEDGERS.keys():
+        sys.exit(f"usage: diff_ledger.py [{{{','.join(LEDGERS)}}}]")
+    total = 0
+    for name in argv or LEDGERS:
+        count = 0
+        for q, point, key, old, new in changes(name):
+            count += 1
+            print(json.dumps([name, q, point, key, old, new]))
+        print(f"{name}: {count} changed entries", file=sys.stderr)
+        total += count
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -127,6 +127,17 @@ class TestTransforms:
         with pytest.raises(CoverageError):
             bt.build_transform(1, 5, CTX, l_max=3)
 
+    @pytest.mark.parametrize("direction, window", [
+        (1, {"depth": 1}), (1, {"depth": 0}), (1, {"depth": -1}),
+        (2, {"nu_depth": -1})])
+    def test_window_with_nothing_to_measure_rejected(self, direction,
+                                                     window):
+        # direction 1 drops the two deepest chain sites from its congruence
+        # window, so a depth below 2 keeps none; a negative nu_depth holds
+        # no X3 level
+        with pytest.raises(CoverageError):
+            bt.build_transform(direction, 0, CTX, l_max=6, **window)
+
     def test_serialization_round_trip(self, tmp_path):
         import csv
         t = bt.build_transform(2, 1, CTX, M=0, l_max=12, nu_depth=3)

@@ -194,7 +194,8 @@ def test_spectrum_and_transform_exit_code_contract(capsys):
     # every verb and --z0 of the grid exits 0, 2, 3 or 4 without a
     # traceback, and every report it writes is strict JSON; a non-finite
     # z0, one whose levels leave binary64 (the R2 level q^2 z0^2 at
-    # z0 = 1e200), and a window that holds no level, exit 3
+    # z0 = 1e200), a window that holds no level, and a transform window
+    # that keeps no congruence site, exit 3
     verbs = [["spectrum", obs, "--q", "2", "--depth", "4"]
              for obs in ("x3", "r2", "t3", "t2")]
     verbs += [["transform", "--direction", d, "--m", "1", "--lmax", "6",
@@ -203,6 +204,8 @@ def test_spectrum_and_transform_exit_code_contract(capsys):
              for obs in ("x3", "r2", "t2")]
     empty += [["spectrum", "t3", "--q", "2", "--depth", d, "--kwidth", k]
               for d, k in (("2", "-3"), ("-1", "0"))]
+    empty += [["transform", "--direction", "1", "--m", "0", "--lmax", "6",
+               "--depth", d] for d in ("-1", "0", "1")]
     failures = []
     for argv0 in verbs + empty:
         for z0 in ("nan", "inf", "-inf", "1e200", "1"):

@@ -158,6 +158,25 @@ def test_reports_match_the_ledger(entry):
     assert tables.report(argv) == [code, report]
 
 
+def test_ledger_diff_without_a_name_diffs_every_ledger(monkeypatch, capsys):
+    # one command covers every ledger, and any changed entry fails it
+    changed = {"table_values": [(2.0, [3, 1], "P~_3 double", "0x1p+0",
+                                 "0x1p+1")]}
+    monkeypatch.setattr(diff_ledger, "changes",
+                        lambda name: iter(changed.get(name, ())))
+    assert diff_ledger.main([]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == ["table_values", 2.0, [3, 1], "P~_3 double",
+                               "0x1p+0", "0x1p+1"]
+    assert err.splitlines() == [f"{name}: {int(name in changed)} changed "
+                                f"entries" for name in diff_ledger.LEDGERS]
+    assert diff_ledger.main(["special_values"]) == 0
+    changed.clear()
+    assert diff_ledger.main([]) == 0
+    with pytest.raises(SystemExit, match="usage"):
+        diff_ledger.main(["operators"])
+
+
 def test_ledger_diff_names_each_entry():
     # a point's value part flattens to one named entry per mode and check
     mpf = [0, "0x1", 0, 1]

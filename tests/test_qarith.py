@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qspace3 import DomainError, QContext
+from qspace3 import DomainError, PrecisionError, QContext
 from qspace3 import qarith as qa
 from qspace3 import qspecial as qs
 
@@ -244,6 +244,21 @@ class TestQBinomial:
                     num *= (q**(n - j) - q**(-(n - j))) / (q**(j + 1) - q**(-(j + 1)))
                 assert qa.qbinomial_sym(n, k, CTX15) == pytest.approx(
                     num, rel=5e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: qa.qnum_sym(2000, ctx),          # q**a overflows
+    lambda ctx: qa.qfactorial_sym(3000, ctx),    # rounds to inf
+    lambda ctx: qa.qbinomial_sym(3000, 1, ctx),  # inf / inf
+    lambda ctx: qa.qbinomial_sym(2000, 0, ctx)],
+    ids=["qnum", "qfactorial", "qbinomial", "qbinomial_edge"])
+def test_binary64_value_beyond_the_range_raises(call):
+    # no OverflowError, inf or NaN: a PrecisionError that names the
+    # extended mode, where the value is finite
+    with pytest.raises(PrecisionError, match="QSPACE3_PRECISION=extended"):
+        call(CTX15)
+    v = call(QContext(q=1.5, precision="extended"))
+    assert type(v) is mp.mpf and mp.isfinite(v) and v > 0
 
 
 class TestExtendedMode:

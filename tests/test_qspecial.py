@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import finf, fone, fzero, mpf_gt
 
 import exact as ex
 from qspace3 import DomainError, PrecisionError, QContext, cli
@@ -125,16 +126,21 @@ class TestPolynomial:
 class TestEscalation:
     @staticmethod
     def _spy_sums(monkeypatch):
-        """Patch _p_sum_at to log each sum: None for a binary64 one, the
-        working dps for an mpf one."""
+        """Patch _p_sum and _p_sum_at to log each sum: None for a binary64
+        one, the working dps for a multiprecision one."""
         sums = []
-        p_sum_at = qs._p_sum_at
+        p_sum, p_sum_at = qs._p_sum, qs._p_sum_at
 
-        def counted(point, terms):
-            sums.append(mp.mp.dps if isinstance(point.x, mp.mpf) else None)
+        def binary64(*args):
+            sums.append(None)
+            return p_sum(*args)
+
+        def multiprecision(point, terms):
+            sums.append(mp.mp.dps)
             return p_sum_at(point, terms)
 
-        monkeypatch.setattr(qs, "_p_sum_at", counted)
+        monkeypatch.setattr(qs, "_p_sum", binary64)
+        monkeypatch.setattr(qs, "_p_sum_at", multiprecision)
         return sums
 
     def test_escalation_starts_at_the_rule_dps(self, monkeypatch):
@@ -164,11 +170,12 @@ class TestEscalation:
         with mp.workdps(89):
             s, worst = qs._p_sum_at(qs._node(-18, 1, 1.5, 89),
                                     qs._sum_terms(20, 0, 1.5, 89))
-        assert s == 0 and worst > 0
+        assert s == fzero and mpf_gt(worst, fzero)
         monkeypatch.setattr(qs, "_sum_dps", lambda *args: 89)
         sums = self._spy_sums(monkeypatch)
         p = qs._p_value(20, 0, partial(qs._node, -18, 1, 1.5), -18, 1.5)
-        assert sums == [89, 178] and p.dps == 178 and float(p.v) == got
+        assert sums == [89, 178] and p.dps == 178
+        assert float(mp.make_mpf(p.v)) == got
 
     def test_p_lm_and_p_tilde_share_the_node_record(self, monkeypatch):
         # binary64 p_lm (after its float sum), extended p_lm and p_tilde in
@@ -201,20 +208,21 @@ class TestEscalation:
         assert math.isnan(s) and math.isnan(worst)
 
     @staticmethod
-    def _never_converges(point, terms):
-        # a sum whose largest term dwarfs it at every precision
-        x = point.x
-        return 1 + 0 * x, (mp.inf if isinstance(x, mp.mpf) else math.inf)
+    def _never_converges(monkeypatch):
+        # binary64 and multiprecision sums whose largest term dwarfs them at
+        # every precision
+        monkeypatch.setattr(qs, "_p_sum", lambda *args: (1.0, math.inf))
+        monkeypatch.setattr(qs, "_p_sum_at", lambda *args: (fone, finf))
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_non_convergence_raises(self, monkeypatch, precision):
-        monkeypatch.setattr(qs, "_p_sum_at", self._never_converges)
+        self._never_converges(monkeypatch)
         with pytest.raises(PrecisionError):
             qs.p_lm(5, 0, 0.3, QContext(q=1.5, precision=precision))
 
     def test_non_convergence_exits_4(self, monkeypatch):
         from qspace3.cli import main
-        monkeypatch.setattr(qs, "_p_sum_at", self._never_converges)
+        self._never_converges(monkeypatch)
         assert main(["poly", "--l", "5", "--m", "0", "--x", "0.3"]) == 4
 
     @pytest.mark.parametrize("l, m, x, q", [(3, 1, 1e300, 1.1),
@@ -423,8 +431,7 @@ class TestWeightedFunction:
                 ref = qs._ptilde_node(l, m, e, sigma, q)
 
                 def transient(dps):     # called under mp.workdps(dps)
-                    x = sigma * mp.mpf(q)**e
-                    return qs._Node(x, [1 + 0 * x])
+                    return qs._Node(sigma * mp.mpf(q)**e, [fone])
 
                 with mp.workdps(ref.dps):
                     node = qs._node(e, sigma, q, ref.dps)
@@ -433,12 +440,12 @@ class TestWeightedFunction:
                     terms = qs._sum_terms(l, m, q, ref.dps)
                     got = qs._node_poch(point, terms)
                     want = qs._node_poch(node, terms)[:len(terms)]
-                    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+                    assert all(type(v) is tuple for v in got) and got == want
                     p = qs._p_value(l, m, transient, e, q)
-                    v = p.v * qs._weight_at(
-                        l, m, qs._rad(m, point.x, mp.mpf(q)), q, p.dps)
-                assert p.dps == ref.dps and v._mpf_ == ref.v._mpf_, \
-                    (l, sigma)
+                    rad = qs._rad(m, point.x, mp.mpf(q))._mpf_
+                    v = mp.make_mpf(p.v) \
+                        * mp.make_mpf(qs._weight_at(l, m, rad, q, p.dps))
+                assert p.dps == ref.dps and v._mpf_ == ref.v, (l, sigma)
 
     def test_deep_degree_beyond_binary64_range(self):
         # at q = 2, l = 46 the weight and polynomial factors individually
@@ -772,8 +779,9 @@ class TestIdentities:
                         down = qs._recurrence_coeff(l - 1, m, qn_mp) \
                             if l > m else mp.mpf(0)
                     f = qs._ptilde_factors(l, m, q, dps)
-                    assert isinstance(f.c_up, mp.mpf) and f.c_up == up
-                    assert isinstance(f.c_down, mp.mpf) and f.c_down == down
+                    assert type(f.c_up) is tuple and f.c_up == up._mpf_
+                    assert type(f.c_down) is tuple \
+                        and f.c_down == down._mpf_
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("fn,l,m", [
@@ -1036,12 +1044,14 @@ class TestAgainstInlineSums:
         for l, m in self.LM:
             for x in _points(m, q):
                 with mp.workdps(dps or mp.mp.dps):
-                    xq = (mp.mpf(x), mp.mpf(q)) if dps else (x, q)
-                    got = [_bits(v) for v in (
-                        qs._p_sum_at(qs._Node(xq[0], [1 + 0 * xq[0]]),
-                                     qs._sum_terms(l, m, q, dps))
-                        if dps else qs._p_sum(l, m, x, q))]
-                    ref = [_bits(v) for v in _ref_p_sum(l, m, *xq, dps)]
+                    if dps:     # libmp tuples, the mpfs' exact forms
+                        xq = (mp.mpf(x), mp.mpf(q))
+                        got = list(qs._p_sum_at(qs._Node(xq[0], [fone]),
+                                                qs._sum_terms(l, m, q, dps)))
+                        ref = [v._mpf_ for v in _ref_p_sum(l, m, *xq, dps)]
+                    else:
+                        got = [_bits(v) for v in qs._p_sum(l, m, x, q)]
+                        ref = [_bits(v) for v in _ref_p_sum(l, m, x, q)]
                 assert got == ref, (l, m, x)
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
@@ -1112,12 +1122,14 @@ class TestTupleRoute:
 
     @staticmethod
     def _mpf_sum(x, terms):
-        # the mpf loop of _p_sum_at, with the Pochhammer products of
-        # _node_poch written out from x and the terms' b_k
+        # the mpf loop of _p_sum_at over the mpfs of the terms record, with
+        # the Pochhammer products of _node_poch written out from x and the
+        # terms' b_k
         s = 0 * x
         worst = abs(s)
         pochx = 1 + 0 * x
-        for k, (bk, sign, pochd, a, b, c) in enumerate(terms):
+        for k, term in enumerate(terms):
+            bk, sign, pochd, a, b, c = map(mp.make_mpf, term)
             if k:
                 pochx = pochx * (1 - x * bk)
             t = sign * pochx / pochd
@@ -1156,7 +1168,8 @@ class TestTupleRoute:
         with mp.workdps(dps):
             rad = qs._rad(m, lift(dps).x, mp.mpf(q))
             f = qs._ptilde_factors(l, m, q, dps)
-            return dps, p * mp.sqrt(f.u2 * rad / f.norm)
+            return dps, p * mp.sqrt(mp.make_mpf(f.u2) * rad
+                                    / mp.make_mpf(f.norm))
 
     def _mpf_checks(self, l, m, x, q):
         # check_recurrence and check_difference written in mpf over the
@@ -1171,15 +1184,16 @@ class TestTupleRoute:
         dps = max(d for k, (d, _) in reads.items() if k[1] == 0)
         with mp.workdps(dps):
             f = qs._ptilde_factors(l, m, q, dps)
-            lhs = lift(dps).x * f.checks[0] * reads[l, 0][1]
-            rhs = f.c_up * reads[l + 1, 0][1]
+            c_down, c_up = map(mp.make_mpf, (f.c_down, f.c_up))
+            lhs = lift(dps).x * mp.make_mpf(f.checks[0]) * reads[l, 0][1]
+            rhs = c_up * reads[l + 1, 0][1]
             if l > m:
-                rhs += f.c_down * reads[l - 1, 0][1]
+                rhs += c_down * reads[l - 1, 0][1]
             rec = float(abs(lhs - rhs) / max(1, abs(lhs)))
         dps = max(d for k, (d, _) in reads.items() if k[0] == l)
         with mp.workdps(dps):
             _, shell, centre, q4m, c_in, c_out, q4 = \
-                qs._ptilde_factors(l, m, q, dps).checks
+                map(mp.make_mpf, qs._ptilde_factors(l, m, q, dps).checks)
             xx = lift(dps).x
             lhs = (shell * xx**2 - centre) * reads[l, 0][1]
             rhs = mp.mpf(0)
@@ -1206,7 +1220,7 @@ class TestTupleRoute:
                     _, _, read = qs._reader(x, m, q)
                     for (k, step), (dps, v) in reads.items():
                         got = read(k, step)
-                        assert (got.dps, got.v._mpf_) == (dps, v._mpf_), \
+                        assert (got.dps, got.v) == (dps, v._mpf_), \
                             (l, m, x, k, step)
                     assert float.hex(qs.check_recurrence(l, m, x, ctx)) \
                         == float.hex(rec), (l, m, x)
@@ -1223,15 +1237,15 @@ class TestTupleRoute:
             qs.clear_caches()
             p = qs._p_value(9, 0, lift, t, 3.0)
             dps, v = self._mpf_value(9, 0, lift, t, 3.0, 40)
-            assert (p.dps, p.v._mpf_) == (dps, v._mpf_) and dps == 80
+            assert (p.dps, p.v) == (dps, v._mpf_) and dps == 80
             with mp.workdps(p.dps):
                 point = lift(p.dps)
                 terms = qs._sum_terms(9, 0, 3.0, p.dps)
                 got = qs._p_sum_at(point, terms)
-                assert [type(v) for v in got] == [mp.mpf, mp.mpf]
-                assert [v._mpf_ for v in got] \
+                assert [type(v) for v in got] == [tuple, tuple]
+                assert list(got) \
                     == [v._mpf_ for v in self._mpf_sum(point.x, terms)]
-            assert all(type(v) is mp.mpf for v in point.poch)
+            assert all(type(v) is tuple for v in point.poch)
 
     def test_stopping_test_at_its_boundary(self):
         # worst just below, at and just above |s| 10**(dps - _KEEP), and the
@@ -1297,6 +1311,57 @@ def test_clear_caches_empties_every_cache():
     for cache in caches:
         assert cache.cache_info().currsize == 0, cache.__name__
     assert values() == cached
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_public_values_have_the_mode_type(precision):
+    # each public value is a float in binary64 and an mpf in extended
+    # mode, at lattice nodes of both signs, between them, at x = 0, at
+    # l = m and below the order; each residual is a float in both modes
+    kind = mp.mpf if precision == "extended" else float
+    wrong = []
+
+    def expect(want, name, v):
+        if type(v) is not want:
+            wrong.append((name, type(v).__name__))
+
+    for q in (1.5, 3.0):
+        ctx = QContext(q=q, precision=precision)
+        for m in (0, 2):
+            for x in _points(m, q) + [0.0]:
+                for v in qs.p_tilde_table(m + 3, m, x, ctx):
+                    expect(kind, "p_tilde_table", v)
+                for l in (m - 1, m, m + 1, m + 3):
+                    args = (l, m, x, ctx)
+                    expect(kind, "p_lm", qs.p_lm(*args))
+                    expect(kind, "p_tilde", qs.p_tilde(*args))
+                    if l < m:
+                        continue
+                    expect(kind, "weight_w", qs.weight_w(*args))
+                    if x != 0:
+                        expect(float, "check_difference",
+                               qs.check_difference(*args))
+                    if x != 0 or (l - m) % 2:
+                        expect(float, "check_recurrence",
+                               qs.check_recurrence(*args))
+            for l in (m, m + 1):
+                expect(kind, "recurrence_coeff_up",
+                       qs.recurrence_coeff_up(l, m, ctx))
+                expect(kind, "recurrence_coeff_down",
+                       qs.recurrence_coeff_down(l, m, ctx))
+            expect(kind, "orthonormality_sum",
+                   qs.orthonormality_sum(m, m + 1, m, ctx, n_min=-8))
+            expect(kind, "completeness_sum",
+                   qs.completeness_sum(-m, -m - 1, 1, -1, m, ctx, l_max=8))
+            for mm in (m, -m):
+                for l in (abs(mm) - 1, abs(mm), abs(mm) + 2):
+                    expect(kind, "c_coeff", bt.c_coeff(l, mm, -2, 1, ctx))
+                    expect(kind, "d_coeff", bt.d_coeff(0, l, mm, -2, -1, ctx))
+                expect(float, "check_t2", bt.check_t2(abs(mm) + 1, mm, -2,
+                                                      1, ctx))
+                expect(float, "check_x3_recursion",
+                       bt.check_x3_recursion(0, abs(mm) + 1, mm, -2, 1, ctx))
+    assert not wrong, sorted(set(wrong))
 
 
 class TestLatticeSums:

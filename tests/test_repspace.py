@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspace3 import DomainError, QContext, WindowError
+from qspace3 import DomainError, PrecisionError, QContext, WindowError
 from qspace3.operators import LabeledOperator, RepFamily, RepWindow
 from qspace3 import repspace as rs
 from qspace3.relations import _Band, _interior_residual, _su2_relations
@@ -293,6 +293,21 @@ class TestLBasis:
             levels = rs.x3_block_levels(0, m, 40, r0, CTX)
             assert levels, m
             assert max(rel for (_, _, rel) in levels) < 1e-6
+
+    @pytest.mark.parametrize("m", [5, -5])
+    def test_block_below_the_order_rejected(self, m):
+        # l_max = 3 < |m| holds no degree: no block and no levels
+        for f in (rs.x3_block, rs.x3_block_levels):
+            with pytest.raises(DomainError):
+                f(0, m, 3, 1.0, CTX)
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("l", [1000, 2000])
+    def test_casimir_value_beyond_binary64_raises(self, l, precision):
+        # q [l][l+1] is binary64 in both modes: at l = 1000 the product
+        # overflows to inf, at l = 2000 the power q**l itself
+        with pytest.raises(PrecisionError):
+            rs.casimir_eigenvalue(l, QContext(q=1.5, precision=precision))
 
 
 class TestCasimirAndL:
