@@ -257,6 +257,12 @@ def build_transform(direction, m: int, ctx: QContext, M: int = 0,
     if (depth < _MARGIN) if direction == "mtk_to_lm" else (nu_depth < 0):
         raise CoverageError(f"the {direction} window keeps no site to "
                             f"measure: depth={depth}, nu_depth={nu_depth}")
+    if direction == "mtk_to_lm" and 2 * (depth + 1) < l_max - am + 1:
+        # fewer rows than columns: U^T U has rank below the identity's, so
+        # the Gram defect is at least 1 and measures nothing
+        raise CoverageError(
+            f"the {direction} window has {2 * (depth + 1)} sites for "
+            f"{l_max - am + 1} degrees: depth={depth}, l_max={l_max}, m={m}")
 
     if direction == "mtk_to_lm":
         l_values = list(range(am, l_max + 1))

@@ -20,12 +20,16 @@ per (m, ctx).  The extended columns and _site_rows' extended rows, and the
 whole multiprecision point route, run on libmp tuples (mpf._mpf_) through
 the primitives the mpf operators call, in their order and rounding to
 nearest, so each value is the mpf expression's bit for bit without its
-object layer.  In the point route the tuple is the one format: each record
-(_sum_terms, _ptilde_factors, _node_rad, the Pochhammer lists) converts its
-mpf expressions once where it is built, _p_sum_at, _Value and _weight_at
+object layer; every tuple division is one kernel, qarith._div, mpf_div's
+value with an exact quotient's trailing zeros stripped in one shift.  In
+the point route the tuple is the one format: _sum_terms builds its terms on
+tuples, over qarith's tuple q-factorial lists; the other records
+(_ptilde_factors, _node_rad, the Pochhammer lists) convert their mpf
+expressions once where they are built; _p_sum_at, _Value and _weight_at
 pass tuples on, and only the public returns (_public, weight_w) make an mpf
-or a float.  lambda = q - 1/q (qarith._lam) is formed once per loop over
-q-numbers: _u2_mp, _ptilde_factors, _coeffs_through, qarith._extend_qfacts.
+or a float.  lambda = q - 1/q is formed once per loop over q-numbers:
+qarith._lam in _u2_mp, _ptilde_factors and _coeffs_through, and on tuples
+in qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
@@ -68,13 +72,13 @@ from functools import lru_cache, partial
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (dps_to_prec, fone, from_float, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_eq, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_pow_int, mpf_sqrt, mpf_sub,
-                          round_nearest as _RN, to_float)
+                          mpf_add, mpf_eq, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt,
+                          mpf_sub, round_nearest as _RN, to_float)
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
-from .qarith import (_lam, _qnum, _qbin, _qfact_cached, _qfact_list,
+from .qarith import (_div, _lam, _qnum, _qbin, _qfact_cached, _qfact_list,
                      _QFACT_LOCK, _zero)
 
 __all__ = [
@@ -104,7 +108,7 @@ def _p_sum(l, m, x, q):
     s = 0 * x
     worst = abs(s)
     pochx = 1 + 0 * x
-    for k, (bk, sign, pochd, a, b, c) in enumerate(_sum_factors(l, m, q, 0)):
+    for k, (bk, sign, pochd, a, b, c) in enumerate(_sum_factors(l, m, q)):
         if k:
             pochx = pochx * (1 - x * bk)
         t = sign * pochx / pochd
@@ -116,20 +120,20 @@ def _p_sum(l, m, x, q):
     return s, worst
 
 
-def _sum_factors(l, m, q, dps):
-    """The x-independent factors of each term k = 0..l-m of the direct sum:
-    base**(k-1), the sign-power (-1)**k q**(-k(m+1)), the denominator
-    Pochhammer and the three q-binomials, one tuple per term."""
+def _sum_factors(l, m, q):
+    """The x-independent factors of each binary64 term k = 0..l-m of the
+    direct sum: base**(k-1), the sign-power (-1)**k q**(-k(m+1)), the
+    denominator Pochhammer and the three q-binomials, one tuple per term;
+    _sum_terms is the multiprecision record of the same expressions."""
     base = q**-2
     shift = q**(-2 * (m + 1))
-    bk = pochd = 1 + 0 * q
+    bk = pochd = 1.0
     for k in range(l - m + 1):
         if k > 0:
             bk = base**(k - 1)
             pochd = pochd * (1 + shift * bk)
         yield (bk, (-1)**k * q**(-k * (m + 1)), pochd,
-               _qbin(l - m, k, q, dps), _qbin(l + m + k, k, q, dps),
-               _qbin(m + k, k, q, dps))
+               _qbin(l - m, k, q), _qbin(l + m + k, k, q), _qbin(m + k, k, q))
 
 
 def _p_sum_at(point, terms):
@@ -142,9 +146,8 @@ def _p_sum_at(point, terms):
     s = worst = fzero
     for pochx, (_, sign, pochd, a, b, c) in zip(_node_poch(point, terms),
                                                 terms):
-        t = mpf_div(mpf_mul(sign, pochx, prec, _RN), pochd, prec, _RN)
-        t = mpf_div(mpf_mul(mpf_mul(t, a, prec, _RN), b, prec, _RN), c,
-                    prec, _RN)
+        t = _div(mpf_mul(sign, pochx, prec, _RN), pochd, prec)
+        t = _div(mpf_mul(mpf_mul(t, a, prec, _RN), b, prec, _RN), c, prec)
         s = mpf_add(s, t, prec, _RN)
         t = mpf_abs(t, prec, _RN)
         if mpf_gt(t, worst):
@@ -354,11 +357,27 @@ def _ptilde_factors(l, m, qkey, dps):
 
 @lru_cache(maxsize=8)
 def _sum_terms(l, m, qkey, dps):
-    """The terms of _sum_factors(l, m, q, dps) at dps digits, as a tuple of
-    libmp tuples: the record every multiprecision sum reads."""
-    with mp.workdps(dps):
-        return tuple(tuple(v._mpf_ for v in term)
-                     for term in _sum_factors(l, m, mp.mpf(qkey), dps))
+    """The factors of _sum_factors at dps digits, the record every
+    multiprecision sum reads: per term k = 0..l-m, base**(k-1), the
+    sign-power, the denominator Pochhammer and the three q-binomials, each
+    a libmp tuple with the mpf expression's value, bit for bit."""
+    prec = dps_to_prec(dps)
+    q = from_float(qkey, prec, _RN)
+    base = mpf_pow_int(q, -2, prec, _RN)
+    shift = mpf_pow_int(q, -2 * (m + 1), prec, _RN)
+    bk = pochd = fone
+    terms = []
+    for k in range(l - m + 1):
+        if k:
+            bk = mpf_pow_int(base, k - 1, prec, _RN)
+            pochd = mpf_mul(pochd, mpf_add(fone, mpf_mul(shift, bk, prec, _RN),
+                                           prec, _RN), prec, _RN)
+        sign = mpf_pow_int(q, -k * (m + 1), prec, _RN)
+        terms.append((bk, mpf_neg(sign) if k % 2 else sign, pochd,
+                      _qbin(l - m, k, qkey, dps),
+                      _qbin(l + m + k, k, qkey, dps),
+                      _qbin(m + k, k, qkey, dps)))
+    return tuple(terms)
 
 
 _Node = namedtuple("_Node", "x poch")     # an mpf point, a list of tuples
@@ -404,7 +423,7 @@ def _weight_at(l, m, rad, qkey, dps):
     expression mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples."""
     f = _ptilde_factors(l, m, qkey, dps)
     prec = dps_to_prec(dps)
-    w = mpf_div(mpf_mul(f.u2, rad, prec, _RN), f.norm, prec, _RN)
+    w = _div(mpf_mul(f.u2, rad, prec, _RN), f.norm, prec)
     return mpf_sqrt(w, prec, _RN)
 
 
@@ -808,11 +827,11 @@ def _raw_up(l_max, m, x, seed, ctx, up, prec):
     vals = [fzero] * (l_max + 1)
     vals[m] = seed._mpf_
     if m + 1 <= l_max:
-        vals[m + 1] = mpf_div(mpf_mul(xq, vals[m], prec, _RN), c[m], prec, _RN)
+        vals[m + 1] = _div(mpf_mul(xq, vals[m], prec, _RN), c[m], prec)
     for l in range(m + 1, l_max):
         t = mpf_sub(mpf_mul(xq, vals[l], prec, _RN),
                     mpf_mul(c[l - 1], vals[l - 1], prec, _RN), prec, _RN)
-        vals[l + 1] = mpf_div(t, c[l], prec, _RN)
+        vals[l + 1] = _div(t, c[l], prec)
     return vals
 
 
@@ -860,10 +879,10 @@ def _raw_down(l_max, m, x, seed, ctx, up, L, prec):
     for l in range(L, m, -1):
         t = mpf_sub(mpf_mul(xq, v[l], prec, _RN),
                     mpf_mul(c[l], v[l + 1], prec, _RN), prec, _RN)
-        v[l - 1] = mpf_div(t, c[l - 1], prec, _RN)
+        v[l - 1] = _div(t, c[l - 1], prec)
     if v[m] == fzero:
         return [fzero] * (l_max + 1)
-    ratio = mpf_div(seed._mpf_, v[m], prec, _RN)
+    ratio = _div(seed._mpf_, v[m], prec)
     return [fzero] * m + [mpf_mul(v[l], ratio, prec, _RN)
                           for l in range(m, l_max + 1)]
 
@@ -942,8 +961,8 @@ def _residual(lhs, rhs, prec):
     den = mpf_abs(lhs, prec, _RN)
     if not mpf_gt(den, fone):
         den = fone
-    return to_float(mpf_div(mpf_abs(mpf_sub(lhs, rhs, prec, _RN), prec, _RN),
-                            den, prec, _RN), rnd=_RN)
+    return to_float(_div(mpf_abs(mpf_sub(lhs, rhs, prec, _RN), prec, _RN),
+                         den, prec), rnd=_RN)
 
 
 # ---------------------------------------------------------------------------

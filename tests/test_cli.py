@@ -195,17 +195,22 @@ def test_spectrum_and_transform_exit_code_contract(capsys):
     # traceback, and every report it writes is strict JSON; a non-finite
     # z0, one whose levels leave binary64 (the R2 level q^2 z0^2 at
     # z0 = 1e200), a window that holds no level, and a transform window
-    # that keeps no congruence site, exit 3
+    # that keeps no congruence site or has fewer sites, 2 (depth + 1), than
+    # degrees, exit 3; at l_max = 40 depth 20 is the shallowest measured
     verbs = [["spectrum", obs, "--q", "2", "--depth", "4"]
              for obs in ("x3", "r2", "t3", "t2")]
+    measured = [["transform", "--direction", "1", "--m", "0", "--lmax", "40",
+                 "--depth", "20"]]
     verbs += [["transform", "--direction", d, "--m", "1", "--lmax", "6",
-               "--depth", "8"] for d in ("1", "2")]
+               "--depth", "8"] for d in ("1", "2")] + measured
     empty = [["spectrum", obs, "--q", "2", "--depth", "-3"]
              for obs in ("x3", "r2", "t2")]
     empty += [["spectrum", "t3", "--q", "2", "--depth", d, "--kwidth", k]
               for d, k in (("2", "-3"), ("-1", "0"))]
     empty += [["transform", "--direction", "1", "--m", "0", "--lmax", "6",
                "--depth", d] for d in ("-1", "0", "1")]
+    empty += [["transform", "--direction", "1", "--m", "0", "--lmax", "40",
+               "--depth", d] for d in ("2", "10", "19")]
     failures = []
     for argv0 in verbs + empty:
         for z0 in ("nan", "inf", "-inf", "1e200", "1"):
@@ -227,6 +232,9 @@ def test_spectrum_and_transform_exit_code_contract(capsys):
                     _strict_json(out)
                 except ValueError as e:
                     failures.append((argv, str(e)))
+            if argv0 in measured and z0 in ("1e200", "1") and (
+                    code not in (0, 2) or not out):
+                failures.append((argv, code))
     assert not failures
 
 

@@ -197,17 +197,21 @@ def test_deep_node_p_tilde_within_2_ulp(q, l, m, n):
 
 @pytest.mark.parametrize("q", QS)
 def test_qfactorial_prefix_lists(q):
-    # in the binary64 range the multiprecision lists round to within 1 ulp
-    # of the exact [n]!, and the binary64 list is the 40-digit one rounded
-    # once, so it is too
+    # in the binary64 range the multiprecision lists (libmp tuples) round
+    # to within 1 ulp of the exact [n]!, and the binary64 list is the
+    # 40-digit one rounded once, so it is too
     qs.clear_caches()
     for n in range(0, 91, 3):
         exact = ex.qfactorial(n, Fraction(q))
         if exact > Fraction(sys.float_info.max):
             break
         for dps in (0, 40, 137):
-            assert _ulps(qa._qfact_cached(n, q, dps), exact) <= 1, (n, dps)
-        assert qa._qfact_cached(n, q, 0) == float(qa._qfact_cached(n, q, 40))
+            v = qa._qfact_cached(n, q, dps)
+            assert type(v) is (tuple if dps else float)
+            v = mp.make_mpf(v) if dps else v
+            assert _ulps(v, exact) <= 1, (n, dps)
+        assert qa._qfact_cached(n, q, 0) \
+            == float(mp.make_mpf(qa._qfact_cached(n, q, 40)))
 
 
 def _edge_points(m, q):

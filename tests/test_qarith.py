@@ -7,6 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import (finf, fnan, fone, from_man_exp, fzero, mpf_div,
+                          round_nearest)
 
 from qspace3 import DomainError, PrecisionError, QContext
 from qspace3 import qarith as qa
@@ -94,7 +96,8 @@ def _per_n_reference(qkey, dps, n_max=120):
         qnums = [None] + [(q**k - q**(-k)) / (q - 1 / q)
                           for k in range(1, n_max + 1)]
         ref = [_qfact_per_n(n, q, qnums) for n in range(n_max + 1)]
-    return ref if dps else [float(v) for v in ref]
+    # a multiprecision list holds the mpfs' libmp tuples
+    return [v._mpf_ for v in ref] if dps else [float(v) for v in ref]
 
 
 class TestQFactorialPrefixList:
@@ -125,7 +128,7 @@ class TestQFactorialPrefixList:
                    for q in self.QS for dps in self.DPS for n in ns}
         for (q, dps, n), v in got.items():
             assert v == reference[q, dps][n], (q, dps, n)
-            assert type(v) is (mp.mpf if dps else float)
+            assert type(v) is (tuple if dps else float)
 
     def test_concurrent_extension(self, reference):
         qs.clear_caches()
@@ -157,20 +160,26 @@ class TestQFactorialPrefixList:
         qs.clear_caches()
         ctxe = QContext(q=1.5, precision="extended")
         with mp.workdps(40):        # an extended value's digits
-            ratio = qa._qfact_cached(40, 1.5, 40) / (
-                qa._qfact_cached(7, 1.5, 40) * qa._qfact_cached(33, 1.5, 40))
-        assert qa.qbinomial_sym(40, 7, ctxe) == ratio
+            f = [mp.make_mpf(qa._qfact_cached(n, 1.5, 40))
+                 for n in (40, 7, 33)]
+            ratio = f[0] / (f[1] * f[2])
+        got = qa.qbinomial_sym(40, 7, ctxe)
+        assert type(got) is mp.mpf and got._mpf_ == ratio._mpf_
         assert len(qa._qfact_list(1.5, 40)) == 41
         assert qa._qfact_list.cache_info().currsize == 1
 
 
 class TestWrittenOutExpressions:
-    """[a] and the multiprecision q-binomials are the mpf expressions
-    (q**a - q**(-a)) / (q - 1/q) and F[n] / (F[k] F[n-k]) over the prefix
-    list F, bit for bit, with lambda = q - 1/q passed in or not."""
+    """[a], the multiprecision q-binomials and the direct sum's terms are
+    the mpf expressions (q**a - q**(-a)) / (q - 1/q), F[n] / (F[k] F[n-k])
+    over the prefix list F and the terms of _sum_factors, bit for bit, with
+    lambda = q - 1/q passed in or not; every tuple division is mpf_div's."""
 
-    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("dps", [40, 80, 1120])
+    QS = (1.1, 1.2, 1.5, 2.0, 3.0)
+    DPS = (40, 80, 520, 1120)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("dps", DPS)
     def test_qnum_and_qbin(self, q, dps):
         qs.clear_caches()
         with mp.workdps(dps):
@@ -180,13 +189,81 @@ class TestWrittenOutExpressions:
                 ref = (qm**a - qm**(-a)) / (qm - 1 / qm)
                 assert qa._qnum(a, qm)._mpf_ == ref._mpf_, a
                 assert qa._qnum(a, qm, lam)._mpf_ == ref._mpf_, a
-            facts = [qa._qfact_cached(n, q, dps) for n in range(101)]
+            facts = [mp.make_mpf(qa._qfact_cached(n, q, dps))
+                     for n in range(101)]
             for n in range(101):
                 for k in {0, 1, n // 2, n - 1, n} & set(range(n + 1)):
                     ref = facts[n] / (facts[k] * facts[n - k])
                     got = qa._qbin(n, k, q, dps)
-                    assert type(got) is mp.mpf and got._mpf_ == ref._mpf_, \
-                        (n, k)
+                    assert type(got) is tuple and got == ref._mpf_, (n, k)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("dps", DPS)
+    def test_sum_terms(self, q, dps):
+        # the terms record of (l, m), l <= 40 and m <= 3, against the mpf
+        # expressions written out at dps digits, the q-binomials over the
+        # per-n products of the q-numbers (no prefix list, no tuple)
+        qs.clear_caches()
+        with mp.workdps(dps):
+            qm = mp.mpf(q)
+            qnums = [(qm**a - qm**(-a)) / (qm - 1 / qm) for a in range(81)]
+            facts = [_qfact_per_n(n, qm, qnums) for n in range(81)]
+
+            def qbin(n, k):
+                return facts[n] / (facts[k] * facts[n - k])
+
+            for l, m in [(l, m) for l in (0, 1, 2, 3, 5, 8, 12, 17, 23, 31, 40)
+                         for m in (0, 1, 3) if m <= l]:
+                base, shift = qm**-2, qm**(-2 * (m + 1))
+                bk = pochd = 1 + 0 * qm
+                ref = []
+                for k in range(l - m + 1):
+                    if k > 0:
+                        bk = base**(k - 1)
+                        pochd = pochd * (1 + shift * bk)
+                    ref.append(tuple(v._mpf_ for v in (
+                        bk, (-1)**k * qm**(-k * (m + 1)), pochd,
+                        qbin(l - m, k), qbin(l + m + k, k), qbin(m + k, k))))
+                got = qs._sum_terms(l, m, q, dps)
+                assert type(got) is tuple and got == tuple(ref), (l, m)
+
+    def test_div_is_mpf_div(self):
+        # a seeded grid of quotients: inexact, exact, exact but rounded,
+        # ties to even, both signs, a zero numerator, a divisor mantissa of
+        # 1 and the special values, at 53 to 3,724 bits
+        rng = random.Random(7)
+
+        def odd(bits):
+            return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+        def tup(man, exp):
+            return from_man_exp(rng.choice((1, -1)) * man, exp)
+
+        cases = 0
+        for prec in (53, 54, 113, 136, 333, 1000, 1733, 3724):
+            for _ in range(40):
+                t = tup(odd(rng.randint(2, prec)), rng.randint(-900, 900))
+                # exact quotients: within prec bits, beyond them (rounded),
+                # and halfway between two prec-bit values (a tie, to even)
+                exact = (odd(rng.randint(1, prec)),
+                         odd(prec + rng.randint(2, 40)), odd(prec + 1))
+                e = rng.randint(-900, 900)
+                for s in (tup(odd(rng.randint(1, 2 * prec)), e),  # inexact
+                          *(tup(u * t[1], e) for u in exact), fzero):
+                    for d in (t, tup(1, rng.randint(-60, 60))):
+                        got, want = qa._div(s, d, prec), mpf_div(s, d, prec,
+                                                                 round_nearest)
+                        assert got == want, (s, d, prec)
+                        cases += 1
+        for s, d in ((finf, fone), (fnan, fone), (fone, finf), (fone, fzero)):
+            try:
+                want = mpf_div(s, d, 53, round_nearest)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    qa._div(s, d, 53)
+            else:
+                assert qa._div(s, d, 53) == want
+        assert cases == 8 * 40 * 10
 
     def test_exact_at_q2(self):
         # at q = 2 every [a] = (4**a - 1) / (3 2**(a-1)) is a dyadic
@@ -201,8 +278,8 @@ class TestWrittenOutExpressions:
         for dps in (40, 80, 1120):
             with mp.workdps(dps):
                 for n in range(101):
-                    assert qa._qbin(n, 0, 2.0, dps)._mpf_ \
-                        == qa._qbin(n, n, 2.0, dps)._mpf_ == mp.mpf(1)._mpf_
+                    assert qa._qbin(n, 0, 2.0, dps) \
+                        == qa._qbin(n, n, 2.0, dps) == mp.mpf(1)._mpf_
 
     def test_binary64_edges_keep_the_quotient(self):
         # a binary64 [n]! past the range gives inf / inf = NaN at k = 0 and
@@ -249,9 +326,8 @@ class TestQBinomial:
 @pytest.mark.parametrize("call", [
     lambda ctx: qa.qnum_sym(2000, ctx),          # q**a overflows
     lambda ctx: qa.qfactorial_sym(3000, ctx),    # rounds to inf
-    lambda ctx: qa.qbinomial_sym(3000, 1, ctx),  # inf / inf
-    lambda ctx: qa.qbinomial_sym(2000, 0, ctx)],
-    ids=["qnum", "qfactorial", "qbinomial", "qbinomial_edge"])
+    lambda ctx: qa.qbinomial_sym(3000, 1, ctx)],  # inf / inf
+    ids=["qnum", "qfactorial", "qbinomial"])
 def test_binary64_value_beyond_the_range_raises(call):
     # no OverflowError, inf or NaN: a PrecisionError that names the
     # extended mode, where the value is finite
@@ -259,6 +335,18 @@ def test_binary64_value_beyond_the_range_raises(call):
         call(CTX15)
     v = call(QContext(q=1.5, precision="extended"))
     assert type(v) is mp.mpf and mp.isfinite(v) and v > 0
+
+
+@pytest.mark.parametrize("n", [5, 2000, 3000])
+def test_qbinomial_edges_are_one_beyond_the_range(n):
+    # [n over 0] = [n over n] = 1 exactly, also where [n]! leaves binary64
+    # and the quotient would be inf / inf
+    ctxe = QContext(q=1.5, precision="extended")
+    for k in (0, n):
+        v = qa.qbinomial_sym(n, k, CTX15)
+        assert type(v) is float and v == 1.0
+        v = qa.qbinomial_sym(n, k, ctxe)
+        assert type(v) is mp.mpf and v._mpf_ == mp.mpf(1)._mpf_
 
 
 class TestExtendedMode:

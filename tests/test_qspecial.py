@@ -403,10 +403,18 @@ class TestWeightedFunction:
                  (3, 1.5, -(1.5**-14)), (0, 2.0, 0.25),
                  (12, 1.5, 0.3 * 1.5**-24)]     # the last off the lattice
         qs.clear_caches()
-        monkeypatch.setattr(qs, "_sum_factors", lambda *a: pytest.fail(
-            "a degree-0 p_tilde built the direct sum's terms"))
+        # spy on both builders of the terms, binary64 and multiprecision
+        built = []
+        for name in ("_sum_factors", "_sum_terms"):
+            monkeypatch.setattr(qs, name, partial(
+                lambda f, *a: built.append(a) or f(*a), getattr(qs, name)))
         got = [qs.p_tilde(l, l, x, QContext(q=q, precision=precision))
                for l, q, x in cases]
+        assert built == [], "a degree-0 p_tilde built the direct sum's terms"
+        # the spies see the terms of degree 1 on the same route, which
+        # sums at the node 1.5**-8 in both modes
+        qs.p_tilde(4, 3, 1.5**-8, QContext(q=1.5, precision=precision))
+        assert (4, 3, 1.5, 80) in built
         monkeypatch.undo()
         for (l, q, x), v in zip(cases, got):
             dps = qs._sum_dps(l, l, 0, q)
@@ -909,13 +917,23 @@ def _ref_p_sum(l, m, x, q, dps=0):
             pochx = pochx * (1 - x * bk)
             pochd = pochd * (1 + shift * bk)
         t = (-1)**k * q**(-k * (m + 1)) * pochx / pochd
-        t = t * qa._qbin(l - m, k, q, dps) * qa._qbin(l + m + k, k, q, dps) \
-            / qa._qbin(m + k, k, q, dps)
+        t = t * _ref_qbin(l - m, k, q, dps) * _ref_qbin(l + m + k, k, q, dps) \
+            / _ref_qbin(m + k, k, q, dps)
         s = s + t
         worst = max(worst, abs(t))
     if s != s:          # a NaN sum has a NaN largest term
         worst = s
     return s, worst
+
+
+def _ref_qbin(n, k, q, dps):
+    # binary64, the quotient itself (inf / inf = NaN past the range); at dps
+    # digits, the mpf expression F[n] / (F[k] F[n-k]) over the prefix list
+    if not dps:
+        return qa._qbin(n, k, q)
+    f = [mp.make_mpf(qa._qfact_cached(i, float(q), dps))
+         for i in (n, k, n - k)]
+    return f[0] / (f[1] * f[2])
 
 
 def _ref_rad(m, x, q):
