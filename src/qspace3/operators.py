@@ -296,6 +296,7 @@ class RepFamily:
 
     Immutable after construction; operators are keyed canonically
     ("T3", "T+", "T-", "tau", "X3", ...) regardless of the family flavor.
+    `derived` keeps what repspace computes once from them.
     """
 
     def __init__(self, kind, params, operators, window, coords: Coords):
@@ -309,6 +310,7 @@ class RepFamily:
                 raise WindowError(f"operator {key} is {op.n} x {op.n}; the "
                                   f"{kind} family has {len(coords)} states")
         self.interior = window.interior_mask(coords)
+        self.derived = {}
 
     def __getitem__(self, key) -> LabeledOperator:
         return self.operators[key]

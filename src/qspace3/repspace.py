@@ -5,10 +5,10 @@ exact on interior rows and columns.  All matrix elements are real; bases are
 orthonormal, so conjugation is matrix transposition.
 
 The builders work on label arrays: a band neighbour is an index offset under
-a boolean mask, and each operator is assembled once from (rows, cols,
-values) arrays.  Powers of q are Python float powers, one per distinct
-exponent, gathered into arrays (numpy's float ** int array can differ from
-them in the last bit), so the matrix elements are the scalar formulas'.
+a boolean mask, and each operator is assembled by diagonal from the
+positions it gives.  Powers of q are Python float powers, one per exponent,
+gathered into arrays (numpy's float ** int array can differ from them in
+the last bit), so the matrix elements are the scalar formulas'.
 """
 
 import math
@@ -47,29 +47,43 @@ def _sqrt_clamped(v):
 
 def _qpow(q, e):
     """q**e for each exponent of the array e, by Python's float pow once per
-    distinct exponent.  A power beyond binary64 is a DomainError."""
+    exponent of [min e, max e] (integer e) or distinct exponent (other e).
+    A power beyond binary64 is a DomainError."""
     e = np.asarray(e)
-    uniq, inv = np.unique(e, return_inverse=True)
+    if e.dtype.kind == "i" and e.size:
+        lo = int(e.min())
+        exps, pick = range(lo, int(e.max()) + 1), e - lo
+    else:
+        exps, pick = np.unique(e, return_inverse=True)
+        exps = exps.tolist()
     try:
-        table = np.array([q**k for k in uniq.tolist()], dtype=float)
+        table = np.array([q**k for k in exps], dtype=float)
     except OverflowError:
         raise DomainError(
-            f"q**e overflows binary64 for exponents in [{uniq[0]}, "
-            f"{uniq[-1]}] at q = {q}; the window is too large for this q"
+            f"q**e overflows binary64 for exponents in [{exps[0]}, "
+            f"{exps[-1]}] at q = {q}; the window is too large for this q"
         ) from None
-    return table[inv].reshape(e.shape)
+    return table[pick].reshape(e.shape)
 
 
 def _op(name, n, shift, *parts):
-    """n x n LabeledOperator assembled from (rows, cols, values) parts."""
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return LabeledOperator(name, _Band.from_entries(n, rows, cols, vals),
-                           shift)
-
-
-def _diag(vals):
-    i = np.arange(len(vals))
-    return i, i, vals
+    """n x n LabeledOperator holding, for each part (d, k, vals), vals at
+    the ascending positions k (np.diagonal's) of diagonal d, or on all of
+    it if k is None.  Non-empty parts have distinct offsets."""
+    diags = {}
+    for d, k, vals in parts:
+        size = n - abs(d)
+        if not len(vals):
+            continue
+        if k is None or len(k) == size:
+            diags[d] = (vals, None)
+        else:
+            v = np.zeros(size)
+            v[k] = vals
+            present = np.zeros(size, dtype=bool)
+            present[k] = True
+            diags[d] = (v, present)
+    return LabeledOperator(name, _Band(n, diags), shift)
 
 
 def _ladder_steps(m):
@@ -127,10 +141,10 @@ def _ladder(kind, label, m, d, rad, lower, window, ctx, params):
     p4 = _qpow(q, -4 * m)
     c = _sqrt_clamped(rad(_qpow(q, -2 * m)))[up]
     ops = {
-        "T3": _op("T3", n, ({},), _diag(1.0 / lam - d * p4)),
-        "T+": _op("T+", n, ({label: 1},), (up + 1, up, c)),
-        "T-": _op("T-", n, ({label: -1},), (up, up + 1, lower * c)),
-        "tau": _op("tau", n, ({},), _diag(d * lam * p4)),
+        "T3": _op("T3", n, ({},), (0, None, 1.0 / lam - d * p4)),
+        "T+": _op("T+", n, ({label: 1},), (-1, up, c)),
+        "T-": _op("T-", n, ({label: -1},), (1, up, lower * c)),
+        "tau": _op("tau", n, ({},), (0, None, d * lam * p4)),
     }
     return RepFamily(kind, params, ops, window, Coords({label: m}))
 
@@ -188,10 +202,10 @@ def build_t_special(window, ctx: QContext) -> RepFamily:
     p4 = _qpow(q, -4 * m)
     r = _sqrt_clamped(p4[up] - 1.0)
     ops = {
-        "T3": _op("t3", m.size, ({},), _diag((1.0 + q * q * p4) / lam)),
-        "T+": _op("t+", m.size, ({"m_t": 1},), (up + 1, up, r / (lam * q))),
-        "T-": _op("t-", m.size, ({"m_t": -1},), (up, up + 1, q / lam * r)),
-        "tau": _op("tau_t", m.size, ({},), _diag(-q * q * p4)),
+        "T3": _op("t3", m.size, ({},), (0, None, (1.0 + q * q * p4) / lam)),
+        "T+": _op("t+", m.size, ({"m_t": 1},), (-1, up, r / (lam * q))),
+        "T-": _op("t-", m.size, ({"m_t": -1},), (1, up, q / lam * r)),
+        "tau": _op("tau_t", m.size, ({},), (0, None, -q * q * p4)),
     }
     params = {"d": -q * q / lam, "m_bar": 0.0}
     return RepFamily("t_special", params, ops, win, Coords({"m_t": m}))
@@ -208,10 +222,10 @@ def build_X_over_R(sign: int, window, ctx: QContext) -> RepFamily:
     sq = math.sqrt(1.0 + q * q)
     r = _sqrt_clamped(1.0 - _qpow(q, 4 * m[up]))
     ops = {
-        "X3R": _op("X3/R", m.size, ({},), _diag(s * _qpow(q, 2 * m - 1))),
-        "X+R": _op("X+/R", m.size, ({"m_t": 1},),
-                   (up + 1, up, -s * q / sq * r)),
-        "X-R": _op("X-/R", m.size, ({"m_t": -1},), (up, up + 1, s / sq * r)),
+        "X3R": _op("X3/R", m.size, ({},),
+                   (0, None, s * _qpow(q, 2 * m - 1))),
+        "X+R": _op("X+/R", m.size, ({"m_t": 1},), (-1, up, -s * q / sq * r)),
+        "X-R": _op("X-/R", m.size, ({"m_t": -1},), (1, up, s / sq * r)),
     }
     return RepFamily("X_over_R", {"sign": sign}, ops, win,
                      Coords({"m_t": m}))
@@ -258,8 +272,8 @@ def build_K_orbital(window, ctx: QContext) -> RepFamily:
 def _torb_window(window):
     """The tensor window (m_t <= 0, m_k >= 0), the labels of its basis
     |m_t, m_k> (m_t outer), the row length nk (the position offset of an m_t
-    neighbour), and the positions whose m_t, respectively m_k, neighbour
-    above lies in the window (the raising steps in m_t and in m_k)."""
+    neighbour, so the m_t steps fill the diagonal -nk), and the positions
+    whose m_k neighbour above lies in the window (the m_k steps)."""
     rm = window.range_map
     if "m_t" not in rm or "m_k" not in rm:
         raise WindowError("tensor window needs ranges for m_t and m_k")
@@ -275,26 +289,26 @@ def _torb_window(window):
     nk = khi - klo + 1
     mt = np.repeat(np.arange(tlo, thi + 1), nk)
     mk = np.tile(np.arange(klo, khi + 1), thi - tlo + 1)
-    return win, mt, mk, nk, np.flatnonzero(mt < thi), np.flatnonzero(mk < khi)
+    return win, mt, mk, nk, np.flatnonzero(mk < khi)
 
 
-def _orbital_ladder(mt, mk, nk, tu, ku, q, lam):
+def _orbital_ladder(mt, mk, nk, ku, q, lam):
     """T3, T+-, tau of the orbital angular momentum on the tensor grid
     |m_t, m_k> of _torb_window, written over q^(-4 m_t) (= q^(4(M - nu))
     in the joint labels) and q^(-4 m), m = m_t + m_k."""
     n, m = mt.size, mt + mk
     pt = _qpow(q, -4 * mt)
     p4 = _qpow(q, -4 * m)
-    rt = _sqrt_clamped(pt[tu] - 1.0)
+    rt = _sqrt_clamped(pt[:-nk] - 1.0)
     rk = _sqrt_clamped(pt[ku] - _qpow(q, -4 * (m[ku] + 1)))
     return {
-        "T3": _op("T3_orb", n, ({},), _diag((1.0 - p4) / lam)),
+        "T3": _op("T3_orb", n, ({},), (0, None, (1.0 - p4) / lam)),
         "T+": _op("T+_orb", n, ({"m_t": 1}, {"m_k": 1}),
-                  (tu + nk, tu, rt / (q * lam)), (ku + 1, ku, rk / lam)),
+                  (-nk, None, rt / (q * lam)), (-1, ku, rk / lam)),
         "T-": _op("T-_orb", n, ({"m_t": -1}, {"m_k": -1}),
-                  (tu, tu + nk, q * q / (q * lam) * rt),
-                  (ku, ku + 1, q * q / lam * rk)),
-        "tau": _op("tau_orb", n, ({},), _diag(p4)),
+                  (nk, None, q * q / (q * lam) * rt),
+                  (1, ku, q * q / lam * rk)),
+        "tau": _op("tau_orb", n, ({},), (0, None, p4)),
     }
 
 
@@ -302,8 +316,8 @@ def build_T_orb(window, ctx: QContext) -> RepFamily:
     """Orbital angular momentum on the tensor basis |m_t, m_k>."""
     q = float(ctx.q)
     lam = ctx.lam
-    win, mt, mk, nk, tu, ku = _torb_window(window)
-    ops = _orbital_ladder(mt, mk, nk, tu, ku, q, lam)
+    win, mt, mk, nk, ku = _torb_window(window)
+    ops = _orbital_ladder(mt, mk, nk, ku, q, lam)
     return RepFamily("T_orb_tensor", {"d": 1.0 / lam}, ops, win,
                      Coords({"m_t": mt, "m_k": mk}))
 
@@ -330,11 +344,11 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         raise WindowError("joint window needs a range for m_t or nu")
     if "m_k" not in rm:
         rm["m_k"] = (0, -rm["m_t"][0])
-    win, mt, mk, nk, tu, ku = _torb_window(RepWindow.make(rm))
+    win, mt, mk, nk, ku = _torb_window(RepWindow.make(rm))
     z = sigma * abs(z0)
     sq = math.sqrt(1.0 + q * q)
     nu, n = mt + M, mt.size
-    r = _sqrt_clamped(_qpow(q, 4 * M) - _qpow(q, 4 * nu[tu]))
+    r = _sqrt_clamped(_qpow(q, 4 * M) - _qpow(q, 4 * nu[:-nk]))
     try:
         r2 = q**(4 * M + 2) * z0 * z0
     except OverflowError:
@@ -343,11 +357,11 @@ def build_X_T_R_joint(M: int, z0: float, sigma: int, window,
         raise DomainError(f"the R2 level q^(4M+2) z0^2 leaves binary64 at "
                           f"M = {M}, z0 = {z0}, q = {q}")
     ops = {
-        "X3": _op("X3", n, ({},), _diag(z * _qpow(q, 2 * nu))),
-        "X+": _op("X+", n, ({"m_t": 1},), (tu + nk, tu, -q * q * z / sq * r)),
-        "X-": _op("X-", n, ({"m_t": -1},), (tu, tu + nk, q * z / sq * r)),
-        "R2": _op("R2", n, ({},), _diag(np.full(n, r2))),
-        **_orbital_ladder(mt, mk, nk, tu, ku, q, lam),
+        "X3": _op("X3", n, ({},), (0, None, z * _qpow(q, 2 * nu))),
+        "X+": _op("X+", n, ({"m_t": 1},), (-nk, None, -q * q * z / sq * r)),
+        "X-": _op("X-", n, ({"m_t": -1},), (nk, None, q * z / sq * r)),
+        "R2": _op("R2", n, ({},), (0, None, np.full(n, r2))),
+        **_orbital_ladder(mt, mk, nk, ku, q, lam),
     }
     params = {"M": M, "z0": abs(z0), "sigma": sigma, "d": 1.0 / lam}
     return RepFamily("X_T_R_joint", params, ops, win,
@@ -385,20 +399,27 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
         return np.sqrt(qn[a] * qn[b]
                        / (qn[2] * qn[2 * l + 1] * qn[2 * l + 1 + 2 * s]))
 
+    def parts(s, c, k, vals):
+        """The parts of _op on the diagonals s (2l + c), l < l_max, of the
+        2l + 1 entries at level l of up (l + 1 of xp, xm): (l + 1, m + s)
+        sits 2l + 2 + s positions after (l, m)."""
+        return [(s * (2 * j + c), k[j * j:(j + 1)**2], vals[j * j:(j + 1)**2])
+                for j in range(l_max)]
+
     ops = {
-        "T2": _op("T2_orb", n, ({},), _diag(q * qn[l] * qn[l + 1])),
+        "T2": _op("T2_orb", n, ({},), (0, None, q * qn[l] * qn[l + 1])),
         "X3": _op("X3", n, ({"l": 1}, {"l": -1}),
-                  (up + 2 * lu + 2, up, x3), (up, up + 2 * lu + 2, x3)),
+                  *parts(-1, 2, up, x3), *parts(1, 2, up, x3)),
         "X+": _op("X+", n, ({"l": 1, "m": 1}, {"l": -1, "m": 1}),
-                  (up + 2 * lu + 3, up, pu * _qpow(q, -lu)
-                   * cg(lu + mu + 1, lu + mu + 2, lu, 1)),
-                  (xp - 2 * lp + 1, xp, -pref[xp] * _qpow(q, lp + 1)
-                   * cg(lp - mp_, lp - mp_ - 1, lp, -1))),
+                  *parts(-1, 3, up, pu * _qpow(q, -lu)
+                         * cg(lu + mu + 1, lu + mu + 2, lu, 1)),
+                  *parts(1, 1, xp - 2 * lp + 1, -pref[xp] * _qpow(q, lp + 1)
+                         * cg(lp - mp_, lp - mp_ - 1, lp, -1))),
         "X-": _op("X-", n, ({"l": 1, "m": -1}, {"l": -1, "m": -1}),
-                  (up + 2 * lu + 1, up, pu * _qpow(q, lu)
-                   * cg(lu - mu + 1, lu - mu + 2, lu, 1)),
-                  (xm - 2 * lm - 1, xm, -pref[xm] * _qpow(q, -lm - 1)
-                   * cg(lm + mm, lm + mm - 1, lm, -1))),
+                  *parts(-1, 1, up, pu * _qpow(q, lu)
+                         * cg(lu - mu + 1, lu - mu + 2, lu, 1)),
+                  *parts(1, 3, xm - 2 * lm - 1, -pref[xm] * _qpow(q, -lm - 1)
+                         * cg(lm + mm, lm + mm - 1, lm, -1))),
     }
     return RepFamily("L_basis", {"M": M, "r0": r0}, ops, win,
                      Coords({"l": l, "m": m}))
@@ -408,39 +429,37 @@ def build_L_basis(M: int, r0: float, l_max: int, ctx: QContext) -> RepFamily:
 # derived operators
 # ---------------------------------------------------------------------------
 
-def _tau_roots(family: RepFamily):
-    """The bands tau^(1/2) and tau^(-1/2) of a tau > 0 family."""
-    tau_d = family["tau"].diagonal()
-    if not np.all(tau_d > 0):
-        raise DomainError("tau has non-positive eigenvalues: no real roots")
-    root = np.sqrt(tau_d)
-    return _Band(len(root), {0: (root, None)}), \
-        _Band._dropping_zeros(len(root), {0: 1.0 / root})   # 0 at tau = inf
-
-
 def casimir(family: RepFamily, ctx: QContext) -> LabeledOperator:
-    """Quadratic Casimir matrix from tau^(1/2) and the ladder product.
+    """Quadratic Casimir matrix from tau^(1/2) and the ladder product; its
+    band and tau^(-1/2), which build_L_operators reads, are computed once
+    per family and q.
 
     Requires strictly positive tau; on a family whose tau is negative (t and
     K, where the Casimir is the scalar -(1 + q^2)/lam^2) the square roots are
     not real, which is a DomainError.
     """
-    q = float(ctx.q)
-    lam = ctx.lam
-    th, tmh = _tau_roots(family)
-    band = (q * q / lam**2) * th + tmh / lam**2 \
-        + tmh @ family["T+"].band @ family["T-"].band \
-        - (1 + q * q) / lam**2 * _Band.identity(family.n)
-    return LabeledOperator("T2", band)
+    q, lam, n = float(ctx.q), ctx.lam, family.n
+    if ("T2", q) not in family.derived:
+        tau_d = family["tau"].diagonal()
+        if not np.all(tau_d > 0):
+            raise DomainError("tau has non-positive eigenvalues: no real "
+                              "roots")
+        root = np.sqrt(tau_d)
+        tmh = _Band._dropping_zeros(n, {0: 1.0 / root})    # 0 at tau = inf
+        family.derived["T2", q] = (
+            (q * q / lam**2) * _Band(n, {0: (root, None)}) + tmh / lam**2
+            + tmh @ family["T+"].band @ family["T-"].band
+            - (1 + q * q) / lam**2 * _Band.identity(n), tmh)
+    return LabeledOperator("T2", family.derived["T2", q][0])
 
 
 def build_L_operators(family: RepFamily, ctx: QContext) -> dict:
     """Rescaled angular momentum components L3, L+, L- on a tau > 0 family."""
     q = float(ctx.q)
     lam = ctx.lam
-    _, tmh = _tau_roots(family)
     sq = math.sqrt(1.0 + q * q)
     T2 = casimir(family, ctx).band
+    tmh = family.derived["T2", q][1]
     Lp = tmh @ family["T+"].band / (q * q * sq)
     Lm = -tmh @ family["T-"].band / (q**3 * sq)
     L3 = (tmh - _Band.identity(family.n) - lam**2 / (1 + q * q) * T2) \
@@ -512,7 +531,7 @@ def coproduct(rep1: RepFamily, rep2: RepFamily, variant: str,
         "T+": LabeledOperator("T+", delta("T+", root), merge_shift("T+")),
         "T-": LabeledOperator("T-", delta("T-", sign_minus * root),
                               merge_shift("T-")),
-        "tau": _op("tau", n1 * n2, ({},), _diag(tau_out)),
+        "tau": _op("tau", n1 * n2, ({},), (0, None, tau_out)),
     }
 
     labels = {k: np.repeat(v, n2) for k, v in rep1.coords.arrays.items()}

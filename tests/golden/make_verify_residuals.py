@@ -22,10 +22,12 @@ from qspace3.relations import default_families, verify_relations
 
 LEDGER = Path(__file__).resolve().parent / "verify_residuals.json"
 
-# (q, W): the 3 x 2 grid, the q = 50 cell whose report holds NaN rows, and
-# a near-classical cell
+# (q, W): the 3 x 2 grid, the q = 50 cell whose report holds NaN rows, a
+# near-classical cell, and the benchmark's verify windows 120 and 240 (its
+# q = 2, W = 240 report holds NaN rows too)
 CELLS = ([(q, w) for w in (12, 40) for q in (1.2, 1.5, 2.0)]
-         + [(50.0, 40), (1.000001, 16)])
+         + [(50.0, 40), (1.000001, 16)]
+         + [(q, w) for w in (120, 240) for q in (1.2, 1.5, 2.0)])
 
 
 def cell_rows(q, w):

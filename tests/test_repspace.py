@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from qspace3 import DomainError, PrecisionError, QContext, WindowError
 from qspace3.operators import LabeledOperator, RepFamily, RepWindow
 from qspace3 import repspace as rs
-from qspace3.relations import _Band, _interior_residual, _su2_relations
+from qspace3.relations import (_Band, _bands, _interior_residual,
+                               _su2_relations)
 
 CTX = QContext(q=1.5)
 Q = 1.5
@@ -202,8 +203,7 @@ def ladder_families(draw):
 def test_ladder_families_close_the_algebra(case):
     fam, q, lower = case
     Tp, Tm = (fam[k].to_csr() for k in ("T+", "T-"))
-    bands = (fam[k].band for k in ("T3", "T+", "T-"))
-    for name, terms in _su2_relations(*bands, q):
+    for name, terms in _su2_relations(*_bands(fam, "T3 T+ T-"), q):
         assert _interior_residual(terms, fam.interior) < 1e-12, name
     assert np.array_equal(Tm.toarray(), lower * Tp.toarray().T)
 
