@@ -15,8 +15,8 @@ zeros stripped in one shift.  At q = 2 every [a] and every q-binomial is a
 dyadic rational, so most quotients of the direct sum are exact.
 
 The denominator lambda = q - 1/q of every q-number is formed once per loop
-that computes q-numbers at one q and precision: here in _extend_qfacts (on
-tuples), in qspecial in _u2_mp, _ptilde_factors and the coefficient-list
+that computes q-numbers at one q and precision: here in _extend_qfacts and
+in qspecial's _u2 (on tuples), in _ptilde_factors and the coefficient-list
 extension _coeffs_through (passed to _qnum).  It is the same value at every
 call, so each [a] is the one a call without lam gives, bit for bit.
 """

@@ -22,14 +22,13 @@ the primitives the mpf operators call, in their order and rounding to
 nearest, so each value is the mpf expression's bit for bit without its
 object layer; every tuple division is one kernel, qarith._div, mpf_div's
 value with an exact quotient's trailing zeros stripped in one shift.  In
-the point route the tuple is the one format: _sum_terms builds its terms on
-tuples, over qarith's tuple q-factorial lists; the other records
-(_ptilde_factors, _node_rad, the Pochhammer lists) convert their mpf
-expressions once where they are built; _p_sum_at, _Value and _weight_at
-pass tuples on, and only the public returns (_public, weight_w) make an mpf
-or a float.  lambda = q - 1/q is formed once per loop over q-numbers:
-qarith._lam in _u2_mp, _ptilde_factors and _coeffs_through, and on tuples
-in qarith._extend_qfacts.
+the point route the tuple is the one format: u^2 (_u2), the radicand
+(_rad_at), the terms (_sum_terms, over qarith's tuple q-factorial lists) and
+the q-powers (_order) are built on tuples, the couplings and Pochhammer
+lists convert their mpf expressions once, and only the public returns
+(_public, weight_w) make an mpf or a float.  lambda = q - 1/q is formed once
+per loop over q-numbers: in _u2, _ptilde_factors, _coeffs_through and
+qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
@@ -37,19 +36,22 @@ The weight is ldexp(sqrt(f rad), k), u^2 / norm ~ f 4**k (_weight_scale);
 the downward table keeps a binary exponent per entry.
 
 The bounded records below keep every value bit-identical to an inline
-evaluation.  x-independent: _weight_scale in binary64 (u^2 / norm as
-(f, k)); per (l, m, q, dps) _ptilde_factors (u^2, the normalization, the
-couplings to l -+ 1, the checks' q-powers) and _sum_terms; per (m, q, dps)
-_snorm_mp_cached.  Binary64 p_lm sums its own float loop, _p_sum; every
-multiprecision sum is one kernel, _p_sum_at, over a point record _Node (the
-mpf x and its Pochhammer prefix list (x; q^-2)_k).  A lattice node sigma q^e
-(_snap_lattice) has one _node and one _node_rad per dps, and one P (_p_node)
-and one P~ (_ptilde_node) per (l, m), at the dps the rule gave them, which
-p_lm, p_tilde and the identity checks read; any other point is transient
-and uncached.  The checks read P~ through _reader, the q-difference
-neighbours of a node as the nodes e -+ 2, at the highest dps among their
-reads; they sum every P~ directly, so they test the recurrence rather than
-restate it.  clear_caches() empties every cache of this module and qarith.
+evaluation, each keyed by what it depends on.  x-independent: _weight_scale
+in binary64 (u^2 / norm as (f, k)); per (l, m, q, dps) _ptilde_factors
+(u^2, the normalization, the couplings to l -+ 1, the checks' shell) and
+_sum_terms; per (m, q, dps) _snorm_mp_cached and _order.  Binary64 p_lm sums
+its own float loop, _p_sum; every multiprecision sum is one kernel,
+_p_sum_at, over a point record _Node (the mpf x and its Pochhammer prefix
+list (x; q^-2)_k).  A lattice node sigma q^e (_snap_lattice) has one _node
+per dps, a radicand (_node_rad) and check_difference's square roots (_roots)
+that both signs share, and one P (_p_node) and one P~ (_ptilde_node) per
+(l, m), at the dps the rule gave them, which p_lm, p_tilde and the checks
+read; the weight (_weight_at) is keyed by the radicand.  Any other point is
+transient and uncached.  The checks read P~ through _reader, the
+q-difference neighbours of a node as the nodes e -+ 2, at the highest dps
+among their reads; they sum every P~ directly, so they test the recurrence
+rather than restate it.  clear_caches() empties every cache of this module
+and qarith.
 
 The one lattice map is _site: the argument and prefactor of a chain site
 (sigma, m_t).  _doubled_rows builds the lattice matrix from it, one table
@@ -72,7 +74,7 @@ from functools import lru_cache, partial
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (dps_to_prec, fone, from_float, fzero, mpf_abs,
-                          mpf_add, mpf_eq, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_add, mpf_eq, mpf_gt, mpf_le, mpf_lt, mpf_mul,
                           mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt,
                           mpf_sub, round_nearest as _RN, to_float)
 
@@ -158,13 +160,18 @@ def _p_sum_at(point, terms):
 
 
 def _rad(m, x, q):
-    """Radicand product attached to the weight, or DomainError where it is
-    negative (off the support).  A factor 1 - x^2 q^(4(m-j)) within
+    """Binary64 radicand product attached to the weight, or DomainError where
+    it is negative (off the support).  A factor 1 - x^2 q^(4(m-j)) within
     _RAD_ULPS machine epsilons of zero, its rounding bound, is a zero of the
     radicand and the product is 0; every other factor, and so the product,
     has its exact sign."""
-    q4m, q4j = _rad_powers(m, q)
-    bound = _RAD_ULPS * (mp.eps if isinstance(x, mp.mpf) else _EPS)
+    try:
+        q4m, q4j = q**(4 * m), [q**(-4 * j) for j in range(m)]
+    except OverflowError:
+        raise PrecisionError(
+            f"q**(4m) leaves the binary64 range at m={m}, q={q}; set "
+            f"QSPACE3_PRECISION=extended") from None
+    bound = _RAD_ULPS * _EPS
     r = 1 + 0 * x
     x2q = x * x * q4m
     for qj in q4j:
@@ -176,17 +183,6 @@ def _rad(m, x, q):
         raise DomainError(
             f"argument {float(x)} outside the weight support for m={m}")
     return r
-
-
-def _rad_powers(m, q):
-    """q**(4m) and q**(-4j), j = 0..m-1: the x-independent factors of _rad.
-    A binary64 q**(4m) beyond the range is a PrecisionError."""
-    try:
-        return q**(4 * m), tuple(q**(-4 * j) for j in range(m))
-    except OverflowError:
-        raise PrecisionError(
-            f"q**(4m) leaves the binary64 range at m={m}, q={q}; set "
-            f"QSPACE3_PRECISION=extended") from None
 
 
 def _snorm_core(m, q):
@@ -212,22 +208,28 @@ def _snorm_core(m, q):
     return 2 * (1 - q**-2) * s
 
 
-def _u2_mp(l, m, q):
-    """u^2 factor in ambient mpmath precision."""
-    lam = _lam(q)
-    t = q**(l * (l + 1)) * (q**(2 * l + 1) - q**(-2 * l - 1)) / lam
-    for k in range(l - m + 1, l + m + 1):
-        t = t * (q**k - q**(-k)) / lam
+def _u2(l, m, qkey, dps):
+    """u^2 at dps digits on libmp tuples: q**(l(l+1)) [2l+1] [l+m]! / [l-m]!
+    as the mpf expression with [k] = (q**k - q**-k) / lam, lam = q - 1/q."""
+    prec = dps_to_prec(dps)
+    q = from_float(qkey, prec, _RN)
+    lam = mpf_sub(q, _div(fone, q, prec), prec, _RN)
+    pw = partial(mpf_pow_int, q, prec=prec, rnd=_RN)
+    t = pw(l * (l + 1))
+    for k in (2 * l + 1, *range(l - m + 1, l + m + 1)):
+        t = mpf_mul(t, mpf_sub(pw(k), pw(-k), prec, _RN), prec, _RN)
+        t = _div(t, lam, prec)
     return t
 
 
 @lru_cache(maxsize=256)
 def _snorm_mp_cached(m: int, qkey: float, dps: int):
-    """u^2 at l = m and the closed-form core _snorm_core of order m, at dps
-    digits; the normalization constant is their product."""
+    """u^2 at l = m and the normalization constant, it times the core
+    _snorm_core of order m, as libmp tuples at dps digits."""
+    u2 = _u2(m, m, qkey, dps)
     with mp.workdps(dps):
-        q = mp.mpf(qkey)
-        return _u2_mp(m, m, q), _snorm_core(m, q)
+        core = _snorm_core(m, mp.mpf(qkey))._mpf_
+    return u2, mpf_mul(core, u2, dps_to_prec(dps), _RN)
 
 
 @lru_cache(maxsize=4096)
@@ -235,10 +237,9 @@ def _weight_scale(l: int, m: int, qkey: float):
     """The binary64 record of weight_w's x-independent factor u^2 / norm at
     (l, m): the EXTENDED_DPS value rounded once to (f, k), u^2 / norm ~
     f 4**k with 1/2 <= f < 2, so that the weight is ldexp(sqrt(f rad), k)."""
-    with mp.workdps(EXTENDED_DPS):
-        u2_mm, core = _snorm_mp_cached(m, qkey, EXTENDED_DPS)
-        u2 = u2_mm if l == m else _u2_mp(l, m, mp.mpf(qkey))
-        f, e = mp.frexp(u2 / (core * u2_mm))
+    u2_mm, norm = _snorm_mp_cached(m, qkey, EXTENDED_DPS)
+    u2 = u2_mm if l == m else _u2(l, m, qkey, EXTENDED_DPS)
+    f, e = mp.frexp(_mpf(_div(u2, norm, dps_to_prec(EXTENDED_DPS))))
     return math.ldexp(float(f), e % 2), e // 2
 
 
@@ -329,33 +330,65 @@ def _snap_lattice(x, q):
     return None
 
 
-_PtildeFactors = namedtuple("_PtildeFactors", "u2 norm c_down c_up checks")
+_PtildeFactors = namedtuple("_PtildeFactors", "u2 norm c_down c_up shell")
 
 
 @lru_cache(maxsize=16)
 def _ptilde_factors(l, m, qkey, dps):
-    """The multiprecision record of everything in P~_l's weight and its
-    identity checks that does not depend on x, at (l, m, q, dps), as libmp
+    """The multiprecision record of what P~_l's weight and its identity
+    checks read that depends on l but not on x, at (l, m, q, dps), as libmp
     tuples: u^2, the normalization constant, the couplings to degrees l - 1
-    (c_down, 0 at l = m) and l + 1 (c_up), and the q-powers of the checks
-    (q**(m+1) of check_recurrence, then the six of check_difference); u^2
-    at l = m is the one _snorm_mp_cached holds."""
+    (c_down, 0 at l = m) and l + 1 (c_up), and the shell
+    (q**(2l+1) + q**(-2l-1)) / q of check_difference."""
+    u2_mm, norm = _snorm_mp_cached(m, qkey, dps)
     with mp.workdps(dps):
         q = mp.mpf(qkey)
         qn = partial(_qnum, q=q, lam=_lam(q))
-        u2_mm, core = _snorm_mp_cached(m, qkey, dps)
         return _PtildeFactors(
-            (u2_mm if l == m else _u2_mp(l, m, q))._mpf_,
-            (core * u2_mm)._mpf_,
+            u2_mm if l == m else _u2(l, m, qkey, dps), norm,
             _recurrence_coeff(l - 1, m, qn)._mpf_ if l > m else fzero,
             _recurrence_coeff(l, m, qn)._mpf_,
-            tuple(v._mpf_ for v in (
-                q**(m + 1), (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
-                (q * q + 1) * q**(-2 * (m + 2)),
-                q**(4 * m), q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4)))
+            ((q**(2 * l + 1) + q**(-2 * l - 1)) / q)._mpf_)
 
 
-@lru_cache(maxsize=8)
+_Order = namedtuple("_Order", "qm1 centre q4m c_in c_out q4 q4j")
+
+
+@lru_cache(maxsize=64)
+def _order(m, qkey, dps):
+    """The q-powers of order m that the checks and the radicand read, at dps
+    digits as libmp tuples, each the mpf expression's value: q**(m+1),
+    (q*q + 1) q**(-2(m+2)), q**(4m), q**(-2(m+1)), q**(-4(m+1)), q**-4 and
+    q**(-4j), j = 0..m-1."""
+    prec = dps_to_prec(dps)
+    q = from_float(qkey, prec, _RN)
+    pw = partial(mpf_pow_int, q, prec=prec, rnd=_RN)
+    centre = mpf_add(mpf_mul(q, q, prec, _RN), fone, prec, _RN)
+    return _Order(pw(m + 1), mpf_mul(centre, pw(-2 * (m + 2)), prec, _RN),
+                  pw(4 * m), pw(-2 * (m + 1)), pw(-4 * (m + 1)), pw(-4),
+                  tuple(map(pw, range(0, -4 * m, -4))))
+
+
+def _rad_at(m, x, qkey, dps):
+    """_rad at the libmp tuple x and dps digits, on libmp tuples: the mpf
+    expression's value, with the bound _RAD_ULPS mp.eps."""
+    o, prec = _order(m, qkey, dps), dps_to_prec(dps)
+    bound = mpf_mul_int((0, 1, 1 - prec, 1), _RAD_ULPS, prec, _RN)
+    x2q = mpf_mul(mpf_mul(x, x, prec, _RN), o.q4m, prec, _RN)
+    r = fone
+    for qj in o.q4j:
+        f = mpf_sub(fone, mpf_mul(x2q, qj, prec, _RN), prec, _RN)
+        if mpf_le(mpf_abs(f), bound):
+            return fzero
+        r = mpf_mul(r, f, prec, _RN)
+    if mpf_lt(r, fzero):
+        raise DomainError(
+            f"argument {to_float(x, rnd=_RN)} outside the weight support "
+            f"for m={m}")
+    return r
+
+
+@lru_cache(maxsize=4)
 def _sum_terms(l, m, qkey, dps):
     """The factors of _sum_factors at dps digits, the record every
     multiprecision sum reads: per term k = 0..l-m, base**(k-1), the
@@ -412,15 +445,16 @@ def _node_poch(node, terms):
 
 @lru_cache(maxsize=1024)
 def _node_rad(m, e, qkey, dps):
-    """The radicand _rad(m, x) at the nodes +-q^e, at dps digits, as a libmp
-    tuple.  It reads only x^2, so both signs share it."""
-    with mp.workdps(dps):
-        return _rad(m, _node(e, 1, qkey, dps).x, mp.mpf(qkey))._mpf_
+    """_rad_at at the nodes +-q^e and dps digits.  It reads only x^2, so
+    both signs share it."""
+    return _rad_at(m, _node(e, 1, qkey, dps).x._mpf_, qkey, dps)
 
 
+@lru_cache(maxsize=64)
 def _weight_at(l, m, rad, qkey, dps):
-    """weight_w at dps digits from the tuple rad of _rad(m, x): the mpf
-    expression mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples."""
+    """weight_w at dps digits from the tuple rad of _rad_at: the mpf
+    expression mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples,
+    shared by both signs and by equal radicands."""
     f = _ptilde_factors(l, m, qkey, dps)
     prec = dps_to_prec(dps)
     w = _div(mpf_mul(f.u2, rad, prec, _RN), f.norm, prec)
@@ -429,7 +463,7 @@ def _weight_at(l, m, rad, qkey, dps):
 
 def _weighted(l, m, p, rad, qkey):
     """The record (dps, P~_l) from the record p = (dps, P) at x and the
-    radicand rad of _rad(m, x) at p.dps digits: the mpf expression
+    radicand rad of _rad_at(m, x) at p.dps digits: the mpf expression
     p.v * _weight_at(...), on libmp tuples."""
     w = _weight_at(l, m, rad, qkey, p.dps)
     return _Value(p.dps, mpf_mul(p.v, w, dps_to_prec(p.dps), _RN))
@@ -499,12 +533,14 @@ def _exponent(x, qkey):
 
 def _transient(x, qkey, step=0):
     """A lift of x q^(2 step), step in {-1, 0, 1}: dps -> a point record at
-    dps digits, which nothing caches; call it under mp.workdps(dps)."""
+    dps digits, which nothing caches."""
     def lift(dps):
-        xx = mp.mpf(x)
-        if step:
-            xx = xx * mp.mpf(qkey)**2 if step > 0 else xx / mp.mpf(qkey)**2
-        return _Node(xx, [fone])
+        with mp.workdps(dps):
+            xx = mp.mpf(x)
+            if step:
+                q2 = mp.mpf(qkey)**2
+                xx = xx * q2 if step > 0 else xx / q2
+            return _Node(xx, [fone])
     return lift
 
 
@@ -524,8 +560,7 @@ def _reader(x, m, qkey):
     def read(l, step=0):
         lift = _transient(x, qkey, step)
         p = _p_value(l, m, lift, t + 2 * step, qkey)
-        with mp.workdps(p.dps):
-            rad = _rad(m, lift(p.dps).x, mp.mpf(qkey))._mpf_
+        rad = _rad_at(m, lift(p.dps).x._mpf_, qkey, p.dps)
         return _weighted(l, m, p, rad, qkey)
     return t, _transient(x, qkey), read
 
@@ -607,7 +642,7 @@ def weight_w(l: int, m: int, x, ctx: QContext):
     if l < m:
         raise DomainError(f"weight defined for l >= m, got l={l}, m={m}")
     if ctx.is_extended:
-        rad = _rad(m, mp.mpf(x), mp.mpf(ctx.q))._mpf_
+        rad = _rad_at(m, mp.mpf(x)._mpf_, float(ctx.q), ctx.dps)
         return _mpf(_weight_at(l, m, rad, float(ctx.q), ctx.dps))
     q = float(ctx.q)
     r = _rad(m, float(x), q)        # DomainError or PrecisionError first
@@ -905,9 +940,9 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     down = read(l - 1) if l > m else None
     dps = max(here.dps, up.dps, down.dps if down else 0)
     f = _ptilde_factors(l, m, qkey, dps)
-    with mp.workdps(dps):
-        prec, x = mp.mp.prec, lift(dps).x._mpf_
-    lhs = mpf_mul(mpf_mul(x, f.checks[0], prec, _RN), here.v, prec, _RN)
+    prec, x = dps_to_prec(dps), lift(dps).x._mpf_
+    lhs = mpf_mul(mpf_mul(x, _order(m, qkey, dps).qm1, prec, _RN), here.v,
+                  prec, _RN)
     rhs = mpf_mul(f.c_up, up.v, prec, _RN)
     if down is not None:
         rhs = mpf_add(rhs, mpf_mul(f.c_down, down.v, prec, _RN), prec, _RN)
@@ -934,25 +969,36 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     outer = read(l, 1) if t < -2 * (m + 1) or t > -2 else None
     dps = max(here.dps, inner.dps if inner else 0,
               outer.dps if outer else 0)
-    _, shell, centre, q4m, c_in, c_out, q4 = \
-        _ptilde_factors(l, m, qkey, dps).checks
-    with mp.workdps(dps):
-        prec, xx = mp.mp.prec, lift(dps).x._mpf_
-
+    shell = _ptilde_factors(l, m, qkey, dps).shell
+    prec, xx = dps_to_prec(dps), lift(dps).x._mpf_
+    x2 = mpf_mul(xx, xx, prec, _RN)
+    c_in, c_out = _roots(m, x2, qkey, dps, bool(inner), bool(outer))
     mul = partial(mpf_mul, prec=prec, rnd=_RN)
     sub = partial(mpf_sub, prec=prec, rnd=_RN)
-    x2 = mul(xx, xx)
-    lhs = mul(sub(mul(shell, mpf_pow_int(xx, 2, prec, _RN)), centre), here.v)
+    lhs = mul(sub(mul(shell, x2), _order(m, qkey, dps).centre), here.v)
     rhs = fzero
-    # each radicand is positive where it enters: its bounds on t are even
-    # exponents, the lattice nodes an argument near them snaps to
-    if inner is not None:
-        rad = mul(sub(fone, x2), sub(fone, mul(x2, q4m)))
-        rhs = sub(rhs, mul(mul(c_in, mpf_sqrt(rad, prec, _RN)), inner.v))
-    if outer is not None:
-        rad = mul(sub(c_out, x2), sub(q4, x2))
-        rhs = sub(rhs, mul(mpf_sqrt(rad, prec, _RN), outer.v))
+    if inner:
+        rhs = sub(rhs, mul(c_in, inner.v))
+    if outer:
+        rhs = sub(rhs, mul(c_out, outer.v))
     return _residual(lhs, rhs, prec)
+
+
+@lru_cache(maxsize=128)
+def _roots(m, x2, qkey, dps, inner, outer):
+    """check_difference's coefficients at x2 = x^2, dps digits, for both
+    signs and every degree: q**(-2(m+1)) sqrt((1 - x^2)(1 - x^2 q^4m)) if
+    inner, sqrt((q^-4(m+1) - x^2)(q^-4 - x^2)) if outer, else False.
+    Each radicand is positive where it enters: its bounds on t are even
+    exponents, the lattice nodes an argument near them snaps to."""
+    o = _order(m, qkey, dps)
+    prec = dps_to_prec(dps)
+    mul = partial(mpf_mul, prec=prec, rnd=_RN)
+    sub = partial(mpf_sub, prec=prec, rnd=_RN)
+    root = partial(mpf_sqrt, prec=prec, rnd=_RN)
+    return (inner and mul(o.c_in, root(mul(sub(fone, x2),
+                                           sub(fone, mul(x2, o.q4m))))),
+            outer and root(mul(sub(o.c_out, x2), sub(o.q4, x2))))
 
 
 def _residual(lhs, rhs, prec):
@@ -1036,6 +1082,7 @@ def clear_caches():
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
     for cache in (_qfact_cached, _qfact_list, _weight_scale, _snorm_mp_cached,
-                  _ptilde_factors, _sum_terms, _node, _node_rad, _p_node,
-                  _ptilde_node, _table_cached, _coeff_lists):
+                  _ptilde_factors, _order, _sum_terms, _node, _node_rad,
+                  _weight_at, _p_node, _ptilde_node, _roots, _table_cached,
+                  _coeff_lists):
         cache.cache_clear()

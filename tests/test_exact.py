@@ -15,6 +15,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_float
 
 import exact as ex
 from qspace3 import DomainError, PrecisionError, QContext
@@ -225,14 +226,13 @@ def _edge_points(m, q):
 
 
 def _rad_sign(m, x, q, dps):
-    """The sign of qs._rad in binary64 (dps 0) or at dps digits: -1 for a
-    DomainError."""
+    """The sign of qs._rad in binary64 (dps 0), or of qs._rad_at at dps
+    digits: -1 for a DomainError."""
     try:
         if not dps:
             r = qs._rad(m, x, q)
         else:
-            with mp.workdps(dps):
-                r = qs._rad(m, mp.mpf(x), mp.mpf(q))
+            r = mp.make_mpf(qs._rad_at(m, from_float(x), q, dps))
     except DomainError:
         return -1
     return (r > 0) - (r < 0)

@@ -450,7 +450,7 @@ class TestWeightedFunction:
                     want = qs._node_poch(node, terms)[:len(terms)]
                     assert all(type(v) is tuple for v in got) and got == want
                     p = qs._p_value(l, m, transient, e, q)
-                    rad = qs._rad(m, point.x, mp.mpf(q))._mpf_
+                    rad = qs._rad_at(m, point.x._mpf_, q, p.dps)
                     v = mp.make_mpf(p.v) \
                         * mp.make_mpf(qs._weight_at(l, m, rad, q, p.dps))
                 assert p.dps == ref.dps and v._mpf_ == ref.v, (l, sigma)
@@ -871,6 +871,31 @@ class TestIdentities:
         assert {(e, sigma) for e, sigma, _ in lifted.values()} \
             <= {(k[2], k[3]) for k in distinct}
 
+    def test_criterion_2_grid_square_roots(self, monkeypatch):
+        # the criterion-2 grid at q = 1.5 takes 890 multiprecision square
+        # roots, against 3,168 when each check and each P~ took its own: 533
+        # weights, one per (l, m, radicand, dps) that its 64-entry record
+        # misses, which both signs of a node share, and check_difference's
+        # two coefficients once per node and dps, 187 inner and 170 outer
+        # (none at n = 0, where the outer radicand is 0), no evicted one
+        # read again
+        roots = []
+        mpf_sqrt = qs.mpf_sqrt
+        monkeypatch.setattr(qs, "mpf_sqrt", lambda *a, **k: roots.append(a)
+                            or mpf_sqrt(*a, **k))
+        qs.clear_caches()
+        q = 1.5
+        for l in range(9):
+            for m in range(l + 1):
+                for n in range(-10, 1):
+                    for sig in (1, -1):
+                        x = sig * q**(2 * (n - m - 1))
+                        qs.check_recurrence(l, m, x, CTX15)
+                        qs.check_difference(l, m, x, CTX15)
+        assert len(roots) == 890
+        assert qs._weight_at.cache_info().misses == 533
+        assert qs._roots.cache_info().misses == 187
+
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_checks_at_zero_measure_or_refuse(self, precision):
         # at x = 0 the q-difference neighbours x q^(+-2) are x itself, and
@@ -971,8 +996,17 @@ def _ref_ptilde(l, m, x, q, dps):
     r = _ref_rad(m, x, q)
     if r == 0:
         return s * mp.mpf(0)
-    norm = qs._snorm_core(m, q) * qs._u2_mp(m, m, q)
-    return s * mp.sqrt(qs._u2_mp(l, m, q) * r / norm)
+    norm = qs._snorm_core(m, q) * _ref_u2(m, m, q)
+    return s * mp.sqrt(_ref_u2(l, m, q) * r / norm)
+
+
+def _ref_u2(l, m, q):
+    # the weight's u^2 at the ambient precision
+    lam = q - 1 / q
+    t = q**(l * (l + 1)) * (q**(2 * l + 1) - q**(-2 * l - 1)) / lam
+    for k in range(l - m + 1, l + m + 1):
+        t = t * (q**k - q**(-k)) / lam
+    return t
 
 
 def _ref_coupling(l, m, q):
@@ -1184,10 +1218,31 @@ class TestTupleRoute:
             lift = partial(qs._node, t, sigma, q)
         dps, p = self._mpf_value(l, m, lift, t, q)
         with mp.workdps(dps):
-            rad = qs._rad(m, lift(dps).x, mp.mpf(q))
+            rad = self._mpf_rad(m, lift(dps).x, mp.mpf(q))
             f = qs._ptilde_factors(l, m, q, dps)
             return dps, p * mp.sqrt(mp.make_mpf(f.u2) * rad
                                     / mp.make_mpf(f.norm))
+
+    @staticmethod
+    def _mpf_rad(m, x, q):
+        # the radicand of _rad_at written in mpf: a factor within
+        # _RAD_ULPS eps of zero makes it 0
+        r = mp.mpf(1)
+        for j in range(m):
+            f = 1 - x * x * q**(4 * m) * q**(-4 * j)
+            if abs(f) <= qs._RAD_ULPS * mp.eps:
+                return mp.mpf(0)
+            r = r * f
+        assert r >= 0
+        return r
+
+    @staticmethod
+    def _mpf_powers(l, m, q):
+        # the q-powers of the checks: check_recurrence's q**(m+1), then
+        # check_difference's shell, centre and four radicand powers
+        return (q**(m + 1), (q**(2 * l + 1) + q**(-2 * l - 1)) / q,
+                (q * q + 1) * q**(-2 * (m + 2)), q**(4 * m),
+                q**(-2 * (m + 1)), q**(-4 * (m + 1)), q**-4)
 
     def _mpf_checks(self, l, m, x, q):
         # check_recurrence and check_difference written in mpf over the
@@ -1203,7 +1258,8 @@ class TestTupleRoute:
         with mp.workdps(dps):
             f = qs._ptilde_factors(l, m, q, dps)
             c_down, c_up = map(mp.make_mpf, (f.c_down, f.c_up))
-            lhs = lift(dps).x * mp.make_mpf(f.checks[0]) * reads[l, 0][1]
+            qm1 = self._mpf_powers(l, m, mp.mpf(q))[0]
+            lhs = lift(dps).x * qm1 * reads[l, 0][1]
             rhs = c_up * reads[l + 1, 0][1]
             if l > m:
                 rhs += c_down * reads[l - 1, 0][1]
@@ -1211,7 +1267,7 @@ class TestTupleRoute:
         dps = max(d for k, (d, _) in reads.items() if k[0] == l)
         with mp.workdps(dps):
             _, shell, centre, q4m, c_in, c_out, q4 = \
-                map(mp.make_mpf, qs._ptilde_factors(l, m, q, dps).checks)
+                self._mpf_powers(l, m, mp.mpf(q))
             xx = lift(dps).x
             lhs = (shell * xx**2 - centre) * reads[l, 0][1]
             rhs = mp.mpf(0)
@@ -1292,14 +1348,17 @@ def _all_caches():
 
 def test_every_cache_is_bounded():
     # one record of x-independent factors per precision mode: _weight_scale
-    # in binary64, _ptilde_factors and the terms _sum_terms in
-    # multiprecision; one l-independent record per lattice node and dps
-    # (_node, _node_rad), and one P and one P~ value per (l, m, node)
+    # in binary64, _ptilde_factors, the order's q-powers _order and the
+    # terms _sum_terms in multiprecision; one l-independent record per
+    # lattice node and dps (_node, _node_rad, and _roots, keyed by x^2),
+    # the weight per radicand (_weight_at), and one P and one P~ value per
+    # (l, m, node)
     bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
               qs._weight_scale: 4096, qs._snorm_mp_cached: 256,
               qs._table_cached: 65536, qs._coeff_lists: 256,
-              qs._ptilde_factors: 16, qs._sum_terms: 8, qs._node: 1024,
-              qs._node_rad: 1024, qs._p_node: 64, qs._ptilde_node: 4096}
+              qs._ptilde_factors: 16, qs._order: 64, qs._sum_terms: 4,
+              qs._node: 1024, qs._node_rad: 1024, qs._weight_at: 64,
+              qs._roots: 128, qs._p_node: 64, qs._ptilde_node: 4096}
     for cache in _all_caches():
         assert cache in bounds, cache.__name__
     for cache, maxsize in bounds.items():
