@@ -19,12 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_float, mpf_add, mpf_mul, mpf_sub,
-                          mpf_sum, round_nearest as _RN, to_float)
+from mpmath.libmp import (fone, from_float, mpf_sum, round_nearest as _RN,
+                          to_float)
 
 from .context import QContext, _at_ctx_dps
 from .errors import CoverageError, DomainError
-from .qarith import _zero
+from .qarith import _add, _mul, _sub, _zero
 from .qspecial import (_doubled_rows, _lattice_matrix, _raw_site_rows, _site,
                        p_tilde)
 from .repspace import (_casimir_chain, casimir_eigenvalue, chain_entries,
@@ -173,17 +173,21 @@ def _casimir_congruence_defect(m, l_values, cd, ctx):
     and the sigma = -1 rows of U_K and R_K are its rounded values negated
     in binary64, which is exact (a zero would turn -0.0, which the products
     and abs() read as 0).  That work runs on libmp tuples (_raw_columns).
+    The window's _MARGIN - 1 deepest sites are neither kept nor the lower
+    neighbour of a kept one, so no row or chain entry is built for them.
     """
     q = float(ctx.q)
     ectx = replace(ctx, precision="extended")
     top = min(0, m)
-    mts = list(range(top - cd, top + 1))
+    depth = cd + 1 - _MARGIN        # from the kept sites' lower neighbour
+    mts = list(range(top - depth, top + 1))
     lams = np.array([casimir_eigenvalue(l, ectx) for l in l_values])
     with mp.workdps(ectx.dps):
         prec = mp.mp.prec
         qm = mp.mpf(q)
         rows = list(_raw_site_rows(m, mts, l_values, qm, ectx, True, prec))
-        D, E = ([v._mpf_ for v in part] for part in _casimir_chain(m, cd, qm))
+        D, E = ([v._mpf_ for v in part]
+                for part in _casimir_chain(m, depth, qm))
     U, R, gram_diag = _raw_columns(rows, D, E, lams.tolist(), prec)
     odd = np.array([(l - abs(m)) % 2 == 1 for l in l_values])
     U_K = np.concatenate([U, np.where(odd, -U, U)])
@@ -200,15 +204,16 @@ _MARGIN = 2       # the deepest sites of each sign half, dropped from K
 
 def _raw_columns(rows, D, E, lams, prec):
     """The sigma = +1 halves of the congruence pieces, from the 40-digit
-    rows (one list of libmp tuples per chain site, ascending) and the
-    chain block (diagonal D, couplings E, as tuples), each operation
-    rounded to nearest at prec bits in the order of the mpf expressions
+    rows (one list of libmp tuples per chain site, ascending, the first the
+    lower neighbour of the first kept site) and the chain block (diagonal
+    D, couplings E, as tuples, on the same sites), each operation rounded
+    to nearest at prec bits in the order of the mpf expressions
         AV = V D + V_lower E + V_upper E,   R = AV - lam V:
     U and R over the kept sites (a row each) and the columns, rounded to
     binary64 once, and per column (U_K^T U_K)_aa - 1 over both halves."""
     n = len(rows)
-    kept = range(_MARGIN, n)
-    U = np.empty((n - _MARGIN, len(lams)))
+    kept = range(1, n)
+    U = np.empty((n - 1, len(lams)))
     R = np.empty_like(U)
     gram_diag = np.empty(len(lams))
     for c, lam in enumerate(lams):
@@ -217,19 +222,17 @@ def _raw_columns(rows, D, E, lams, prec):
         sq = []
         for r, j in enumerate(kept):
             v = V[j]
-            av = mpf_add(mpf_mul(v, D[j], prec, _RN),
-                         mpf_mul(V[j - 1], E[j - 1], prec, _RN), prec, _RN)
+            av = _add(_mul(v, D[j], prec), _mul(V[j - 1], E[j - 1], prec),
+                      prec)
             if j + 1 < n:
-                av = mpf_add(av, mpf_mul(V[j + 1], E[j], prec, _RN),
-                             prec, _RN)
+                av = _add(av, _mul(V[j + 1], E[j], prec), prec)
             # rnd by keyword: the second positional parameter is strict
             U[r, c] = to_float(v, rnd=_RN)
-            R[r, c] = to_float(mpf_sub(av, mpf_mul(v, lam, prec, _RN),
-                                       prec, _RN), rnd=_RN)
-            sq.append(mpf_mul(v, v, prec, _RN))
+            R[r, c] = to_float(_sub(av, _mul(v, lam, prec), prec), rnd=_RN)
+            sq.append(_mul(v, v, prec))
         # both halves' squares, in the order of the rows of U_K
-        gram_diag[c] = to_float(mpf_sub(mpf_sum(sq + sq, prec, _RN), fone,
-                                        prec, _RN), rnd=_RN)
+        gram_diag[c] = to_float(_sub(mpf_sum(sq + sq, prec, _RN), fone, prec),
+                                rnd=_RN)
     return U, R, gram_diag
 
 

@@ -9,14 +9,20 @@ qfactorial_sym and qbinomial_sym make an mpf where they return; the binary64
 list rounds the entries of the EXTENDED_DPS list once.  Values are returned
 as float in "double" mode and as mpmath.mpf in "extended" mode.
 
-Every tuple division of qarith and qspecial is one kernel, _div: libmp's
-round-to-nearest mpf_div, bit for bit, with an exact quotient's trailing
-zeros stripped in one shift.  At q = 2 every [a] and every q-binomial is a
-dyadic rational, so most quotients of the direct sum are exact.
+Every tuple multiplication, addition, subtraction and division of qarith,
+qspecial and basistrans is one kernel, _mul, _add, _sub and _div: libmp's
+round-to-nearest mpf_mul, mpf_add, mpf_sub and mpf_div, bit for bit,
+without its generic rounding call; zero and special operands go to libmp
+itself.  Each kernel hands an odd mantissa to one rounding step, _round (an
+exact quotient's or an equal-exponent sum's trailing zeros go first, in one
+shift), so a tie needs exactly one cut bit.  Every multiprecision integer
+power reads one bounded memo, _pow.  At q = 2 every [a] and every
+q-binomial is a dyadic rational, so most quotients of the direct sum are
+exact.
 
 The denominator lambda = q - 1/q of every q-number is formed once per loop
 that computes q-numbers at one q and precision: here in _extend_qfacts and
-in qspecial's _u2 (on tuples), in _ptilde_factors and the coefficient-list
+in qspecial's _u2 (on tuples), in _coupling and the coefficient-list
 extension _coeffs_through (passed to _qnum).  It is the same value at every
 call, so each [a] is the one a call without lam gives, bit for bit.
 """
@@ -26,9 +32,9 @@ import threading
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, fone, fzero, from_float, mpf_div,
-                          mpf_mul, mpf_pow_int, mpf_sub, normalize1,
-                          round_nearest as _RN, to_float)
+from mpmath.libmp import (dps_to_prec, fone, fzero, from_float, mpf_add,
+                          mpf_div, mpf_mul, mpf_pow_int, round_nearest as _RN,
+                          to_float)
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
@@ -57,31 +63,115 @@ def _lam(q):
     return q - 1 / q
 
 
-def _div(s, t, prec):
-    """mpf_div(s, t, prec, round_nearest) on the libmp tuples s and t, bit
-    for bit: the same extra bits, divmod, and sticky bit and normalize1 for
-    an inexact quotient.  An exact quotient's trailing zeros go in one shift
-    instead of normalize's eight bits at a time, then normalize1 rounds;
-    since a tuple's mantissa is odd and rounding is correct, the result is
-    mpf_div's.  Zero and special operands and a divisor mantissa of 1 are
-    mpf_div's own cases."""
+def _round(sign, man, exp, prec):
+    """The libmp tuple of (-1)**sign * man * 2**exp rounded to nearest at
+    prec bits, for an odd man: libmp's normalize1 at round_nearest, bit for
+    bit.  Below the rounding bit an odd mantissa is never zero where more
+    than one bit is cut, so a tie needs exactly one cut bit, and r & 2 then
+    rounds it to even.  A round-up's trailing zeros go in one shift, and
+    int.bit_length replaces libmp's bisect bitcount."""
+    bc = man.bit_length()
+    n = bc - prec
+    if n <= 0:
+        return sign, man, exp, bc
+    r = man >> (n - 1)
+    man = r >> 1
+    if r & 1 and (n > 1 or r & 2):
+        man += 1
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        n += z
+    return sign, man, exp + n, man.bit_length()
+
+
+def _mul(s, t, prec):
+    """mpf_mul(s, t, prec, round_nearest) on the libmp tuples s and t, bit
+    for bit: the product of two odd mantissas is odd.  Zero and special
+    operands are mpf_mul's own cases."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
-    if not sman or tman < 2:
+    man = sman * tman
+    if not man:
+        return mpf_mul(s, t, prec, _RN)
+    return _round(ssign ^ tsign, man, sexp + texp, prec)
+
+
+def _adder(neg):
+    """The kernel of mpf_add(s, t, prec, round_nearest, neg), bit for bit:
+    _add at neg = 0, _sub (s - t) at neg = 1.  The exact sum is odd unless
+    the exponents are equal, when its trailing zeros go first in one shift,
+    where libmp's normalize strips them eight bits at a time.  Zero and
+    special operands are mpf_add's own cases."""
+    def add(s, t, prec):
+        ssign, sman, sexp, sbc = s
+        tsign, tman, texp, tbc = t
+        if not (sman and tman):
+            return mpf_add(s, t, prec, _RN, neg)
+        tsign ^= neg
+        if sexp < texp:             # s the operand of the larger exponent
+            ssign, sman, sexp, sbc, tsign, tman, texp, tbc = \
+                tsign, tman, texp, tbc, ssign, sman, sexp, sbc
+        offset = sexp - texp
+        if offset > 100 and sbc + sexp - tbc - texp > prec + 4:
+            # t lies below prec + 4 bits of s: mpf_add's one-unit nudge
+            return _round(ssign, (sman << prec + 4)
+                          + (1 if ssign == tsign else -1),
+                          sexp - prec - 4, prec)
+        man = ((-sman if ssign else sman) << offset) \
+            + (-tman if tsign else tman)
+        if not man:
+            return fzero
+        sign = 0
+        if man < 0:
+            sign, man = 1, -man
+        if not man & 1:             # equal exponents: an even sum
+            z = (man & -man).bit_length() - 1
+            man >>= z
+            texp += z
+        return _round(sign, man, texp, prec)
+    add.__name__ = add.__qualname__ = ("_add", "_sub")[neg]
+    return add
+
+
+_add, _sub = _adder(0), _adder(1)
+
+
+def _div(s, t, prec):
+    """mpf_div(s, t, prec, round_nearest) on the libmp tuples s and t, bit
+    for bit: a divisor mantissa of 1 leaves s's mantissa, and any other
+    takes mpf_div's extra bits and divmod, with a sticky bit for an inexact
+    quotient.  An exact quotient's trailing zeros go in one shift instead
+    of normalize's eight bits at a time, so every mantissa rounded is odd;
+    since rounding is correct, the result is mpf_div's.  Zero and special
+    operands are mpf_div's own cases."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman):
         return mpf_div(s, t, prec, _RN)
+    if tman == 1:
+        return _round(ssign ^ tsign, sman, sexp - texp, prec)
     extra = prec - sbc + tbc + 5
     if extra < 5:
         extra = 5
-    quot, rem = divmod(sman << extra, tman)
+    man, rem = divmod(sman << extra, tman)
     if rem:
-        quot = (quot << 1) + 1
+        man = (man << 1) + 1
         extra += 1
     else:
-        z = (quot & -quot).bit_length() - 1
-        quot >>= z
+        z = (man & -man).bit_length() - 1
+        man >>= z
         extra -= z
-    return normalize1(ssign ^ tsign, quot, sexp - texp - extra,
-                      quot.bit_length(), prec, _RN)
+    return _round(ssign ^ tsign, man, sexp - texp - extra, prec)
+
+
+@lru_cache(maxsize=256)
+def _pow(s, n, prec):
+    """mpf_pow_int(s, n, prec, round_nearest), one memo for every integer
+    power of the multiprecision routes: q**k and q**-k of the factorials and
+    of u^2, the order's q-powers and the direct sum's sign-powers and
+    b_k = (q**-2)**(k-1)."""
+    return mpf_pow_int(s, n, prec, _RN)
 
 
 _QFACT_LOCK = threading.Lock()     # one extender per prefix list at a time
@@ -118,12 +208,11 @@ def _extend_qfacts(facts, n, qkey, dps):
     lam = q - 1/q, at dps digits on libmp tuples."""
     prec = dps_to_prec(dps)
     q = from_float(qkey, prec, _RN)
-    lam = mpf_sub(q, _div(fone, q, prec), prec, _RN)
+    lam = _sub(q, _div(fone, q, prec), prec)
     r = facts[-1]
     for k in range(len(facts), n + 1):
-        qk = mpf_sub(mpf_pow_int(q, k, prec, _RN),
-                     mpf_pow_int(q, -k, prec, _RN), prec, _RN)
-        r = mpf_mul(r, _div(qk, lam, prec), prec, _RN)
+        qk = _sub(_pow(q, k, prec), _pow(q, -k, prec), prec)
+        r = _mul(r, _div(qk, lam, prec), prec)
         facts.append(r)
 
 
@@ -184,5 +273,5 @@ def _qbin(n, k, q, dps=0):
         return fone
     prec = dps_to_prec(dps)
     return _div(_qfact_cached(n, qk, dps),
-                mpf_mul(_qfact_cached(k, qk, dps),
-                        _qfact_cached(n - k, qk, dps), prec, _RN), prec)
+                _mul(_qfact_cached(k, qk, dps), _qfact_cached(n - k, qk, dps),
+                     prec), prec)

@@ -20,15 +20,16 @@ per (m, ctx).  The extended columns and _site_rows' extended rows, and the
 whole multiprecision point route, run on libmp tuples (mpf._mpf_) through
 the primitives the mpf operators call, in their order and rounding to
 nearest, so each value is the mpf expression's bit for bit without its
-object layer; every tuple division is one kernel, qarith._div, mpf_div's
-value with an exact quotient's trailing zeros stripped in one shift.  In
+object layer; every tuple multiplication, addition, subtraction and
+division is one kernel of qarith (_mul, _add, _sub, _div), libmp's value
+bit for bit, and every integer power reads qarith's bounded memo _pow.  In
 the point route the tuple is the one format: u^2 (_u2), the radicand
-(_rad_at), the terms (_sum_terms, over qarith's tuple q-factorial lists) and
-the q-powers (_order) are built on tuples, the couplings and Pochhammer
-lists convert their mpf expressions once, and only the public returns
-(_public, weight_w) make an mpf or a float.  lambda = q - 1/q is formed once
-per loop over q-numbers: in _u2, _ptilde_factors, _coeffs_through and
-qarith._extend_qfacts.
+(_rad_at), the terms (_sum_terms, over qarith's tuple q-factorial lists),
+the q-powers (_order) and check_difference's shell (_shell) are built on
+tuples, the couplings (_coupling) and Pochhammer lists convert their mpf
+expressions once, and only the public returns (_public, weight_w) make an
+mpf or a float.  lambda = q - 1/q is formed once per loop over q-numbers:
+in _u2, _coupling, _coeffs_through and qarith._extend_qfacts.
 
 One idiom carries a binary64 value past the range: a mantissa and an
 integer binary exponent (math.frexp/ldexp), so every rescaling is exact.
@@ -37,21 +38,22 @@ the downward table keeps a binary exponent per entry.
 
 The bounded records below keep every value bit-identical to an inline
 evaluation, each keyed by what it depends on.  x-independent: _weight_scale
-in binary64 (u^2 / norm as (f, k)); per (l, m, q, dps) _ptilde_factors
-(u^2, the normalization, the couplings to l -+ 1, the checks' shell) and
-_sum_terms; per (m, q, dps) _snorm_mp_cached and _order.  Binary64 p_lm sums
-its own float loop, _p_sum; every multiprecision sum is one kernel,
-_p_sum_at, over a point record _Node (the mpf x and its Pochhammer prefix
-list (x; q^-2)_k).  A lattice node sigma q^e (_snap_lattice) has one _node
-per dps, a radicand (_node_rad) and check_difference's square roots (_roots)
-that both signs share, and one P (_p_node) and one P~ (_ptilde_node) per
-(l, m), at the dps the rule gave them, which p_lm, p_tilde and the checks
-read; the weight (_weight_at) is keyed by the radicand.  Any other point is
-transient and uncached.  The checks read P~ through _reader, the
-q-difference neighbours of a node as the nodes e -+ 2, at the highest dps
-among their reads; they sum every P~ directly, so they test the recurrence
-rather than restate it.  clear_caches() empties every cache of this module
-and qarith.
+in binary64 (u^2 / norm as (f, k)); per (l, m, q, dps) _weight_factors
+(u^2 and the normalization, all the weight reads), _coupling (degrees l
+and l + 1, which check_recurrence reads at both) and _sum_terms; per (l, q,
+dps) check_difference's _shell; per (m, q, dps) _snorm_mp_cached and
+_order.  Binary64 p_lm sums its own float loop, _p_sum; every
+multiprecision sum is one kernel, _p_sum_at, over a point record _Node (the
+mpf x and its Pochhammer prefix list (x; q^-2)_k).  A lattice node sigma
+q^e (_snap_lattice) has one _node per dps, a radicand (_node_rad) and
+check_difference's square roots (_roots) that both signs share, and one P
+(_p_node) and one P~ (_ptilde_node) per (l, m), at the dps the rule gave
+them, which p_lm, p_tilde and the checks read; the weight (_weight_at) is
+keyed by the radicand.  Any other point is transient and uncached.  The
+checks read P~ through _reader, the q-difference neighbours of a node as
+the nodes e -+ 2, at the highest dps among their reads; they sum every P~
+directly, so they test the recurrence rather than restate it.
+clear_caches() empties every cache of this module and qarith.
 
 The one lattice map is _site: the argument and prefactor of a chain site
 (sigma, m_t).  _doubled_rows builds the lattice matrix from it, one table
@@ -74,14 +76,13 @@ from functools import lru_cache, partial
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (dps_to_prec, fone, from_float, fzero, mpf_abs,
-                          mpf_add, mpf_eq, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt,
-                          mpf_sub, round_nearest as _RN, to_float)
+                          mpf_eq, mpf_gt, mpf_le, mpf_lt, mpf_mul_int,
+                          mpf_neg, mpf_sqrt, round_nearest as _RN, to_float)
 
 from .context import EXTENDED_DPS, QContext, _at_ctx_dps
 from .errors import DomainError, PrecisionError
-from .qarith import (_div, _lam, _qnum, _qbin, _qfact_cached, _qfact_list,
-                     _QFACT_LOCK, _zero)
+from .qarith import (_add, _div, _lam, _mul, _pow, _qnum, _qbin,
+                     _qfact_cached, _qfact_list, _QFACT_LOCK, _sub, _zero)
 
 __all__ = [
     "p_lm", "weight_w", "p_tilde", "p_tilde_table",
@@ -148,9 +149,9 @@ def _p_sum_at(point, terms):
     s = worst = fzero
     for pochx, (_, sign, pochd, a, b, c) in zip(_node_poch(point, terms),
                                                 terms):
-        t = _div(mpf_mul(sign, pochx, prec, _RN), pochd, prec)
-        t = _div(mpf_mul(mpf_mul(t, a, prec, _RN), b, prec, _RN), c, prec)
-        s = mpf_add(s, t, prec, _RN)
+        t = _div(_mul(sign, pochx, prec), pochd, prec)
+        t = _div(_mul(_mul(t, a, prec), b, prec), c, prec)
+        s = _add(s, t, prec)
         t = mpf_abs(t, prec, _RN)
         if mpf_gt(t, worst):
             worst = t
@@ -213,12 +214,11 @@ def _u2(l, m, qkey, dps):
     as the mpf expression with [k] = (q**k - q**-k) / lam, lam = q - 1/q."""
     prec = dps_to_prec(dps)
     q = from_float(qkey, prec, _RN)
-    lam = mpf_sub(q, _div(fone, q, prec), prec, _RN)
-    pw = partial(mpf_pow_int, q, prec=prec, rnd=_RN)
-    t = pw(l * (l + 1))
+    lam = _sub(q, _div(fone, q, prec), prec)
+    t = _pow(q, l * (l + 1), prec)
     for k in (2 * l + 1, *range(l - m + 1, l + m + 1)):
-        t = mpf_mul(t, mpf_sub(pw(k), pw(-k), prec, _RN), prec, _RN)
-        t = _div(t, lam, prec)
+        t = _div(_mul(t, _sub(_pow(q, k, prec), _pow(q, -k, prec), prec),
+                      prec), lam, prec)
     return t
 
 
@@ -229,7 +229,7 @@ def _snorm_mp_cached(m: int, qkey: float, dps: int):
     u2 = _u2(m, m, qkey, dps)
     with mp.workdps(dps):
         core = _snorm_core(m, mp.mpf(qkey))._mpf_
-    return u2, mpf_mul(core, u2, dps_to_prec(dps), _RN)
+    return u2, _mul(core, u2, dps_to_prec(dps))
 
 
 @lru_cache(maxsize=4096)
@@ -290,7 +290,7 @@ def _raw_site_rows(m, mts, l_values, q, ctx, alternate, prec):
         x, pref = _site(m, mt, 1, q)
         tab = p_tilde_table(l_values[-1], abs(m), x, ctx)
         sp = _raw(((-1)**mt if alternate else 1) * pref)
-        yield [mpf_mul(sp, tab[l]._mpf_, prec, _RN) for l in l_values]
+        yield [_mul(sp, tab[l]._mpf_, prec) for l in l_values]
 
 
 def _doubled_rows(m, mts, l_values, q, ctx, alternate):
@@ -330,25 +330,33 @@ def _snap_lattice(x, q):
     return None
 
 
-_PtildeFactors = namedtuple("_PtildeFactors", "u2 norm c_down c_up shell")
+@lru_cache(maxsize=16)
+def _weight_factors(l, m, qkey, dps):
+    """The x-independent factors of P~_l's multiprecision weight at (l, m,
+    q, dps), as libmp tuples: (u^2, the normalization constant)."""
+    u2_mm, norm = _snorm_mp_cached(m, qkey, dps)
+    return (u2_mm if l == m else _u2(l, m, qkey, dps)), norm
+
+
+@lru_cache(maxsize=64)
+def _coupling(l, m, qkey, dps):
+    """The coupling of degrees l and l + 1 at dps digits as a libmp tuple,
+    the mpf expression _recurrence_coeff: check_recurrence reads it as the
+    up coefficient at l and as the down one at l + 1."""
+    with mp.workdps(dps):
+        q = mp.mpf(qkey)
+        return _recurrence_coeff(l, m, partial(_qnum, q=q,
+                                               lam=_lam(q)))._mpf_
 
 
 @lru_cache(maxsize=16)
-def _ptilde_factors(l, m, qkey, dps):
-    """The multiprecision record of what P~_l's weight and its identity
-    checks read that depends on l but not on x, at (l, m, q, dps), as libmp
-    tuples: u^2, the normalization constant, the couplings to degrees l - 1
-    (c_down, 0 at l = m) and l + 1 (c_up), and the shell
-    (q**(2l+1) + q**(-2l-1)) / q of check_difference."""
-    u2_mm, norm = _snorm_mp_cached(m, qkey, dps)
-    with mp.workdps(dps):
-        q = mp.mpf(qkey)
-        qn = partial(_qnum, q=q, lam=_lam(q))
-        return _PtildeFactors(
-            u2_mm if l == m else _u2(l, m, qkey, dps), norm,
-            _recurrence_coeff(l - 1, m, qn)._mpf_ if l > m else fzero,
-            _recurrence_coeff(l, m, qn)._mpf_,
-            ((q**(2 * l + 1) + q**(-2 * l - 1)) / q)._mpf_)
+def _shell(l, qkey, dps):
+    """check_difference's shell (q**(2l+1) + q**(-2l-1)) / q at dps digits,
+    the mpf expression's value as a libmp tuple; it does not depend on m."""
+    prec = dps_to_prec(dps)
+    q = from_float(qkey, prec, _RN)
+    return _div(_add(_pow(q, 2 * l + 1, prec), _pow(q, -2 * l - 1, prec),
+                     prec), q, prec)
 
 
 _Order = namedtuple("_Order", "qm1 centre q4m c_in c_out q4 q4j")
@@ -362,11 +370,12 @@ def _order(m, qkey, dps):
     q**(-4j), j = 0..m-1."""
     prec = dps_to_prec(dps)
     q = from_float(qkey, prec, _RN)
-    pw = partial(mpf_pow_int, q, prec=prec, rnd=_RN)
-    centre = mpf_add(mpf_mul(q, q, prec, _RN), fone, prec, _RN)
-    return _Order(pw(m + 1), mpf_mul(centre, pw(-2 * (m + 2)), prec, _RN),
-                  pw(4 * m), pw(-2 * (m + 1)), pw(-4 * (m + 1)), pw(-4),
-                  tuple(map(pw, range(0, -4 * m, -4))))
+    centre = _add(_mul(q, q, prec), fone, prec)
+    return _Order(_pow(q, m + 1, prec),
+                  _mul(centre, _pow(q, -2 * (m + 2), prec), prec),
+                  _pow(q, 4 * m, prec), _pow(q, -2 * (m + 1), prec),
+                  _pow(q, -4 * (m + 1), prec), _pow(q, -4, prec),
+                  tuple(_pow(q, k, prec) for k in range(0, -4 * m, -4)))
 
 
 def _rad_at(m, x, qkey, dps):
@@ -374,13 +383,13 @@ def _rad_at(m, x, qkey, dps):
     expression's value, with the bound _RAD_ULPS mp.eps."""
     o, prec = _order(m, qkey, dps), dps_to_prec(dps)
     bound = mpf_mul_int((0, 1, 1 - prec, 1), _RAD_ULPS, prec, _RN)
-    x2q = mpf_mul(mpf_mul(x, x, prec, _RN), o.q4m, prec, _RN)
+    x2q = _mul(_mul(x, x, prec), o.q4m, prec)
     r = fone
     for qj in o.q4j:
-        f = mpf_sub(fone, mpf_mul(x2q, qj, prec, _RN), prec, _RN)
+        f = _sub(fone, _mul(x2q, qj, prec), prec)
         if mpf_le(mpf_abs(f), bound):
             return fzero
-        r = mpf_mul(r, f, prec, _RN)
+        r = _mul(r, f, prec)
     if mpf_lt(r, fzero):
         raise DomainError(
             f"argument {to_float(x, rnd=_RN)} outside the weight support "
@@ -396,16 +405,15 @@ def _sum_terms(l, m, qkey, dps):
     a libmp tuple with the mpf expression's value, bit for bit."""
     prec = dps_to_prec(dps)
     q = from_float(qkey, prec, _RN)
-    base = mpf_pow_int(q, -2, prec, _RN)
-    shift = mpf_pow_int(q, -2 * (m + 1), prec, _RN)
+    base = _pow(q, -2, prec)
+    shift = _pow(q, -2 * (m + 1), prec)
     bk = pochd = fone
     terms = []
     for k in range(l - m + 1):
         if k:
-            bk = mpf_pow_int(base, k - 1, prec, _RN)
-            pochd = mpf_mul(pochd, mpf_add(fone, mpf_mul(shift, bk, prec, _RN),
-                                           prec, _RN), prec, _RN)
-        sign = mpf_pow_int(q, -k * (m + 1), prec, _RN)
+            bk = _pow(base, k - 1, prec)
+            pochd = _mul(pochd, _add(fone, _mul(shift, bk, prec), prec), prec)
+        sign = _pow(q, -k * (m + 1), prec)
         terms.append((bk, mpf_neg(sign) if k % 2 else sign, pochd,
                       _qbin(l - m, k, qkey, dps),
                       _qbin(l + m + k, k, qkey, dps),
@@ -437,8 +445,7 @@ def _node_poch(node, terms):
         with _QFACT_LOCK:
             prec, x, r = mp.mp.prec, node.x._mpf_, poch[-1]
             for bk, *_ in terms[len(poch):]:
-                f = mpf_sub(fone, mpf_mul(x, bk, prec, _RN), prec, _RN)
-                r = mpf_mul(r, f, prec, _RN)
+                r = _mul(r, _sub(fone, _mul(x, bk, prec), prec), prec)
                 poch.append(r)
     return poch
 
@@ -455,10 +462,9 @@ def _weight_at(l, m, rad, qkey, dps):
     """weight_w at dps digits from the tuple rad of _rad_at: the mpf
     expression mp.sqrt(u^2 * rad / norm) at dps digits, on libmp tuples,
     shared by both signs and by equal radicands."""
-    f = _ptilde_factors(l, m, qkey, dps)
+    u2, norm = _weight_factors(l, m, qkey, dps)
     prec = dps_to_prec(dps)
-    w = _div(mpf_mul(f.u2, rad, prec, _RN), f.norm, prec)
-    return mpf_sqrt(w, prec, _RN)
+    return mpf_sqrt(_div(_mul(u2, rad, prec), norm, prec), prec, _RN)
 
 
 def _weighted(l, m, p, rad, qkey):
@@ -466,7 +472,7 @@ def _weighted(l, m, p, rad, qkey):
     radicand rad of _rad_at(m, x) at p.dps digits: the mpf expression
     p.v * _weight_at(...), on libmp tuples."""
     w = _weight_at(l, m, rad, qkey, p.dps)
-    return _Value(p.dps, mpf_mul(p.v, w, dps_to_prec(p.dps), _RN))
+    return _Value(p.dps, _mul(p.v, w, dps_to_prec(p.dps)))
 
 
 def _sum_dps(l, m, t, q):
@@ -830,8 +836,7 @@ def _coeffs_through(top, m, ctx):
 
 def _raw_xq(x, m, ctx, prec):
     """x q^(m+1), the argument of both recurrences, as a libmp tuple."""
-    qm1 = mpf_pow_int(ctx.qval()._mpf_, m + 1, prec, _RN)
-    return mpf_mul(_raw(x), qm1, prec, _RN)
+    return _mul(_raw(x), _pow(ctx.qval()._mpf_, m + 1, prec), prec)
 
 
 def _table_up(l_max, m, x, seed, ctx):
@@ -862,10 +867,10 @@ def _raw_up(l_max, m, x, seed, ctx, up, prec):
     vals = [fzero] * (l_max + 1)
     vals[m] = seed._mpf_
     if m + 1 <= l_max:
-        vals[m + 1] = _div(mpf_mul(xq, vals[m], prec, _RN), c[m], prec)
+        vals[m + 1] = _div(_mul(xq, vals[m], prec), c[m], prec)
     for l in range(m + 1, l_max):
-        t = mpf_sub(mpf_mul(xq, vals[l], prec, _RN),
-                    mpf_mul(c[l - 1], vals[l - 1], prec, _RN), prec, _RN)
+        t = _sub(_mul(xq, vals[l], prec), _mul(c[l - 1], vals[l - 1], prec),
+                 prec)
         vals[l + 1] = _div(t, c[l], prec)
     return vals
 
@@ -912,13 +917,12 @@ def _raw_down(l_max, m, x, seed, ctx, up, L, prec):
     v = [fzero] * (L + 2)
     v[L] = fone
     for l in range(L, m, -1):
-        t = mpf_sub(mpf_mul(xq, v[l], prec, _RN),
-                    mpf_mul(c[l], v[l + 1], prec, _RN), prec, _RN)
+        t = _sub(_mul(xq, v[l], prec), _mul(c[l], v[l + 1], prec), prec)
         v[l - 1] = _div(t, c[l - 1], prec)
     if v[m] == fzero:
         return [fzero] * (l_max + 1)
     ratio = _div(seed._mpf_, v[m], prec)
-    return [fzero] * m + [mpf_mul(v[l], ratio, prec, _RN)
+    return [fzero] * m + [_mul(v[l], ratio, prec)
                           for l in range(m, l_max + 1)]
 
 
@@ -939,13 +943,12 @@ def check_recurrence(l: int, m: int, x, ctx: QContext):
     here, up = read(l), read(l + 1)
     down = read(l - 1) if l > m else None
     dps = max(here.dps, up.dps, down.dps if down else 0)
-    f = _ptilde_factors(l, m, qkey, dps)
     prec, x = dps_to_prec(dps), lift(dps).x._mpf_
-    lhs = mpf_mul(mpf_mul(x, _order(m, qkey, dps).qm1, prec, _RN), here.v,
-                  prec, _RN)
-    rhs = mpf_mul(f.c_up, up.v, prec, _RN)
+    lhs = _mul(_mul(x, _order(m, qkey, dps).qm1, prec), here.v, prec)
+    rhs = _mul(_coupling(l, m, qkey, dps), up.v, prec)
     if down is not None:
-        rhs = mpf_add(rhs, mpf_mul(f.c_down, down.v, prec, _RN), prec, _RN)
+        rhs = _add(rhs, _mul(_coupling(l - 1, m, qkey, dps), down.v, prec),
+                   prec)
     return _residual(lhs, rhs, prec)
 
 
@@ -969,18 +972,16 @@ def check_difference(l: int, m: int, x, ctx: QContext):
     outer = read(l, 1) if t < -2 * (m + 1) or t > -2 else None
     dps = max(here.dps, inner.dps if inner else 0,
               outer.dps if outer else 0)
-    shell = _ptilde_factors(l, m, qkey, dps).shell
     prec, xx = dps_to_prec(dps), lift(dps).x._mpf_
-    x2 = mpf_mul(xx, xx, prec, _RN)
+    x2 = _mul(xx, xx, prec)
     c_in, c_out = _roots(m, x2, qkey, dps, bool(inner), bool(outer))
-    mul = partial(mpf_mul, prec=prec, rnd=_RN)
-    sub = partial(mpf_sub, prec=prec, rnd=_RN)
-    lhs = mul(sub(mul(shell, x2), _order(m, qkey, dps).centre), here.v)
+    lhs = _mul(_sub(_mul(_shell(l, qkey, dps), x2, prec),
+                    _order(m, qkey, dps).centre, prec), here.v, prec)
     rhs = fzero
     if inner:
-        rhs = sub(rhs, mul(c_in, inner.v))
+        rhs = _sub(rhs, _mul(c_in, inner.v, prec), prec)
     if outer:
-        rhs = sub(rhs, mul(c_out, outer.v))
+        rhs = _sub(rhs, _mul(c_out, outer.v, prec), prec)
     return _residual(lhs, rhs, prec)
 
 
@@ -993,8 +994,8 @@ def _roots(m, x2, qkey, dps, inner, outer):
     exponents, the lattice nodes an argument near them snaps to."""
     o = _order(m, qkey, dps)
     prec = dps_to_prec(dps)
-    mul = partial(mpf_mul, prec=prec, rnd=_RN)
-    sub = partial(mpf_sub, prec=prec, rnd=_RN)
+    mul = partial(_mul, prec=prec)
+    sub = partial(_sub, prec=prec)
     root = partial(mpf_sqrt, prec=prec, rnd=_RN)
     return (inner and mul(o.c_in, root(mul(sub(fone, x2),
                                            sub(fone, mul(x2, o.q4m))))),
@@ -1007,8 +1008,8 @@ def _residual(lhs, rhs, prec):
     den = mpf_abs(lhs, prec, _RN)
     if not mpf_gt(den, fone):
         den = fone
-    return to_float(_div(mpf_abs(mpf_sub(lhs, rhs, prec, _RN), prec, _RN),
-                         den, prec), rnd=_RN)
+    return to_float(_div(mpf_abs(_sub(lhs, rhs, prec), prec, _RN), den, prec),
+                    rnd=_RN)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,8 +1082,8 @@ def clear_caches():
     """Empty every cache of qarith and qspecial, the q-factorial prefix
     lists and the recurrence-coefficient lists included.  Values computed
     afterwards are bit-identical to cached ones; only the time differs."""
-    for cache in (_qfact_cached, _qfact_list, _weight_scale, _snorm_mp_cached,
-                  _ptilde_factors, _order, _sum_terms, _node, _node_rad,
-                  _weight_at, _p_node, _ptilde_node, _roots, _table_cached,
-                  _coeff_lists):
+    for cache in (_qfact_cached, _qfact_list, _pow, _weight_scale,
+                  _snorm_mp_cached, _weight_factors, _coupling, _shell,
+                  _order, _sum_terms, _node, _node_rad, _weight_at, _p_node,
+                  _ptilde_node, _roots, _table_cached, _coeff_lists):
         cache.cache_clear()

@@ -334,6 +334,26 @@ def test_congruence_defect_is_the_written_out_chain_product(q, l_max):
             == reference_residual_form(m, l_values, cd, ctx), m
 
 
+def test_congruence_form_builds_no_row_for_the_deepest_site(monkeypatch):
+    # the form keeps the sites from _MARGIN up and reads the one below them
+    # only as a lower neighbour, so of the cd + 1 sites of its window it
+    # builds the cd from the second-deepest up, one extended table each
+    extended = []
+    table = qs.p_tilde_table
+
+    def spy(l_max, m, x, ctx):
+        extended.append(ctx.is_extended)
+        return table(l_max, m, x, ctx)
+
+    monkeypatch.setattr(qs, "p_tilde_table", spy)
+    for q, m, l_max in ((1.5, 0, 12), (2.0, -2, 20), (1.2, 3, 10)):
+        l_values = list(range(abs(m), l_max + 1))
+        cd = (l_max - abs(m) + 1) // 2 + bt._congruence_depth(q)
+        extended.clear()
+        bt._casimir_congruence_defect(m, l_values, cd, QContext(q=q))
+        assert extended == [True] * cd, (q, m)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: at q = 3 the form cancels about q^(2 cd) ~ 1e42 at its "
     "fixed 40 digits and reads 0.126"))

@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import (finf, fnan, fone, from_man_exp, fzero, mpf_div,
+from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
+                          mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub,
                           round_nearest)
 
 from qspace3 import DomainError, PrecisionError, QContext
@@ -264,6 +265,67 @@ class TestWrittenOutExpressions:
             else:
                 assert qa._div(s, d, 53) == want
         assert cases == 8 * 40 * 10
+
+    def test_mul_add_sub_are_libmp(self):
+        # a seeded grid of products, sums and differences at 53 to 3,724
+        # bits: both signs, equal exponents (cancelling to an exact 0 at
+        # t = -s and t = s), offsets up to 100 and beyond (mpf_add's nudge
+        # where t lies below prec + 4 bits of s), an all-ones mantissa that
+        # rounds up to a power of two, mantissa-1 operands and zeros; ties,
+        # a prec + 1-bit mantissa ending in 1 times a power of two, plus a
+        # nudged operand, and two prec-bit mantissas one bit apart; each
+        # pair in both orders; then the special values
+        rng = random.Random(29)
+        kernels = ((qa._mul, mpf_mul), (qa._add, mpf_add),
+                   (qa._sub, mpf_sub))
+
+        def odd(bits):
+            return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+        def tup(man, exp):
+            return from_man_exp(rng.choice((1, -1)) * man, exp)
+
+        cases = zeros = powers = nudges = 0
+        for prec in (53, 54, 113, 136, 333, 1000, 1733, 3724):
+            for _ in range(10):
+                s = tup(odd(rng.randint(1, 2 * prec)), rng.randint(-900, 900))
+                e = s[2]
+                far = rng.randint(101, 2 * prec + 200)
+                ones = (1 << prec + rng.randint(1, 9)) - 1
+                others = (tup(odd(rng.randint(1, 2 * prec)), e), s,
+                          mpf_neg(s),
+                          tup(odd(rng.randint(1, 2 * prec)),
+                              e - rng.randint(1, 100)),
+                          tup(odd(rng.randint(1, 2 * prec)), e - far),
+                          tup(odd(rng.randint(1, 40)), e + far),
+                          tup(ones, e - rng.randint(0, 3)),
+                          tup(1, rng.randint(-60, 60)), fzero)
+                tie = tup(((rng.getrandbits(prec - 1) | 1 << prec - 1) << 1)
+                          | 1, e)
+                pairs = [(s, t) for t in others] + [
+                    (tie, tup(1, rng.randint(-60, 60))),
+                    (tie, tup(odd(rng.randint(1, 40)), e - far)),
+                    (tup(odd(prec), e), tup(odd(prec), e - 1))]
+                for s_, t in pairs:
+                    for a, b in ((s_, t), (t, s_)):
+                        if a[1] > 0 and b[1] > 0 and abs(a[2] - b[2]) > 100 \
+                                and abs(a[1].bit_length() + a[2]
+                                        - b[1].bit_length() - b[2]) > prec + 4:
+                            nudges += 1
+                        for kernel, libmp in kernels:
+                            got = kernel(a, b, prec)
+                            want = libmp(a, b, prec, round_nearest)
+                            assert got == want, (kernel.__name__, a, b, prec)
+                            zeros += want == fzero and a[1] > 0 and b[1] > 0
+                            powers += want[1] == 1 and a[1] > 1 and b[1] > 1
+                            cases += 1
+        specials = (finf, fninf, fnan, fzero, fone, mpf_neg(fone))
+        for a in specials:
+            for b in specials:
+                for kernel, libmp in kernels:
+                    assert kernel(a, b, 53) == libmp(a, b, 53, round_nearest)
+        assert cases == 8 * 10 * 12 * 2 * 3
+        assert zeros > 0 and powers > 0 and nudges > 0
 
     def test_exact_at_q2(self):
         # at q = 2 every [a] = (4**a - 1) / (3 2**(a-1)) is a dyadic

@@ -1,19 +1,23 @@
 import contextlib
+import cProfile
+import importlib.util
 import itertools
 import json
 import math
+import pstats
 import random
 import sys
 import threading
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fone, fzero, mpf_gt
+from mpmath.libmp import finf, fone, fzero, libmpf, mpf_gt
 
 import exact as ex
 from qspace3 import DomainError, PrecisionError, QContext, cli
@@ -775,8 +779,9 @@ class TestIdentities:
                         assert qs.check_difference(l, m, x, ctx) < 1e-10
 
     def test_cached_recurrence_coefficient_is_the_inline_one(self):
-        # the record of degree l holds the couplings to l + 1 and, above
-        # the bottom l = m, to l - 1, each computed as the inline one
+        # the coupling record of degree l is the coupling to l + 1 and,
+        # above the bottom l = m, the record of l - 1 the coupling to l - 1,
+        # each computed as the inline one
         for q in (1.1, 1.5, 2.0):
             for l in range(9):
                 for m in range(l + 1):
@@ -785,11 +790,13 @@ class TestIdentities:
                         qn_mp = partial(qa._qnum, q=mp.mpf(q))
                         up = qs._recurrence_coeff(l, m, qn_mp)
                         down = qs._recurrence_coeff(l - 1, m, qn_mp) \
-                            if l > m else mp.mpf(0)
-                    f = qs._ptilde_factors(l, m, q, dps)
-                    assert type(f.c_up) is tuple and f.c_up == up._mpf_
-                    assert type(f.c_down) is tuple \
-                        and f.c_down == down._mpf_
+                            if l > m else None
+                    c_up = qs._coupling(l, m, q, dps)
+                    assert type(c_up) is tuple and c_up == up._mpf_
+                    if down is not None:
+                        c_down = qs._coupling(l - 1, m, q, dps)
+                        assert type(c_down) is tuple \
+                            and c_down == down._mpf_
 
     @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("fn,l,m", [
@@ -809,20 +816,26 @@ class TestIdentities:
             == qs.recurrence_coeff_up(2, 2, CTX15)
 
     def test_check_recurrence_reads_the_coefficient_cache(self):
-        # one factors record and one terms record per degree (l, then the
-        # neighbours l + 1 and l - 1), one node record and one radicand
+        # one weight-factors record and one terms record per degree (l,
+        # then the neighbours l + 1 and l - 1), one coupling record per
+        # coupling (l to l + 1 and l - 1 to l), one node record and one
+        # radicand
         qs.clear_caches()
         qs.check_recurrence(3, 1, 1.5**-4, CTX15)
-        for cache, n in ((qs._ptilde_factors, 3), (qs._sum_terms, 3),
-                         (qs._ptilde_node, 3), (qs._node, 1),
-                         (qs._node_rad, 1)):
+        for cache, n in ((qs._weight_factors, 3), (qs._coupling, 2),
+                         (qs._sum_terms, 3), (qs._ptilde_node, 3),
+                         (qs._node, 1), (qs._node_rad, 1)):
             info = cache.cache_info()
             assert (info.misses, info.currsize) == (n, n), cache.__name__
-        # the next degree at the same node and dps sums only degree 5
+        # the next degree at the same node and dps sums only degree 5, and
+        # computes only the coupling of degrees 4 and 5: the one of 3 and 4
+        # was the first call's up coefficient
         qs.check_recurrence(4, 1, 1.5**-4, CTX15)
         info = qs._ptilde_node.cache_info()
         assert (info.hits, info.misses) == (2, 4)
-        assert qs._ptilde_factors.cache_info().hits >= 1
+        info = qs._coupling.cache_info()
+        assert (info.hits, info.misses) == (1, 3)
+        assert qs._weight_factors.cache_info().misses == 4
 
     def test_criterion_2_grid_sums_each_node_once(self, monkeypatch):
         # the criterion-2 grid at q = 1.5 asks for 1278 distinct
@@ -896,6 +909,41 @@ class TestIdentities:
         assert qs._weight_at.cache_info().misses == 533
         assert qs._roots.cache_info().misses == 187
 
+    def test_criterion_2_grid_couplings(self, monkeypatch):
+        # the criterion-2 grid at q = 1.5 computes 45 couplings, one per
+        # (l, m, dps), each once: check_recurrence at degree l + 1 reads
+        # the coupling of l and l + 1 that degree l read as its up
+        # coefficient (124 when each degree computed both of its own)
+        calls = []
+        coeff = qs._recurrence_coeff
+        monkeypatch.setattr(qs, "_recurrence_coeff",
+                            lambda *a: calls.append(a) or coeff(*a))
+        qs.clear_caches()
+        q = 1.5
+        for l in range(9):
+            for m in range(l + 1):
+                for n in range(-10, 1):
+                    for sig in (1, -1):
+                        x = sig * q**(2 * (n - m - 1))
+                        qs.check_recurrence(l, m, x, CTX15)
+                        qs.check_difference(l, m, x, CTX15)
+        info = qs._coupling.cache_info()
+        assert (len(calls), info.misses, info.currsize) == (45, 45, 45)
+
+    def test_p_tilde_at_a_node_computes_no_coupling(self, monkeypatch):
+        # the multiprecision weight reads u^2 and the normalization alone
+        calls = []
+        coeff = qs._recurrence_coeff
+        monkeypatch.setattr(qs, "_recurrence_coeff",
+                            lambda *a: calls.append(a) or coeff(*a))
+        qs.clear_caches()
+        for precision in ("double", "extended"):
+            qs.p_tilde(20, 1, 1.5**-8, QContext(q=1.5, precision=precision))
+        info = qs._ptilde_node.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert qs._weight_factors.cache_info().misses == 1
+        assert calls == []
+
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_checks_at_zero_measure_or_refuse(self, precision):
         # at x = 0 the q-difference neighbours x q^(+-2) are x itself, and
@@ -915,14 +963,15 @@ class TestIdentities:
     @pytest.mark.parametrize("l, m", [(1, 3), (0, 1), (-1, 0)])
     def test_checks_off_the_chain_rejected(self, l, m, precision):
         # below the chain every P~ reads 0, so a residual would be a
-        # vacuous 0.0, and the factors record would hold a complex coupling
+        # vacuous 0.0, and the coupling record would hold a complex value
         ctx = QContext(q=1.5, precision=precision)
         qs.clear_caches()
         for check in (qs.check_recurrence, qs.check_difference):
             for x in (1.5**-8, 0.3):
                 with pytest.raises(DomainError):
                     check(l, m, x, ctx)
-        assert qs._ptilde_factors.cache_info().currsize == 0
+        for cache in (qs._weight_factors, qs._coupling, qs._shell):
+            assert cache.cache_info().currsize == 0, cache.__name__
 
 
 # The direct sum, radicand and identity checks as they were written inline,
@@ -1144,27 +1193,36 @@ class TestAgainstInlineSums:
     def test_escalation_stores_no_factors(self):
         # p_lm's escalation, in either mode, reads one terms record, at the
         # rule's dps (200 digits here), and none of the weight's factors;
-        # p_tilde's multiprecision route, in either mode, reads the factors
-        # record as the identity checks do, and the terms record that a p_lm
-        # summed at the same dps left (680 digits at the node 2**-24 and at
-        # 3e-5, off the lattice)
+        # p_tilde's multiprecision route, in either mode, reads the weight
+        # record as the identity checks do, no coupling, and the terms
+        # record that a p_lm summed at the same dps left (680 digits at the
+        # node 2**-24 and at 3e-5, off the lattice)
+        records = (qs._weight_factors, qs._coupling, qs._shell)
         qs.clear_caches()
         qs.p_lm(20, 0, 1.5**-18, CTX15)
         qs.p_lm(20, 0, 1.5**-18, QContext(q=1.5, precision="extended"))
-        assert qs._ptilde_factors.cache_info().currsize == 0
+        for cache in records:
+            assert cache.cache_info().currsize == 0, cache.__name__
         info = qs._sum_terms.cache_info()
         assert (info.hits, info.misses) == (0, 1)
         qs.p_lm(30, 1, 2.0**-24, QContext(q=2.0))
         qs.p_tilde(30, 1, 2.0**-24, QContext(q=2.0))
         qs.p_tilde(30, 1, 3e-5, QContext(q=2.0, precision="extended"))
-        info = qs._ptilde_factors.cache_info()
+        info = qs._weight_factors.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        for cache in records[1:]:
+            assert cache.cache_info().currsize == 0, cache.__name__
         info = qs._sum_terms.cache_info()
         assert (info.hits, info.misses) == (1, 2)
+        # the two checks of degree 4 read one weight record and one shell,
+        # both at one dps, and no coupling
         qs.check_difference(4, 1, 1.5**-6, CTX15)
         qs.check_difference(4, 1, 1.5**-8, CTX15)
-        info = qs._ptilde_factors.cache_info()
+        info = qs._weight_factors.cache_info()
         assert info.hits > 1 and info.misses == info.currsize == 2
+        info = qs._shell.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert qs._coupling.cache_info().currsize == 0
 
 
 class TestTupleRoute:
@@ -1219,9 +1277,8 @@ class TestTupleRoute:
         dps, p = self._mpf_value(l, m, lift, t, q)
         with mp.workdps(dps):
             rad = self._mpf_rad(m, lift(dps).x, mp.mpf(q))
-            f = qs._ptilde_factors(l, m, q, dps)
-            return dps, p * mp.sqrt(mp.make_mpf(f.u2) * rad
-                                    / mp.make_mpf(f.norm))
+            u2, norm = map(mp.make_mpf, qs._weight_factors(l, m, q, dps))
+            return dps, p * mp.sqrt(u2 * rad / norm)
 
     @staticmethod
     def _mpf_rad(m, x, q):
@@ -1256,8 +1313,9 @@ class TestTupleRoute:
                 reads[l, step] = self._mpf_read(l, m, x, q, step)
         dps = max(d for k, (d, _) in reads.items() if k[1] == 0)
         with mp.workdps(dps):
-            f = qs._ptilde_factors(l, m, q, dps)
-            c_down, c_up = map(mp.make_mpf, (f.c_down, f.c_up))
+            c_up = mp.make_mpf(qs._coupling(l, m, q, dps))
+            c_down = mp.make_mpf(qs._coupling(l - 1, m, q, dps)) \
+                if l > m else None
             qm1 = self._mpf_powers(l, m, mp.mpf(q))[0]
             lhs = lift(dps).x * qm1 * reads[l, 0][1]
             rhs = c_up * reads[l + 1, 0][1]
@@ -1341,6 +1399,37 @@ class TestTupleRoute:
                                      mp.mp.prec) == ref, (dps, s, worst)
 
 
+def _bench_module(name):
+    # a module of the benchmark, loaded read-only from its file
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pointwise_job_reads_the_power_memo():
+    # the seed-1 pointwise job of the special benchmark at q = 1.2, its
+    # median op: every integer power of the multiprecision routes reads
+    # qarith._pow, so libmp's mpf_pow_int runs at most 2,444 times, the
+    # calls of mpf ** and its own recursion included (5,198 when every
+    # term and factorial extension computed its own powers)
+    jobs, workloads = _bench_module("jobs"), _bench_module("workloads")
+    job = next(op["job"] for session in workloads.make_ops("special", 1)
+               for op in session["ops"]
+               if op["job"]["job"] == "pointwise" and op["job"]["q"] == 1.2)
+    qs.clear_caches()
+    profile = cProfile.Profile()
+    profile.runcall(jobs.pointwise, job)
+    code = libmpf.mpf_pow_int.__code__
+    calls = sum(stat[1] for (path, line, _), stat
+                in pstats.Stats(profile).stats.items()
+                if (path, line) == (code.co_filename, code.co_firstlineno))
+    assert 0 < calls <= 2444
+    info = qa._pow.cache_info()
+    assert info.hits > 0 and info.misses > 0
+
+
 def _all_caches():
     return [v for mod in (qa, qs) for v in vars(mod).values()
             if hasattr(v, "cache_info")]
@@ -1348,15 +1437,17 @@ def _all_caches():
 
 def test_every_cache_is_bounded():
     # one record of x-independent factors per precision mode: _weight_scale
-    # in binary64, _ptilde_factors, the order's q-powers _order and the
-    # terms _sum_terms in multiprecision; one l-independent record per
-    # lattice node and dps (_node, _node_rad, and _roots, keyed by x^2),
-    # the weight per radicand (_weight_at), and one P and one P~ value per
-    # (l, m, node)
-    bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256,
+    # in binary64; in multiprecision the weight's _weight_factors, the
+    # couplings _coupling, the shells _shell, the order's q-powers _order,
+    # the terms _sum_terms and the integer powers _pow; one l-independent
+    # record per lattice node and dps (_node, _node_rad, and _roots, keyed
+    # by x^2), the weight per radicand (_weight_at), and one P and one P~
+    # value per (l, m, node)
+    bounds = {qa._qfact_cached: 4096, qa._qfact_list: 256, qa._pow: 256,
               qs._weight_scale: 4096, qs._snorm_mp_cached: 256,
               qs._table_cached: 65536, qs._coeff_lists: 256,
-              qs._ptilde_factors: 16, qs._order: 64, qs._sum_terms: 4,
+              qs._weight_factors: 16, qs._coupling: 64, qs._shell: 16,
+              qs._order: 64, qs._sum_terms: 4,
               qs._node: 1024, qs._node_rad: 1024, qs._weight_at: 64,
               qs._roots: 128, qs._p_node: 64, qs._ptilde_node: 4096}
     for cache in _all_caches():

@@ -18,8 +18,12 @@ counts of each side, whether the report digest of every op is equal on both
 sides in every pair, and for each end-to-end metric each side's median and
 quartiles (statistics.quantiles, n = 4), the number of pairs where the after
 side is higher, the median change in percent, and for peak_rss_mb the pair
-values [seed, before, after].  A held-out seed runs as one more pair, kept
-apart from the summary.  Standard library only.
+values [seed, before, after].  Each run also records every op's median
+latency, read from its perfbench/out/run-<w>-<seed>-0.json, and the op or
+two whose medians make its op_p50_s; the summary lists per op the pair
+values [seed, before, after] and each side's median over the pairs, and per
+side how often each op made op_p50_s.  A held-out seed runs as one more
+pair, kept apart from the summary.  Standard library only.
 """
 
 import argparse
@@ -30,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+from collections import Counter
 from pathlib import Path
 
 METRICS = ("wall_s", "op_p50_s", "setup_s", "peak_rss_mb")
@@ -82,7 +87,8 @@ def export(repo, base, workdir):
 
 
 def run_one(tree, workload, seed, seconds):
-    """(the last-line JSON of one perfbench run, {op: digest}, machine)."""
+    """(the last-line JSON of one perfbench run, {op: digest}, {op: median
+    untraced latency}, machine)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -96,7 +102,18 @@ def run_one(tree, workload, seed, seconds):
     detail = json.loads((tree / "perfbench" / "out" /
                          f"run-{workload}-{seed}-0.json").read_text())
     digests = {k: op["digest"] for k, op in detail["ops"].items()}
-    return result, digests, detail["machine"]
+    medians = {k: statistics.median(op["latency_s"]["untraced"])
+               for k, op in detail["ops"].items()
+               if op["latency_s"]["untraced"]}
+    return result, digests, medians, detail["machine"]
+
+
+def median_ops(medians):
+    """The op or two whose median latencies make the run's op_p50_s, the
+    median of every op's median."""
+    ranked = sorted(medians, key=medians.get)
+    n = len(ranked)
+    return ranked[(n - 1) // 2:n // 2 + 1]
 
 
 def run_pair(trees, workloads, seed, seconds, log):
@@ -105,11 +122,12 @@ def run_pair(trees, workloads, seed, seconds, log):
     runs, machine = [], None
     for workload in workloads:
         for side in order:
-            result, digests, machine = run_one(trees[side], workload, seed,
-                                               seconds)
+            result, digests, medians, machine = run_one(
+                trees[side], workload, seed, seconds)
             runs.append({"workload": workload, "seed": seed, "trace": 0,
                          "side": side, "result": result,
-                         "digests": digests})
+                         "digests": digests, "op_medians": medians,
+                         "median_ops": median_ops(medians)})
             m = result["metrics"]
             log(f"seed {seed} {workload} {side}: " + ", ".join(
                 f"{k} {m[k]['value']:.4g}" for k in METRICS if k in m))
@@ -144,18 +162,30 @@ def summarize(runs, workload, seeds):
         if name == "peak_rss_mb":
             entry["pairs"] = [[s, b, a] for s, (b, a) in zip(seeds, vals)]
         out[name] = entry
+    out["op_medians"] = {}
+    for op in sorted({op for p in pairs for r in p for op in r["op_medians"]}):
+        vals = [[r["op_medians"].get(op) for r in p] for p in pairs]
+        entry = {"pairs": [[s, *v] for s, v in zip(seeds, vals)]}
+        for i, side in enumerate(SIDES):
+            got = [v[i] for v in vals if v[i] is not None]
+            entry[side] = statistics.median(got) if got else None
+        out["op_medians"][op] = entry
+    out["median_ops"] = {side: dict(Counter(
+        op for p in pairs for op in p[i]["median_ops"]).most_common())
+        for i, side in enumerate(SIDES)}
     return out
 
 
 def held_out_summary(runs):
-    """Per workload of the one held-out pair: failed counts, equal digests
-    and each metric as [before, after]."""
+    """Per workload of the one held-out pair: failed counts, equal digests,
+    the ops making op_p50_s and each metric as [before, after]."""
     out = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         b, a = (next(r for r in runs if r["workload"] == w
                      and r["side"] == side) for side in SIDES)
         out[w] = {"failed": [b["result"]["failed"], a["result"]["failed"]],
                   "digests_equal": b["digests"] == a["digests"],
+                  "median_ops": [b["median_ops"], a["median_ops"]],
                   **{name: [b["result"]["metrics"][name]["value"],
                             a["result"]["metrics"][name]["value"]]
                      for name in METRICS}}
